@@ -259,8 +259,7 @@ def export_lp(model: IlpModel) -> str:
     out.extend(_expr_lines(" obj:", obj_terms))
     out.append("Subject To")
     for c in model.constraints:
-        sense = "=" if c.sense == "=" else c.sense
-        out.extend(_expr_lines(f" {c.name}:", c.terms, f" {sense} {c.rhs}"))
+        out.extend(_expr_lines(f" {c.name}:", c.terms, f" {c.sense} {c.rhs}"))
     out.append("Bounds")
     for v in model.integer_variables:
         out.append(f" 0 <= {v}")

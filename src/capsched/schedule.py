@@ -7,8 +7,9 @@ slots <= t - delta.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,8 +164,12 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
     cap = _raw_trajectory(schedule, config)
     theta = config.theta
 
-    waiting: List[List[int]] = []      # [arrival slot, count], arrival order
-    admitted: List[List[int]] = []     # same shape, admission order
+    arrivals = workload.arrivals.tolist()
+    departures = workload.departures.tolist()
+    cap_at = cap.tolist()
+
+    waiting: Deque[List[int]] = deque()    # [arrival slot, count], arrival order
+    admitted: Deque[List[int]] = deque()   # same shape, admission order
     admitted_total = 0
     qos = 0
     waits: Dict[int, int] = {}
@@ -181,10 +186,10 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
             violators.add(arr_slot)
 
     for t in range(1, config.n + 1):
-        a = int(workload.arrivals[t - 1])
+        a = arrivals[t - 1]
         if a:
             waiting.append([t, a])
-        d = int(workload.departures[t - 1])
+        d = departures[t - 1]
         while d > 0:
             if admitted:
                 batch = admitted[0]
@@ -192,7 +197,7 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
                 batch[1] -= take
                 admitted_total -= take
                 if batch[1] == 0:
-                    admitted.pop(0)
+                    admitted.popleft()
             elif waiting:
                 batch = waiting[0]
                 take = min(d, batch[1])
@@ -200,20 +205,20 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
                 record_wait(batch[0], take, t - batch[0])
                 departed_waiting.setdefault(batch[0], []).append((take, t))
                 if batch[1] == 0:
-                    waiting.pop(0)
+                    waiting.popleft()
             else:
                 raise ModelInconsistencyError(
                     f"departures at slot {t} exceed participants present")
             d -= take
-        free = int(cap[t - 1]) - admitted_total
+        free = cap_at[t - 1] - admitted_total
         if free < 0:
-            overcommit.append((t, admitted_total, int(cap[t - 1])))
+            overcommit.append((t, admitted_total, cap_at[t - 1]))
         while free > 0 and waiting:
             batch = waiting[0]
             take = min(free, batch[1])
             batch[1] -= take
             if batch[1] == 0:
-                waiting.pop(0)
+                waiting.popleft()
             record_wait(batch[0], take, t - batch[0])
             admissions.setdefault(batch[0], []).append((take, t))
             admitted.append([batch[0], take])
@@ -248,7 +253,7 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config,
     n, delta = config.n, config.delta
     out: List[Violation] = []
 
-    hot = [j for j in range(1, n + 1) if schedule.changes[j - 1] != 0]
+    hot = (np.flatnonzero(schedule.changes) + 1).tolist()
     for j, j2 in zip(hot, hot[1:]):
         if j2 - j < delta:
             out.append(Violation("separation", j, j2,

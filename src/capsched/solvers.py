@@ -42,19 +42,21 @@ def adaptive_schedule(workload: Workload, config: Config) -> Schedule:
     """Plan capacity by chasing the smallest upcoming conference size.
 
     Starting from slot i, the planner scans candidate effect slots t from
-    i + delta through i + theta (clipped to the horizon) and computes the
-    conference size at each, recomputing the running total from the first
-    slot on every scan.  The latest t attaining the minimum wins; the
-    capacity change lands delta slots before it, so the new level becomes
-    active exactly when the size bottoms out.  A change of zero is not
-    recorded as a request.  The scan then restarts delta slots after the
-    chosen request slot, and planning stops once no effect slot fits the
-    horizon.
+    i + delta through i + theta (clipped to the horizon) and reads the
+    conference size at each from the occupancy prefix sums.  Ties go to the
+    latest t attaining the minimum; the capacity change lands delta slots
+    before it, so the new level becomes active exactly when the size
+    bottoms out.  A change of zero is not recorded as a request.  The scan
+    then restarts delta slots after the chosen request slot, and planning
+    stops once no effect slot fits the horizon.
+
+    Every restart advances i by at least delta and each scan reads at most
+    theta - delta + 1 slots, so planning costs O(n * theta / delta) after
+    one O(n) occupancy pass.
     """
     _require_matching(workload, config)
     n, delta, theta = config.n, config.delta, config.theta
-    a = workload.arrivals
-    d = workload.departures
+    occ = occupancy(workload).tolist()
     changes = np.zeros(n, dtype=np.int64)
 
     old_size = 0
@@ -63,9 +65,7 @@ def adaptive_schedule(workload: Workload, config: Config) -> Schedule:
         min_size = math.inf
         best_t = 0
         for t in range(i + delta, min(i + theta, n) + 1):
-            total_size = 0
-            for p in range(1, t + 1):
-                total_size += int(a[p - 1]) - int(d[p - 1])
+            total_size = occ[t - 1]
             if min_size >= total_size:
                 min_size = total_size
                 best_t = t - delta
@@ -88,14 +88,14 @@ def greedy_schedule(workload: Workload, config: Config) -> Schedule:
     """
     _require_matching(workload, config)
     n, delta = config.n, config.delta
-    occ = occupancy(workload)
+    occ = occupancy(workload).tolist()
     changes = np.zeros(n, dtype=np.int64)
     level = 0
     t = 1
     while t <= n - delta:
         lo = t + delta
         hi = min(t + 2 * delta, n)
-        target = int(occ[lo - 1: hi].max())
+        target = max(occ[lo - 1: hi])
         if target != level:
             changes[t - 1] = target - level
             level = target

@@ -1,0 +1,221 @@
+"""Golden digests of planner output, compare CSVs, evaluate reports and
+LP text.
+
+The digests were recorded from the original quadratic-scan planner and
+list-based simulator.  Any change to one byte of a schedule, a compare CSV,
+an evaluate report or an exported model fails here, without running the
+benchmark.  After an intended output change, re-record with
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+import test_golden as g; print(g.compare_digests()); \
+print(g.long_horizon_digests()); print(g.lp_digests())"
+"""
+
+import hashlib
+
+from capsched import (
+    SCENARIO_PRESETS,
+    CompareSpec,
+    Config,
+    ScenarioParams,
+    adaptive_schedule,
+    build_model,
+    evaluate,
+    export_lp,
+    format_schedule,
+    generate_workload,
+    greedy_schedule,
+    run_compare,
+)
+from capsched.cli import _report_lines
+
+COMPARE_SEEDS = range(20)
+LONG_N = 2000
+LONG_SEEDS = range(3)
+LP_N = 16
+LP_SEEDS = range(3)
+PLANNERS = {"ads": adaptive_schedule, "greedy": greedy_schedule}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _preset(name: str, n: int, seed: int):
+    values = SCENARIO_PRESETS[name]
+    config = Config(n=n, delta=values["delta"], theta=values["theta"])
+    params = ScenarioParams(name=name, amplitude=values["amplitude"],
+                            plateau_fraction=values["plateau_fraction"],
+                            seed=seed)
+    return config, params
+
+
+def compare_digests():
+    """Digest of the one-seed ``run_compare`` CSV per preset and seed."""
+    out = {}
+    for name in sorted(SCENARIO_PRESETS):
+        for seed in COMPARE_SEEDS:
+            config, params = _preset(name, SCENARIO_PRESETS[name]["n"], seed)
+            spec = CompareSpec(config=config, scenario=params, seeds=(seed,),
+                               algorithms=("ads", "greedy"))
+            out[f"{name}/{seed}"] = _digest(run_compare(spec))
+    return out
+
+
+def long_horizon_digests():
+    """Digests of each planner's schedule text and evaluate report on mmog
+    cut to LONG_N slots."""
+    out = {}
+    for seed in LONG_SEEDS:
+        config, params = _preset("mmog", LONG_N, seed)
+        workload = generate_workload(params, config)
+        for algorithm, planner in PLANNERS.items():
+            schedule = planner(workload, config)
+            report = evaluate(workload, schedule, config)
+            out[f"{algorithm}/schedule/{seed}"] = _digest(
+                format_schedule(config, schedule))
+            out[f"{algorithm}/evaluate/{seed}"] = _digest(
+                "".join(line + "\n" for line in _report_lines(report)))
+    return out
+
+
+def lp_digests():
+    """Digest of the exported model of oppd cut to LP_N slots."""
+    out = {}
+    for seed in LP_SEEDS:
+        config, params = _preset("oppd", LP_N, seed)
+        workload = generate_workload(params, config)
+        out[f"oppd/{seed}"] = _digest(export_lp(build_model(workload, config)))
+    return out
+
+
+COMPARE_GOLDEN = {
+    "mmog/0":
+        "140a87ebd95e3451b56effc50fa51611e2e63384429d3ce3619457536b2a4b30",
+    "mmog/1":
+        "4fe1634b130312b6b97fd35cabc7710b482c2078316816147ad238878582a942",
+    "mmog/2":
+        "f9ac229d29c07e42c412d925a337f991266873aa48fbc011873e9d22e9dad813",
+    "mmog/3":
+        "7368296e26f9d9cae2171b8aa352e742884b7956f64fb8e84f9bf2d9f8a83ad2",
+    "mmog/4":
+        "202b003674a00d500a240a3495ecce9db9aadbe18ed4c4597528435215bb6840",
+    "mmog/5":
+        "3fc358c8fab0cc03041bdad5da10c2467a39c236c2db5461ce6d0dc495e287ca",
+    "mmog/6":
+        "a3965769d5ab1206ec074889aae87dc57fcbd6264d1e134e317031dd3a64af75",
+    "mmog/7":
+        "0227bd603566e5db228caa1f726e179428aac9b71b9d93c8d66946fef1906d01",
+    "mmog/8":
+        "92578afc6fc24babbe2e33193a14d8f58ab12a2f2626e5c06efd59cb5e38cf8e",
+    "mmog/9":
+        "f50fdb29d30936f5e3c8b5716b68885d8cae3972e3193fd3ff17204db24fe4e5",
+    "mmog/10":
+        "7d3aad70da350870928ffc042be3eae014c9aa7eda2f0fb8c0bb2c0a381cf33a",
+    "mmog/11":
+        "1e944f00848b04fa91cb36cf963686cb02839ee184f8abb1909db5be5d7fe667",
+    "mmog/12":
+        "622fd1d38c16b9a3b7ede545d23771dc9a289b522a22da06062d4ec05f82b5cd",
+    "mmog/13":
+        "50199e1e57827bfcccc6a6e803a9b03b362805d7a8e4ffa039c988358499ce98",
+    "mmog/14":
+        "61d75e258f2b6446312b84281ec970cac18d7e91eef1f134a87d4959502cdfae",
+    "mmog/15":
+        "545bd2da5f7b3e174809623f222fb53b57c670f3e1fd6e9740516cb5eeca1376",
+    "mmog/16":
+        "31d2e7ef33029390813f9a74ffdb511bba9aa88d0e4fe30938e374657c900679",
+    "mmog/17":
+        "2a4c6550e874d06e52c96139b209c7551306a6a63fcec9cf5279256643190bfd",
+    "mmog/18":
+        "900d44bdf4c434684b73b58d0903bcd19123efda7bc486670b03a16087e24ed8",
+    "mmog/19":
+        "f9e8afb34698b8cd30a17b01f16989cdb7e137bd96d00e0e5affedddb260d937",
+    "oppd/0":
+        "6d52ac97446674f10aafd06cebe1ce49843d717933c214cbfcb4b9398aa962ca",
+    "oppd/1":
+        "d60eb7ac07bc56667da2ae62ae9ae71cbefefce9607c335204b748838673effe",
+    "oppd/2":
+        "7fb9263faf1fb00568d7f765729f87ba96c72a3fd2c504fefc83ccee958feae8",
+    "oppd/3":
+        "72bd666e79fa9e3e845ed886c93fc33f79b41cf0496845ece58d29cc51f3944d",
+    "oppd/4":
+        "850cc61d9b819c33a9490b32bca6e63baa8ad386095e0f3615e6887c045015f9",
+    "oppd/5":
+        "eb65bb2387974294760e13cd1ee7f8a89bc5ca9c4612a589a184d9995f2a95f9",
+    "oppd/6":
+        "470ddee780d3852ab35a6722145aa3bc300b41eba3293e22087ad0b7891f35d6",
+    "oppd/7":
+        "ed546a7bc8cd0e83bbf6379f5e843518b3e8df6113ae0126c3ce07556a791ea1",
+    "oppd/8":
+        "ba00b159b53c95695a14ba6f535261f515af1836b5c52ef6bbdb2d8cd01e054f",
+    "oppd/9":
+        "88f3af159e656c5a55c6c3a9d2dad4d06e0442353587a9e2c1270c9c552d6d49",
+    "oppd/10":
+        "b35be9ce8cc7194e5c9947094480f905cb950aef4e239b0f02ba693e582b708d",
+    "oppd/11":
+        "31fa777775a1f1a6984d8fd95070bc107966fef0f1c07325f7f20e1554c669ef",
+    "oppd/12":
+        "a6e93c50e1c08387c03a852e3afd90340a2c8fd21c5d8b08548a97850050ed84",
+    "oppd/13":
+        "c1602b4e30434f06f16f367aa43dfe1f9ed3e7afe06eac3de76eb69c95af2219",
+    "oppd/14":
+        "ee5cca2a858eb7674fe11a575bf7b61f7bd8a4885ee1360a96591512e40b9439",
+    "oppd/15":
+        "ea19575f415e9117187d7bf734e82ec42f7638690df3405058496a6aac59f333",
+    "oppd/16":
+        "d68714b6f72321187c3b3fd3338e354ee5aac6a23877a3ce60b3e6b5e57c258b",
+    "oppd/17":
+        "82f40f744497e4092803a7873c115af16a9a416c3ecd163bd8fc8ee6995bf1e0",
+    "oppd/18":
+        "62aca28a5a85da184ef560edc17844ec82a12672e27c49dcf9deaf419cce05ef",
+    "oppd/19":
+        "417375bd53b75e35849628cc527cbdb7c8f305c4303f65eedb9ee544695a4364",
+}
+
+LONG_HORIZON_GOLDEN = {
+    "ads/schedule/0":
+        "5129633851478e9e772356cfb492f94e4fff57f6db1f6d29c6225ecf68c59952",
+    "ads/evaluate/0":
+        "5e9d49b30f98ccf31f5895dbfc92c0edcefb281f069fd82c5070c887ff007f24",
+    "greedy/schedule/0":
+        "e27e549181d298883b9a67b0039599b99b21f3af31343751bc31cb053a561b66",
+    "greedy/evaluate/0":
+        "99380f31492ef782f1ea1e2e53f52233e7d0ff052010045644afb3428ceff991",
+    "ads/schedule/1":
+        "9f078d8524a3b8e0cd139a1a9bdea2959c685fb4290ac3662171e6b9a0d2253e",
+    "ads/evaluate/1":
+        "daa2522942151a203df2f59b629a244c4b0a689038c6ead334e679be41f0a211",
+    "greedy/schedule/1":
+        "e3df6cc183d1e6aa38358ae38a8a96d6353384afbdc55cb7121fb0ee044c2bf7",
+    "greedy/evaluate/1":
+        "861a1395d2ebbb37661e6f8923763a1a14231b1ff7baa599d97584bbce1d8324",
+    "ads/schedule/2":
+        "07089a3a4c10419af8ed7ca588b8c313252b8ff94e6d218c6ac6167c7e08b7bb",
+    "ads/evaluate/2":
+        "745442d49a16890dab87486533de860ff09930cb41a52ddda1c9d0812e094b5d",
+    "greedy/schedule/2":
+        "3949bbf41795edb0b464c0a9067de641ca53d2301ccee2eee3c196c8ae9650e6",
+    "greedy/evaluate/2":
+        "334cd35d0f3512c4ca959dd6893311ce5627945a46758becc4de29a2f509ecfd",
+}
+
+LP_GOLDEN = {
+    "oppd/0":
+        "fbeb085d944f516d2d521cc74c545eaf4e091b74eeecbbf660f353f1695d4670",
+    "oppd/1":
+        "c029b779c1e47681c77e8bb8df8350e696e7eb968688b6b105e0ae7dd9d8f765",
+    "oppd/2":
+        "f17426a70f95ecd4325882cb79db9bcefdb9d53b3187a5078ef9fcfd385ee51c",
+}
+
+
+def test_compare_csvs_match_golden():
+    assert compare_digests() == COMPARE_GOLDEN
+
+
+def test_long_horizon_schedules_and_reports_match_golden():
+    assert long_horizon_digests() == LONG_HORIZON_GOLDEN
+
+
+def test_exported_models_match_golden():
+    assert lp_digests() == LP_GOLDEN

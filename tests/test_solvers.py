@@ -1,3 +1,7 @@
+import math
+import time
+from statistics import median
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +27,39 @@ from capsched import (
     resource_cost,
     validate_solution,
 )
+
+
+def _quadratic_adaptive_changes(workload, config):
+    """Reference ads planner: the original scan, which re-sums a - d from
+    slot 1 for every candidate effect slot."""
+    n, delta, theta = config.n, config.delta, config.theta
+    a, d = workload.arrivals, workload.departures
+    changes = [0] * n
+    old_size = 0
+    i = 1
+    while i + delta <= n:
+        min_size = math.inf
+        best_t = 0
+        for t in range(i + delta, min(i + theta, n) + 1):
+            total_size = 0
+            for p in range(1, t + 1):
+                total_size += int(a[p - 1]) - int(d[p - 1])
+            if min_size >= total_size:
+                min_size = total_size
+                best_t = t - delta
+        new_size = int(min_size)
+        if new_size != old_size:
+            changes[best_t - 1] = new_size - old_size
+        old_size = new_size
+        i = best_t + delta
+    return changes
+
+
+def _workload_from_levels(levels):
+    """Workload whose occupancy at the end of slot k is levels[k]."""
+    steps = np.diff(np.asarray([0] + list(levels), dtype=np.int64))
+    return Workload(arrivals=np.maximum(steps, 0),
+                    departures=np.maximum(-steps, 0))
 
 
 class TestAdaptive:
@@ -51,6 +88,54 @@ class TestAdaptive:
                       departures=np.zeros(12, dtype=int))
         s = adaptive_schedule(wl, cfg)
         assert np.count_nonzero(s.changes) == 1
+
+    @pytest.mark.parametrize("levels", [
+        [0, 3, 3, 3, 3, 3, 3, 3],        # flat after the first slot
+        [2, 2, 1, 1, 1, 1, 2, 2],        # minimum held across a window
+        [0, 0, 2, 2, 1, 1, 1, 1],        # two short plateaus
+        [5, 5, 5, 5, 0, 0, 0, 0],        # drop to an empty plateau
+    ])
+    def test_plateau_ties_match_the_quadratic_scan(self, ref_config, levels):
+        wl = _workload_from_levels(levels)
+        s = adaptive_schedule(wl, ref_config)
+        assert s.changes.tolist() == _quadratic_adaptive_changes(wl, ref_config)
+
+    @given(seed=st.integers(0, 10 ** 6), amplitude=st.integers(0, 60),
+           plateau=st.floats(0.0, 1.0), n=st.integers(3, 90),
+           delta=st.integers(2, 6), spread=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_quadratic_scan(self, seed, amplitude, plateau, n,
+                                        delta, spread):
+        assume(delta + spread <= n)
+        cfg = Config(n=n, delta=delta, theta=delta + spread)
+        wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
+                                              plateau_fraction=plateau,
+                                              seed=seed), cfg)
+        s = adaptive_schedule(wl, cfg)
+        assert s.changes.tolist() == _quadratic_adaptive_changes(wl, cfg)
+
+    @given(levels=st.lists(st.integers(0, 3), min_size=3, max_size=60),
+           delta=st.integers(2, 4), spread=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_tied_levels_match_the_quadratic_scan(self, levels, delta, spread):
+        # few distinct occupancy levels, so windows often hold tied minima
+        assume(delta + spread <= len(levels))
+        cfg = Config(n=len(levels), delta=delta, theta=delta + spread)
+        wl = _workload_from_levels(levels)
+        s = adaptive_schedule(wl, cfg)
+        assert s.changes.tolist() == _quadratic_adaptive_changes(wl, cfg)
+
+    def test_long_horizon_plans_in_linear_time(self):
+        # the quadratic scan took about ten seconds here
+        cfg = Config(n=10_000, delta=3, theta=4)
+        wl = generate_workload(ScenarioParams(name="mmog", amplitude=1500,
+                                              seed=0), cfg)
+        samples = []
+        for _ in range(3):
+            start = time.perf_counter()
+            adaptive_schedule(wl, cfg)
+            samples.append(time.perf_counter() - start)
+        assert median(samples) < 0.050
 
 
 class TestGreedy:
