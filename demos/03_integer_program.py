@@ -53,7 +53,7 @@ def main():
     for j in range(1, config.n + 1):
         if matrices.requests[j - 1]:
             lines.append(f"r_{j} 1")
-    parsed = parse_solution("\n".join(lines) + "\n", model)
+    parsed = parse_solution("\n".join(lines) + "\n", config)
     assert objective_value(parsed, config) == objective_value(matrices, config)
     print("solution text round trip preserves the objective")
     print()
@@ -65,7 +65,7 @@ def main():
     print(f"collapsed back to the planner's schedule, cost {report.resource_cost}")
 
     # break one constraint on purpose to see what validation reports
-    broken = parse_solution("\n".join(lines[:-1]) + "\n", model)
+    broken = parse_solution("\n".join(lines[:-1]) + "\n", config)
     for v in validate_solution(broken, workload, config)[:3]:
         print(v.render())
 

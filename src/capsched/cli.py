@@ -17,6 +17,7 @@ from .ilp import (
     DEFAULT_BIG_M,
     SolutionFormatError,
     build_model,
+    effective_big_m,
     export_lp,
     matrices_to_schedule,
     parse_solution,
@@ -181,8 +182,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 f"not n={config.n}, delta={config.delta}")
         violations = check_feasibility(workload, schedule, config)
     else:
-        model = build_model(workload, config, big_m=args.big_m)
-        matrices = parse_solution(_read_text(args.solution), model)
+        effective_big_m(workload, args.big_m)     # a bad --big-m is reported first
+        matrices = parse_solution(_read_text(args.solution), config)
         violations = validate_solution(matrices, workload, config, big_m=args.big_m)
     if not violations:
         print("OK")

@@ -20,8 +20,9 @@ What each family enforces:
   EQ12     no requests too late to take effect within the horizon
 """
 
+import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,12 @@ from .workload import Config, ConfigurationError, Workload, mandatory_load, _req
 DEFAULT_BIG_M = 1_000_000
 
 Term = Tuple[int, str]
+
+# stands for the space between two pieces of an LP row until the row is
+# wrapped, so that piece boundaries can be found with str.rfind
+_SEP = "\x00"
+_LP_WIDTH = 72
+_INDENT = "   "
 
 
 class SolutionFormatError(ValueError):
@@ -48,17 +55,64 @@ class LinearConstraint:
     rhs: int
 
 
-@dataclass(eq=False)
+def variable_names(n: int) -> Tuple[str, ...]:
+    """Names of the model variables in index order: x_i_j at (i-1)*n + j-1,
+    y_i_j at n*n + (i-1)*n + j-1, r_j at 2*n*n + j-1."""
+    pairs = [f"{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    return tuple(["x_" + p for p in pairs] + ["y_" + p for p in pairs]
+                 + [f"r_{j}" for j in range(1, n + 1)])
+
+
+@dataclass(frozen=True, eq=False)
 class IlpModel:
-    """A fully instantiated model for one workload."""
+    """A fully instantiated model for one workload, as sparse rows.
+
+    Row k has the terms coefs[p] * variable indices[p] for p in
+    indptr[k]:indptr[k+1], in the variable order of variable_names.  The
+    objective is stored the same way.  The arrays are read-only;
+    constraints, objective and variables are derived from them on access.
+    """
 
     config: Config
-    variables: Tuple[str, ...]
-    integer_variables: Tuple[str, ...]
-    binary_variables: Tuple[str, ...]
-    constraints: List[LinearConstraint]
-    objective: Tuple[Term, ...]
     big_m: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefs: np.ndarray
+    row_names: Tuple[str, ...]
+    row_tags: Tuple[str, ...]
+    senses: Tuple[str, ...]
+    rhs: np.ndarray
+    objective_indices: np.ndarray
+    objective_coefs: np.ndarray
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        return variable_names(self.config.n)
+
+    @property
+    def integer_variables(self) -> Tuple[str, ...]:
+        return self.variables[: 2 * self.config.n ** 2]
+
+    @property
+    def binary_variables(self) -> Tuple[str, ...]:
+        return self.variables[2 * self.config.n ** 2:]
+
+    @property
+    def objective(self) -> Tuple[Term, ...]:
+        names = self.variables
+        return tuple(zip(self.objective_coefs.tolist(),
+                         [names[v] for v in self.objective_indices.tolist()]))
+
+    @property
+    def constraints(self) -> Tuple[LinearConstraint, ...]:
+        names = self.variables
+        terms = list(zip(self.coefs.tolist(), [names[v] for v in self.indices.tolist()]))
+        bounds = self.indptr.tolist()
+        return tuple(
+            LinearConstraint(name, tag, tuple(terms[lo:hi]), sense, rhs)
+            for name, tag, sense, rhs, lo, hi in zip(
+                self.row_names, self.row_tags, self.senses, self.rhs.tolist(),
+                bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,17 +172,6 @@ class ConstraintViolation:
         return " ".join(parts)
 
 
-def _vx(i: int, j: int) -> str:
-    return f"x_{i}_{j}"
-
-
-def _vy(i: int, j: int) -> str:
-    return f"y_{i}_{j}"
-
-
-def _vr(j: int) -> str:
-    return f"r_{j}"
-
 
 def effective_big_m(workload: Workload, big_m: int = DEFAULT_BIG_M) -> int:
     """The linking coefficient actually used.
@@ -143,108 +186,183 @@ def effective_big_m(workload: Workload, big_m: int = DEFAULT_BIG_M) -> int:
     return min(big_m, max(total, 1))
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + lengths[k] - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
 def build_model(workload: Workload, config: Config, big_m: int = DEFAULT_BIG_M) -> IlpModel:
-    """Instantiate every variable and constraint row for this workload."""
+    """Instantiate every variable and constraint row for this workload.
+
+    Each family is given as runs of consecutive variable indices with one
+    coefficient each, k runs per row; the rows come out in tag order.
+    """
     _require_matching(workload, config)
     n, delta, theta = config.n, config.delta, config.theta
     m_eff = effective_big_m(workload, big_m)
     a = workload.arrivals
     d = workload.departures
     load = mandatory_load(workload, config).values
+    nn = n * n
+    x_rows = np.arange(0, nn, n)        # index of x_i_1 for each i
+    y_rows = x_rows + nn
+    r_first = 2 * nn
 
-    x_names = tuple(_vx(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    y_names = tuple(_vy(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    r_names = tuple(_vr(j) for j in range(1, n + 1))
+    names: List[str] = []
+    tags: List[str] = []
+    senses: List[str] = []
+    rhs: List[np.ndarray] = []
+    starts: List[np.ndarray] = []
+    lengths: List[np.ndarray] = []
+    run_coefs: List[np.ndarray] = []
+    row_lengths: List[np.ndarray] = []
 
-    objective: List[Term] = []
-    for i in range(1, n + 1):
-        for j in range(1, n - delta + 1):
-            w = n - j - delta
-            if w:
-                objective.append((w, _vx(i, j)))
-    for i in range(1, n + 1):
-        for j in range(1, n - delta + 1):
-            w = n - j - delta
-            if w:
-                objective.append((-w, _vy(i, j)))
+    def family(tag, sense, labels, row_rhs, run_starts, run_lengths, coefs):
+        count = len(labels)
+        names.extend(f"{tag}_{label}" for label in labels)
+        tags.extend([tag] * count)
+        senses.extend([sense] * count)
+        rhs.append(np.broadcast_to(np.asarray(row_rhs, dtype=np.int64), (count,)))
+        run_lengths = np.broadcast_to(np.asarray(run_lengths, dtype=np.int64), run_starts.shape)
+        starts.append(run_starts.astype(np.int64))
+        lengths.append(run_lengths)
+        run_coefs.append(np.broadcast_to(np.asarray(coefs, dtype=np.int64), run_starts.shape))
+        row_lengths.append(run_lengths.reshape(count, -1).sum(axis=1) if count else run_lengths)
 
-    cons: List[LinearConstraint] = []
+    i = np.arange(1, n - theta + 1)
+    family("EQ2", ">=", [f"i{k}" for k in i], a[i - 1], x_rows[i - 1], i + theta - delta, 1)
+    i = np.arange(n - theta + 1, n + 1)
+    family("EQ3", ">=", [f"i{k}" for k in i], a[i - 1], x_rows[i - 1], n - delta, 1)
+    i = np.arange(1, delta + 1)
+    family("EQ4", "<=", [f"i{k}" for k in i], d[i - 1], y_rows[i - 1], n - delta, 1)
+    i = np.arange(delta + 1, n + 1)
+    family("EQ5", "<=", [f"i{k}" for k in i], d[i - 1],
+           y_rows[i - 1] + i - delta - 1, n - i + 1, 1)
+    i = np.arange(delta + 2, n + 1)
+    family("EQ6", "=", [f"i{k}" for k in i], 0, y_rows[i - 1], i - delta - 1, 1)
+    # EQ7/EQ8 row j sums x_i_t and y_i_t over every i and t <= j (t <= j - delta):
+    # n runs of x with coefficient 1, then n runs of y with coefficient -1
+    net_starts = np.concatenate([x_rows, y_rows])
+    net_coefs = np.repeat([1, -1], n)
+    j = np.arange(1, n + 1)
+    family("EQ7", ">=", [f"j{k}" for k in j], 0, np.tile(net_starts, n),
+           np.repeat(j, 2 * n), np.tile(net_coefs, n))
+    j = np.arange(delta + 1, n + 1)
+    family("EQ8", ">=", [f"j{k}" for k in j], load[j - 1], np.tile(net_starts, len(j)),
+           np.repeat(j - delta, 2 * n), np.tile(net_coefs, len(j)))
+    i = np.arange(1, n - delta + 1)
+    family("EQ9", "<=", [f"i{k}" for k in i], 1, r_first + i - 1, delta, 1)
+    # EQ10/EQ11 row (i, j): big_m r_j - x_i_j >= 0, then the same for y_i_j
+    cells = [f"i{p}_j{q}" for p in range(1, n + 1) for q in range(1, n + 1)]
+    flags = r_first + np.tile(np.arange(n), n)
+    link_coefs = np.tile([m_eff, -1], nn)
+    family("EQ10", ">=", cells, 0, np.column_stack([flags, np.arange(nn)]).ravel(), 1,
+           link_coefs)
+    family("EQ11", ">=", cells, 0, np.column_stack([flags, nn + np.arange(nn)]).ravel(), 1,
+           link_coefs)
+    j = np.arange(n - delta + 1, n + 1)
+    family("EQ12", "=", [f"j{k}" for k in j], 0, r_first + j - 1, 1, 1)
 
-    for i in range(1, n - theta + 1):
-        terms = tuple((1, _vx(i, j)) for j in range(1, i + theta - delta + 1))
-        cons.append(LinearConstraint(f"EQ2_i{i}", "EQ2", terms, ">=", int(a[i - 1])))
-    for i in range(n - theta + 1, n + 1):
-        terms = tuple((1, _vx(i, j)) for j in range(1, n - delta + 1))
-        cons.append(LinearConstraint(f"EQ3_i{i}", "EQ3", terms, ">=", int(a[i - 1])))
-    for i in range(1, delta + 1):
-        terms = tuple((1, _vy(i, j)) for j in range(1, n - delta + 1))
-        cons.append(LinearConstraint(f"EQ4_i{i}", "EQ4", terms, "<=", int(d[i - 1])))
-    for i in range(delta + 1, n + 1):
-        terms = tuple((1, _vy(i, j)) for j in range(i - delta, n - delta + 1))
-        cons.append(LinearConstraint(f"EQ5_i{i}", "EQ5", terms, "<=", int(d[i - 1])))
-    for i in range(delta + 2, n + 1):
-        terms = tuple((1, _vy(i, j)) for j in range(1, i - delta))
-        cons.append(LinearConstraint(f"EQ6_i{i}", "EQ6", terms, "=", 0))
-    for j in range(1, n + 1):
-        terms = tuple((1, _vx(i, t)) for i in range(1, n + 1) for t in range(1, j + 1)) \
-            + tuple((-1, _vy(i, t)) for i in range(1, n + 1) for t in range(1, j + 1))
-        cons.append(LinearConstraint(f"EQ7_j{j}", "EQ7", terms, ">=", 0))
-    for j in range(delta + 1, n + 1):
-        terms = tuple((1, _vx(i, t)) for i in range(1, n + 1) for t in range(1, j - delta + 1)) \
-            + tuple((-1, _vy(i, t)) for i in range(1, n + 1) for t in range(1, j - delta + 1))
-        cons.append(LinearConstraint(f"EQ8_j{j}", "EQ8", terms, ">=", int(load[j - 1])))
-    for i in range(1, n - delta + 1):
-        terms = tuple((1, _vr(j)) for j in range(i, i + delta))
-        cons.append(LinearConstraint(f"EQ9_i{i}", "EQ9", terms, "<=", 1))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cons.append(LinearConstraint(
-                f"EQ10_i{i}_j{j}", "EQ10",
-                ((m_eff, _vr(j)), (-1, _vx(i, j))), ">=", 0))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cons.append(LinearConstraint(
-                f"EQ11_i{i}_j{j}", "EQ11",
-                ((m_eff, _vr(j)), (-1, _vy(i, j))), ">=", 0))
-    for j in range(n - delta + 1, n + 1):
-        cons.append(LinearConstraint(f"EQ12_j{j}", "EQ12", ((1, _vr(j)),), "=", 0))
+    run_lengths = np.concatenate(lengths)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_lengths))])
+    indices = _ranges(np.concatenate(starts), run_lengths)
+    coefs = np.repeat(np.concatenate(run_coefs), run_lengths)
 
+    # objective: weight n - j - delta on x_i_j and its negative on y_i_j,
+    # leaving out the zero weights from j = n - delta on
+    weighted = n - delta - 1
+    weights = n - delta - np.arange(1, weighted + 1)
+    objective_indices = np.concatenate([_ranges(x_rows, np.full(n, weighted)),
+                                        _ranges(y_rows, np.full(n, weighted))])
+    objective_coefs = np.concatenate([np.tile(weights, n), -np.tile(weights, n)])
+
+    arrays = [indptr, indices, coefs, np.concatenate(rhs), objective_indices, objective_coefs]
+    for array in arrays:
+        array.setflags(write=False)
+    indptr, indices, coefs, row_rhs, objective_indices, objective_coefs = arrays
     return IlpModel(
         config=config,
-        variables=x_names + y_names + r_names,
-        integer_variables=x_names + y_names,
-        binary_variables=r_names,
-        constraints=cons,
-        objective=tuple(objective),
         big_m=m_eff,
+        indptr=indptr,
+        indices=indices,
+        coefs=coefs,
+        row_names=tuple(names),
+        row_tags=tuple(tags),
+        senses=tuple(senses),
+        rhs=row_rhs,
+        objective_indices=objective_indices,
+        objective_coefs=objective_coefs,
     )
 
 
-def _term_pieces(terms: Sequence[Term]) -> List[str]:
-    pieces = []
-    for k, (coef, var) in enumerate(terms):
-        if k == 0:
-            pieces.append(f"{coef} {var}" if coef >= 0 else f"- {-coef} {var}")
-        else:
-            pieces.append(f"+ {coef} {var}" if coef >= 0 else f"- {-coef} {var}")
-    return pieces
+def _wrap(row: str) -> str:
+    """Break a row before the pieces that would pass the line width.
+
+    Continuation lines are indented.  Every piece fits on a line: an int64
+    coefficient and a variable name take well under the 69 columns left.
+    """
+    lines = []
+    start, room = 0, _LP_WIDTH
+    while len(row) - start > room:
+        cut = row.rfind(_SEP, start, start + room + 1)
+        lines.append(row[start:cut])
+        start, room = cut + 1, _LP_WIDTH - len(_INDENT)
+    lines.append(row[start:])
+    return ("\n" + _INDENT).join(lines)
 
 
-def _expr_lines(prefix: str, terms: Sequence[Term], suffix: str = "") -> List[str]:
-    # wraps long expressions; continuation lines are indented
-    pieces = _term_pieces(terms)
-    if suffix:
-        pieces = pieces + [suffix.strip()]
-    lines: List[str] = []
-    line = prefix
-    for piece in pieces:
-        if len(line) + 1 + len(piece) > 72 and line.strip():
-            lines.append(line)
-            line = "   " + piece
-        else:
-            line = line + " " + piece
-    lines.append(line)
-    return lines
+def _render_rows(names: Sequence[str], indptr: np.ndarray, indices: np.ndarray,
+                 coefs: np.ndarray, heads: Sequence[str], tails: Sequence[str]) -> List[str]:
+    """LP text of each row: head, the terms, tail, wrapped.
+
+    A run is a stretch of one row over consecutive variables with one
+    coefficient.  Every coefficient that has a run longer than one term is
+    rendered once as a piece table over all variable names, and its runs are
+    cut out of that table as single slices; single terms are rendered
+    directly.
+    """
+    nnz = len(indices)
+    run_start = np.ones(nnz, dtype=bool)
+    run_start[1:] = (indices[1:] != indices[:-1] + 1) | (coefs[1:] != coefs[:-1])
+    run_start[indptr[:-1][indptr[:-1] < nnz]] = True
+    lo = np.flatnonzero(run_start)
+    hi = np.append(lo[1:], nnz)
+    row_runs = np.searchsorted(lo, indptr).tolist()
+    first = indices[lo]
+    last = indices[hi - 1] + 1
+    run_coefs = coefs[lo]
+
+    distinct, which = np.unique(run_coefs, return_inverse=True)
+    leads = [_SEP + (f"+ {c} " if c >= 0 else f"- {-c} ") for c in distinct.tolist()]
+    tables = {}
+    for k in np.unique(which[hi - lo > 1]).tolist():
+        tables[k] = leads[k] + leads[k].join(names)
+    # offset of variable v's piece in a table whose lead has width w: v * w + name chars before v
+    name_chars = np.concatenate([[0], np.cumsum([len(name) for name in names])])
+    width = np.array([len(lead) for lead in leads])[which]
+    slice_lo = (first * width + name_chars[first]).tolist()
+    slice_hi = (last * width + name_chars[last]).tolist()
+    which = which.tolist()
+    first = first.tolist()
+    positive = (run_coefs >= 0).tolist()
+
+    rows = []
+    for row, (head, tail) in enumerate(zip(heads, tails)):
+        parts = [head]
+        begin, end = row_runs[row], row_runs[row + 1]
+        for run in range(begin, end):
+            table = tables.get(which[run])
+            if table is None:
+                parts.append(leads[which[run]] + names[first[run]])
+            else:
+                parts.append(table[slice_lo[run]:slice_hi[run]])
+        if begin < end and positive[begin]:
+            parts[1] = _SEP + parts[1][3:]      # the first term has no "+ "
+        parts.append(tail)
+        text = "".join(parts)
+        rows.append((_wrap(text) if len(text) > _LP_WIDTH else text).replace(_SEP, " "))
+    return rows
 
 
 def export_lp(model: IlpModel) -> str:
@@ -252,40 +370,54 @@ def export_lp(model: IlpModel) -> str:
 
     Output is a pure function of the model: same model, same bytes.
     Variables with a zero objective weight are declared but left out of the
-    objective expression.
+    objective expression; an objective without terms is written as 0 x_1_1.
     """
-    out: List[str] = ["Minimize"]
-    obj_terms = model.objective if model.objective else ((0, model.variables[0]),)
-    out.extend(_expr_lines(" obj:", obj_terms))
-    out.append("Subject To")
-    for c in model.constraints:
-        out.extend(_expr_lines(f" {c.name}:", c.terms, f" {c.sense} {c.rhs}"))
-    out.append("Bounds")
-    for v in model.integer_variables:
-        out.append(f" 0 <= {v}")
-    out.append("General")
-    for v in model.integer_variables:
-        out.append(f" {v}")
-    out.append("Binary")
-    for v in model.binary_variables:
-        out.append(f" {v}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+    names = model.variables
+    objective_indices, objective_coefs = model.objective_indices, model.objective_coefs
+    if not len(objective_indices):
+        objective_indices = objective_coefs = np.zeros(1, dtype=np.int64)
+    objective = _render_rows(names, np.array([0, len(objective_indices)]),
+                             objective_indices, objective_coefs, [" obj:"], [""])
+    rows = _render_rows(
+        names, model.indptr, model.indices, model.coefs,
+        [f" {name}:" for name in model.row_names],
+        [f"{_SEP}{sense} {rhs}" for sense, rhs in zip(model.senses, model.rhs.tolist())])
+    integers = names[: 2 * model.config.n ** 2]
+    binaries = names[2 * model.config.n ** 2:]
+    return "\n".join([
+        "Minimize",
+        *objective,
+        "Subject To",
+        *rows,
+        "Bounds",
+        " 0 <= " + "\n 0 <= ".join(integers),
+        "General",
+        " " + "\n ".join(integers),
+        "Binary",
+        " " + "\n ".join(binaries),
+        "End",
+        "",
+    ])
 
 
 INTEGRALITY_TOLERANCE = 1e-6
 
+_VARIABLE_NAME = re.compile(r"([xy])_([1-9][0-9]*)_([1-9][0-9]*)|r_([1-9][0-9]*)")
 
-def parse_solution(text: str, model: IlpModel) -> SolutionMatrices:
+
+def parse_solution(text: str, config: Config) -> SolutionMatrices:
     """Read solver output: one `<variable> <value>` pair per line.
 
     `#` starts a comment; blank lines are skipped; variables not listed
-    default to 0.  Values must sit within 1e-6 of an integer, request flags
-    must round to 0 or 1, and allocation values must not be negative.
+    default to 0.  Names are those of the model for config.n slots.  Values
+    must sit within 1e-6 of an integer, request flags must round to 0 or 1,
+    and allocation values must not be negative.
     """
-    n = model.config.n
-    known = set(model.variables)
-    values: Dict[str, int] = {}
+    n = config.n
+    x = np.zeros((n, n), dtype=np.int64)
+    y = np.zeros((n, n), dtype=np.int64)
+    r = np.zeros(n, dtype=np.int64)
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -295,9 +427,11 @@ def parse_solution(text: str, model: IlpModel) -> SolutionMatrices:
             raise SolutionFormatError(
                 f"line {lineno}: expected '<variable> <value>', got {raw!r}")
         name, val_text = parts
-        if name not in known:
+        match = _VARIABLE_NAME.fullmatch(name)
+        slots = [g for g in match.groups()[1:] if g] if match else []
+        if not slots or any(len(s) > len(str(n)) or int(s) > n for s in slots):
             raise SolutionFormatError(f"line {lineno}: unknown variable name {name!r}")
-        if name in values:
+        if name in seen:
             raise SolutionFormatError(f"line {lineno}: duplicate assignment for {name}")
         try:
             val = float(val_text)
@@ -315,18 +449,11 @@ def parse_solution(text: str, model: IlpModel) -> SolutionMatrices:
         if not name.startswith("r_") and rounded < 0:
             raise SolutionFormatError(
                 f"line {lineno}: {name} must be non-negative, got {rounded}")
-        values[name] = rounded
-
-    x = np.zeros((n, n), dtype=np.int64)
-    y = np.zeros((n, n), dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    for name, val in values.items():
-        kind, rest = name.split("_", 1)
-        if kind == "r":
-            r[int(rest) - 1] = val
+        seen.add(name)
+        if match.group(1) is None:
+            r[int(slots[0]) - 1] = rounded
         else:
-            i_text, j_text = rest.split("_")
-            (x if kind == "x" else y)[int(i_text) - 1, int(j_text) - 1] = val
+            (x if match.group(1) == "x" else y)[int(slots[0]) - 1, int(slots[1]) - 1] = rounded
     return SolutionMatrices(x, y, r)
 
 

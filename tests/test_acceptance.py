@@ -228,7 +228,7 @@ def test_criterion_8_lp_round_trip(tmp_path):
             check=True)
         outputs.append(out.read_text(encoding="utf-8"))
     matrices = parse_solution(
-        "x_1_2 2\nx_3_4 1\ny_5_4 2\nr_2 1\nr_4 1\n", model)
+        "x_1_2 2\nx_3_4 1\ny_5_4 2\nr_2 1\nr_4 1\n", REF_CONFIG)
     ok = (
         first == second
         and outputs[0] == first and outputs[1] == first

@@ -8,10 +8,13 @@ from capsched import (
     ConfigurationError,
     OracleLimits,
     ScenarioParams,
+    SolutionFormatError,
     Workload,
     compare_instance,
     format_workload,
+    generate_workload,
     parse_schedule,
+    parse_solution,
     parse_workload,
     run_compare,
 )
@@ -134,6 +137,43 @@ class TestExitCodes:
                        encoding="utf-8")
         assert main(["validate", wl, "--solution", str(sol)]) == 0
         assert capsys.readouterr().out.strip() == "OK"
+
+    def test_validate_solution_builds_no_model(self, tmp_path, ref_config,
+                                               ref_workload, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate --solution built the model")
+
+        monkeypatch.setattr("capsched.cli.build_model", refuse)
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        sol = tmp_path / "sol.txt"
+        sol.write_text("x_1_2 2\nx_3_4 1\ny_5_4 2\nr_2 1\nr_4 1\n",
+                       encoding="utf-8")
+        assert main(["validate", wl, "--solution", str(sol)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
+
+    def test_small_big_m_is_reported_before_the_solution_is_read(
+            self, tmp_path, ref_config, ref_workload, capsys):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        missing = str(tmp_path / "no-such-solution.txt")
+        assert main(["validate", wl, "--solution", missing, "--big-m", "1"]) == 2
+        assert "big_m=1 is below the total arrival count 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["x_0_1", "x_41_1", "x_01_2", "r_1_1", "z_1", "y_1",
+                                      "r_1\u0661"])
+    def test_malformed_variable_names_are_usage_errors(self, tmp_path, capsys, name):
+        config = Config(n=40, delta=3, theta=4)
+        with pytest.raises(SolutionFormatError, match="unknown variable name"):
+            parse_solution(f"{name} 1\n", config)
+        wl = tmp_path / "wl.json"
+        wl.write_text(format_workload(config, generate_workload(
+            ScenarioParams(name="oppd", amplitude=300, seed=0), config)), encoding="utf-8")
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"{name} 1\n", encoding="utf-8")
+        assert main(["validate", str(wl), "--solution", str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: line 1: unknown variable name")
 
     def test_oracle_refusal_is_a_usage_error(self, tmp_path):
         cfg = Config(n=12, delta=2, theta=3)

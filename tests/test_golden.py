@@ -1,19 +1,21 @@
 """Golden digests of planner output, compare CSVs, evaluate reports and
 LP text.
 
-The digests were recorded from the original quadratic-scan planner and
-list-based simulator.  Any change to one byte of a schedule, a compare CSV,
-an evaluate report or an exported model fails here, without running the
-benchmark.  After an intended output change, re-record with
+The digests were recorded from the original quadratic-scan planner,
+list-based simulator and term-tuple model builder.  Any change to one byte
+of a schedule, a compare CSV, an evaluate report or an exported model fails
+here, without running the benchmark.  After an intended output change, re-record with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; print(g.compare_digests()); \
-print(g.long_horizon_digests()); print(g.lp_digests())"
+print(g.long_horizon_digests()); print(g.lp_digests()); \
+print(g.lp40_digests())"
 """
 
 import hashlib
 
 from capsched import (
+    DEFAULT_BIG_M,
     SCENARIO_PRESETS,
     CompareSpec,
     Config,
@@ -34,6 +36,7 @@ LONG_N = 2000
 LONG_SEEDS = range(3)
 LP_N = 16
 LP_SEEDS = range(3)
+LP40_N = 40
 PLANNERS = {"ads": adaptive_schedule, "greedy": greedy_schedule}
 
 
@@ -86,6 +89,28 @@ def lp_digests():
         config, params = _preset("oppd", LP_N, seed)
         workload = generate_workload(params, config)
         out[f"oppd/{seed}"] = _digest(export_lp(build_model(workload, config)))
+    return out
+
+
+def lp40_digests():
+    """Digests of the exported model at the benchmark's size: oppd and mmog
+    cut to LP40_N slots, one explicit big_m between the arrival total and
+    the default, and a model whose objective has no terms at all."""
+    out = {}
+    for name in ("mmog", "oppd"):
+        for seed in LP_SEEDS:
+            config, params = _preset(name, LP40_N, seed)
+            workload = generate_workload(params, config)
+            out[f"{name}/{seed}"] = _digest(export_lp(build_model(workload, config)))
+    config, params = _preset("oppd", LP40_N, 0)
+    workload = generate_workload(params, config)
+    big_m = (int(workload.arrivals.sum()) + DEFAULT_BIG_M) // 2
+    out["oppd/0/big_m"] = _digest(export_lp(build_model(workload, config, big_m=big_m)))
+    # every objective weight n - j - delta is zero, so the objective
+    # falls back to " obj: 0 x_1_1"
+    config = Config(n=3, delta=2, theta=3)
+    workload = generate_workload(ScenarioParams(name="flat", amplitude=4, seed=0), config)
+    out["n3/empty-objective"] = _digest(export_lp(build_model(workload, config)))
     return out
 
 
@@ -209,6 +234,26 @@ LP_GOLDEN = {
 }
 
 
+LP40_GOLDEN = {
+    "mmog/0":
+        "edcb3b9cd22cd85d74aa6c042a359e6b58e11cf1908611bbca49a73908d82591",
+    "mmog/1":
+        "c2a36c76924fe753601f2869551148aec3fd1d5ff5a31c0a7444af1676dae2c7",
+    "mmog/2":
+        "8e5fded39e39a46fb7622bb78879e911ebd0a65c4f83d1465cb674e195117cd4",
+    "oppd/0":
+        "c99f02c49adf7c7685a4c31e3000328eb9e3c78e28a6e4ae929567361985265b",
+    "oppd/1":
+        "3966287297a461fc875f3117915116200aff2c9d1c9f3e7723861dbaeb2491c8",
+    "oppd/2":
+        "6efa37a8ad45581b7124deb8c8ff1c40eaf0bc60151ba1700beaf06a79342d85",
+    "oppd/0/big_m":
+        "c99f02c49adf7c7685a4c31e3000328eb9e3c78e28a6e4ae929567361985265b",
+    "n3/empty-objective":
+        "4db8e1d74ca2d579a4587f19ae733d89911639f1602f87800c061ed50ab8377e",
+}
+
+
 def test_compare_csvs_match_golden():
     assert compare_digests() == COMPARE_GOLDEN
 
@@ -219,3 +264,7 @@ def test_long_horizon_schedules_and_reports_match_golden():
 
 def test_exported_models_match_golden():
     assert lp_digests() == LP_GOLDEN
+
+
+def test_exported_models_at_benchmark_size_match_golden():
+    assert lp40_digests() == LP40_GOLDEN

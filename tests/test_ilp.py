@@ -1,4 +1,7 @@
+import time
 from collections import Counter
+from statistics import median
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,14 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsched import (
+    DEFAULT_BIG_M,
+    SCENARIO_PRESETS,
     Config,
     ConfigurationError,
+    LinearConstraint,
+    ScenarioParams,
     SolutionFormatError,
     SolutionMatrices,
     Workload,
     build_model,
     effective_big_m,
     export_lp,
+    generate_workload,
+    mandatory_load,
     matrices_to_schedule,
     objective_value,
     parse_solution,
@@ -30,6 +39,140 @@ WITNESS = "\n".join([
     "r_4 1",
     "",
 ])
+
+
+def _reference_model(workload, config, big_m=DEFAULT_BIG_M):
+    """Reference builder: the original one, which spells out every term as a
+    (coefficient, name) tuple, row by row."""
+    n, delta, theta = config.n, config.delta, config.theta
+    m_eff = effective_big_m(workload, big_m)
+    a = workload.arrivals
+    d = workload.departures
+    load = mandatory_load(workload, config).values
+
+    def vx(i, j):
+        return f"x_{i}_{j}"
+
+    def vy(i, j):
+        return f"y_{i}_{j}"
+
+    def vr(j):
+        return f"r_{j}"
+
+    x_names = tuple(vx(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    y_names = tuple(vy(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    r_names = tuple(vr(j) for j in range(1, n + 1))
+
+    objective = []
+    for i in range(1, n + 1):
+        for j in range(1, n - delta + 1):
+            w = n - j - delta
+            if w:
+                objective.append((w, vx(i, j)))
+    for i in range(1, n + 1):
+        for j in range(1, n - delta + 1):
+            w = n - j - delta
+            if w:
+                objective.append((-w, vy(i, j)))
+
+    cons = []
+    for i in range(1, n - theta + 1):
+        terms = tuple((1, vx(i, j)) for j in range(1, i + theta - delta + 1))
+        cons.append(LinearConstraint(f"EQ2_i{i}", "EQ2", terms, ">=", int(a[i - 1])))
+    for i in range(n - theta + 1, n + 1):
+        terms = tuple((1, vx(i, j)) for j in range(1, n - delta + 1))
+        cons.append(LinearConstraint(f"EQ3_i{i}", "EQ3", terms, ">=", int(a[i - 1])))
+    for i in range(1, delta + 1):
+        terms = tuple((1, vy(i, j)) for j in range(1, n - delta + 1))
+        cons.append(LinearConstraint(f"EQ4_i{i}", "EQ4", terms, "<=", int(d[i - 1])))
+    for i in range(delta + 1, n + 1):
+        terms = tuple((1, vy(i, j)) for j in range(i - delta, n - delta + 1))
+        cons.append(LinearConstraint(f"EQ5_i{i}", "EQ5", terms, "<=", int(d[i - 1])))
+    for i in range(delta + 2, n + 1):
+        terms = tuple((1, vy(i, j)) for j in range(1, i - delta))
+        cons.append(LinearConstraint(f"EQ6_i{i}", "EQ6", terms, "=", 0))
+    for j in range(1, n + 1):
+        terms = tuple((1, vx(i, t)) for i in range(1, n + 1) for t in range(1, j + 1)) \
+            + tuple((-1, vy(i, t)) for i in range(1, n + 1) for t in range(1, j + 1))
+        cons.append(LinearConstraint(f"EQ7_j{j}", "EQ7", terms, ">=", 0))
+    for j in range(delta + 1, n + 1):
+        terms = tuple((1, vx(i, t)) for i in range(1, n + 1) for t in range(1, j - delta + 1)) \
+            + tuple((-1, vy(i, t)) for i in range(1, n + 1) for t in range(1, j - delta + 1))
+        cons.append(LinearConstraint(f"EQ8_j{j}", "EQ8", terms, ">=", int(load[j - 1])))
+    for i in range(1, n - delta + 1):
+        terms = tuple((1, vr(j)) for j in range(i, i + delta))
+        cons.append(LinearConstraint(f"EQ9_i{i}", "EQ9", terms, "<=", 1))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            cons.append(LinearConstraint(
+                f"EQ10_i{i}_j{j}", "EQ10", ((m_eff, vr(j)), (-1, vx(i, j))), ">=", 0))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            cons.append(LinearConstraint(
+                f"EQ11_i{i}_j{j}", "EQ11", ((m_eff, vr(j)), (-1, vy(i, j))), ">=", 0))
+    for j in range(n - delta + 1, n + 1):
+        cons.append(LinearConstraint(f"EQ12_j{j}", "EQ12", ((1, vr(j)),), "=", 0))
+
+    return SimpleNamespace(variables=x_names + y_names + r_names,
+                           integer_variables=x_names + y_names,
+                           binary_variables=r_names,
+                           constraints=cons, objective=tuple(objective))
+
+
+def _reference_expr_lines(prefix, terms, suffix=""):
+    """Reference wrap: one Python step per term."""
+    pieces = []
+    for k, (coef, var) in enumerate(terms):
+        if k == 0:
+            pieces.append(f"{coef} {var}" if coef >= 0 else f"- {-coef} {var}")
+        else:
+            pieces.append(f"+ {coef} {var}" if coef >= 0 else f"- {-coef} {var}")
+    if suffix:
+        pieces = pieces + [suffix.strip()]
+    lines = []
+    line = prefix
+    for piece in pieces:
+        if len(line) + 1 + len(piece) > 72 and line.strip():
+            lines.append(line)
+            line = "   " + piece
+        else:
+            line = line + " " + piece
+    lines.append(line)
+    return lines
+
+
+def _reference_export(model):
+    out = ["Minimize"]
+    obj_terms = model.objective if model.objective else ((0, model.variables[0]),)
+    out.extend(_reference_expr_lines(" obj:", obj_terms))
+    out.append("Subject To")
+    for c in model.constraints:
+        out.extend(_reference_expr_lines(f" {c.name}:", c.terms, f" {c.sense} {c.rhs}"))
+    out.append("Bounds")
+    for v in model.integer_variables:
+        out.append(f" 0 <= {v}")
+    out.append("General")
+    for v in model.integer_variables:
+        out.append(f" {v}")
+    out.append("Binary")
+    for v in model.binary_variables:
+        out.append(f" {v}")
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(3, 14))
+    delta = draw(st.integers(2, n - 1))
+    theta = draw(st.integers(delta + 1, n))
+    config = Config(n=n, delta=delta, theta=theta)
+    workload = generate_workload(
+        ScenarioParams(name="prop", amplitude=draw(st.integers(0, 60)),
+                       seed=draw(st.integers(0, 2 ** 16))), config)
+    total = int(workload.arrivals.sum())
+    big_m = draw(st.one_of(st.just(DEFAULT_BIG_M), st.integers(total, total + 50)))
+    return workload, config, big_m
 
 
 @pytest.fixture
@@ -104,15 +247,47 @@ class TestExportLp:
     def test_lines_stay_narrow(self, ref_model):
         assert max(len(line) for line in export_lp(ref_model).splitlines()) <= 72
 
+    def test_guard_build_and_export_at_n100(self):
+        values = SCENARIO_PRESETS["oppd"]
+        config = Config(n=100, delta=values["delta"], theta=values["theta"])
+        workload = generate_workload(
+            ScenarioParams(name="oppd", amplitude=values["amplitude"],
+                           plateau_fraction=values["plateau_fraction"], seed=0), config)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            export_lp(build_model(workload, config))
+            times.append(time.perf_counter() - start)
+        assert median(times) < 1.5
+
     def test_zero_weight_columns_are_skipped_in_objective(self, ref_model):
         objective_vars = {name for _, name in ref_model.objective}
         assert "x_1_6" not in objective_vars    # weight n - j - delta is zero
         assert "x_1_5" in objective_vars
 
 
+class TestReferenceBuilder:
+    @given(instance=_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_text_equal_the_reference(self, instance):
+        workload, config, big_m = instance
+        model = build_model(workload, config, big_m=big_m)
+        reference = _reference_model(workload, config, big_m=big_m)
+        assert model.variables == reference.variables
+        assert model.integer_variables == reference.integer_variables
+        assert model.binary_variables == reference.binary_variables
+        assert model.objective == reference.objective
+        rows = model.constraints
+        assert len(rows) == len(reference.constraints)
+        for row, expected in zip(rows, reference.constraints):
+            assert row == expected
+        # compared as lines: a failing string comparison diffs the whole text
+        assert export_lp(model).splitlines() == _reference_export(reference).splitlines()
+
+
 class TestParseSolution:
-    def test_witness_round_trip(self, ref_model, ref_config, ref_workload):
-        matrices = parse_solution(WITNESS, ref_model)
+    def test_witness_round_trip(self, ref_config, ref_workload):
+        matrices = parse_solution(WITNESS, ref_config)
         assert objective_value(matrices, ref_config) == 6
         assert validate_solution(matrices, ref_workload, ref_config) == []
         assert matrices.allocations[0, 1] == 2
@@ -120,13 +295,13 @@ class TestParseSolution:
         assert matrices.deallocations[4, 3] == 2
         assert matrices.requests.tolist() == [0, 1, 0, 1, 0, 0, 0, 0]
 
-    def test_unlisted_variables_default_to_zero(self, ref_model):
-        matrices = parse_solution("r_2 1\n", ref_model)
+    def test_unlisted_variables_default_to_zero(self, ref_config):
+        matrices = parse_solution("r_2 1\n", ref_config)
         assert matrices.allocations.sum() == 0
         assert matrices.requests.sum() == 1
 
-    def test_tolerates_near_integral_values(self, ref_model):
-        matrices = parse_solution("x_1_2 1.9999997\n", ref_model)
+    def test_tolerates_near_integral_values(self, ref_config):
+        matrices = parse_solution("x_1_2 1.9999997\n", ref_config)
         assert matrices.allocations[0, 1] == 2
 
     @pytest.mark.parametrize("line,fragment", [
@@ -137,14 +312,28 @@ class TestParseSolution:
         ("r_2 2", "must be 0 or 1"),
         ("x_1_1 -1", "non-negative"),
     ])
-    def test_rejections_name_the_line(self, ref_model, line, fragment):
+    def test_rejections_name_the_line(self, ref_config, line, fragment):
         with pytest.raises(SolutionFormatError, match="line 2") as err:
-            parse_solution("# header\n" + line + "\n", ref_model)
+            parse_solution("# header\n" + line + "\n", ref_config)
         assert fragment in str(err.value)
 
-    def test_duplicate_assignment_rejected(self, ref_model):
+    @given(name=st.from_regex(r"[xyrz]_[0-2\u0661]{1,2}(_[0-2\u0661]{1,2})?", fullmatch=True))
+    @settings(max_examples=200, deadline=None)
+    def test_names_are_exactly_the_model_variables(self, name):
+        config = Config(n=12, delta=2, theta=3)
+        known = name in _reference_model(
+            Workload(arrivals=np.zeros(12, dtype=int), departures=np.zeros(12, dtype=int)),
+            config).variables
+        try:
+            parse_solution(f"{name} 0\n", config)
+        except SolutionFormatError as err:
+            assert not known and "unknown variable" in str(err)
+        else:
+            assert known
+
+    def test_duplicate_assignment_rejected(self, ref_config):
         with pytest.raises(SolutionFormatError, match="duplicate"):
-            parse_solution("x_1_1 1\nx_1_1 1\n", ref_model)
+            parse_solution("x_1_1 1\nx_1_1 1\n", ref_config)
 
 
 class TestValidateSolution:
@@ -155,9 +344,8 @@ class TestValidateSolution:
         tags = [v.tag for v in validate_solution(empty, ref_workload, ref_config)]
         assert "EQ2" in tags and "EQ8" in tags
 
-    def test_mass_at_unflagged_slot_trips_linking(self, ref_config, ref_workload,
-                                                  ref_model):
-        matrices = parse_solution(WITNESS.replace("r_4 1", "r_4 0"), ref_model)
+    def test_mass_at_unflagged_slot_trips_linking(self, ref_config, ref_workload):
+        matrices = parse_solution(WITNESS.replace("r_4 1", "r_4 0"), ref_config)
         out = validate_solution(matrices, ref_workload, ref_config)
         assert any(v.tag == "EQ10" and (v.i, v.j) == (3, 4) for v in out)
         assert any(v.tag == "EQ11" and (v.i, v.j) == (5, 4) for v in out)
@@ -227,8 +415,8 @@ class TestValidateSolution:
 
 
 class TestCostForms:
-    def test_witness_matches_schedule_cost(self, ref_model, ref_config):
-        matrices = parse_solution(WITNESS, ref_model)
+    def test_witness_matches_schedule_cost(self, ref_config):
+        matrices = parse_solution(WITNESS, ref_config)
         schedule = matrices_to_schedule(matrices, ref_config)
         assert schedule.changes.tolist() == [0, 2, 0, -1, 0, 0, 0, 0]
         assert resource_cost(schedule, ref_config) == 6
