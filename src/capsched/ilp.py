@@ -18,15 +18,21 @@ What each family enforces:
   EQ9      scaling requests keep a minimum spacing of delta slots
   EQ10/11  allocation mass only at flagged request slots
   EQ12     no requests too late to take effect within the horizon
+
+The families are written out once, in _row_table, as a table of rows whose
+left-hand sides are runs of consecutive variables with one coefficient
+each.  build_model stores that table, export_lp renders its runs, and
+validate_solution evaluates them over prefix sums of an assignment.
 """
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schedule import Schedule
+from .schedule import Schedule, resource_cost
 from .workload import Config, ConfigurationError, Workload, mandatory_load, _require_matching
 
 DEFAULT_BIG_M = 1_000_000
@@ -63,26 +69,46 @@ def variable_names(n: int) -> Tuple[str, ...]:
                  + [f"r_{j}" for j in range(1, n + 1)])
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + lengths[k] - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _terms(names: Sequence[str], starts: np.ndarray, lengths: np.ndarray,
+           coefs: np.ndarray) -> List[Term]:
+    """The runs spelled out as (coefficient, variable name) terms."""
+    return list(zip(np.repeat(coefs, lengths).tolist(),
+                    [names[v] for v in _ranges(starts, lengths).tolist()]))
+
+
 @dataclass(frozen=True, eq=False)
 class IlpModel:
-    """A fully instantiated model for one workload, as sparse rows.
+    """A fully instantiated model for one workload, as a table of rows.
 
-    Row k has the terms coefs[p] * variable indices[p] for p in
-    indptr[k]:indptr[k+1], in the variable order of variable_names.  The
-    objective is stored the same way.  The arrays are read-only;
-    constraints, objective and variables are derived from them on access.
+    Row k is the family row_tags[k] at the 1-based indices row_i[k] and
+    row_j[k] (0 where the family has no such index), and reads
+    lhs senses[k] rhs[k].  Its left-hand side is the runs run_ptr[k] to
+    run_ptr[k+1] - 1: run p adds run_coefs[p] times each of the
+    run_lengths[p] consecutive variables from index run_starts[p], in the
+    variable order of variable_names.  The objective is a list of runs held
+    the same way.  The arrays are read-only; row_names, constraints,
+    objective and variables are derived from them on access.
     """
 
     config: Config
     big_m: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    coefs: np.ndarray
-    row_names: Tuple[str, ...]
-    row_tags: Tuple[str, ...]
-    senses: Tuple[str, ...]
+    row_tags: np.ndarray
+    row_i: np.ndarray
+    row_j: np.ndarray
+    senses: np.ndarray
     rhs: np.ndarray
-    objective_indices: np.ndarray
+    run_ptr: np.ndarray
+    run_starts: np.ndarray
+    run_lengths: np.ndarray
+    run_coefs: np.ndarray
+    objective_starts: np.ndarray
+    objective_lengths: np.ndarray
     objective_coefs: np.ndarray
 
     @property
@@ -98,21 +124,25 @@ class IlpModel:
         return self.variables[2 * self.config.n ** 2:]
 
     @property
+    def row_names(self) -> Tuple[str, ...]:
+        return tuple(tag + (f"_i{i}" if i else "") + (f"_j{j}" if j else "")
+                     for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
+                                          self.row_j.tolist()))
+
+    @property
     def objective(self) -> Tuple[Term, ...]:
-        names = self.variables
-        return tuple(zip(self.objective_coefs.tolist(),
-                         [names[v] for v in self.objective_indices.tolist()]))
+        return tuple(_terms(self.variables, self.objective_starts, self.objective_lengths,
+                            self.objective_coefs))
 
     @property
     def constraints(self) -> Tuple[LinearConstraint, ...]:
-        names = self.variables
-        terms = list(zip(self.coefs.tolist(), [names[v] for v in self.indices.tolist()]))
-        bounds = self.indptr.tolist()
+        terms = _terms(self.variables, self.run_starts, self.run_lengths, self.run_coefs)
+        bounds = np.concatenate([[0], np.cumsum(self.run_lengths)])[self.run_ptr].tolist()
         return tuple(
             LinearConstraint(name, tag, tuple(terms[lo:hi]), sense, rhs)
             for name, tag, sense, rhs, lo, hi in zip(
-                self.row_names, self.row_tags, self.senses, self.rhs.tolist(),
-                bounds, bounds[1:]))
+                self.row_names, self.row_tags.tolist(), self.senses.tolist(),
+                self.rhs.tolist(), bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,21 +216,14 @@ def effective_big_m(workload: Workload, big_m: int = DEFAULT_BIG_M) -> int:
     return min(big_m, max(total, 1))
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges starts[k] .. starts[k] + lengths[k] - 1, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+def _row_table(workload: Workload, config: Config, m_eff: int) -> Dict[str, np.ndarray]:
+    """Every constraint row in tag order, as the IlpModel fields that hold them.
 
-
-def build_model(workload: Workload, config: Config, big_m: int = DEFAULT_BIG_M) -> IlpModel:
-    """Instantiate every variable and constraint row for this workload.
-
-    Each family is given as runs of consecutive variable indices with one
-    coefficient each, k runs per row; the rows come out in tag order.
+    A family is a set of rows at indices (i, j), 0 standing for no index.
+    The run starts, lengths and coefficients of its rows broadcast to one
+    (rows, runs per row) shape; a part that is not 2-D holds one run per row.
     """
-    _require_matching(workload, config)
     n, delta, theta = config.n, config.delta, config.theta
-    m_eff = effective_big_m(workload, big_m)
     a = workload.arrivals
     d = workload.departures
     load = mandatory_load(workload, config).values
@@ -208,92 +231,73 @@ def build_model(workload: Workload, config: Config, big_m: int = DEFAULT_BIG_M) 
     x_rows = np.arange(0, nn, n)        # index of x_i_1 for each i
     y_rows = x_rows + nn
     r_first = 2 * nn
+    families = []
 
-    names: List[str] = []
-    tags: List[str] = []
-    senses: List[str] = []
-    rhs: List[np.ndarray] = []
-    starts: List[np.ndarray] = []
-    lengths: List[np.ndarray] = []
-    run_coefs: List[np.ndarray] = []
-    row_lengths: List[np.ndarray] = []
-
-    def family(tag, sense, labels, row_rhs, run_starts, run_lengths, coefs):
-        count = len(labels)
-        names.extend(f"{tag}_{label}" for label in labels)
-        tags.extend([tag] * count)
-        senses.extend([sense] * count)
-        rhs.append(np.broadcast_to(np.asarray(row_rhs, dtype=np.int64), (count,)))
-        run_lengths = np.broadcast_to(np.asarray(run_lengths, dtype=np.int64), run_starts.shape)
-        starts.append(run_starts.astype(np.int64))
-        lengths.append(run_lengths)
-        run_coefs.append(np.broadcast_to(np.asarray(coefs, dtype=np.int64), run_starts.shape))
-        row_lengths.append(run_lengths.reshape(count, -1).sum(axis=1) if count else run_lengths)
+    def family(tag, sense, i, j, row_rhs, starts, lengths, coefs):
+        i, j, row_rhs = np.broadcast_arrays(i, j, row_rhs)
+        runs = (part if np.ndim(part) == 2 else np.reshape(part, (-1, 1))
+                for part in (starts, lengths, coefs))
+        families.append((tag, sense, i, j, row_rhs, *np.broadcast_arrays(i[:, None], *runs)[1:]))
 
     i = np.arange(1, n - theta + 1)
-    family("EQ2", ">=", [f"i{k}" for k in i], a[i - 1], x_rows[i - 1], i + theta - delta, 1)
+    family("EQ2", ">=", i, 0, a[i - 1], x_rows[i - 1], i + theta - delta, 1)
     i = np.arange(n - theta + 1, n + 1)
-    family("EQ3", ">=", [f"i{k}" for k in i], a[i - 1], x_rows[i - 1], n - delta, 1)
+    family("EQ3", ">=", i, 0, a[i - 1], x_rows[i - 1], n - delta, 1)
     i = np.arange(1, delta + 1)
-    family("EQ4", "<=", [f"i{k}" for k in i], d[i - 1], y_rows[i - 1], n - delta, 1)
+    family("EQ4", "<=", i, 0, d[i - 1], y_rows[i - 1], n - delta, 1)
     i = np.arange(delta + 1, n + 1)
-    family("EQ5", "<=", [f"i{k}" for k in i], d[i - 1],
-           y_rows[i - 1] + i - delta - 1, n - i + 1, 1)
+    family("EQ5", "<=", i, 0, d[i - 1], y_rows[i - 1] + i - delta - 1, n - i + 1, 1)
     i = np.arange(delta + 2, n + 1)
-    family("EQ6", "=", [f"i{k}" for k in i], 0, y_rows[i - 1], i - delta - 1, 1)
+    family("EQ6", "=", i, 0, 0, y_rows[i - 1], i - delta - 1, 1)
     # EQ7/EQ8 row j sums x_i_t and y_i_t over every i and t <= j (t <= j - delta):
     # n runs of x with coefficient 1, then n runs of y with coefficient -1
-    net_starts = np.concatenate([x_rows, y_rows])
-    net_coefs = np.repeat([1, -1], n)
+    net_starts = np.concatenate([x_rows, y_rows])[None, :]
+    net_coefs = np.repeat([1, -1], n)[None, :]
     j = np.arange(1, n + 1)
-    family("EQ7", ">=", [f"j{k}" for k in j], 0, np.tile(net_starts, n),
-           np.repeat(j, 2 * n), np.tile(net_coefs, n))
+    family("EQ7", ">=", 0, j, 0, net_starts, j[:, None], net_coefs)
     j = np.arange(delta + 1, n + 1)
-    family("EQ8", ">=", [f"j{k}" for k in j], load[j - 1], np.tile(net_starts, len(j)),
-           np.repeat(j - delta, 2 * n), np.tile(net_coefs, len(j)))
+    family("EQ8", ">=", 0, j, load[j - 1], net_starts, (j - delta)[:, None], net_coefs)
     i = np.arange(1, n - delta + 1)
-    family("EQ9", "<=", [f"i{k}" for k in i], 1, r_first + i - 1, delta, 1)
+    family("EQ9", "<=", i, 0, 1, r_first + i - 1, delta, 1)
     # EQ10/EQ11 row (i, j): big_m r_j - x_i_j >= 0, then the same for y_i_j
-    cells = [f"i{p}_j{q}" for p in range(1, n + 1) for q in range(1, n + 1)]
-    flags = r_first + np.tile(np.arange(n), n)
-    link_coefs = np.tile([m_eff, -1], nn)
-    family("EQ10", ">=", cells, 0, np.column_stack([flags, np.arange(nn)]).ravel(), 1,
-           link_coefs)
-    family("EQ11", ">=", cells, 0, np.column_stack([flags, nn + np.arange(nn)]).ravel(), 1,
-           link_coefs)
+    i, j = np.repeat(np.arange(1, n + 1), n), np.tile(np.arange(1, n + 1), n)
+    cell = (i - 1) * n + j - 1
+    link_coefs = np.array([[m_eff, -1]])
+    family("EQ10", ">=", i, j, 0, np.column_stack([r_first + j - 1, cell]), 1, link_coefs)
+    family("EQ11", ">=", i, j, 0, np.column_stack([r_first + j - 1, nn + cell]), 1, link_coefs)
     j = np.arange(n - delta + 1, n + 1)
-    family("EQ12", "=", [f"j{k}" for k in j], 0, r_first + j - 1, 1, 1)
+    family("EQ12", "=", 0, j, 0, r_first + j - 1, 1, 1)
 
-    run_lengths = np.concatenate(lengths)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_lengths))])
-    indices = _ranges(np.concatenate(starts), run_lengths)
-    coefs = np.repeat(np.concatenate(run_coefs), run_lengths)
+    tags, senses, i, j, rhs, starts, lengths, coefs = zip(*families)
+    counts = [len(rows) for rows in i]
+    runs_per_row = np.repeat([run.shape[1] for run in starts], counts)
 
-    # objective: weight n - j - delta on x_i_j and its negative on y_i_j,
-    # leaving out the zero weights from j = n - delta on
-    weighted = n - delta - 1
-    weights = n - delta - np.arange(1, weighted + 1)
-    objective_indices = np.concatenate([_ranges(x_rows, np.full(n, weighted)),
-                                        _ranges(y_rows, np.full(n, weighted))])
-    objective_coefs = np.concatenate([np.tile(weights, n), -np.tile(weights, n)])
+    def joined(blocks):
+        return np.concatenate([block.ravel() for block in blocks], dtype=np.int64)
 
-    arrays = [indptr, indices, coefs, np.concatenate(rhs), objective_indices, objective_coefs]
-    for array in arrays:
+    return dict(row_tags=np.repeat(tags, counts), row_i=joined(i), row_j=joined(j),
+                senses=np.repeat(senses, counts), rhs=joined(rhs),
+                run_ptr=np.concatenate([[0], np.cumsum(runs_per_row)]),
+                run_starts=joined(starts), run_lengths=joined(lengths), run_coefs=joined(coefs))
+
+
+def build_model(workload: Workload, config: Config, big_m: int = DEFAULT_BIG_M) -> IlpModel:
+    """Instantiate every variable and constraint row for this workload."""
+    _require_matching(workload, config)
+    n, delta = config.n, config.delta
+    m_eff = effective_big_m(workload, big_m)
+    fields = _row_table(workload, config, m_eff)
+    # objective: weight n - j - delta on x_i_j and its negative on y_i_j, one
+    # run per term, leaving out the zero weights from j = n - delta on
+    cols = np.arange(n - delta - 1)
+    weights = np.tile(n - delta - 1 - cols, n)
+    x_terms = (np.arange(0, n * n, n)[:, None] + cols).ravel()
+    fields["objective_starts"] = np.concatenate([x_terms, n * n + x_terms])
+    fields["objective_lengths"] = np.ones_like(fields["objective_starts"])
+    fields["objective_coefs"] = np.concatenate([weights, -weights])
+    for array in fields.values():
         array.setflags(write=False)
-    indptr, indices, coefs, row_rhs, objective_indices, objective_coefs = arrays
-    return IlpModel(
-        config=config,
-        big_m=m_eff,
-        indptr=indptr,
-        indices=indices,
-        coefs=coefs,
-        row_names=tuple(names),
-        row_tags=tuple(tags),
-        senses=tuple(senses),
-        rhs=row_rhs,
-        objective_indices=objective_indices,
-        objective_coefs=objective_coefs,
-    )
+    return IlpModel(config=config, big_m=m_eff, **fields)
 
 
 def _wrap(row: str) -> str:
@@ -312,49 +316,39 @@ def _wrap(row: str) -> str:
     return ("\n" + _INDENT).join(lines)
 
 
-def _render_rows(names: Sequence[str], indptr: np.ndarray, indices: np.ndarray,
-                 coefs: np.ndarray, heads: Sequence[str], tails: Sequence[str]) -> List[str]:
-    """LP text of each row: head, the terms, tail, wrapped.
+def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray, coefs: np.ndarray, heads: Sequence[str],
+                 tails: Sequence[str]) -> List[str]:
+    """LP text of each row: head, the terms of its runs, tail, wrapped.
 
-    A run is a stretch of one row over consecutive variables with one
-    coefficient.  Every coefficient that has a run longer than one term is
-    rendered once as a piece table over all variable names, and its runs are
-    cut out of that table as single slices; single terms are rendered
-    directly.
+    Every coefficient that has a run longer than one term is rendered once
+    as a piece table over all variable names, and its runs are cut out of
+    that table as single slices; single terms are rendered directly.
     """
-    nnz = len(indices)
-    run_start = np.ones(nnz, dtype=bool)
-    run_start[1:] = (indices[1:] != indices[:-1] + 1) | (coefs[1:] != coefs[:-1])
-    run_start[indptr[:-1][indptr[:-1] < nnz]] = True
-    lo = np.flatnonzero(run_start)
-    hi = np.append(lo[1:], nnz)
-    row_runs = np.searchsorted(lo, indptr).tolist()
-    first = indices[lo]
-    last = indices[hi - 1] + 1
-    run_coefs = coefs[lo]
-
-    distinct, which = np.unique(run_coefs, return_inverse=True)
+    distinct, which = np.unique(coefs, return_inverse=True)
     leads = [_SEP + (f"+ {c} " if c >= 0 else f"- {-c} ") for c in distinct.tolist()]
     tables = {}
-    for k in np.unique(which[hi - lo > 1]).tolist():
+    for k in np.unique(which[lengths > 1]).tolist():
         tables[k] = leads[k] + leads[k].join(names)
     # offset of variable v's piece in a table whose lead has width w: v * w + name chars before v
     name_chars = np.concatenate([[0], np.cumsum([len(name) for name in names])])
     width = np.array([len(lead) for lead in leads])[which]
-    slice_lo = (first * width + name_chars[first]).tolist()
-    slice_hi = (last * width + name_chars[last]).tolist()
+    ends = starts + lengths
+    slice_lo = (starts * width + name_chars[starts]).tolist()
+    slice_hi = (ends * width + name_chars[ends]).tolist()
     which = which.tolist()
-    first = first.tolist()
-    positive = (run_coefs >= 0).tolist()
+    starts = starts.tolist()
+    positive = (coefs >= 0).tolist()
+    bounds = run_ptr.tolist()
 
     rows = []
     for row, (head, tail) in enumerate(zip(heads, tails)):
         parts = [head]
-        begin, end = row_runs[row], row_runs[row + 1]
+        begin, end = bounds[row], bounds[row + 1]
         for run in range(begin, end):
             table = tables.get(which[run])
             if table is None:
-                parts.append(leads[which[run]] + names[first[run]])
+                parts.append(leads[which[run]] + names[starts[run]])
             else:
                 parts.append(table[slice_lo[run]:slice_hi[run]])
         if begin < end and positive[begin]:
@@ -373,15 +367,15 @@ def export_lp(model: IlpModel) -> str:
     objective expression; an objective without terms is written as 0 x_1_1.
     """
     names = model.variables
-    objective_indices, objective_coefs = model.objective_indices, model.objective_coefs
-    if not len(objective_indices):
-        objective_indices = objective_coefs = np.zeros(1, dtype=np.int64)
-    objective = _render_rows(names, np.array([0, len(objective_indices)]),
-                             objective_indices, objective_coefs, [" obj:"], [""])
+    objective = (model.objective_starts, model.objective_lengths, model.objective_coefs)
+    if not len(objective[0]):
+        objective = (np.array([0]), np.array([1]), np.array([0]))
+    objective = _render_rows(names, np.array([0, len(objective[0])]), *objective,
+                             [" obj:"], [""])
     rows = _render_rows(
-        names, model.indptr, model.indices, model.coefs,
+        names, model.run_ptr, model.run_starts, model.run_lengths, model.run_coefs,
         [f" {name}:" for name in model.row_names],
-        [f"{_SEP}{sense} {rhs}" for sense, rhs in zip(model.senses, model.rhs.tolist())])
+        [f"{_SEP}{sense} {rhs}" for sense, rhs in zip(model.senses.tolist(), model.rhs.tolist())])
     integers = names[: 2 * model.config.n ** 2]
     binaries = names[2 * model.config.n ** 2:]
     return "\n".join([
@@ -410,8 +404,8 @@ def parse_solution(text: str, config: Config) -> SolutionMatrices:
 
     `#` starts a comment; blank lines are skipped; variables not listed
     default to 0.  Names are those of the model for config.n slots.  Values
-    must sit within 1e-6 of an integer, request flags must round to 0 or 1,
-    and allocation values must not be negative.
+    must be finite, fit in int64 and sit within 1e-6 of an integer, request
+    flags must round to 0 or 1, and allocation values must not be negative.
     """
     n = config.n
     x = np.zeros((n, n), dtype=np.int64)
@@ -438,11 +432,15 @@ def parse_solution(text: str, config: Config) -> SolutionMatrices:
         except ValueError as exc:
             raise SolutionFormatError(
                 f"line {lineno}: value {val_text!r} is not a number") from exc
+        if not math.isfinite(val):
+            raise SolutionFormatError(f"line {lineno}: value {val_text} of {name} is not finite")
+        if not -2.0 ** 63 <= val < 2.0 ** 63:
+            raise SolutionFormatError(
+                f"line {lineno}: value {val_text} of {name} is outside the int64 range")
         rounded = round(val)
         if abs(val - rounded) > INTEGRALITY_TOLERANCE:
             raise SolutionFormatError(
                 f"line {lineno}: value {val_text} of {name} is not integral")
-        rounded = int(rounded)
         if name.startswith("r_") and rounded not in (0, 1):
             raise SolutionFormatError(
                 f"line {lineno}: request flag {name} must be 0 or 1, got {rounded}")
@@ -457,21 +455,20 @@ def parse_solution(text: str, config: Config) -> SolutionMatrices:
     return SolutionMatrices(x, y, r)
 
 
+def _require_size(matrices: SolutionMatrices, config: Config) -> None:
+    if matrices.n != config.n:
+        raise ConfigurationError(
+            f"matrices are {matrices.n}x{matrices.n} but config.n is {config.n}")
+
+
 def objective_value(matrices: SolutionMatrices, config: Config) -> int:
-    """Provisioning cost of an assignment: active-slot weighted net allocation."""
-    n, delta = config.n, config.delta
-    w = np.zeros(n, dtype=np.int64)
-    cols = np.arange(1, n - delta + 1)
-    w[: n - delta] = n - cols - delta
-    net = matrices.allocations - matrices.deallocations
-    return int(net.sum(axis=0) @ w)
+    """Provisioning cost of an assignment: the cost of its collapsed schedule."""
+    return resource_cost(matrices_to_schedule(matrices, config), config)
 
 
 def matrices_to_schedule(matrices: SolutionMatrices, config: Config) -> Schedule:
     """Collapse an assignment to per-slot net capacity changes."""
-    if matrices.n != config.n:
-        raise ConfigurationError(
-            f"matrices are {matrices.n}x{matrices.n} but config.n is {config.n}")
+    _require_size(matrices, config)
     net = matrices.allocations - matrices.deallocations
     return Schedule(net.sum(axis=0))
 
@@ -479,99 +476,36 @@ def matrices_to_schedule(matrices: SolutionMatrices, config: Config) -> Schedule
 def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Config,
                       big_m: int = DEFAULT_BIG_M,
                       skip_families: Iterable[str] = ()) -> List[ConstraintViolation]:
-    """Check every constraint family in exact integer arithmetic.
+    """Check every constraint row in exact integer arithmetic.
 
-    Returns one violation per failed row, tagged with the family name and
-    the 1-based row indices.  skip_families drops whole families by tag,
-    which supports probing which ones are implied by the rest.
+    Returns one BOUND violation per negative allocation or de-allocation,
+    then one violation per failed row in model order, tagged with the family
+    name and the 1-based row indices.  skip_families drops whole families by
+    tag, which supports probing which ones are implied by the rest.  The
+    rows are those of build_model, read from the same table; a run's value
+    is its coefficient times a difference of prefix sums of the assignment.
     """
     _require_matching(workload, config)
-    if matrices.n != config.n:
-        raise ConfigurationError(
-            f"matrices are {matrices.n}x{matrices.n} but config.n is {config.n}")
-    n, delta, theta = config.n, config.delta, config.theta
-    skip = set(skip_families)
-    m_eff = effective_big_m(workload, big_m)
-    x = matrices.allocations
-    y = matrices.deallocations
-    r = matrices.requests
-    a = workload.arrivals
-    d = workload.departures
-    out: List[ConstraintViolation] = []
+    _require_size(matrices, config)
+    rows = _row_table(workload, config, effective_big_m(workload, big_m))
+    out = [ConstraintViolation("BOUND", i0 + 1, j0 + 1, f"{what} {int(matrix[i0, j0])} is negative")
+           for what, matrix in (("allocation", matrices.allocations),
+                                ("de-allocation", matrices.deallocations))
+           for i0, j0 in np.argwhere(matrix < 0).tolist()]
 
-    neg = np.argwhere(x < 0)
-    for i0, j0 in neg:
-        out.append(ConstraintViolation("BOUND", int(i0) + 1, int(j0) + 1,
-                                       f"allocation {int(x[i0, j0])} is negative"))
-    neg = np.argwhere(y < 0)
-    for i0, j0 in neg:
-        out.append(ConstraintViolation("BOUND", int(i0) + 1, int(j0) + 1,
-                                       f"de-allocation {int(y[i0, j0])} is negative"))
-
-    if "EQ2" not in skip:
-        for i in range(1, n - theta + 1):
-            got = int(x[i - 1, : i + theta - delta].sum())
-            if got < a[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ2", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
-    if "EQ3" not in skip:
-        for i in range(n - theta + 1, n + 1):
-            got = int(x[i - 1, : n - delta].sum())
-            if got < a[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ3", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
-    if "EQ4" not in skip:
-        for i in range(1, delta + 1):
-            got = int(y[i - 1, : n - delta].sum())
-            if got > d[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ4", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
-    if "EQ5" not in skip:
-        for i in range(delta + 1, n + 1):
-            got = int(y[i - 1, i - delta - 1: n - delta].sum())
-            if got > d[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ5", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
-    if "EQ6" not in skip:
-        for i in range(delta + 2, n + 1):
-            got = int(y[i - 1, : i - delta - 1].sum())
-            if got != 0:
-                out.append(ConstraintViolation(
-                    "EQ6", i=i, detail=f"{got} released before departure could free it"))
-    cx = np.cumsum(x.sum(axis=0))
-    cy = np.cumsum(y.sum(axis=0))
-    if "EQ7" not in skip:
-        for j in range(1, n + 1):
-            if cx[j - 1] < cy[j - 1]:
-                out.append(ConstraintViolation(
-                    "EQ7", j=j,
-                    detail=f"cumulative allocation {int(cx[j - 1])} below release {int(cy[j - 1])}"))
-    if "EQ8" not in skip:
-        load = mandatory_load(workload, config).values
-        for j in range(delta + 1, n + 1):
-            net = int(cx[j - delta - 1] - cy[j - delta - 1])
-            if net < load[j - 1]:
-                out.append(ConstraintViolation(
-                    "EQ8", j=j, detail=f"active capacity {net} below floor {int(load[j - 1])}"))
-    if "EQ9" not in skip:
-        for i in range(1, n - delta + 1):
-            got = int(r[i - 1: i + delta - 1].sum())
-            if got > 1:
-                out.append(ConstraintViolation(
-                    "EQ9", i=i, detail=f"{got} requests within {delta} slots"))
-    if "EQ10" not in skip:
-        for i0, j0 in np.argwhere(x > m_eff * r[None, :]):
-            out.append(ConstraintViolation(
-                "EQ10", int(i0) + 1, int(j0) + 1,
-                f"allocation {int(x[i0, j0])} at unflagged slot"))
-    if "EQ11" not in skip:
-        for i0, j0 in np.argwhere(y > m_eff * r[None, :]):
-            out.append(ConstraintViolation(
-                "EQ11", int(i0) + 1, int(j0) + 1,
-                f"de-allocation {int(y[i0, j0])} at unflagged slot"))
-    if "EQ12" not in skip:
-        for j in range(n - delta + 1, n + 1):
-            if r[j - 1] != 0:
-                out.append(ConstraintViolation(
-                    "EQ12", j=j, detail="request cannot take effect within the horizon"))
+    values = np.concatenate([matrices.allocations.ravel(), matrices.deallocations.ravel(),
+                             matrices.requests])
+    # int64 wrap-around in the running sums cancels in their differences, so
+    # a row's value is exact whenever the value itself fits in int64
+    prefix = np.concatenate([[0], np.cumsum(values)])
+    starts, ends = rows["run_starts"], rows["run_starts"] + rows["run_lengths"]
+    sums = np.concatenate([[0], np.cumsum(rows["run_coefs"] * (prefix[ends] - prefix[starts]))])
+    lhs = sums[rows["run_ptr"][1:]] - sums[rows["run_ptr"][:-1]]
+    rhs, senses, tags = rows["rhs"], rows["senses"], rows["row_tags"]
+    failed = np.where(senses == ">=", lhs < rhs, np.where(senses == "<=", lhs > rhs, lhs != rhs))
+    failed &= ~np.isin(tags, list(skip_families))
+    for k in np.flatnonzero(failed).tolist():
+        i, j = int(rows["row_i"][k]), int(rows["row_j"][k])
+        out.append(ConstraintViolation(str(tags[k]), i or None, j or None,
+                                       f"left side {lhs[k]} is not {senses[k]} {rhs[k]}"))
     return out

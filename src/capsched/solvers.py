@@ -231,13 +231,15 @@ def exact_oracle(workload: Workload, config: Config,
     dep_cohorts = [(i, d[i - 1]) for i in range(1, n + 1) if d[i - 1]]
 
     best_cost: Optional[int] = None
-    best_key = None
-    best_pick = None  # (slots, xassign, yassign)
+    best_key = None  # the allocations, de-allocations and flags of the best pick
 
     leaf_counter = 0
 
     def out_of_time() -> bool:
         return time.monotonic() > deadline
+
+    def key_of(pick):
+        return _pick_flat(pick, n, arr_cohorts, dep_cohorts, theta, delta, last)
 
     for slots in _request_slot_sets(last, delta):
         if out_of_time():
@@ -277,7 +279,7 @@ def exact_oracle(workload: Workload, config: Config,
         v_vec = [0] * m
 
         def search_v(c: int, cu: List[int], cv_prev: int, gain: int, cost_u: int) -> None:
-            nonlocal best_cost, best_key, best_pick, leaf_counter
+            nonlocal best_cost, best_key, leaf_counter
             if c == m:
                 leaf_counter += 1
                 if leaf_counter % 4096 == 0 and out_of_time():
@@ -287,16 +289,10 @@ def exact_oracle(workload: Workload, config: Config,
                 if best_cost is not None and cost > best_cost:
                     return
                 pick = (slots, tuple(u_vec), tuple(v_vec))
-                key = None
-                if best_cost is None or cost < best_cost or (
-                        key := _candidate_key(pick, n, arr_cohorts, dep_cohorts,
-                                              theta, delta, last)) < best_key:
-                    if key is None:
-                        key = _candidate_key(pick, n, arr_cohorts, dep_cohorts,
-                                             theta, delta, last)
-                    best_cost = cost
+                if best_cost is None or cost < best_cost:
+                    best_cost, best_key = cost, key_of(pick)
+                elif (key := key_of(pick)) < best_key:
                     best_key = key
-                    best_pick = pick
                 return
             ub = dk[c] - cv_prev
             if check7:
@@ -332,10 +328,10 @@ def exact_oracle(workload: Workload, config: Config,
             continue
         search_u(0, 0, [], 0)
 
-    if best_pick is None:
+    if best_key is None:
         raise OracleInfeasibleError("no feasible assignment exists for this workload")
-    matrices = _pick_to_matrices(best_pick, n, arr_cohorts, dep_cohorts,
-                                 theta, delta, last)
+    x, y, r = best_key
+    matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
     return matrices, int(best_cost)
 
 
@@ -355,7 +351,9 @@ def _decompose_pick(pick, arr_cohorts, dep_cohorts, theta, delta, last):
     return xassign, yassign
 
 
-def _candidate_key(pick, n, arr_cohorts, dep_cohorts, theta, delta, last):
+def _pick_flat(pick, n, arr_cohorts, dep_cohorts, theta, delta, last):
+    """The allocations, de-allocations and flags of a pick as row-major tuples,
+    which order candidates of equal cost."""
     slots = pick[0]
     xassign, yassign = _decompose_pick(pick, arr_cohorts, dep_cohorts,
                                        theta, delta, last)
@@ -369,22 +367,6 @@ def _candidate_key(pick, n, arr_cohorts, dep_cohorts, theta, delta, last):
     for j in slots:
         rflat[j - 1] = 1
     return tuple(xflat), tuple(yflat), tuple(rflat)
-
-
-def _pick_to_matrices(pick, n, arr_cohorts, dep_cohorts, theta, delta, last):
-    slots = pick[0]
-    xassign, yassign = _decompose_pick(pick, arr_cohorts, dep_cohorts,
-                                       theta, delta, last)
-    x = np.zeros((n, n), dtype=np.int64)
-    for (i, k), amt in xassign.items():
-        x[i - 1, slots[k] - 1] = amt
-    y = np.zeros((n, n), dtype=np.int64)
-    for (i, k), amt in yassign.items():
-        y[i - 1, slots[k] - 1] = amt
-    r = np.zeros(n, dtype=np.int64)
-    for j in slots:
-        r[j - 1] = 1
-    return SolutionMatrices(x, y, r)
 
 
 def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> SolutionMatrices:

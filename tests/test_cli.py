@@ -175,6 +175,18 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: line 1: unknown variable name")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "1e30"])
+    def test_unrepresentable_solution_values_are_usage_errors(self, tmp_path, ref_config,
+                                                              ref_workload, capsys, value):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"x_1_2 2\nx_1_1 {value}\n", encoding="utf-8")
+        assert main(["validate", wl, "--solution", str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: line 2: value ")
+
     def test_oracle_refusal_is_a_usage_error(self, tmp_path):
         cfg = Config(n=12, delta=2, theta=3)
         wl_obj = Workload(arrivals=np.array([1] + [0] * 11),

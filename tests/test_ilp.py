@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from capsched import (
@@ -13,15 +13,19 @@ from capsched import (
     SCENARIO_PRESETS,
     Config,
     ConfigurationError,
+    ConstraintViolation,
+    LiftError,
     LinearConstraint,
     ScenarioParams,
     SolutionFormatError,
     SolutionMatrices,
     Workload,
+    adaptive_schedule,
     build_model,
     effective_big_m,
     export_lp,
     generate_workload,
+    lift_schedule,
     mandatory_load,
     matrices_to_schedule,
     objective_value,
@@ -161,6 +165,97 @@ def _reference_export(model):
     return "\n".join(out) + "\n"
 
 
+def _reference_validate(matrices, workload, config, big_m=DEFAULT_BIG_M, skip_families=()):
+    """Reference validator: the original one, which spells out every family
+    as hand-indexed slices of the assignment."""
+    n, delta, theta = config.n, config.delta, config.theta
+    skip = set(skip_families)
+    m_eff = effective_big_m(workload, big_m)
+    x = matrices.allocations
+    y = matrices.deallocations
+    r = matrices.requests
+    a = workload.arrivals
+    d = workload.departures
+    out = []
+
+    neg = np.argwhere(x < 0)
+    for i0, j0 in neg:
+        out.append(ConstraintViolation("BOUND", int(i0) + 1, int(j0) + 1,
+                                       f"allocation {int(x[i0, j0])} is negative"))
+    neg = np.argwhere(y < 0)
+    for i0, j0 in neg:
+        out.append(ConstraintViolation("BOUND", int(i0) + 1, int(j0) + 1,
+                                       f"de-allocation {int(y[i0, j0])} is negative"))
+
+    if "EQ2" not in skip:
+        for i in range(1, n - theta + 1):
+            got = int(x[i - 1, : i + theta - delta].sum())
+            if got < a[i - 1]:
+                out.append(ConstraintViolation(
+                    "EQ2", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
+    if "EQ3" not in skip:
+        for i in range(n - theta + 1, n + 1):
+            got = int(x[i - 1, : n - delta].sum())
+            if got < a[i - 1]:
+                out.append(ConstraintViolation(
+                    "EQ3", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
+    if "EQ4" not in skip:
+        for i in range(1, delta + 1):
+            got = int(y[i - 1, : n - delta].sum())
+            if got > d[i - 1]:
+                out.append(ConstraintViolation(
+                    "EQ4", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
+    if "EQ5" not in skip:
+        for i in range(delta + 1, n + 1):
+            got = int(y[i - 1, i - delta - 1: n - delta].sum())
+            if got > d[i - 1]:
+                out.append(ConstraintViolation(
+                    "EQ5", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
+    if "EQ6" not in skip:
+        for i in range(delta + 2, n + 1):
+            got = int(y[i - 1, : i - delta - 1].sum())
+            if got != 0:
+                out.append(ConstraintViolation(
+                    "EQ6", i=i, detail=f"{got} released before departure could free it"))
+    cx = np.cumsum(x.sum(axis=0))
+    cy = np.cumsum(y.sum(axis=0))
+    if "EQ7" not in skip:
+        for j in range(1, n + 1):
+            if cx[j - 1] < cy[j - 1]:
+                out.append(ConstraintViolation(
+                    "EQ7", j=j,
+                    detail=f"cumulative allocation {int(cx[j - 1])} below release {int(cy[j - 1])}"))
+    if "EQ8" not in skip:
+        load = mandatory_load(workload, config).values
+        for j in range(delta + 1, n + 1):
+            net = int(cx[j - delta - 1] - cy[j - delta - 1])
+            if net < load[j - 1]:
+                out.append(ConstraintViolation(
+                    "EQ8", j=j, detail=f"active capacity {net} below floor {int(load[j - 1])}"))
+    if "EQ9" not in skip:
+        for i in range(1, n - delta + 1):
+            got = int(r[i - 1: i + delta - 1].sum())
+            if got > 1:
+                out.append(ConstraintViolation(
+                    "EQ9", i=i, detail=f"{got} requests within {delta} slots"))
+    if "EQ10" not in skip:
+        for i0, j0 in np.argwhere(x > m_eff * r[None, :]):
+            out.append(ConstraintViolation(
+                "EQ10", int(i0) + 1, int(j0) + 1,
+                f"allocation {int(x[i0, j0])} at unflagged slot"))
+    if "EQ11" not in skip:
+        for i0, j0 in np.argwhere(y > m_eff * r[None, :]):
+            out.append(ConstraintViolation(
+                "EQ11", int(i0) + 1, int(j0) + 1,
+                f"de-allocation {int(y[i0, j0])} at unflagged slot"))
+    if "EQ12" not in skip:
+        for j in range(n - delta + 1, n + 1):
+            if r[j - 1] != 0:
+                out.append(ConstraintViolation(
+                    "EQ12", j=j, detail="request cannot take effect within the horizon"))
+    return out
+
+
 @st.composite
 def _instances(draw):
     n = draw(st.integers(3, 14))
@@ -173,6 +268,47 @@ def _instances(draw):
     total = int(workload.arrivals.sum())
     big_m = draw(st.one_of(st.just(DEFAULT_BIG_M), st.integers(total, total + 50)))
     return workload, config, big_m
+
+
+FAMILIES = ("EQ2", "EQ3", "EQ4", "EQ5", "EQ6", "EQ7", "EQ8", "EQ9", "EQ10", "EQ11", "EQ12")
+
+
+@st.composite
+def _perturbed_solutions(draw):
+    """A lifted ads solution with a few entries shifted, some of them below
+    zero, and a few request flags flipped; with a big_m and a set of
+    families to skip."""
+    n = draw(st.integers(3, 20))
+    delta = draw(st.integers(2, n - 1))
+    theta = draw(st.integers(delta + 1, n))
+    config = Config(n=n, delta=delta, theta=theta)
+    workload = generate_workload(
+        ScenarioParams(name="prop", amplitude=draw(st.integers(0, 60)),
+                       seed=draw(st.integers(0, 2 ** 16))), config)
+    try:
+        lifted = lift_schedule(workload, adaptive_schedule(workload, config), config)
+    except LiftError:
+        reject()
+    x, y, r = lifted.allocations.copy(), lifted.deallocations.copy(), lifted.requests.copy()
+    shifts = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for matrix in (x, y):
+        for i, j, shift in draw(st.lists(shifts, max_size=6)):
+            matrix[i, j] += shift
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        r[j] = 1 - r[j]
+    total = int(workload.arrivals.sum())
+    big_m = draw(st.one_of(st.just(DEFAULT_BIG_M), st.integers(total, total + 50)))
+    skip = draw(st.sets(st.sampled_from(FAMILIES)))
+    return SolutionMatrices(x, y, r), workload, config, big_m, skip
+
+
+def _oppd_lifted(n):
+    values = SCENARIO_PRESETS["oppd"]
+    config = Config(n=n, delta=values["delta"], theta=values["theta"])
+    workload = generate_workload(
+        ScenarioParams(name="oppd", amplitude=values["amplitude"],
+                       plateau_fraction=values["plateau_fraction"], seed=0), config)
+    return lift_schedule(workload, adaptive_schedule(workload, config), config), workload, config
 
 
 @pytest.fixture
@@ -311,6 +447,12 @@ class TestParseSolution:
         ("x_1_1 0.5", "not integral"),
         ("r_2 2", "must be 0 or 1"),
         ("x_1_1 -1", "non-negative"),
+        ("x_1_1 inf", "not finite"),
+        ("x_1_1 -inf", "not finite"),
+        ("x_1_1 nan", "not finite"),
+        ("x_1_1 1e400", "not finite"),
+        ("x_1_1 1e30", "outside the int64 range"),
+        ("y_1_1 -1e30", "outside the int64 range"),
     ])
     def test_rejections_name_the_line(self, ref_config, line, fragment):
         with pytest.raises(SolutionFormatError, match="line 2") as err:
@@ -412,6 +554,24 @@ class TestValidateSolution:
         text = first.render()
         assert text.startswith("VIOLATION EQ2 i=1 ")
         assert "detail=" in text
+
+    @given(case=_perturbed_solutions())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_failed_equal_the_reference(self, case):
+        matrices, workload, config, big_m, skip = case
+        got = validate_solution(matrices, workload, config, big_m=big_m, skip_families=skip)
+        expected = _reference_validate(matrices, workload, config, big_m=big_m,
+                                       skip_families=skip)
+        assert [(v.tag, v.i, v.j) for v in got] == [(v.tag, v.i, v.j) for v in expected]
+
+    def test_guard_validate_at_n300(self):
+        matrices, workload, config = _oppd_lifted(300)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert validate_solution(matrices, workload, config) == []
+            times.append(time.perf_counter() - start)
+        assert median(times) < 0.5
 
 
 class TestCostForms:
