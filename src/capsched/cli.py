@@ -9,7 +9,7 @@ refused oracle runs.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -158,13 +158,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config, workload = parse_workload(_read_text(args.workload))
-    n, delta, schedule = parse_schedule(_read_text(args.schedule))
+def _read_schedule(path: str, config: Config) -> Schedule:
+    n, delta, schedule = parse_schedule(_read_text(path))
     if (n, delta) != (config.n, config.delta):
         raise ScheduleFormatError(
             f"schedule was built for n={n}, delta={delta}, "
             f"not n={config.n}, delta={config.delta}")
+    return schedule
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    config, workload = parse_workload(_read_text(args.workload))
+    schedule = _read_schedule(args.schedule, config)
     report = evaluate(workload, schedule, config)
     _write_text(args.out, "".join(line + "\n" for line in _report_lines(report)))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
@@ -175,11 +180,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if (args.schedule is None) == (args.solution is None):
         raise ConfigurationError("pass exactly one of --schedule or --solution")
     if args.schedule is not None:
-        n, delta, schedule = parse_schedule(_read_text(args.schedule))
-        if (n, delta) != (config.n, config.delta):
-            raise ScheduleFormatError(
-                f"schedule was built for n={n}, delta={delta}, "
-                f"not n={config.n}, delta={config.delta}")
+        schedule = _read_schedule(args.schedule, config)
         violations = check_feasibility(workload, schedule, config)
     else:
         effective_big_m(workload, args.big_m)     # a bad --big-m is reported first
@@ -289,9 +290,7 @@ def run_compare(spec: CompareSpec) -> str:
                      f"limit max_n={limits.max_n}")
     rows: List[CompareRow] = []
     for seed in spec.seeds:
-        seeded = ScenarioParams(name=params.name, amplitude=params.amplitude,
-                                plateau_fraction=params.plateau_fraction, seed=seed)
-        workload = generate_workload(seeded, config)
+        workload = generate_workload(replace(params, seed=seed), config)
         seed_rows, seed_notes = compare_instance(workload, config, algorithms,
                                                  seed, limits)
         rows.extend(seed_rows)

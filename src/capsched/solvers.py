@@ -17,7 +17,7 @@ All planners are pure functions of their inputs.
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,66 +127,6 @@ def _request_slot_sets(last_slot: int, delta: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _column_hall_ok(demands: List[int], supplies: List[Tuple[int, List[int]]]) -> bool:
-    # demands per column; supplies as (amount, eligible column list);
-    # checks every nonempty column subset, small m only
-    m = len(demands)
-    for mask in range(1, 1 << m):
-        need = 0
-        for k in range(m):
-            if mask >> k & 1:
-                need += demands[k]
-        if need == 0:
-            continue
-        have = 0
-        for amount, cols in supplies:
-            if any(mask >> k & 1 for k in cols):
-                have += amount
-        if need > have:
-            return False
-    return True
-
-
-def _lexmin_transport(rows: List[Tuple[int, int, List[int]]], demands: List[int],
-                      exact: bool) -> Dict[Tuple[int, int], int]:
-    """Split column demands over supply rows, smallest row-major assignment first.
-
-    rows are (row index, amount, eligible columns); exact means every
-    supply must be fully placed (amounts and demands then balance).
-    """
-    rem_demand = list(demands)
-    rem_supply = [amount for _, amount, _ in rows]
-    assign: Dict[Tuple[int, int], int] = {}
-    for pos, (row, _, cols) in enumerate(rows):
-        for ci, col in enumerate(cols):
-            ub = min(rem_supply[pos], rem_demand[col])
-            chosen = None
-            for v in range(0, ub + 1):
-                rest: List[Tuple[int, List[int]]] = []
-                leftover = rem_supply[pos] - v
-                if leftover:
-                    rest.append((leftover, cols[ci + 1:]))
-                for later_pos in range(pos + 1, len(rows)):
-                    rest.append((rem_supply[later_pos], rows[later_pos][2]))
-                trial = list(rem_demand)
-                trial[col] -= v
-                if exact and sum(amt for amt, _ in rest) != sum(trial):
-                    continue
-                if exact and rest and any(not cs for amt, cs in rest if amt):
-                    # a supply with nowhere to go can never be placed
-                    continue
-                if _column_hall_ok(trial, rest):
-                    chosen = v
-                    break
-            if chosen is None:
-                raise OracleInfeasibleError("no transport decomposition exists")
-            if chosen:
-                assign[(row, col)] = chosen
-                rem_supply[pos] -= chosen
-                rem_demand[col] -= chosen
-    return assign
-
-
 def exact_oracle(workload: Workload, config: Config,
                  limits: Optional[OracleLimits] = None,
                  skip_families: Iterable[str] = ()) -> Tuple[SolutionMatrices, int]:
@@ -238,9 +178,6 @@ def exact_oracle(workload: Workload, config: Config,
     def out_of_time() -> bool:
         return time.monotonic() > deadline
 
-    def key_of(pick):
-        return _pick_flat(pick, n, arr_cohorts, dep_cohorts, theta, delta, last)
-
     for slots in _request_slot_sets(last, delta):
         if out_of_time():
             raise OracleLimitError(
@@ -258,8 +195,10 @@ def exact_oracle(workload: Workload, config: Config,
             xwin.append(k)
         if not feasible_r:
             continue
-        # release eligibility per column and per equal-cost screen interval
-        dk = [sum(amount for i, amount in dep_cohorts if i <= j + delta) for j in slots]
+        # eligible departure cohort count per column (cohorts are a prefix)
+        ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
+        dk = [sum(amount for _, amount in dep_cohorts[:h]) for h in ywin]
+        # peak mandatory load per equal-cost screen interval
         maxl = []
         for k in range(m + 1):
             lo = slots[k - 1] + delta if k else delta + 1
@@ -288,10 +227,11 @@ def exact_oracle(workload: Workload, config: Config,
                 cost = cost_u - gain
                 if best_cost is not None and cost > best_cost:
                     return
-                pick = (slots, tuple(u_vec), tuple(v_vec))
+                key = _pick_flat((slots, u_vec, v_vec), n, arr_cohorts, xwin,
+                                 dep_cohorts, ywin)
                 if best_cost is None or cost < best_cost:
-                    best_cost, best_key = cost, key_of(pick)
-                elif (key := key_of(pick)) < best_key:
+                    best_cost, best_key = cost, key
+                elif key < best_key:
                     best_key = key
                 return
             ub = dk[c] - cv_prev
@@ -335,34 +275,42 @@ def exact_oracle(workload: Workload, config: Config,
     return matrices, int(best_cost)
 
 
-def _decompose_pick(pick, arr_cohorts, dep_cohorts, theta, delta, last):
-    slots, u_vec, v_vec = pick
-    xrows = []
-    for i, amount in arr_cohorts:
-        bound = min(i + theta - delta, last)
-        cols = [k for k, j in enumerate(slots) if j <= bound]
-        xrows.append((i, amount, cols))
-    xassign = _lexmin_transport(xrows, list(u_vec), exact=True)
-    yrows = []
-    for i, amount in dep_cohorts:
-        cols = [k for k, j in enumerate(slots) if j >= max(i - delta, 1)]
-        yrows.append((i, amount, cols))
-    yassign = _lexmin_transport(yrows, list(v_vec), exact=False)
-    return xassign, yassign
-
-
-def _pick_flat(pick, n, arr_cohorts, dep_cohorts, theta, delta, last):
+def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
     """The allocations, de-allocations and flags of a pick as row-major tuples,
-    which order candidates of equal cost."""
-    slots = pick[0]
-    xassign, yassign = _decompose_pick(pick, arr_cohorts, dep_cohorts,
-                                       theta, delta, last)
+    which order candidates of equal cost.
+
+    A pick is (request slots, allocation per slot, release per slot).  The
+    windows are nested: an arrival cohort may be covered at the first
+    xwin[r] columns, a prefix that grows with the cohort's slot, and column
+    k may release the first ywin[k] departure cohorts, a prefix that grows
+    with the column.  On such windows a direct fill gives the row-major
+    smallest split.  Arrival cohorts, earliest first, are poured into their
+    latest columns first; what a cohort leaves lies inside every later
+    cohort's window, so no entry could be smaller.  Each column's releases
+    come from its latest eligible departure cohort first; a cohort eligible
+    at one column stays eligible at every later one, so earlier rows are
+    drawn on only when later rows run dry.  The search admits only picks
+    that meet Hall's condition (arrival mass per column suffix within
+    reach, releases per column prefix within the departures), so both
+    fills place everything without a feasibility trial.
+    """
+    slots, u_vec, v_vec = pick
     xflat = [0] * (n * n)
-    for (i, k), amt in xassign.items():
-        xflat[(i - 1) * n + slots[k] - 1] = amt
+    room = list(u_vec)
+    for (i, amount), win in zip(arr_cohorts, xwin):
+        for k in range(win - 1, -1, -1):
+            take = min(amount, room[k])
+            xflat[(i - 1) * n + slots[k] - 1] = take
+            room[k] -= take
+            amount -= take
     yflat = [0] * (n * n)
-    for (i, k), amt in yassign.items():
-        yflat[(i - 1) * n + slots[k] - 1] = amt
+    left = [amount for _, amount in dep_cohorts]
+    for k, need in enumerate(v_vec):
+        for r in range(ywin[k] - 1, -1, -1):
+            take = min(need, left[r])
+            yflat[(dep_cohorts[r][0] - 1) * n + slots[k] - 1] = take
+            left[r] -= take
+            need -= take
     rflat = [0] * n
     for j in slots:
         rflat[j - 1] = 1

@@ -219,6 +219,20 @@ class TestExitCodes:
                          encoding="utf-8")
         assert main(["evaluate", wl, str(sched)]) == 2
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["validate", "--schedule"]])
+    @pytest.mark.parametrize("n, delta", [(6, 2), (8, 3)])
+    def test_schedule_for_other_dimensions_is_a_usage_error(
+            self, tmp_path, capsys, ref_config, ref_workload, command, n, delta):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        sched = tmp_path / "other.json"
+        sched.write_text(f'{{"n": {n}, "delta": {delta}, "changes": {[0] * n}}}',
+                         encoding="utf-8")
+        assert main([command[0], wl, *command[1:], str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: schedule was built for n={n}, delta={delta}, "
+                                f"not n=8, delta=2\n")
+
     def test_bad_seed_ranges(self):
         base = ["compare", "--n", "8", "--delta", "2", "--theta", "3",
                 "--amplitude", "1"]

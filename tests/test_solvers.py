@@ -1,6 +1,8 @@
+import functools
 import math
 import time
 from statistics import median
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from capsched import (
     Config,
     LiftError,
+    OracleInfeasibleError,
     OracleLimitError,
     OracleLimits,
     ScenarioParams,
@@ -25,8 +28,10 @@ from capsched import (
     matrices_to_schedule,
     objective_value,
     resource_cost,
+    simulate,
     validate_solution,
 )
+from capsched import solvers
 
 
 def _quadratic_adaptive_changes(workload, config):
@@ -53,6 +58,94 @@ def _quadratic_adaptive_changes(workload, config):
         old_size = new_size
         i = best_t + delta
     return changes
+
+
+def _column_hall_ok(demands, supplies):
+    """Reference Hall check: demands per column; supplies as (amount,
+    eligible column list); checks every nonempty column subset."""
+    m = len(demands)
+    for mask in range(1, 1 << m):
+        need = 0
+        for k in range(m):
+            if mask >> k & 1:
+                need += demands[k]
+        if need == 0:
+            continue
+        have = 0
+        for amount, cols in supplies:
+            if any(mask >> k & 1 for k in cols):
+                have += amount
+        if need > have:
+            return False
+    return True
+
+
+def _lexmin_transport(rows, demands, exact):
+    """Reference split of column demands over supply rows: each entry in
+    row-major order takes the smallest value that leaves the rest feasible.
+
+    rows are (row index, amount, eligible columns); exact means every
+    supply must be fully placed (amounts and demands then balance).
+    """
+    rem_demand = list(demands)
+    rem_supply = [amount for _, amount, _ in rows]
+    assign = {}
+    for pos, (row, _, cols) in enumerate(rows):
+        for ci, col in enumerate(cols):
+            ub = min(rem_supply[pos], rem_demand[col])
+            chosen = None
+            for v in range(0, ub + 1):
+                rest = []
+                leftover = rem_supply[pos] - v
+                if leftover:
+                    rest.append((leftover, cols[ci + 1:]))
+                for later_pos in range(pos + 1, len(rows)):
+                    rest.append((rem_supply[later_pos], rows[later_pos][2]))
+                trial = list(rem_demand)
+                trial[col] -= v
+                if exact and sum(amt for amt, _ in rest) != sum(trial):
+                    continue
+                if exact and rest and any(not cs for amt, cs in rest if amt):
+                    # a supply with nowhere to go can never be placed
+                    continue
+                if _column_hall_ok(trial, rest):
+                    chosen = v
+                    break
+            if chosen is None:
+                raise OracleInfeasibleError("no transport decomposition exists")
+            if chosen:
+                assign[(row, col)] = chosen
+                rem_supply[pos] -= chosen
+                rem_demand[col] -= chosen
+    return assign
+
+
+def _transport_split(pick, n, xrows, yrows):
+    """Reference allocations and de-allocations of a pick as row-major
+    tuples, each split by _lexmin_transport over the given rows."""
+    slots, u_vec, v_vec = pick
+    flats = []
+    for rows, demands, exact in ((xrows, u_vec, True), (yrows, v_vec, False)):
+        flat = [0] * (n * n)
+        for (i, k), amt in _lexmin_transport(rows, demands, exact).items():
+            flat[(i - 1) * n + slots[k] - 1] = amt
+        flats.append(tuple(flat))
+    return tuple(flats)
+
+
+def _reference_pick_flat(config, pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
+    """Drop-in for solvers._pick_flat that ignores the windows it is given,
+    derives each cohort's eligible columns from the config, and splits the
+    pick with _lexmin_transport."""
+    slots = pick[0]
+    delta, theta = config.delta, config.theta
+    xrows = [(i, amount, [k for k, j in enumerate(slots)
+                          if j <= min(i + theta - delta, n - delta)])
+             for i, amount in arr_cohorts]
+    yrows = [(i, amount, [k for k, j in enumerate(slots) if j >= max(i - delta, 1)])
+             for i, amount in dep_cohorts]
+    rflat = tuple(int(j in slots) for j in range(1, n + 1))
+    return (*_transport_split(pick, n, xrows, yrows), rflat)
 
 
 def _workload_from_levels(levels):
@@ -234,6 +327,100 @@ class TestOracle:
         matrices, _ = exact_oracle(ref_workload, ref_config)
         schedule = matrices_to_schedule(matrices, ref_config)
         assert check_feasibility(ref_workload, schedule, ref_config) == []
+
+    def test_ilp_admits_what_the_simulator_overcommits(self, ref_config):
+        # the integer program covers the slot-5 cohort with x_5_6, which
+        # takes effect at slot 8 (a wait of theta), and releases the freed
+        # capacity through y_5_4; the FIFO simulator admits that cohort at
+        # slot 5 into the capacity about to be released, so the drop at
+        # slot 6 leaves it overcommitted; nobody departs while waiting
+        wl = Workload(arrivals=np.array([2, 0, 0, 0, 2, 0, 0, 0]),
+                      departures=np.array([0, 0, 0, 0, 2, 0, 0, 0]))
+        matrices, cost = exact_oracle(wl, ref_config)
+        assert cost == 4
+        assert validate_solution(matrices, wl, ref_config) == []
+        assert matrices.allocations[4, 5] == 2
+        assert matrices.deallocations[4, 3] == 2
+        schedule = matrices_to_schedule(matrices, ref_config)
+        assert schedule.changes.tolist() == [0, 2, 0, -2, 0, 2, 0, 0]
+        violations = check_feasibility(wl, schedule, ref_config)
+        assert [(v.kind, v.slot) for v in violations] == [
+            ("capacity_below_occupancy", 6), ("capacity_below_occupancy", 7)]
+        report = simulate(wl, schedule, ref_config)
+        assert report.departed_waiting == {}
+        assert report.admissions[5] == [(2, 5)]
+
+
+class TestOracleSplit:
+    @given(data=st.data(), m=st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_fills_match_the_lexmin_transport(self, data, m):
+        # arrival windows are column prefixes that grow with the cohort;
+        # departure windows are cohort prefixes that grow with the column
+        slots = tuple(range(1, m + 1))
+        xwin = sorted(data.draw(st.lists(st.integers(1, m), max_size=6), label="xwin"))
+        amounts = data.draw(st.lists(st.integers(1, 3), min_size=len(xwin),
+                                     max_size=len(xwin)), label="arrivals")
+        u_vec = [0] * m
+        for win, amount in zip(xwin, amounts):
+            for _ in range(amount):
+                u_vec[data.draw(st.integers(0, win - 1))] += 1
+        n_dep = data.draw(st.integers(0, 6), label="departure cohorts")
+        dep_amounts = data.draw(st.lists(st.integers(1, 3), min_size=n_dep,
+                                         max_size=n_dep), label="departures")
+        ywin = sorted(data.draw(st.lists(st.integers(0, n_dep), min_size=m,
+                                         max_size=m), label="ywin"))
+        v_vec = [0] * m
+        for r, amount in enumerate(dep_amounts):
+            cols = [k for k in range(m) if r < ywin[k]]
+            if cols:
+                for _ in range(data.draw(st.integers(0, amount))):
+                    v_vec[data.draw(st.sampled_from(cols))] += 1
+        n = max(m, len(xwin), n_dep)
+        arr_cohorts = [(i + 1, amount) for i, amount in enumerate(amounts)]
+        dep_cohorts = [(i + 1, amount) for i, amount in enumerate(dep_amounts)]
+
+        pick = (slots, u_vec, v_vec)
+        xflat, yflat, rflat = solvers._pick_flat(pick, n, arr_cohorts, xwin,
+                                                 dep_cohorts, ywin)
+        xrows = [(i, amount, list(range(win)))
+                 for (i, amount), win in zip(arr_cohorts, xwin)]
+        yrows = [(i, amount, [k for k in range(m) if r < ywin[k]])
+                 for r, (i, amount) in enumerate(dep_cohorts)]
+        assert (xflat, yflat) == _transport_split(pick, n, xrows, yrows)
+        assert rflat == tuple([1] * m + [0] * (n - m))
+
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
+           delta=st.integers(2, 4), spread=st.integers(1, 3),
+           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]),
+           skip=st.sampled_from([(), ("EQ8",), ("EQ7",), ("EQ7", "EQ8")]))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_output_matches_the_transport_split(self, seed, n, delta,
+                                                       spread, amplitude,
+                                                       plateau, skip):
+        assume(delta + spread <= n)
+        cfg = Config(n=n, delta=delta, theta=delta + spread)
+        wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
+                                              plateau_fraction=plateau,
+                                              seed=seed), cfg)
+        assume(int(wl.arrivals.sum()) <= OracleLimits().max_total_participants)
+
+        def solve():
+            try:
+                return exact_oracle(wl, cfg, skip_families=skip)
+            except OracleInfeasibleError:
+                return None
+
+        got = solve()
+        with mock.patch.object(solvers, "_pick_flat",
+                               functools.partial(_reference_pick_flat, cfg)):
+            want = solve()
+        if want is None:
+            assert got is None
+            return
+        assert got is not None and got[1] == want[1]
+        for name in ("allocations", "deallocations", "requests"):
+            assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
 
 
 class TestLift:
