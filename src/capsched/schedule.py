@@ -13,7 +13,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import Config, Workload, mandatory_load, _require_matching
+from .workload import INT64_MAX, INT64_MIN, Config, Workload, mandatory_load, _require_matching
 
 
 class ScheduleFormatError(ValueError):
@@ -326,6 +326,9 @@ def parse_schedule(text: str) -> Tuple[int, int, Schedule]:
     for k, v in enumerate(doc["changes"]):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ScheduleFormatError(f"changes has a non-integer entry at slot {k + 1}")
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise ScheduleFormatError(
+                f"changes has an entry outside the int64 range at slot {k + 1}")
     if len(doc["changes"]) != doc["n"]:
         raise ScheduleFormatError(
             f"changes has {len(doc['changes'])} entries but n is {doc['n']}")

@@ -8,8 +8,9 @@ parameters they return a schedule of capacity changes.
   delay allows.
 * greedy_schedule: a fixed-period baseline that re-targets capacity to the
   occupancy peak of the next window.
-* exact_oracle: exhaustive search over request placements and integer
-  assignments, exact but restricted to tiny instances.
+* exact_oracle: exhaustive search over request placements and allocation
+  totals, with releases derived in closed form; exact but restricted to
+  tiny instances.
 
 All planners are pure functions of their inputs.
 """
@@ -23,7 +24,8 @@ import numpy as np
 
 from .ilp import SolutionMatrices
 from .schedule import Schedule
-from .workload import Config, Workload, mandatory_load, occupancy, _require_matching
+from .workload import (Config, ConfigurationError, Workload, mandatory_load, occupancy,
+                       _require_matching)
 
 
 class OracleLimitError(RuntimeError):
@@ -111,6 +113,10 @@ class OracleLimits:
     max_total_participants: int = 8
     time_budget: float = 60.0
 
+    def __post_init__(self):
+        if not self.time_budget >= 0:
+            raise ConfigurationError(f"time_budget must be >= 0, got {self.time_budget!r}")
+
 
 def _request_slot_sets(last_slot: int, delta: int) -> List[Tuple[int, ...]]:
     # every ascending tuple from 1..last_slot with pairwise gaps >= delta
@@ -132,13 +138,16 @@ def exact_oracle(workload: Workload, config: Config,
                  skip_families: Iterable[str] = ()) -> Tuple[SolutionMatrices, int]:
     """Minimum-cost assignment by exhaustive search.
 
-    Enumerates request slot placements with the minimum spacing, then all
-    integer coverings of each arrival cohort over its admissible request
-    slots (each cohort covered exactly), then all release totals per column
-    within the departure budgets.  Candidates are screened with exact
-    integer arithmetic; branches are cut only when no completion can be
-    feasible.  Ties on cost resolve to the smallest solution in row-major
-    allocation, de-allocation, flag order.
+    Enumerates request slot placements with the minimum spacing, then the
+    allocation totals per column that cover the arrivals exactly (the last
+    column takes what remains), cutting a branch only when no completion
+    can be feasible.  Releases are derived, not enumerated: each column's
+    cap (its departure budget and, where EQ7 and EQ8 are screened, its
+    gross allocation, less the next interval's peak load for EQ8) bounds
+    the cumulative releases up to it, and the release weight n - j - delta
+    falls strictly, so _cheapest_releases prices each allocation at once.
+    Ties on cost resolve to the smallest solution in row-major allocation,
+    de-allocation, flag order.
 
     skip_families accepts the tags EQ7 and EQ8 to drop those families from
     the screen; the remaining families are built into the enumeration
@@ -162,38 +171,28 @@ def exact_oracle(workload: Workload, config: Config,
     check7 = "EQ7" not in skip
     check8 = "EQ8" not in skip
 
-    a = [int(v) for v in workload.arrivals]
-    d = [int(v) for v in workload.departures]
     load = [int(v) for v in mandatory_load(workload, config).values]
     last = n - delta
-    weight = [n - j - delta for j in range(1, n + 1)]
-    arr_cohorts = [(i, a[i - 1]) for i in range(1, n + 1) if a[i - 1]]
-    dep_cohorts = [(i, d[i - 1]) for i in range(1, n + 1) if d[i - 1]]
+    arr_cohorts = [(i, v) for i, v in enumerate(workload.arrivals.tolist(), 1) if v]
+    dep_cohorts = [(i, v) for i, v in enumerate(workload.departures.tolist(), 1) if v]
 
     best_cost: Optional[int] = None
     best_key = None  # the allocations, de-allocations and flags of the best pick
+    priced = 0
 
-    leaf_counter = 0
-
-    def out_of_time() -> bool:
-        return time.monotonic() > deadline
-
-    for slots in _request_slot_sets(last, delta):
-        if out_of_time():
+    def check_time() -> None:
+        if time.monotonic() > deadline:
             raise OracleLimitError(
                 f"time budget {limits.time_budget}s exhausted during search")
+
+    for slots in _request_slot_sets(last, delta):
+        check_time()
         m = len(slots)
+        weights = [n - j - delta for j in slots]
         # eligible column count per arrival cohort (columns are a prefix)
-        xwin = []
-        feasible_r = True
-        for i, amount in arr_cohorts:
-            bound = min(i + theta - delta, last)
-            k = sum(1 for j in slots if j <= bound)
-            if k == 0:
-                feasible_r = False
-                break
-            xwin.append(k)
-        if not feasible_r:
+        xwin = [sum(1 for j in slots if j <= min(i + theta - delta, last))
+                for i, _ in arr_cohorts]
+        if 0 in xwin:
             continue
         # eligible departure cohort count per column (cohorts are a prefix)
         ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
@@ -203,69 +202,49 @@ def exact_oracle(workload: Workload, config: Config,
         for k in range(m + 1):
             lo = slots[k - 1] + delta if k else delta + 1
             hi = slots[k] + delta - 1 if k < m else n
-            hi = min(hi, n)
-            seg = [load[j - 1] for j in range(lo, hi + 1)]
-            maxl.append(max(seg) if seg else 0)
+            maxl.append(max(load[lo - 1:hi], default=0))
         if check8 and maxl[0] > 0:
             continue
         # arrival mass that can still be placed at or after column k
-        suffix_budget = [0] * (m + 1)
-        for k in range(m - 1, -1, -1):
-            suffix_budget[k] = sum(
-                amount for (i, amount), win in zip(arr_cohorts, xwin) if win >= k + 1)
-
+        suffix_budget = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin) if win > k)
+                         for k in range(m)]
         u_vec = [0] * m
-        v_vec = [0] * m
 
-        def search_v(c: int, cu: List[int], cv_prev: int, gain: int, cost_u: int) -> None:
-            nonlocal best_cost, best_key, leaf_counter
-            if c == m:
-                leaf_counter += 1
-                if leaf_counter % 4096 == 0 and out_of_time():
-                    raise OracleLimitError(
-                        f"time budget {limits.time_budget}s exhausted during search")
-                cost = cost_u - gain
-                if best_cost is not None and cost > best_cost:
-                    return
-                key = _pick_flat((slots, u_vec, v_vec), n, arr_cohorts, xwin,
-                                 dep_cohorts, ywin)
-                if best_cost is None or cost < best_cost:
-                    best_cost, best_key = cost, key
-                elif key < best_key:
-                    best_key = key
+        def price(cu: List[int], cost_u: int) -> None:
+            nonlocal best_cost, best_key, priced
+            priced += 1
+            if priced % 4096 == 0:
+                check_time()
+            # load peaks are >= 0, so the EQ8 cap implies the EQ7 one
+            v_vec = _cheapest_releases(
+                [min(b, u - peak) if check8 else min(b, u) if check7 else b
+                 for b, u, peak in zip(dk, cu, maxl[1:])], weights)
+            if v_vec is None:
                 return
-            ub = dk[c] - cv_prev
-            if check7:
-                ub = min(ub, cu[c] - cv_prev)
-            if check8:
-                ub = min(ub, cu[c] - maxl[c + 1] - cv_prev)
-            if ub < 0:
+            cost = cost_u - sum(v * w for v, w in zip(v_vec, weights))
+            if best_cost is not None and cost > best_cost:
                 return
-            for v in range(ub + 1):
-                v_vec[c] = v
-                search_v(c + 1, cu, cv_prev + v, gain + v * weight[slots[c] - 1],
-                         cost_u)
-                v_vec[c] = 0
+            key = _pick_flat((slots, u_vec, v_vec), n, arr_cohorts, xwin,
+                             dep_cohorts, ywin)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_key = cost, key
+            elif key < best_key:
+                best_key = key
 
         def search_u(c: int, placed: int, cu: List[int], cost_u: int) -> None:
             if c == m:
-                if placed == total:
-                    search_v(0, cu, 0, 0, cost_u)
+                price(cu, cost_u)
                 return
             rem = total - placed
             if rem > suffix_budget[c]:
                 return
-            for u in range(rem + 1):
+            for u in ([rem] if c == m - 1 else range(rem + 1)):
                 u_vec[c] = u
                 cu.append((cu[-1] if cu else 0) + u)
-                search_u(c + 1, placed + u, cu, cost_u + u * weight[slots[c] - 1])
+                search_u(c + 1, placed + u, cu, cost_u + u * weights[c])
                 cu.pop()
                 u_vec[c] = 0
 
-        if m == 0:
-            if total == 0:
-                search_v(0, [], 0, 0, 0)
-            continue
         search_u(0, 0, [], 0)
 
     if best_key is None:
@@ -273,6 +252,27 @@ def exact_oracle(workload: Workload, config: Config,
     x, y, r = best_key
     matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
     return matrices, int(best_cost)
+
+
+def _cheapest_releases(caps: List[int], weights: List[int]) -> Optional[List[int]]:
+    """Releases per column that save the most, sum(v * w), while the
+    releases up to each column stay within its cap; None if a cap is below 0.
+
+    By parts the saving is the sum of V[c] * (w[c] - w[c + 1]), with V the
+    cumulative releases and w past the last column 0.  The weights fall
+    strictly and end at 0 or above, so every term grows with V[c], and the
+    best V[c] is the smallest cap at or after column c (a suffix minimum).
+    A last column of weight 0 saves nothing either way and releases
+    nothing, which gives the oracle its row-major smallest de-allocations.
+    """
+    if any(cap < 0 for cap in caps):
+        return None
+    reach = list(caps)
+    for c in range(len(reach) - 2, -1, -1):
+        reach[c] = min(reach[c], reach[c + 1])
+    if reach and weights[-1] == 0:
+        reach[-1] = reach[-2] if len(reach) > 1 else 0
+    return [hi - lo for lo, hi in zip([0] + reach, reach)]
 
 
 def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):

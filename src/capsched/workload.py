@@ -22,6 +22,9 @@ class WorkloadFormatError(ValueError):
     """Raised when workload text fails to parse or validate."""
 
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 @dataclass(frozen=True)
 class Config:
     """Horizon parameters.
@@ -40,6 +43,8 @@ class Config:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise ConfigurationError(f"{name} is outside the int64 range, got {v}")
         if self.n < 1:
             raise ConfigurationError(f"n must be at least 1, got {self.n}")
         if self.delta <= 1:
@@ -68,9 +73,10 @@ class ScenarioParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.amplitude, (int, np.integer)) or self.amplitude < 0:
+        if (not isinstance(self.amplitude, (int, np.integer))
+                or not 0 <= self.amplitude <= INT64_MAX):
             raise ConfigurationError(
-                f"amplitude must be a non-negative integer, got {self.amplitude!r}")
+                f"amplitude must be a non-negative int64 integer, got {self.amplitude!r}")
         if not 0.0 <= float(self.plateau_fraction) <= 1.0:
             raise ConfigurationError(
                 f"plateau_fraction must lie in [0, 1], got {self.plateau_fraction!r}")
@@ -255,6 +261,9 @@ def parse_workload(text: str) -> Tuple[Config, Workload]:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise WorkloadFormatError(
                     f"{f} has a non-integer entry at slot {k + 1}")
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise WorkloadFormatError(
+                    f"{f} has an entry outside the int64 range at slot {k + 1}")
     config = Config(doc["n"], doc["delta"], doc["theta"])
     for f in ("arrivals", "departures"):
         if len(doc[f]) != config.n:

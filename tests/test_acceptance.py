@@ -5,9 +5,11 @@ PASS/FAIL line, so the suite output doubles as the acceptance report.
 Budgeted runtimes are asserted alongside the functional checks.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -218,6 +220,10 @@ def test_criterion_8_lp_round_trip(tmp_path):
     wl_path = tmp_path / "ref.json"
     wl_path.write_text(format_workload(REF_CONFIG, wl), encoding="utf-8")
     outputs = []
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for name in ("a.lp", "b.lp"):
         out = tmp_path / name
         subprocess.run(
@@ -225,7 +231,7 @@ def test_criterion_8_lp_round_trip(tmp_path):
              "import sys; from capsched.cli import main; "
              "sys.exit(main(['export-lp', sys.argv[1], '--out', sys.argv[2]]))",
              str(wl_path), str(out)],
-            check=True)
+            check=True, env=env)
         outputs.append(out.read_text(encoding="utf-8"))
     matrices = parse_solution(
         "x_1_2 2\nx_3_4 1\ny_5_4 2\nr_2 1\nr_4 1\n", REF_CONFIG)

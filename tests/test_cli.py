@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from capsched import (
     ConfigurationError,
     OracleLimits,
     ScenarioParams,
+    ScheduleFormatError,
     SolutionFormatError,
     Workload,
+    WorkloadFormatError,
     compare_instance,
     format_workload,
     generate_workload,
@@ -186,6 +190,74 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: line 2: value ")
+
+    @pytest.mark.parametrize("field", ["arrivals", "departures"])
+    @pytest.mark.parametrize("value", [10 ** 29, -(10 ** 29), 2 ** 63])
+    def test_oversized_workload_entries_are_usage_errors(self, tmp_path, capsys,
+                                                         field, value):
+        doc = {"n": 8, "delta": 2, "theta": 3,
+               "arrivals": [2, 0, 1, 0, 0, 0, 0, 0],
+               "departures": [0, 0, 0, 0, 2, 0, 0, 0]}
+        doc[field][2] = value
+        text = json.dumps(doc)
+        with pytest.raises(WorkloadFormatError, match=f"{field} .* at slot 3"):
+            parse_workload(text)
+        wl = tmp_path / "wl.json"
+        wl.write_text(text, encoding="utf-8")
+        assert main(["solve", str(wl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {field} has an entry outside the int64 "
+                                f"range at slot 3\n")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["validate", "--schedule"]])
+    def test_oversized_schedule_entries_are_usage_errors(self, tmp_path, capsys,
+                                                         ref_config, ref_workload,
+                                                         command):
+        text = json.dumps({"n": 8, "delta": 2, "changes": [0, 10 ** 29] + [0] * 6})
+        with pytest.raises(ScheduleFormatError, match="changes .* at slot 2"):
+            parse_schedule(text)
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        sched = tmp_path / "big.json"
+        sched.write_text(text, encoding="utf-8")
+        assert main([command[0], wl, *command[1:], str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: changes has an entry outside the int64 range at slot 2\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--n", str(10 ** 20), "--delta", "3", "--theta", "4", "--amplitude", "1"],
+        ["--n", "30", "--delta", "3", "--theta", "4", "--amplitude", str(10 ** 20)],
+    ])
+    def test_oversized_generator_parameters_are_usage_errors(self, capsys, args):
+        assert main(["generate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_oversized_workload_dimension_is_a_usage_error(self, tmp_path, capsys):
+        wl = tmp_path / "wl.json"
+        wl.write_text(json.dumps({"n": 10 ** 20, "delta": 2, "theta": 3,
+                                  "arrivals": [0], "departures": [0]}), encoding="utf-8")
+        assert main(["solve", str(wl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n is outside the int64 range, got {10 ** 20}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "WL", "--algorithm", "oracle"],
+        ["compare", "--n", "8", "--delta", "2", "--theta", "3", "--amplitude", "1",
+         "--seeds", "0", "--algorithms", "oracle"],
+    ])
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_unusable_time_budget_is_a_usage_error(self, tmp_path, capsys, ref_config,
+                                                   ref_workload, command, budget):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        argv = [wl if arg == "WL" else arg for arg in command]
+        assert main([*argv, "--time-budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: time_budget must be >= 0, got {float(budget)!r}\n"
 
     def test_oracle_refusal_is_a_usage_error(self, tmp_path):
         cfg = Config(n=12, delta=2, theta=3)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 from statistics import median
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from capsched import (
     Config,
+    ConfigurationError,
     LiftError,
     OracleInfeasibleError,
     OracleLimitError,
     OracleLimits,
     ScenarioParams,
     Schedule,
+    SolutionMatrices,
     Workload,
     adaptive_schedule,
     check_feasibility,
@@ -25,6 +28,7 @@ from capsched import (
     generate_workload,
     greedy_schedule,
     lift_schedule,
+    mandatory_load,
     matrices_to_schedule,
     objective_value,
     resource_cost,
@@ -146,6 +150,107 @@ def _reference_pick_flat(config, pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
              for i, amount in dep_cohorts]
     rflat = tuple(int(j in slots) for j in range(1, n + 1))
     return (*_transport_split(pick, n, xrows, yrows), rflat)
+
+
+def _reference_exact_oracle(workload, config, limits=None, skip_families=()):
+    """Reference oracle: the original search, which enumerates every release
+    vector within the caps under each allocation vector, and every
+    allocation total for the last column too."""
+    limits = limits if limits is not None else OracleLimits()
+    n, delta, theta = config.n, config.delta, config.theta
+    total = int(workload.arrivals.sum())
+    if n > limits.max_n:
+        raise OracleLimitError(f"n={n} exceeds the search limit max_n={limits.max_n}")
+    if total > limits.max_total_participants:
+        raise OracleLimitError(
+            f"{total} participants exceed the search limit "
+            f"max_total_participants={limits.max_total_participants}")
+    check7 = "EQ7" not in set(skip_families)
+    check8 = "EQ8" not in set(skip_families)
+    a = [int(v) for v in workload.arrivals]
+    d = [int(v) for v in workload.departures]
+    load = [int(v) for v in mandatory_load(workload, config).values]
+    last = n - delta
+    weight = [n - j - delta for j in range(1, n + 1)]
+    arr_cohorts = [(i, a[i - 1]) for i in range(1, n + 1) if a[i - 1]]
+    dep_cohorts = [(i, d[i - 1]) for i in range(1, n + 1) if d[i - 1]]
+    best = {}
+
+    for slots in solvers._request_slot_sets(last, delta):
+        m = len(slots)
+        xwin = [sum(1 for j in slots if j <= min(i + theta - delta, last))
+                for i, _ in arr_cohorts]
+        if 0 in xwin:
+            continue
+        ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
+        dk = [sum(amount for _, amount in dep_cohorts[:h]) for h in ywin]
+        maxl = []
+        for k in range(m + 1):
+            lo = slots[k - 1] + delta if k else delta + 1
+            hi = min(slots[k] + delta - 1 if k < m else n, n)
+            maxl.append(max([load[j - 1] for j in range(lo, hi + 1)], default=0))
+        if check8 and maxl[0] > 0:
+            continue
+        suffix_budget = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin)
+                             if win >= k + 1) for k in range(m)]
+        u_vec = [0] * m
+        v_vec = [0] * m
+
+        def search_v(c, cu, cv_prev, gain, cost_u):
+            if c == m:
+                cost = cost_u - gain
+                if "cost" in best and cost > best["cost"]:
+                    return
+                key = solvers._pick_flat((slots, u_vec, v_vec), n, arr_cohorts,
+                                         xwin, dep_cohorts, ywin)
+                if "cost" not in best or cost < best["cost"] or key < best["key"]:
+                    best.update(cost=cost, key=key)
+                return
+            ub = dk[c] - cv_prev
+            if check7:
+                ub = min(ub, cu[c] - cv_prev)
+            if check8:
+                ub = min(ub, cu[c] - maxl[c + 1] - cv_prev)
+            for v in range(ub + 1):
+                v_vec[c] = v
+                search_v(c + 1, cu, cv_prev + v, gain + v * weight[slots[c] - 1], cost_u)
+                v_vec[c] = 0
+
+        def search_u(c, placed, cu, cost_u):
+            if c == m:
+                if placed == total:
+                    search_v(0, cu, 0, 0, cost_u)
+                return
+            rem = total - placed
+            if rem > suffix_budget[c]:
+                return
+            for u in range(rem + 1):
+                u_vec[c] = u
+                cu.append((cu[-1] if cu else 0) + u)
+                search_u(c + 1, placed + u, cu, cost_u + u * weight[slots[c] - 1])
+                cu.pop()
+                u_vec[c] = 0
+
+        search_u(0, 0, [], 0)
+
+    if "key" not in best:
+        raise OracleInfeasibleError("no feasible assignment exists for this workload")
+    x, y, r = best["key"]
+    matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
+    return matrices, best["cost"]
+
+
+def _oracle_outcome(oracle, workload, config, skip_families):
+    """Cost and the three matrices as lists, or the error type and message."""
+    try:
+        matrices, cost = oracle(workload, config, skip_families=skip_families)
+    except (OracleInfeasibleError, OracleLimitError) as exc:
+        return type(exc), str(exc)
+    return (cost, matrices.allocations.tolist(), matrices.deallocations.tolist(),
+            matrices.requests.tolist())
+
+
+SKIP_SETTINGS = [(), ("EQ8",), ("EQ7",), ("EQ7", "EQ8")]
 
 
 def _workload_from_levels(levels):
@@ -291,6 +396,17 @@ class TestOracle:
             exact_oracle(ref_workload, ref_config,
                          OracleLimits(time_budget=0.0))
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+    def test_unusable_time_budget_is_rejected(self, budget):
+        with pytest.raises(ConfigurationError, match="time_budget"):
+            OracleLimits(time_budget=budget)
+
+    def test_zero_and_infinite_time_budgets_are_valid(self, ref_config, ref_workload):
+        assert OracleLimits(time_budget=0.0).time_budget == 0.0
+        _, cost = exact_oracle(ref_workload, ref_config,
+                               OracleLimits(time_budget=math.inf))
+        assert cost == 6
+
     def test_deterministic(self, ref_config, ref_workload):
         a, cost_a = exact_oracle(ref_workload, ref_config)
         b, cost_b = exact_oracle(ref_workload, ref_config)
@@ -421,6 +537,81 @@ class TestOracleSplit:
         assert got is not None and got[1] == want[1]
         for name in ("allocations", "deallocations", "requests"):
             assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
+
+
+class TestOracleReleases:
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
+           delta=st.integers(2, 4), spread=st.integers(1, 4),
+           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]),
+           skip=st.sampled_from(SKIP_SETTINGS))
+    @settings(max_examples=120, deadline=None)
+    def test_generated_workloads_match_the_release_search(self, seed, n, delta,
+                                                          spread, amplitude,
+                                                          plateau, skip):
+        assume(delta + spread <= n)
+        cfg = Config(n=n, delta=delta, theta=delta + spread)
+        wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
+                                              plateau_fraction=plateau,
+                                              seed=seed), cfg)
+        assume(int(wl.arrivals.sum()) <= OracleLimits().max_total_participants)
+        assert (_oracle_outcome(exact_oracle, wl, cfg, skip)
+                == _oracle_outcome(_reference_exact_oracle, wl, cfg, skip))
+
+    @given(data=st.data(), n=st.integers(3, 10), skip=st.sampled_from(SKIP_SETTINGS))
+    @settings(max_examples=120, deadline=None)
+    def test_drawn_workloads_match_the_release_search(self, data, n, skip):
+        # departures anywhere in the horizon, not only in a decay phase
+        delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
+        theta = data.draw(st.integers(delta + 1, n), label="theta")
+        arrivals = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                             .filter(lambda a: sum(a) <= 8), label="arrivals")
+        departures = []
+        present = 0
+        for joined in arrivals:
+            present += joined
+            departures.append(data.draw(st.integers(0, present)))
+            present -= departures[-1]
+        cfg = Config(n=n, delta=delta, theta=theta)
+        wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
+        assert (_oracle_outcome(exact_oracle, wl, cfg, skip)
+                == _oracle_outcome(_reference_exact_oracle, wl, cfg, skip))
+
+    @given(caps=st.lists(st.integers(-1, 4), max_size=5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cheapest_releases_match_brute_force(self, caps, data):
+        # the caps here may fall and go negative, which the oracle's never do
+        weights = sorted(data.draw(st.sets(st.integers(0, 9), min_size=len(caps),
+                                           max_size=len(caps))), reverse=True)
+        best = None
+        for v in itertools.product(range(5), repeat=len(caps)):
+            if all(sum(v[:c + 1]) <= cap for c, cap in enumerate(caps)):
+                rank = (-sum(r * w for r, w in zip(v, weights)), sum(v))
+                if best is None or rank < best[0]:
+                    best = (rank, list(v))
+        want = None if best is None else best[1]
+        assert solvers._cheapest_releases(caps, weights) == want
+
+    def test_zero_weight_last_column_releases_nothing(self):
+        # the request at slot n - delta costs nothing either way; releasing
+        # the departure there would tie on cost with a larger y
+        cfg = Config(n=4, delta=2, theta=3)
+        wl = Workload(arrivals=np.array([0, 0, 0, 1]), departures=np.array([0, 0, 0, 1]))
+        matrices, cost = exact_oracle(wl, cfg)
+        assert cost == 0
+        assert matrices_to_schedule(matrices, cfg).changes.tolist() == [0, 1, 0, 0]
+        assert not matrices.deallocations.any()
+
+    def test_releases_are_priced_not_searched(self):
+        # the release search visited 278 272 leaves here and took about 0.3 s
+        cfg = Config(n=10, delta=2, theta=8)
+        wl = Workload(arrivals=np.array([0, 3, 2, 2, 1, 0, 0, 0, 0, 0]),
+                      departures=np.array([0, 2, 3, 2, 1, 0, 0, 0, 0, 0]))
+        samples = []
+        for _ in range(3):
+            start = time.perf_counter()
+            exact_oracle(wl, cfg)
+            samples.append(time.perf_counter() - start)
+        assert median(samples) < 0.15
 
 
 class TestLift:

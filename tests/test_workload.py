@@ -36,6 +36,19 @@ class TestConfig:
             Config(**kwargs)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 2 ** 63, "delta": 2, "theta": 3},
+        {"n": 10 ** 20, "delta": 2, "theta": 10 ** 19},
+        {"n": 8, "delta": -(2 ** 63) - 1, "theta": 3},
+    ])
+    def test_rejects_dimensions_outside_int64(self, kwargs):
+        with pytest.raises(ConfigurationError, match="int64"):
+            Config(**kwargs)
+
+    def test_accepts_the_largest_int64_horizon(self):
+        assert Config(n=2 ** 63 - 1, delta=2, theta=3).n == 2 ** 63 - 1
+
+
 class TestWorkloadContainer:
     def test_rejects_negative_counts(self):
         with pytest.raises(WorkloadFormatError, match="slot 2"):
