@@ -8,9 +8,8 @@ parameters they return a schedule of capacity changes.
   delay allows.
 * greedy_schedule: a fixed-period baseline that re-targets capacity to the
   occupancy peak of the next window.
-* exact_oracle: exhaustive search over request placements and allocation
-  totals, with releases derived in closed form; exact but restricted to
-  tiny instances.
+* exact_oracle: exhaustive search over request placements, each priced
+  once in closed form; exact but restricted to tiny instances.
 
 All planners are pure functions of their inputs.
 """
@@ -136,17 +135,16 @@ def _request_slot_sets(last_slot: int, delta: int) -> List[Tuple[int, ...]]:
 def exact_oracle(workload: Workload, config: Config,
                  limits: Optional[OracleLimits] = None,
                  skip_families: Iterable[str] = ()) -> Tuple[SolutionMatrices, int]:
-    """Minimum-cost assignment by exhaustive search.
+    """Minimum-cost assignment by exhaustive search over request placements.
 
-    Enumerates request slot placements with the minimum spacing, then the
-    allocation totals per column that cover the arrivals exactly (the last
-    column takes what remains), cutting a branch only when no completion
-    can be feasible.  Releases are derived, not enumerated: each column's
-    cap (its departure budget and, where EQ7 and EQ8 are screened, its
-    gross allocation, less the next interval's peak load for EQ8) bounds
-    the cumulative releases up to it, and the release weight n - j - delta
-    falls strictly, so _cheapest_releases prices each allocation at once.
-    Ties on cost resolve to the smallest solution in row-major allocation,
+    Enumerates request slot placements with the minimum spacing and prices
+    each in closed form: every arrival cohort is allocated at the last
+    column of its window, and the releases are the cheapest within each
+    column's cap (its departure budget and, where EQ7 or EQ8 is screened,
+    its cumulative allocation), found by _cheapest_releases.  EQ8 acts only
+    by ruling out placements whose first column comes after a slot with
+    mandatory load, so skip_families={"EQ7"} alone changes nothing.  Ties
+    on cost resolve to the smallest solution in row-major allocation,
     de-allocation, flag order.
 
     skip_families accepts the tags EQ7 and EQ8 to drop those families from
@@ -168,8 +166,7 @@ def exact_oracle(workload: Workload, config: Config,
             f"max_total_participants={limits.max_total_participants}")
     deadline = time.monotonic() + limits.time_budget
     skip = set(skip_families)
-    check7 = "EQ7" not in skip
-    check8 = "EQ8" not in skip
+    capped = "EQ7" not in skip or "EQ8" not in skip
 
     load = [int(v) for v in mandatory_load(workload, config).values]
     last = n - delta
@@ -178,15 +175,10 @@ def exact_oracle(workload: Workload, config: Config,
 
     best_cost: Optional[int] = None
     best_key = None  # the allocations, de-allocations and flags of the best pick
-    priced = 0
-
-    def check_time() -> None:
+    for slots in _request_slot_sets(last, delta):
         if time.monotonic() > deadline:
             raise OracleLimitError(
                 f"time budget {limits.time_budget}s exhausted during search")
-
-    for slots in _request_slot_sets(last, delta):
-        check_time()
         m = len(slots)
         weights = [n - j - delta for j in slots]
         # eligible column count per arrival cohort (columns are a prefix)
@@ -194,58 +186,35 @@ def exact_oracle(workload: Workload, config: Config,
                 for i, _ in arr_cohorts]
         if 0 in xwin:
             continue
+        # mandatory load before the first column takes effect cannot be covered
+        if "EQ8" not in skip and max(load[delta:slots[0] + delta - 1 if m else n],
+                                     default=0) > 0:
+            continue
         # eligible departure cohort count per column (cohorts are a prefix)
         ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
         dk = [sum(amount for _, amount in dep_cohorts[:h]) for h in ywin]
-        # peak mandatory load per equal-cost screen interval
-        maxl = []
-        for k in range(m + 1):
-            lo = slots[k - 1] + delta if k else delta + 1
-            hi = slots[k] + delta - 1 if k < m else n
-            maxl.append(max(load[lo - 1:hi], default=0))
-        if check8 and maxl[0] > 0:
+        # Each cohort sits at the last column of its window, so the cumulative
+        # allocation cu is the smallest any Hall-feasible split allows.  That
+        # is the cheapest split: by parts the cost is the sum over columns of
+        # (w[k] - w[k + 1]) * (cu[k] - V[k]), with V[k] the releases up to
+        # column k, at best min(dk[k], cu[k]) or dk[k]; every coefficient is
+        # >= 0 and every term grows with cu[k].  It also wins the row-major
+        # tie rule, since each cohort's row is zero before its last column.
+        # The EQ8 cap cu[k] - (peak load over column k's interval) never
+        # binds: cohorts mandatory at a slot t there have windows that end
+        # before the next column, so they sit at or before column k, and
+        # cu[k] - load[t] >= departures through t >= dk[k].
+        cu = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin) if win <= k + 1)
+              for k in range(m)]
+        u = [hi - lo for lo, hi in zip([0] + cu, cu)]
+        v = _cheapest_releases([min(b, c) for b, c in zip(dk, cu)] if capped else dk,
+                               weights)
+        cost = sum((gross - freed) * w for gross, freed, w in zip(u, v, weights))
+        if best_cost is not None and cost > best_cost:
             continue
-        # arrival mass that can still be placed at or after column k
-        suffix_budget = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin) if win > k)
-                         for k in range(m)]
-        u_vec = [0] * m
-
-        def price(cu: List[int], cost_u: int) -> None:
-            nonlocal best_cost, best_key, priced
-            priced += 1
-            if priced % 4096 == 0:
-                check_time()
-            # load peaks are >= 0, so the EQ8 cap implies the EQ7 one
-            v_vec = _cheapest_releases(
-                [min(b, u - peak) if check8 else min(b, u) if check7 else b
-                 for b, u, peak in zip(dk, cu, maxl[1:])], weights)
-            if v_vec is None:
-                return
-            cost = cost_u - sum(v * w for v, w in zip(v_vec, weights))
-            if best_cost is not None and cost > best_cost:
-                return
-            key = _pick_flat((slots, u_vec, v_vec), n, arr_cohorts, xwin,
-                             dep_cohorts, ywin)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_key = cost, key
-            elif key < best_key:
-                best_key = key
-
-        def search_u(c: int, placed: int, cu: List[int], cost_u: int) -> None:
-            if c == m:
-                price(cu, cost_u)
-                return
-            rem = total - placed
-            if rem > suffix_budget[c]:
-                return
-            for u in ([rem] if c == m - 1 else range(rem + 1)):
-                u_vec[c] = u
-                cu.append((cu[-1] if cu else 0) + u)
-                search_u(c + 1, placed + u, cu, cost_u + u * weights[c])
-                cu.pop()
-                u_vec[c] = 0
-
-        search_u(0, 0, [], 0)
+        key = _pick_flat((slots, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
+        if best_cost is None or cost < best_cost or key < best_key:
+            best_cost, best_key = cost, key
 
     if best_key is None:
         raise OracleInfeasibleError("no feasible assignment exists for this workload")
@@ -289,14 +258,14 @@ def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
     cohort's window, so no entry could be smaller.  Each column's releases
     come from its latest eligible departure cohort first; a cohort eligible
     at one column stays eligible at every later one, so earlier rows are
-    drawn on only when later rows run dry.  The search admits only picks
-    that meet Hall's condition (arrival mass per column suffix within
-    reach, releases per column prefix within the departures), so both
-    fills place everything without a feasibility trial.
+    drawn on only when later rows run dry.  The oracle's picks meet Hall's
+    condition (arrival mass per column suffix within reach, releases per
+    column prefix within the departures), so both fills place everything
+    without a feasibility trial.
     """
-    slots, u_vec, v_vec = pick
+    slots, u, v = pick
     xflat = [0] * (n * n)
-    room = list(u_vec)
+    room = list(u)
     for (i, amount), win in zip(arr_cohorts, xwin):
         for k in range(win - 1, -1, -1):
             take = min(amount, room[k])
@@ -305,7 +274,7 @@ def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
             amount -= take
     yflat = [0] * (n * n)
     left = [amount for _, amount in dep_cohorts]
-    for k, need in enumerate(v_vec):
+    for k, need in enumerate(v):
         for r in range(ywin[k] - 1, -1, -1):
             take = min(need, left[r])
             yflat[(dep_cohorts[r][0] - 1) * n + slots[k] - 1] = take

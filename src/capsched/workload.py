@@ -90,8 +90,10 @@ class Workload:
     """Per-slot join and leave counts.
 
     Construction validates that both arrays are equal-length non-negative
-    integers and that leaves never outrun joins: every prefix of
-    cumulative departures stays at or below cumulative arrivals.
+    integers, that cumulative arrivals stay within int64, and that leaves
+    never outrun joins: every prefix of cumulative departures stays at or
+    below cumulative arrivals, which bounds the departure and net sums by
+    the arrival sums.
     """
 
     arrivals: np.ndarray
@@ -103,6 +105,11 @@ class Workload:
         if len(a) != len(d):
             raise WorkloadFormatError(
                 f"arrivals has {len(a)} slots but departures has {len(d)}")
+        # entries are at most INT64_MAX, so the first prefix to pass it wraps negative
+        over = np.flatnonzero(np.cumsum(a) < 0)
+        if over.size:
+            raise WorkloadFormatError(
+                f"arrivals summed through slot {int(over[0]) + 1} exceed the int64 range")
         net = np.cumsum(a - d)
         bad = np.nonzero(net < 0)[0]
         if bad.size:

@@ -210,6 +210,18 @@ class TestExitCodes:
         assert captured.err == (f"error: {field} has an entry outside the int64 "
                                 f"range at slot 3\n")
 
+    def test_arrival_sums_beyond_int64_are_usage_errors(self, tmp_path, capsys):
+        # each entry fits int64 but their sum wraps; this was reported as
+        # departures exceeding arrivals at slot 2
+        wl = tmp_path / "wl.json"
+        wl.write_text(json.dumps({"n": 3, "delta": 2, "theta": 3,
+                                  "arrivals": [2 ** 62, 2 ** 62, 0],
+                                  "departures": [0, 0, 0]}), encoding="utf-8")
+        assert main(["solve", str(wl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: arrivals summed through slot 2 exceed the int64 range\n"
+
     @pytest.mark.parametrize("command", [["evaluate"], ["validate", "--schedule"]])
     def test_oversized_schedule_entries_are_usage_errors(self, tmp_path, capsys,
                                                          ref_config, ref_workload,

@@ -614,6 +614,63 @@ class TestOracleReleases:
         assert median(samples) < 0.15
 
 
+class TestOraclePrice:
+    def test_each_request_slot_set_is_priced_once(self, monkeypatch):
+        cfg = Config(n=10, delta=2, theta=9)
+        wl = Workload(arrivals=np.array([1] * 8 + [0, 0]), departures=np.zeros(10, dtype=int))
+        priced = []
+        releases = solvers._cheapest_releases
+
+        def counted(caps, weights):
+            priced.append(caps)
+            return releases(caps, weights)
+
+        monkeypatch.setattr(solvers, "_cheapest_releases", counted)
+        exact_oracle(wl, cfg)
+        assert len(solvers._request_slot_sets(8, 2)) == 55
+        assert len(priced) <= 55
+
+    @given(data=st.data(), n=st.integers(3, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_eq8_caps_never_bind(self, data, n):
+        # the lemma behind the closed-form price: under every allocation that
+        # places each arrival cohort inside its window, the EQ8 cap of column
+        # k (cumulative allocation less the peak load over the next interval)
+        # is at least min(departures within reach, cumulative allocation)
+        delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
+        theta = data.draw(st.integers(delta + 1, n), label="theta")
+        arrivals = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                             .filter(lambda a: sum(a) <= 8), label="arrivals")
+        departures = []
+        present = 0
+        for joined in arrivals:
+            present += joined
+            departures.append(data.draw(st.integers(0, present)))
+            present -= departures[-1]
+        cfg = Config(n=n, delta=delta, theta=theta)
+        load = mandatory_load(Workload(arrivals=np.array(arrivals),
+                                       departures=np.array(departures)), cfg).values
+        total = sum(arrivals)
+        for slots in solvers._request_slot_sets(n - delta, delta):
+            supplies = [(amount, [k for k, j in enumerate(slots)
+                                  if j <= min(i + theta - delta, n - delta)])
+                        for i, amount in enumerate(arrivals, 1) if amount]
+            if not slots or any(not cols for _, cols in supplies):
+                continue
+            dk = [sum(departures[:min(j + delta, n)]) for j in slots]
+            ends = [j + delta - 1 for j in slots[1:]] + [n]
+            peaks = [max(load[j + delta - 1:end]) for j, end in zip(slots, ends)]
+            # every cumulative allocation that places all arrivals, kept when
+            # its per-column split passes the reference Hall check
+            for cut in itertools.combinations_with_replacement(range(total + 1),
+                                                               len(slots) - 1):
+                cu = [*cut, total]
+                u = [hi - lo for lo, hi in zip([0, *cu], cu)]
+                if _column_hall_ok(u, supplies):
+                    for k, held in enumerate(cu):
+                        assert held - peaks[k] >= min(dk[k], held)
+
+
 class TestLift:
     def test_reference_lifts_preserve_cost(self, ref_config, ref_workload):
         for planner in (adaptive_schedule, greedy_schedule):
