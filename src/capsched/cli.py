@@ -402,7 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, WorkloadFormatError, ScheduleFormatError,
-            SolutionFormatError, OracleLimitError, OSError) as exc:
+            SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InfeasibleScheduleError, OracleInfeasibleError) as exc:

@@ -9,11 +9,13 @@ slots <= t - delta.
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import INT64_MAX, INT64_MIN, Config, Workload, mandatory_load, _require_matching
+from .workload import (INT64_MAX, INT64_MIN, Config, Workload, mandatory_load,
+                       _read_json_object, _require_matching)
 
 
 class ScheduleFormatError(ValueError):
@@ -129,13 +131,13 @@ def resource_cost(schedule: Schedule, config: Config) -> int:
 
     A change at slot j is charged s_j * (n - j - delta); changes after slot
     n - delta carry no charge (they are rejected by feasibility checking
-    instead).  The result may be any integer for intermediate schedules.
+    instead).  The result may be any integer for intermediate schedules; it
+    is summed in Python integers, so it is exact even beyond int64.
     """
     _require_schedule_span(schedule, config)
     n, delta = config.n, config.delta
-    j = np.arange(1, n - delta + 1)
-    s = schedule.changes[: n - delta]
-    return int(np.dot(s, n - j - delta))
+    s = schedule.changes[: n - delta].tolist()
+    return sum(c * (n - j - delta) for j, c in enumerate(s, start=1))
 
 
 def _require_schedule_span(schedule: Schedule, config: Config) -> None:
@@ -149,8 +151,8 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
 
     Within a slot, joining participants enter the waiting queue first, then
     departures are processed, then waiting participants are admitted in
-    arrival order up to free capacity.  Departures remove the earliest
-    admitted participants; any excess falls on the earliest still-waiting
+    arrival order up to free capacity.  Departures fall on admitted
+    participants first; any excess falls on the earliest still-waiting
     participants, whose waiting time then ends at the departure slot.
     Departures beyond everyone present indicate a corrupted workload and
     raise ModelInconsistencyError.
@@ -169,7 +171,6 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
     cap_at = cap.tolist()
 
     waiting: Deque[List[int]] = deque()    # [arrival slot, count], arrival order
-    admitted: Deque[List[int]] = deque()   # same shape, admission order
     admitted_total = 0
     qos = 0
     waits: Dict[int, int] = {}
@@ -190,25 +191,20 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
         if a:
             waiting.append([t, a])
         d = departures[t - 1]
+        take = min(d, admitted_total)
+        admitted_total -= take
+        d -= take
         while d > 0:
-            if admitted:
-                batch = admitted[0]
-                take = min(d, batch[1])
-                batch[1] -= take
-                admitted_total -= take
-                if batch[1] == 0:
-                    admitted.popleft()
-            elif waiting:
-                batch = waiting[0]
-                take = min(d, batch[1])
-                batch[1] -= take
-                record_wait(batch[0], take, t - batch[0])
-                departed_waiting.setdefault(batch[0], []).append((take, t))
-                if batch[1] == 0:
-                    waiting.popleft()
-            else:
+            if not waiting:
                 raise ModelInconsistencyError(
                     f"departures at slot {t} exceed participants present")
+            batch = waiting[0]
+            take = min(d, batch[1])
+            batch[1] -= take
+            record_wait(batch[0], take, t - batch[0])
+            departed_waiting.setdefault(batch[0], []).append((take, t))
+            if batch[1] == 0:
+                waiting.popleft()
             d -= take
         free = cap_at[t - 1] - admitted_total
         if free < 0:
@@ -221,7 +217,6 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
                 waiting.popleft()
             record_wait(batch[0], take, t - batch[0])
             admissions.setdefault(batch[0], []).append((take, t))
-            admitted.append([batch[0], take])
             admitted_total += take
             free -= take
 
@@ -239,8 +234,7 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
     )
 
 
-def check_feasibility(workload: Workload, schedule: Schedule, config: Config,
-                      _sim: Optional[SimulationReport] = None) -> List[Violation]:
+def check_feasibility(workload: Workload, schedule: Schedule, config: Config) -> List[Violation]:
     """Collect every way the schedule fails the workload.  Empty means feasible.
 
     Checked, in order: minimum spacing between scaling requests, requests too
@@ -248,8 +242,11 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config,
     below the mandatory load floor, waiting times beyond theta or participants
     never admitted, and capacity dropping below the already admitted count.
     """
-    _require_matching(workload, config)
-    _require_schedule_span(schedule, config)
+    return _violations(workload, schedule, config, simulate(workload, schedule, config))
+
+
+def _violations(workload: Workload, schedule: Schedule, config: Config,
+                sim: SimulationReport) -> List[Violation]:
     n, delta = config.n, config.delta
     out: List[Violation] = []
 
@@ -263,7 +260,7 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config,
             out.append(Violation("tail_request", j,
                                  detail=f"cannot take effect by slot {n}"))
 
-    cap = _raw_trajectory(schedule, config)
+    cap = sim.capacity
     for t in np.nonzero(cap < 0)[0]:
         out.append(Violation("negative_capacity", int(t) + 1,
                              detail=f"capacity {int(cap[t])}"))
@@ -273,7 +270,6 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config,
             out.append(Violation("mandatory_load", int(t) + 1,
                                  detail=f"capacity {int(cap[t])} below floor {int(load[t])}"))
 
-    sim = _sim if _sim is not None else simulate(workload, schedule, config)
     for arr in sim.theta_violations:
         if arr in sim.unadmitted:
             out.append(Violation("never_admitted", arr,
@@ -290,49 +286,30 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config,
 def evaluate(workload: Workload, schedule: Schedule, config: Config) -> CostReport:
     """Summarize one schedule: costs, capacity peak, request count, feasibility."""
     sim = simulate(workload, schedule, config)
-    violations = check_feasibility(workload, schedule, config, _sim=sim)
-    cap = sim.capacity
     return CostReport(
         resource_cost=resource_cost(schedule, config),
         qos_cost=sim.qos_cost,
-        max_capacity=int(cap.max()),
+        max_capacity=int(sim.capacity.max()),
         num_requests=int(np.count_nonzero(schedule.changes)),
-        feasible=not violations,
+        feasible=not _violations(workload, schedule, config, sim),
     )
 
 
-_SCHEDULE_FIELDS = ("n", "delta", "changes")
-
-
 def parse_schedule(text: str) -> Tuple[int, int, Schedule]:
-    """Parse schedule text: a JSON object with fields n, delta, changes."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScheduleFormatError(f"schedule text is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScheduleFormatError("schedule text must be a JSON object")
-    missing = [f for f in _SCHEDULE_FIELDS if f not in doc]
-    if missing:
-        raise ScheduleFormatError(f"missing schedule field: {missing[0]}")
-    unknown = [f for f in doc if f not in _SCHEDULE_FIELDS]
-    if unknown:
-        raise ScheduleFormatError(f"unknown schedule field: {unknown[0]}")
-    for f in ("n", "delta"):
-        if not isinstance(doc[f], int) or isinstance(doc[f], bool):
-            raise ScheduleFormatError(f"field {f} must be an integer")
-    if not isinstance(doc["changes"], list):
-        raise ScheduleFormatError("field changes must be a list")
-    for k, v in enumerate(doc["changes"]):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ScheduleFormatError(f"changes has a non-integer entry at slot {k + 1}")
-        if not INT64_MIN <= v <= INT64_MAX:
+    """Parse schedule text: a JSON object with fields n, delta, changes.
+
+    Every prefix sum of the changes must stay within int64, since the
+    capacity trajectory is built from them.
+    """
+    doc = _read_json_object(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
+    changes = doc["changes"]
+    if len(changes) != doc["n"]:
+        raise ScheduleFormatError(f"changes has {len(changes)} entries but n is {doc['n']}")
+    for k, total in enumerate(accumulate(changes)):
+        if not INT64_MIN <= total <= INT64_MAX:
             raise ScheduleFormatError(
-                f"changes has an entry outside the int64 range at slot {k + 1}")
-    if len(doc["changes"]) != doc["n"]:
-        raise ScheduleFormatError(
-            f"changes has {len(doc['changes'])} entries but n is {doc['n']}")
-    return doc["n"], doc["delta"], Schedule(np.array(doc["changes"], dtype=np.int64))
+                f"changes summed through slot {k + 1} exceed the int64 range")
+    return doc["n"], doc["delta"], Schedule(np.array(changes, dtype=np.int64))
 
 
 def format_schedule(config: Config, schedule: Schedule) -> str:

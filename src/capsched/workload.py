@@ -235,7 +235,41 @@ def _require_matching(workload: Workload, config: Config) -> None:
             f"workload has {workload.n} slots but config.n is {config.n}")
 
 
-_WORKLOAD_FIELDS = ("n", "delta", "theta", "arrivals", "departures")
+def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...],
+                      lists: Tuple[str, ...]) -> dict:
+    """Decode a JSON object whose fields are exactly scalars + lists.
+
+    Scalars must be integers and lists must hold int64 integers.  Every
+    defect, text nested too deeply or integers too long to decode included,
+    raises error with a one-line message naming the noun, the field and
+    the 1-based slot.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{noun} text is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{noun} text must be a JSON object")
+    fields = scalars + lists
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise error(f"missing {noun} field: {missing[0]}")
+    unknown = [f for f in doc if f not in fields]
+    if unknown:
+        name = unknown[0]
+        raise error(f"unknown {noun} field: {name if name.isprintable() else repr(name)}")
+    for f in scalars:
+        if type(doc[f]) is not int:
+            raise error(f"field {f} must be an integer")
+    for f in lists:
+        if type(doc[f]) is not list:
+            raise error(f"field {f} must be a list")
+        for k, v in enumerate(doc[f]):
+            if type(v) is not int:
+                raise error(f"{f} has a non-integer entry at slot {k + 1}")
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise error(f"{f} has an entry outside the int64 range at slot {k + 1}")
+    return doc
 
 
 def parse_workload(text: str) -> Tuple[Config, Workload]:
@@ -245,32 +279,8 @@ def parse_workload(text: str) -> Tuple[Config, Workload]:
     arrivals, and departures.  Violations are reported with the offending
     field or 1-based slot index.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkloadFormatError(f"workload text is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise WorkloadFormatError("workload text must be a JSON object")
-    missing = [f for f in _WORKLOAD_FIELDS if f not in doc]
-    if missing:
-        raise WorkloadFormatError(f"missing workload field: {missing[0]}")
-    unknown = [f for f in doc if f not in _WORKLOAD_FIELDS]
-    if unknown:
-        raise WorkloadFormatError(f"unknown workload field: {unknown[0]}")
-    for f in ("n", "delta", "theta"):
-        if not isinstance(doc[f], int) or isinstance(doc[f], bool):
-            raise WorkloadFormatError(f"field {f} must be an integer")
-    for f in ("arrivals", "departures"):
-        seq = doc[f]
-        if not isinstance(seq, list):
-            raise WorkloadFormatError(f"field {f} must be a list")
-        for k, v in enumerate(seq):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise WorkloadFormatError(
-                    f"{f} has a non-integer entry at slot {k + 1}")
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise WorkloadFormatError(
-                    f"{f} has an entry outside the int64 range at slot {k + 1}")
+    doc = _read_json_object(text, "workload", WorkloadFormatError,
+                            ("n", "delta", "theta"), ("arrivals", "departures"))
     config = Config(doc["n"], doc["delta"], doc["theta"])
     for f in ("arrivals", "departures"):
         if len(doc[f]) != config.n:

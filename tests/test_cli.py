@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capsched import (
     CSV_HEADER,
@@ -76,6 +82,14 @@ class TestRoundTrip:
         err = capsys.readouterr().err
         assert "resource_cost=0" in err and "qos_cost=0" in err
 
+    def test_resource_cost_beyond_int64_is_exact(self, tmp_path):
+        # greedy requests 2^61 at slot 1, held for n - 1 - delta = 7 slots
+        wl = json.dumps({"n": 10, "delta": 2, "theta": 3,
+                         "arrivals": [2 ** 61] + [0] * 9, "departures": [0] * 10})
+        code, _, err = _run(tmp_path, ["solve", "WL", "--algorithm", "greedy"], {"WL": wl})
+        assert code == 0
+        assert "resource_cost=16140901064495857664\n" in err    # 7 * 2^61
+
     def test_export_lp_counts_declarations(self, tmp_path, ref_config,
                                            ref_workload):
         wl = _write_reference(tmp_path, ref_config, ref_workload)
@@ -110,6 +124,158 @@ class TestRoundTrip:
         config, workload = parse_workload(capsys.readouterr().out)
         assert config.n == 10 and config.delta == 3 and config.theta == 4
         assert workload.arrivals.max() <= 1500
+
+
+# a valid file for every input role, on the reference instance
+_VALID_INPUTS = {
+    "WL": json.dumps({"n": 8, "delta": 2, "theta": 3, "arrivals": [2, 0, 1, 0, 0, 0, 0, 0],
+                      "departures": [0, 0, 0, 0, 2, 0, 0, 0]}),
+    "SCHED": json.dumps({"n": 8, "delta": 2, "changes": [0, 3, 0, 0, -2, 0, 0, 0]}),
+    "SOL": "x_1_2 2\nx_3_4 1\ny_5_4 2\nr_2 1\nr_4 1\n",
+}
+
+# every subcommand that reads files, with its input roles as placeholders
+_READERS = [
+    ["solve", "WL"],
+    ["export-lp", "WL"],
+    ["evaluate", "WL", "SCHED"],
+    ["validate", "WL", "--schedule", "SCHED"],
+    ["validate", "WL", "--solution", "SOL"],
+]
+
+_LONG = "9" * 5000     # past the interpreter's 4300-digit int conversion limit
+_MALFORMED = {
+    "deep": b"[" * 100_000,
+    "long-field": f'{{"n": {_LONG}, "delta": 2, "theta": 3, "arrivals": [], '
+                  f'"departures": []}}'.encode(),
+    "long-entry": f'{{"n": 8, "delta": 2, "changes": [{_LONG}, 0, 0, 0, 0, 0, 0, 0]}}'.encode(),
+    "not-utf8": b"\xff\xfe{}",
+}
+
+
+def _run(directory: Path, command, files):
+    """Write each input role's text (or bytes) and run main; (code, out, err)."""
+    argv = []
+    for arg in command:
+        if arg in _VALID_INPUTS:
+            data = files.get(arg, _VALID_INPUTS[arg])
+            path = directory / arg
+            if isinstance(data, bytes):
+                path.write_bytes(data)
+            else:
+                path.write_text(data, encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _malformed_cases():
+    for command in _READERS:
+        label = " ".join(command)
+        for kind in ("deep", "long-field", "not-utf8"):
+            yield pytest.param(command, "WL", kind, id=f"{label}-WL-{kind}")
+        if "SCHED" in command:
+            for kind in ("deep", "long-entry", "not-utf8"):
+                yield pytest.param(command, "SCHED", kind, id=f"{label}-SCHED-{kind}")
+        if "SOL" in command:
+            yield pytest.param(command, "SOL", "not-utf8", id=f"{label}-SOL-not-utf8")
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command, role, kind", _malformed_cases())
+    def test_malformed_file_is_a_one_line_usage_error(self, tmp_path, command, role, kind):
+        code, out, err = _run(tmp_path, command, {role: _MALFORMED[kind]})
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        if kind == "not-utf8":
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position 0")
+        else:
+            noun = "workload" if role == "WL" else "schedule"
+            assert err.startswith(f"error: {noun} text is not valid JSON: ")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["validate", "--schedule"]])
+    @pytest.mark.parametrize("changes, slot", [([2 ** 62, 0, 2 ** 62, 0, 0, 0], 3),
+                                               ([-2 ** 62, 0, -2 ** 62, 0, -1, 0], 5)])
+    def test_schedule_sums_beyond_int64_are_usage_errors(self, tmp_path, command,
+                                                         changes, slot):
+        # each entry fits int64, but the capacity built from their sum would not
+        files = {"WL": json.dumps({"n": 6, "delta": 2, "theta": 3,
+                                   "arrivals": [1, 0, 0, 0, 0, 0], "departures": [0] * 6}),
+                 "SCHED": json.dumps({"n": 6, "delta": 2, "changes": changes})}
+        code, out, err = _run(tmp_path, [command[0], "WL", *command[1:], "SCHED"], files)
+        assert (code, out) == (2, "")
+        assert err == f"error: changes summed through slot {slot} exceed the int64 range\n"
+
+    def test_unknown_field_with_a_line_break_stays_on_one_line(self, tmp_path):
+        doc = json.loads(_VALID_INPUTS["WL"])
+        doc["a\nb"] = 1
+        code, _, err = _run(tmp_path, ["solve", "WL"], {"WL": json.dumps(doc)})
+        assert (code, err) == (2, "error: unknown workload field: 'a\\nb'\n")
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=10)
+_COUNTS = st.integers(-2, 4) | st.integers()
+_SLOTS = st.integers(0, 6)
+
+
+@st.composite
+def _near_workload(draw):
+    n = draw(_SLOTS)
+    doc = {"n": n, "delta": draw(st.integers(1, 4)), "theta": draw(st.integers(2, 6)),
+           "arrivals": draw(st.lists(_COUNTS, min_size=n, max_size=n)),
+           "departures": draw(st.lists(_COUNTS, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def _near_schedule(draw):
+    n = draw(st.sampled_from([8, draw(_SLOTS)]))
+    doc = {"n": n, "delta": draw(st.sampled_from([2, 3])),
+           "changes": draw(st.lists(_COUNTS, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON)
+    return json.dumps(doc)
+
+
+_SOLUTION_LINE = st.tuples(
+    st.sampled_from(["x", "y", "r", "z"]), st.integers(0, 9), st.integers(0, 9),
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "1e30", "inf", "nan", "", "a b"]),
+).map(lambda p: f"{p[0]}_{p[1]}{'' if p[0] == 'r' else f'_{p[2]}'} {p[3]}")
+
+
+def _file(near):
+    return (st.just(None) | near | _JSON.map(json.dumps) | _TEXT
+            | st.binary(max_size=20))
+
+
+class TestFuzzedFiles:
+    # None keeps the role's valid reference file
+    @given(files=st.fixed_dictionaries({
+        "WL": _file(_near_workload()),
+        "SCHED": _file(_near_schedule()),
+        "SOL": _file(st.lists(_SOLUTION_LINE, max_size=4).map("\n".join)),
+    }))
+    @example(files={"WL": '{"a\\nb": 0}', "SCHED": None, "SOL": None})
+    @settings(max_examples=200, deadline=None)
+    def test_every_reader_exits_cleanly(self, files):
+        files = {role: data for role, data in files.items() if data is not None}
+        with tempfile.TemporaryDirectory() as directory:
+            for command in _READERS:
+                code, out, err = _run(Path(directory), command, files)
+                assert code in (0, 1, 2)
+                if code == 2:
+                    assert out == ""
+                    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestExitCodes:

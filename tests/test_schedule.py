@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,11 @@ class TestResourceCost:
     def test_change_at_effect_boundary_is_free(self):
         cfg = Config(n=6, delta=2, theta=3)
         assert resource_cost(sched(0, 0, 0, 5, 0, 0), cfg) == 0
+
+    def test_cost_beyond_int64_is_exact(self):
+        cfg = Config(n=10, delta=2, theta=3)
+        big = 2 ** 62
+        assert resource_cost(sched(big, 0, big, 0, 0, 0, 0, 0, 0, 0), cfg) == 12 * big
 
     @given(changes=st.lists(st.integers(-6, 6), min_size=8, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -191,6 +198,14 @@ class TestSerialization:
     def test_parse_rejects_length_mismatch(self):
         with pytest.raises(ScheduleFormatError):
             parse_schedule('{"n": 4, "delta": 2, "changes": [0, 0]}')
+
+    @pytest.mark.parametrize("changes, slot", [([2 ** 62, 2 ** 62, 0], 2),
+                                               ([-2 ** 62, -2 ** 62, -1], 3)])
+    def test_parse_rejects_sums_beyond_int64(self, changes, slot):
+        text = json.dumps({"n": 3, "delta": 2, "changes": changes})
+        with pytest.raises(ScheduleFormatError,
+                           match=f"changes summed through slot {slot} exceed the int64 range"):
+            parse_schedule(text)
 
     def test_parse_rejects_fractional_change(self):
         with pytest.raises(ScheduleFormatError, match="slot 1"):
