@@ -14,10 +14,8 @@ from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ilp import (
-    DEFAULT_BIG_M,
     SolutionFormatError,
     build_model,
-    effective_big_m,
     export_lp,
     matrices_to_schedule,
     parse_solution,
@@ -183,9 +181,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         schedule = _read_schedule(args.schedule, config)
         violations = check_feasibility(workload, schedule, config)
     else:
-        effective_big_m(workload, args.big_m)     # a bad --big-m is reported first
         matrices = parse_solution(_read_text(args.solution), config)
-        violations = validate_solution(matrices, workload, config, big_m=args.big_m)
+        violations = validate_solution(matrices, workload, config)
     if not violations:
         print("OK")
         return EXIT_OK
@@ -196,7 +193,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     config, workload = parse_workload(_read_text(args.workload))
-    model = build_model(workload, config, big_m=args.big_m)
+    model = build_model(workload, config)
     _write_text(args.out, export_lp(model))
     return EXIT_OK
 
@@ -270,6 +267,8 @@ class CompareSpec:
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+            if self.algorithms.count(algorithm) > 1:
+                raise ConfigurationError(f"algorithm {algorithm!r} is listed twice")
 
 
 def run_compare(spec: CompareSpec) -> str:
@@ -369,14 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", help="workload JSON path, '-' for stdin")
     p.add_argument("--schedule", help="schedule JSON path")
     p.add_argument("--solution", help="solver solution path (variable value lines)")
-    p.add_argument("--big-m", type=int, default=DEFAULT_BIG_M, dest="big_m",
-                   help="linking coefficient used by the model")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("export-lp", help="write the integer program in LP format")
     p.add_argument("workload", help="workload JSON path, '-' for stdin")
-    p.add_argument("--big-m", type=int, default=DEFAULT_BIG_M, dest="big_m",
-                   help="linking coefficient used by the model")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=_cmd_export_lp)
 

@@ -35,8 +35,6 @@ import numpy as np
 from .schedule import Schedule, resource_cost
 from .workload import Config, ConfigurationError, Workload, mandatory_load, _require_matching
 
-DEFAULT_BIG_M = 1_000_000
-
 Term = Tuple[int, str]
 
 # stands for the space between two pieces of an LP row until the row is
@@ -97,7 +95,6 @@ class IlpModel:
     """
 
     config: Config
-    big_m: int
     row_tags: np.ndarray
     row_i: np.ndarray
     row_j: np.ndarray
@@ -202,26 +199,14 @@ class ConstraintViolation:
         return " ".join(parts)
 
 
-
-def effective_big_m(workload: Workload, big_m: int = DEFAULT_BIG_M) -> int:
-    """The linking coefficient actually used.
-
-    big_m must cover the total arrival count; it is tightened to
-    max(total arrivals, 1) when that is smaller.
-    """
-    total = int(workload.arrivals.sum())
-    if big_m < total:
-        raise ConfigurationError(
-            f"big_m={big_m} is below the total arrival count {total}")
-    return min(big_m, max(total, 1))
-
-
-def _row_table(workload: Workload, config: Config, m_eff: int) -> Dict[str, np.ndarray]:
+def _row_table(workload: Workload, config: Config) -> Dict[str, np.ndarray]:
     """Every constraint row in tag order, as the IlpModel fields that hold them.
 
     A family is a set of rows at indices (i, j), 0 standing for no index.
     The run starts, lengths and coefficients of its rows broadcast to one
     (rows, runs per row) shape; a part that is not 2-D holds one run per row.
+    The EQ10/EQ11 link coefficient M is the arrival total, at least 1: no
+    request slot can carry more than every arrival.
     """
     n, delta, theta = config.n, config.delta, config.theta
     a = workload.arrivals
@@ -259,10 +244,10 @@ def _row_table(workload: Workload, config: Config, m_eff: int) -> Dict[str, np.n
     family("EQ8", ">=", 0, j, load[j - 1], net_starts, (j - delta)[:, None], net_coefs)
     i = np.arange(1, n - delta + 1)
     family("EQ9", "<=", i, 0, 1, r_first + i - 1, delta, 1)
-    # EQ10/EQ11 row (i, j): big_m r_j - x_i_j >= 0, then the same for y_i_j
+    # EQ10/EQ11 row (i, j): M r_j - x_i_j >= 0, then the same for y_i_j
     i, j = np.repeat(np.arange(1, n + 1), n), np.tile(np.arange(1, n + 1), n)
     cell = (i - 1) * n + j - 1
-    link_coefs = np.array([[m_eff, -1]])
+    link_coefs = np.array([[max(int(a.sum()), 1), -1]])
     family("EQ10", ">=", i, j, 0, np.column_stack([r_first + j - 1, cell]), 1, link_coefs)
     family("EQ11", ">=", i, j, 0, np.column_stack([r_first + j - 1, nn + cell]), 1, link_coefs)
     j = np.arange(n - delta + 1, n + 1)
@@ -281,12 +266,11 @@ def _row_table(workload: Workload, config: Config, m_eff: int) -> Dict[str, np.n
                 run_starts=joined(starts), run_lengths=joined(lengths), run_coefs=joined(coefs))
 
 
-def build_model(workload: Workload, config: Config, big_m: int = DEFAULT_BIG_M) -> IlpModel:
+def build_model(workload: Workload, config: Config) -> IlpModel:
     """Instantiate every variable and constraint row for this workload."""
     _require_matching(workload, config)
     n, delta = config.n, config.delta
-    m_eff = effective_big_m(workload, big_m)
-    fields = _row_table(workload, config, m_eff)
+    fields = _row_table(workload, config)
     # objective: weight n - j - delta on x_i_j and its negative on y_i_j, one
     # run per term, leaving out the zero weights from j = n - delta on
     cols = np.arange(n - delta - 1)
@@ -297,7 +281,7 @@ def build_model(workload: Workload, config: Config, big_m: int = DEFAULT_BIG_M) 
     fields["objective_coefs"] = np.concatenate([weights, -weights])
     for array in fields.values():
         array.setflags(write=False)
-    return IlpModel(config=config, big_m=m_eff, **fields)
+    return IlpModel(config=config, **fields)
 
 
 def _wrap(row: str) -> str:
@@ -474,7 +458,6 @@ def matrices_to_schedule(matrices: SolutionMatrices, config: Config) -> Schedule
 
 
 def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Config,
-                      big_m: int = DEFAULT_BIG_M,
                       skip_families: Iterable[str] = ()) -> List[ConstraintViolation]:
     """Check every constraint row in exact integer arithmetic.
 
@@ -487,7 +470,7 @@ def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Co
     """
     _require_matching(workload, config)
     _require_size(matrices, config)
-    rows = _row_table(workload, config, effective_big_m(workload, big_m))
+    rows = _row_table(workload, config)
     out = [ConstraintViolation("BOUND", i0 + 1, j0 + 1, f"{what} {int(matrix[i0, j0])} is negative")
            for what, matrix in (("allocation", matrices.allocations),
                                 ("de-allocation", matrices.deallocations))

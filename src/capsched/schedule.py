@@ -9,13 +9,11 @@ slots <= t - delta.
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import (INT64_MAX, INT64_MIN, Config, Workload, mandatory_load,
-                       _read_json_object, _require_matching)
+from .workload import Config, Workload, mandatory_load, _read_json_object, _require_matching
 
 
 class ScheduleFormatError(ValueError):
@@ -34,7 +32,8 @@ class ModelInconsistencyError(RuntimeError):
 class Schedule:
     """Signed capacity change per slot.
 
-    The container itself accepts any integers; feasibility of a schedule
+    The container accepts any integers whose running sum stays within int64,
+    since the capacity trajectory is built from it; feasibility of a schedule
     against a workload is established by check_feasibility, not here.
     """
 
@@ -46,7 +45,15 @@ class Schedule:
             raise ScheduleFormatError("changes must be a non-empty 1-d array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ScheduleFormatError("changes must contain integers")
-        object.__setattr__(self, "changes", arr.astype(np.int64))
+        arr = arr.astype(np.int64)
+        total = np.cumsum(arr)
+        # a sum leaves int64 where its sign differs from those of both addends;
+        # total - arr is the previous sum, exact up to the first such slot
+        over = np.flatnonzero((total ^ arr) & (total ^ (total - arr)) < 0)
+        if over.size:
+            raise ScheduleFormatError(
+                f"changes summed through slot {int(over[0]) + 1} exceed the int64 range")
+        object.__setattr__(self, "changes", arr)
 
     @property
     def n(self) -> int:
@@ -296,19 +303,11 @@ def evaluate(workload: Workload, schedule: Schedule, config: Config) -> CostRepo
 
 
 def parse_schedule(text: str) -> Tuple[int, int, Schedule]:
-    """Parse schedule text: a JSON object with fields n, delta, changes.
-
-    Every prefix sum of the changes must stay within int64, since the
-    capacity trajectory is built from them.
-    """
+    """Parse schedule text: a JSON object with fields n, delta, changes."""
     doc = _read_json_object(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
     changes = doc["changes"]
     if len(changes) != doc["n"]:
         raise ScheduleFormatError(f"changes has {len(changes)} entries but n is {doc['n']}")
-    for k, total in enumerate(accumulate(changes)):
-        if not INT64_MIN <= total <= INT64_MAX:
-            raise ScheduleFormatError(
-                f"changes summed through slot {k + 1} exceed the int64 range")
     return doc["n"], doc["delta"], Schedule(np.array(changes, dtype=np.int64))
 
 

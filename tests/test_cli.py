@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from capsched import (
     CSV_HEADER,
+    SCENARIO_PRESETS,
     CompareSpec,
     Config,
     ConfigurationError,
@@ -278,6 +279,62 @@ class TestFuzzedFiles:
                     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+_WORDS = st.sampled_from(["", "x", "1.5", "1e3", "0x10", " 7", "--"]) | st.text(max_size=5)
+_INTEGER = st.integers().map(str) | _WORDS
+_REAL = (st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400"]) | st.floats().map(repr)
+         | _WORDS)
+# each option as (plausible values, any values); the horizon stays at most 300
+# or beyond int64, since a valid larger n would allocate before any check
+_OPTIONS = {
+    "--n": (st.integers(4, 40), (st.integers(-3, 300) | st.integers(2 ** 63, 2 ** 70)
+                                 | st.integers(max_value=-2 ** 63 - 1)).map(str) | _WORDS),
+    "--delta": (st.integers(2, 4), _INTEGER),
+    "--theta": (st.integers(5, 8), _INTEGER),
+    "--amplitude": (st.integers(0, 20), _INTEGER),
+    "--plateau-fraction": (st.floats(0, 1), _REAL),
+    "--seed": (st.integers(0, 5), _INTEGER),
+    "--seeds": (st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda p: f"{p[0]}..{sum(p)}"),
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: f"{p[0]}..{p[1]}")
+                | st.sampled_from(["1..", "..2", "0..1..2", str(2 ** 64), "2**70"]) | _WORDS),
+    "--algorithms": (st.lists(st.sampled_from(["ads", "greedy", "oracle"]), min_size=1,
+                              max_size=4).map(",".join),
+                     st.lists(st.sampled_from(["ads", "magic", "", " ads"]),
+                              max_size=4).map(",".join) | _WORDS),
+    "--time-budget": (st.floats(0, 1), _REAL),
+}
+
+
+@st.composite
+def _option_argv(draw):
+    """A generate or compare command line with each option plausible, wild or
+    left out."""
+    command = draw(st.sampled_from(["generate", "compare"]))
+    flags = ["--n", "--delta", "--theta", "--amplitude", "--plateau-fraction"]
+    flags += ["--seed"] if command == "generate" else ["--seeds", "--algorithms", "--time-budget"]
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--scenario", draw(st.sampled_from(sorted(SCENARIO_PRESETS)))]
+    for flag in flags:
+        plausible, anything = _OPTIONS[flag]
+        kind = draw(st.sampled_from(["plausible"] * 4 + ["omit", "any"]))
+        if kind != "omit":
+            argv += [flag, str(draw(anything if kind == "any" else plausible))]
+    return argv
+
+
+class TestFuzzedOptions:
+    @given(argv=_option_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_option_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
+
+
 class TestExitCodes:
     def test_infeasible_schedule_evaluates_to_one(self, tmp_path, ref_config,
                                                   ref_workload, capsys):
@@ -320,13 +377,6 @@ class TestExitCodes:
                        encoding="utf-8")
         assert main(["validate", wl, "--solution", str(sol)]) == 0
         assert capsys.readouterr().out.strip() == "OK"
-
-    def test_small_big_m_is_reported_before_the_solution_is_read(
-            self, tmp_path, ref_config, ref_workload, capsys):
-        wl = _write_reference(tmp_path, ref_config, ref_workload)
-        missing = str(tmp_path / "no-such-solution.txt")
-        assert main(["validate", wl, "--solution", missing, "--big-m", "1"]) == 2
-        assert "big_m=1 is below the total arrival count 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["x_0_1", "x_41_1", "x_01_2", "r_1_1", "z_1", "y_1",
                                       "r_1\u0661"])
@@ -572,6 +622,16 @@ class TestCompare:
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             CompareSpec(config=cfg, scenario=scenario, seeds=(0,),
                         algorithms=("ads", "magic"))
+
+    def test_repeated_planner_is_a_usage_error(self, capsys):
+        with pytest.raises(ConfigurationError, match="algorithm 'ads' is listed twice"):
+            CompareSpec(config=Config(n=8, delta=2, theta=3),
+                        scenario=ScenarioParams(name="t", amplitude=1), seeds=(0,),
+                        algorithms=("ads", "ads", "greedy"))
+        assert main(["compare", "--n", "8", "--delta", "2", "--theta", "3", "--amplitude", "1",
+                     "--seeds", "0", "--algorithms", "ads,greedy,ads"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: algorithm 'ads' is listed twice\n")
 
     def test_refused_oracle_seeds_become_notes(self):
         # amplitude high enough that some seeds exceed the participant cap

@@ -15,7 +15,6 @@ print(g.lp40_digests())"
 import hashlib
 
 from capsched import (
-    DEFAULT_BIG_M,
     SCENARIO_PRESETS,
     CompareSpec,
     Config,
@@ -94,18 +93,13 @@ def lp_digests():
 
 def lp40_digests():
     """Digests of the exported model at the benchmark's size: oppd and mmog
-    cut to LP40_N slots, one explicit big_m between the arrival total and
-    the default, and a model whose objective has no terms at all."""
+    cut to LP40_N slots, and a model whose objective has no terms at all."""
     out = {}
     for name in ("mmog", "oppd"):
         for seed in LP_SEEDS:
             config, params = _preset(name, LP40_N, seed)
             workload = generate_workload(params, config)
             out[f"{name}/{seed}"] = _digest(export_lp(build_model(workload, config)))
-    config, params = _preset("oppd", LP40_N, 0)
-    workload = generate_workload(params, config)
-    big_m = (int(workload.arrivals.sum()) + DEFAULT_BIG_M) // 2
-    out["oppd/0/big_m"] = _digest(export_lp(build_model(workload, config, big_m=big_m)))
     # every objective weight n - j - delta is zero, so the objective
     # falls back to " obj: 0 x_1_1"
     config = Config(n=3, delta=2, theta=3)
@@ -247,8 +241,6 @@ LP40_GOLDEN = {
         "3966287297a461fc875f3117915116200aff2c9d1c9f3e7723861dbaeb2491c8",
     "oppd/2":
         "6efa37a8ad45581b7124deb8c8ff1c40eaf0bc60151ba1700beaf06a79342d85",
-    "oppd/0/big_m":
-        "c99f02c49adf7c7685a4c31e3000328eb9e3c78e28a6e4ae929567361985265b",
     "n3/empty-objective":
         "4db8e1d74ca2d579a4587f19ae733d89911639f1602f87800c061ed50ab8377e",
 }

@@ -9,10 +9,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from capsched import (
-    DEFAULT_BIG_M,
     SCENARIO_PRESETS,
     Config,
-    ConfigurationError,
     ConstraintViolation,
     LiftError,
     LinearConstraint,
@@ -22,7 +20,6 @@ from capsched import (
     Workload,
     adaptive_schedule,
     build_model,
-    effective_big_m,
     export_lp,
     generate_workload,
     lift_schedule,
@@ -45,11 +42,11 @@ WITNESS = "\n".join([
 ])
 
 
-def _reference_model(workload, config, big_m=DEFAULT_BIG_M):
+def _reference_model(workload, config):
     """Reference builder: the original one, which spells out every term as a
     (coefficient, name) tuple, row by row."""
     n, delta, theta = config.n, config.delta, config.theta
-    m_eff = effective_big_m(workload, big_m)
+    m_eff = max(int(workload.arrivals.sum()), 1)
     a = workload.arrivals
     d = workload.departures
     load = mandatory_load(workload, config).values
@@ -165,12 +162,12 @@ def _reference_export(model):
     return "\n".join(out) + "\n"
 
 
-def _reference_validate(matrices, workload, config, big_m=DEFAULT_BIG_M, skip_families=()):
+def _reference_validate(matrices, workload, config, skip_families=()):
     """Reference validator: the original one, which spells out every family
     as hand-indexed slices of the assignment."""
     n, delta, theta = config.n, config.delta, config.theta
     skip = set(skip_families)
-    m_eff = effective_big_m(workload, big_m)
+    m_eff = max(int(workload.arrivals.sum()), 1)
     x = matrices.allocations
     y = matrices.deallocations
     r = matrices.requests
@@ -265,9 +262,7 @@ def _instances(draw):
     workload = generate_workload(
         ScenarioParams(name="prop", amplitude=draw(st.integers(0, 60)),
                        seed=draw(st.integers(0, 2 ** 16))), config)
-    total = int(workload.arrivals.sum())
-    big_m = draw(st.one_of(st.just(DEFAULT_BIG_M), st.integers(total, total + 50)))
-    return workload, config, big_m
+    return workload, config
 
 
 FAMILIES = ("EQ2", "EQ3", "EQ4", "EQ5", "EQ6", "EQ7", "EQ8", "EQ9", "EQ10", "EQ11", "EQ12")
@@ -276,8 +271,7 @@ FAMILIES = ("EQ2", "EQ3", "EQ4", "EQ5", "EQ6", "EQ7", "EQ8", "EQ9", "EQ10", "EQ1
 @st.composite
 def _perturbed_solutions(draw):
     """A lifted ads solution with a few entries shifted, some of them below
-    zero, and a few request flags flipped; with a big_m and a set of
-    families to skip."""
+    zero, and a few request flags flipped; with a set of families to skip."""
     n = draw(st.integers(3, 20))
     delta = draw(st.integers(2, n - 1))
     theta = draw(st.integers(delta + 1, n))
@@ -296,10 +290,8 @@ def _perturbed_solutions(draw):
             matrix[i, j] += shift
     for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         r[j] = 1 - r[j]
-    total = int(workload.arrivals.sum())
-    big_m = draw(st.one_of(st.just(DEFAULT_BIG_M), st.integers(total, total + 50)))
     skip = draw(st.sets(st.sampled_from(FAMILIES)))
-    return SolutionMatrices(x, y, r), workload, config, big_m, skip
+    return SolutionMatrices(x, y, r), workload, config, skip
 
 
 def _oppd_lifted(n):
@@ -316,18 +308,21 @@ def ref_model(ref_config, ref_workload):
     return build_model(ref_workload, ref_config)
 
 
-class TestBigM:
-    def test_shrinks_to_participant_total(self, ref_workload):
-        assert effective_big_m(ref_workload, 1_000_000) == 3
+def _link_coefficients(model):
+    """The coefficient of r_j in each EQ10/EQ11 row, whose first run it is."""
+    rows = np.flatnonzero(np.isin(model.row_tags, ["EQ10", "EQ11"]))
+    assert len(rows) == 2 * model.config.n ** 2
+    return set(model.run_coefs[model.run_ptr[rows]].tolist())
 
-    def test_rejects_value_below_participant_total(self, ref_workload):
-        with pytest.raises(ConfigurationError):
-            effective_big_m(ref_workload, 2)
+
+class TestBigM:
+    def test_shrinks_to_participant_total(self, ref_config, ref_workload):
+        assert _link_coefficients(build_model(ref_workload, ref_config)) == {3}
 
     def test_empty_workload_keeps_a_positive_link(self):
         wl = Workload(arrivals=np.zeros(4, dtype=int),
                       departures=np.zeros(4, dtype=int))
-        assert effective_big_m(wl, 1_000_000) == 1
+        assert _link_coefficients(build_model(wl, Config(n=4, delta=2, theta=3))) == {1}
 
 
 class TestBuildModel:
@@ -406,9 +401,9 @@ class TestReferenceBuilder:
     @given(instance=_instances())
     @settings(max_examples=60, deadline=None)
     def test_rows_and_text_equal_the_reference(self, instance):
-        workload, config, big_m = instance
-        model = build_model(workload, config, big_m=big_m)
-        reference = _reference_model(workload, config, big_m=big_m)
+        workload, config = instance
+        model = build_model(workload, config)
+        reference = _reference_model(workload, config)
         assert model.variables == reference.variables
         assert model.integer_variables == reference.integer_variables
         assert model.binary_variables == reference.binary_variables
@@ -558,10 +553,9 @@ class TestValidateSolution:
     @given(case=_perturbed_solutions())
     @settings(max_examples=150, deadline=None)
     def test_rows_failed_equal_the_reference(self, case):
-        matrices, workload, config, big_m, skip = case
-        got = validate_solution(matrices, workload, config, big_m=big_m, skip_families=skip)
-        expected = _reference_validate(matrices, workload, config, big_m=big_m,
-                                       skip_families=skip)
+        matrices, workload, config, skip = case
+        got = validate_solution(matrices, workload, config, skip_families=skip)
+        expected = _reference_validate(matrices, workload, config, skip_families=skip)
         assert [(v.tag, v.i, v.j) for v in got] == [(v.tag, v.i, v.j) for v in expected]
 
     def test_guard_validate_at_n300(self):

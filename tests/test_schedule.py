@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,6 +24,27 @@ from capsched import (
 
 def sched(*changes):
     return Schedule(np.array(changes, dtype=np.int64))
+
+
+class TestContainer:
+    def test_sums_beyond_int64_are_rejected(self):
+        # check_feasibility would otherwise see capacity -2^63 at slot 5
+        with pytest.raises(ScheduleFormatError,
+                           match="changes summed through slot 3 exceed the int64 range"):
+            sched(2 ** 62, 0, 2 ** 62, 0, 0, 0)
+
+    @given(changes=st.lists(st.sampled_from([0, -1, 1, 2 ** 62, -2 ** 62, -2 ** 63, 2 ** 63 - 1])
+                            | st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_sum_check_equals_exact_sums(self, changes):
+        over = [k + 1 for k, total in enumerate(accumulate(changes))
+                if not -2 ** 63 <= total < 2 ** 63]
+        if over:
+            with pytest.raises(ScheduleFormatError,
+                               match=f"changes summed through slot {over[0]} exceed"):
+                sched(*changes)
+        else:
+            assert sched(*changes).changes.tolist() == changes
 
 
 class TestTrajectory:
@@ -53,7 +75,7 @@ class TestResourceCost:
     def test_cost_beyond_int64_is_exact(self):
         cfg = Config(n=10, delta=2, theta=3)
         big = 2 ** 62
-        assert resource_cost(sched(big, 0, big, 0, 0, 0, 0, 0, 0, 0), cfg) == 12 * big
+        assert resource_cost(sched(big, 0, 0, 0, 0, 0, 0, 0, 0, 0), cfg) == 7 * big
 
     @given(changes=st.lists(st.integers(-6, 6), min_size=8, max_size=8))
     @settings(max_examples=100, deadline=None)

@@ -18,7 +18,6 @@ from capsched import (
     OracleLimitError,
     OracleLimits,
     ScenarioParams,
-    Schedule,
     SolutionMatrices,
     Workload,
     adaptive_schedule,
