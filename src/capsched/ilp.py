@@ -32,8 +32,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schedule import Schedule, resource_cost
-from .workload import Config, ConfigurationError, Workload, mandatory_load, _require_matching
+from .schedule import Schedule, ScheduleFormatError, resource_cost
+from .workload import (INT64_MAX, INT64_MIN, Config, ConfigurationError, Workload, mandatory_load,
+                       _as_int64, _require_matching)
 
 Term = Tuple[int, str]
 
@@ -148,8 +149,8 @@ class SolutionMatrices:
 
     allocations and deallocations are n x n integer matrices indexed
     [arrival slot - 1, request slot - 1]; requests is the 0/1 flag vector.
-    The container checks shape and flag integrality only; whether the
-    values satisfy the model is the job of validate_solution.
+    The container checks shape, int64 integrality and 0/1 flags only;
+    whether the values satisfy the model is the job of validate_solution.
     """
 
     allocations: np.ndarray
@@ -169,11 +170,9 @@ class SolutionMatrices:
         for name, arr in (("allocations", x), ("deallocations", y), ("requests", r)):
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"{name} must contain integers")
+            object.__setattr__(self, name, _as_int64(arr, name, ValueError))
         if np.any((r != 0) & (r != 1)):
             raise ValueError("requests entries must be 0 or 1")
-        object.__setattr__(self, "allocations", x.astype(np.int64))
-        object.__setattr__(self, "deallocations", y.astype(np.int64))
-        object.__setattr__(self, "requests", r.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -451,10 +450,26 @@ def objective_value(matrices: SolutionMatrices, config: Config) -> int:
 
 
 def matrices_to_schedule(matrices: SolutionMatrices, config: Config) -> Schedule:
-    """Collapse an assignment to per-slot net capacity changes."""
+    """Collapse an assignment to per-slot net capacity changes.
+
+    The column sums are exact; a net change beyond int64 raises
+    ScheduleFormatError naming its slot.
+    """
     _require_size(matrices, config)
-    net = matrices.allocations - matrices.deallocations
-    return Schedule(net.sum(axis=0))
+    net = [gross - freed for gross, freed in zip(_column_sums(matrices.allocations),
+                                                 _column_sums(matrices.deallocations))]
+    for j, change in enumerate(net, start=1):
+        if not INT64_MIN <= change <= INT64_MAX:
+            raise ScheduleFormatError(f"net change at slot {j} is outside the int64 range")
+    return Schedule(np.array(net, dtype=np.int64))
+
+
+def _column_sums(matrix: np.ndarray) -> List[int]:
+    """Exact column sums of an int64 matrix: the low and high 32 bits of the
+    entries are summed apart, which cannot wrap for fewer than 2^31 rows."""
+    low = (matrix & 0xFFFFFFFF).sum(axis=0).tolist()
+    high = (matrix >> 32).sum(axis=0).tolist()
+    return [h * 2 ** 32 + lo for h, lo in zip(high, low)]
 
 
 def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Config,

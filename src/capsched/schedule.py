@@ -13,7 +13,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import Config, Workload, mandatory_load, _read_json_object, _require_matching
+from .workload import (Config, Workload, mandatory_load, _as_int64, _read_json_object,
+                       _require_matching)
 
 
 class ScheduleFormatError(ValueError):
@@ -32,7 +33,7 @@ class ModelInconsistencyError(RuntimeError):
 class Schedule:
     """Signed capacity change per slot.
 
-    The container accepts any integers whose running sum stays within int64,
+    The container accepts any int64 integers whose running sum stays in int64,
     since the capacity trajectory is built from it; feasibility of a schedule
     against a workload is established by check_feasibility, not here.
     """
@@ -45,7 +46,7 @@ class Schedule:
             raise ScheduleFormatError("changes must be a non-empty 1-d array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ScheduleFormatError("changes must contain integers")
-        arr = arr.astype(np.int64)
+        arr = _as_int64(arr, "changes", ScheduleFormatError)
         total = np.cumsum(arr)
         # a sum leaves int64 where its sign differs from those of both addends;
         # total - arr is the previous sum, exact up to the first such slot

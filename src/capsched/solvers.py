@@ -14,6 +14,8 @@ parameters they return a schedule of capacity changes.
 All planners are pure functions of their inputs.
 """
 
+import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .ilp import SolutionMatrices
-from .schedule import Schedule
+from .schedule import Schedule, _raw_trajectory, _require_schedule_span
 from .workload import (Config, ConfigurationError, Workload, mandatory_load, occupancy,
                        _require_matching)
 
@@ -36,7 +38,7 @@ class OracleInfeasibleError(RuntimeError):
 
 
 class LiftError(RuntimeError):
-    """Raised when a schedule cannot be earmarked into per-arrival matrices."""
+    """Raised when no assignment of the integer program nets to a schedule."""
 
 
 def adaptive_schedule(workload: Workload, config: Config) -> Schedule:
@@ -258,10 +260,11 @@ def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
     cohort's window, so no entry could be smaller.  Each column's releases
     come from its latest eligible departure cohort first; a cohort eligible
     at one column stays eligible at every later one, so earlier rows are
-    drawn on only when later rows run dry.  The oracle's picks meet Hall's
-    condition (arrival mass per column suffix within reach, releases per
-    column prefix within the departures), so both fills place everything
-    without a feasibility trial.
+    drawn on only when later rows run dry.  The picks meet Hall's condition
+    (arrival mass per column suffix within reach, releases per column prefix
+    within the departures), so both fills place everything without a
+    feasibility trial.  Allocation beyond the arrivals (a lifted schedule may
+    hold more) goes to rows n, n - 1, ..., at most max(total, 1) per entry.
     """
     slots, u, v = pick
     xflat = [0] * (n * n)
@@ -272,6 +275,15 @@ def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
             xflat[(i - 1) * n + slots[k] - 1] = take
             room[k] -= take
             amount -= take
+    cap = max(sum(amount for _, amount in arr_cohorts), 1)
+    for k, extra in enumerate(room):
+        i = n
+        while extra:
+            cell = (i - 1) * n + slots[k] - 1
+            take = min(extra, cap - xflat[cell])
+            xflat[cell] += take
+            extra -= take
+            i -= 1
     yflat = [0] * (n * n)
     left = [amount for _, amount in dep_cohorts]
     for k, need in enumerate(v):
@@ -287,114 +299,100 @@ def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
 
 
 def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> SolutionMatrices:
-    """Earmark a feasible schedule's capacity to concrete arrivals and departures.
+    """Assign a schedule's capacity to concrete arrivals and departures.
 
-    Arrival cohorts are allocated first-in-first-out to the earliest request
-    with gross room that can still cover them; extra gross allocation at a
-    request is paired with releases drawn first-in-first-out from departures
-    that have happened by the request's effect slot, so reused capacity shows
-    up as matched allocation and de-allocation mass at the same request slot.
-    A cohort that outlives every such request rides capacity freed by
-    departures instead: it is covered at a host request inside its window
-    together with an equal release, a zero-net pairing that leaves every
-    column sum unchanged.  When no flagged slot falls inside the window, a
-    fresh request flag with zero net change is inserted, provided the
-    spacing rule leaves a legal slot.  The net change at every request slot
-    therefore equals the schedule's change, so the assignment costs exactly
-    what the schedule costs and collapses back to the same schedule.
+    Returns an assignment of the integer program whose columns net to the
+    schedule's changes, so it costs what the schedule costs and collapses
+    back to it.  Its flags are the requests plus zero-net columns, slots at
+    least delta from every other flag that allocate what they release.
 
-    Raises LiftError when this first-fit earmarking cannot be completed:
-    the schedule fails feasibility checking, or reuse of freed capacity
-    cannot be expressed because a cohort's window holds no usable host and
-    the spacing rule leaves no slot to flag.  With the join threshold at
-    least twice the lag minus two, a host slot always exists; narrower
-    thresholds combined with lags of four or more can defeat the greedy
-    host choice even when a cleverer earmarking would fit.
+    Over columns c_1 < ... < c_m with net capacity C_k the least cumulative
+    allocation is U_k = max(A(c_{k+1}), U_{k-1} + (C_k - C_{k-1})+), U_0 = 0,
+    where A(c) is the arrival mass whose window end
+    min(i + theta - delta, n - delta) is before c (past c_m, every arrival).
+    The columns carry an assignment iff A(c_1) = 0 and each U_k - C_k is at
+    most D(c_k), the departures through min(c_k + delta, n).  A zero-net
+    column never raises U nor breaks that test, so one forward pass keeps
+    per slot the least U over valid columns ending there, looking back to
+    the last request (or the start) and to slots 2 * delta - 1 to delta
+    before; ties go to fewer columns, then to the later one.  Slot n stands
+    for the end, needing every arrival.  _pick_flat splits the deltas.
+
+    Raises LiftError exactly when no assignment nets to the schedule: a
+    request past n - delta or within delta of another, capacity below zero
+    or the mandatory load, a change more than n entries of the EQ10
+    coefficient hold, or no valid columns.  check_feasibility can accept a
+    schedule that raises: the FIFO simulator admits a cohort into any freed
+    capacity, the program only through a zero-net column in its window.
     """
     _require_matching(workload, config)
+    _require_schedule_span(schedule, config)
     n, delta, theta = config.n, config.delta, config.theta
-    s = [int(v) for v in schedule.changes]
-    cols = [j for j in range(1, n + 1) if s[j - 1]]
-    if any(j > n - delta for j in cols):
-        raise LiftError("request past the usable range cannot be earmarked")
-    cum_dep = np.concatenate([[0], np.cumsum(workload.departures)])
+    last = n - delta
+    s = schedule.changes.tolist()
+    requests = [j for j in range(1, n + 1) if s[j - 1]]
+    total = int(workload.arrivals.sum())
+    for j, j2 in zip(requests, requests[1:]):
+        if j2 - j < delta:
+            raise LiftError(f"requests at slots {j} and {j2} are closer than delta={delta}")
+    for j in requests:
+        if j > last:
+            raise LiftError(f"request at slot {j} cannot take effect by slot {n}")
+        if s[j - 1] > n * max(total, 1):
+            raise LiftError(f"request at slot {j} adds more than n entries of {max(total, 1)} hold")
+    cap = _raw_trajectory(schedule, config)
+    load = mandatory_load(workload, config).values
+    short = np.flatnonzero(cap < load)
+    if short.size:
+        t = int(short[0])
+        raise LiftError(f"capacity {int(cap[t])} at slot {t + 1} is below zero "
+                        f"or the mandatory load {int(load[t])}")
 
-    cs = []
-    running = 0
-    for j in cols:
-        running += s[j - 1]
-        cs.append(running)
-    budget = [cs[c] + int(cum_dep[min(cols[c] + delta, n)]) for c in range(len(cols))]
-    suffix_cap = list(budget)
-    for c in range(len(cols) - 2, -1, -1):
-        suffix_cap[c] = min(suffix_cap[c], suffix_cap[c + 1])
+    arr_cohorts = [(i, v) for i, v in enumerate(workload.arrivals.tolist(), 1) if v]
+    dep_cohorts = [(i, v) for i, v in enumerate(workload.departures.tolist(), 1) if v]
+    ending = [0] * (n + 1)
+    for i, amount in arr_cohorts:
+        ending[min(i + theta - delta, last)] += amount
+    due = list(itertools.accumulate(ending, initial=0))     # due[c] = A(c), due[n] = total
+    freed = list(itertools.accumulate(workload.departures.tolist(), initial=0))
+    running = list(itertools.accumulate(s, initial=0))
+    # the most U column p may hold, releasing U - C_p; the start (p = 0) holds nothing
+    room = [0] + [freed[min(p + delta, n)] + running[p] for p in range(1, last + 1)]
+    blocked = set(range(last + 1, n))       # slot n stands for the end of the horizon
+    for j in requests:
+        blocked.update(range(j - delta + 1, j + delta))
 
-    arr_queue = [[i, int(workload.arrivals[i - 1])]
-                 for i in range(1, n + 1) if workload.arrivals[i - 1]]
-    dep_queue = [[i, int(workload.departures[i - 1])]
-                 for i in range(1, n + 1) if workload.departures[i - 1]]
-    x = np.zeros((n, n), dtype=np.int64)
-    y = np.zeros((n, n), dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    flagged = set(cols)
-    di = 0
+    # best[q] = (U before q plus q's gross increase, columns, predecessor)
+    best = [(0, 0, None)] + [None] * n
 
-    def draw_releases(col, amount):
-        nonlocal di
-        while amount > 0:
-            if di >= len(dep_queue) or dep_queue[di][0] > col + delta:
-                raise LiftError(
-                    f"release at slot {col} has no departed participants to draw on")
-            dep_slot, rem = dep_queue[di]
-            take = min(rem, amount)
-            y[dep_slot - 1, col - 1] += take
-            amount -= take
-            dep_queue[di][1] -= take
-            if dep_queue[di][1] == 0:
-                di += 1
+    def held(p, need):
+        # U at column p when the next column needs `need` covered; None if out of room
+        u = max(need, best[p][0])
+        return u if u <= room[p] else None
 
-    def host_reuse(i, amount):
-        hi = min(i + theta - delta, n - delta)
-        col = 0
-        for j in range(hi, 0, -1):
-            if j in flagged or all(abs(j - f) >= delta for f in flagged):
-                col = j
-                break
-        if not col:
-            raise LiftError(
-                f"arrival cohort at slot {i} rides freed capacity but no request "
-                f"flag fits at any slot up to {hi}")
-        if col not in flagged:
-            flagged.add(col)
-            r[col - 1] = 1
-        x[i - 1, col - 1] += amount
-        draw_releases(col, amount)
-
-    cu = 0
-    ai = 0
-    for c, j in enumerate(cols):
-        while ai < len(arr_queue) and min(arr_queue[ai][0] + theta - delta, n - delta) < j:
-            host_reuse(arr_queue[ai][0], arr_queue[ai][1])
-            ai += 1
-        r[j - 1] = 1
-        room = suffix_cap[c] - cu
-        assigned = 0
-        while assigned < room and ai < len(arr_queue):
-            i, rem = arr_queue[ai]
-            take = min(rem, room - assigned)
-            x[i - 1, j - 1] += take
-            assigned += take
-            arr_queue[ai][1] -= take
-            if arr_queue[ai][1] == 0:
-                ai += 1
-        gross = assigned + max(0, s[j - 1] - assigned)
-        if gross > room:
-            raise LiftError(f"request at slot {j} exceeds the earmarking budget")
-        if gross > assigned:
-            x[n - 1, j - 1] += gross - assigned
-        cu += gross
-        draw_releases(j, gross - s[j - 1])
-    while ai < len(arr_queue):
-        host_reuse(arr_queue[ai][0], arr_queue[ai][1])
-        ai += 1
-    return SolutionMatrices(x, y, r)
+    prior = 0
+    for q in range(1, n + 1):
+        if s[q - 1] or q not in blocked:
+            for p in [prior, *range(max(prior + 1, q - 2 * delta + 1), q - delta + 1)]:
+                u = held(p, due[q]) if best[p] else None
+                key = None if u is None else (u + max(s[q - 1], 0), best[p][1] + 1)
+                if key and (best[q] is None or key <= best[q][:2]):
+                    best[q] = (*key, p)
+        if s[q - 1]:
+            prior = q
+    if best[n] is None:
+        raise LiftError("no request flags cover every arrival within its window "
+                        "while releasing only departed capacity")
+    end, cols = best[n][2], []
+    while end:
+        cols.append(end)
+        end = best[end][2]
+    cols.reverse()
+    top = [held(c, need) for c, need in zip(cols, [due[c] for c in cols[1:]] + [total])]
+    u = [hi - lo for lo, hi in zip([0] + top, top)]
+    v = [gross - s[c - 1] for gross, c in zip(u, cols)]
+    xwin = [bisect.bisect_right(cols, min(i + theta - delta, last)) for i, _ in arr_cohorts]
+    dep_slots = [i for i, _ in dep_cohorts]
+    ywin = [bisect.bisect_right(dep_slots, c + delta) for c in cols]
+    x, y, r = _pick_flat((cols, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
+    return SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))

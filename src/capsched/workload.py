@@ -136,15 +136,33 @@ def _as_count_array(values, field: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise WorkloadFormatError(f"{field} must be a non-empty 1-d array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise WorkloadFormatError(f"{field} must contain integers")
+    if not (np.issubdtype(arr.dtype, np.integer)
+            or np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr))):
+        raise WorkloadFormatError(f"{field} must contain integers")
     bad = np.nonzero(arr < 0)[0]
     if bad.size:
         raise WorkloadFormatError(
             f"{field} is negative at slot {int(bad[0]) + 1}")
+    return _as_int64(arr, field, WorkloadFormatError)
+
+
+def _as_int64(arr: np.ndarray, field: str, error: type) -> np.ndarray:
+    """arr cast to int64, or error naming field and the first entry beyond int64.
+
+    Only unsigned and float entries can lie beyond it; a 1-d entry is named
+    by its slot, a matrix entry by its (row, column), both from 1.
+    """
+    if arr.dtype.kind == "u":
+        outside = np.argwhere(arr > INT64_MAX)
+    elif arr.dtype.kind == "f":
+        wide = arr.astype(np.float64)
+        outside = np.argwhere((wide < -2.0 ** 63) | (wide >= 2.0 ** 63))
+    else:
+        return arr.astype(np.int64)
+    if outside.size:
+        at = [k + 1 for k in outside[0].tolist()]
+        raise error(f"{field} has an entry outside the int64 range at "
+                    + (f"slot {at[0]}" if len(at) == 1 else str(tuple(at))))
     return arr.astype(np.int64)
 
 

@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from itertools import accumulate
 from statistics import median
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from capsched import (
     LiftError,
     LinearConstraint,
     ScenarioParams,
+    ScheduleFormatError,
     SolutionFormatError,
     SolutionMatrices,
     Workload,
@@ -590,3 +592,42 @@ class TestCostForms:
         matrices = SolutionMatrices(x, y, r)
         schedule = matrices_to_schedule(matrices, cfg)
         assert objective_value(matrices, cfg) == resource_cost(schedule, cfg)
+
+    def test_column_sums_beyond_int64_are_rejected(self):
+        # summed in int64, 2^62 + 2^62 wrapped to an objective of -2^63
+        cfg = Config(n=4, delta=2, theta=3)
+        x = np.zeros((4, 4), dtype=np.int64)
+        x[0, 0] = x[1, 0] = 2 ** 62
+        matrices = SolutionMatrices(x, np.zeros((4, 4), dtype=np.int64), np.array([1, 0, 0, 0]))
+        with pytest.raises(ScheduleFormatError, match="net change at slot 1 is outside the int64"):
+            objective_value(matrices, cfg)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_column_sums_are_exact(self, data):
+        n = data.draw(st.integers(3, 4))
+        entry = st.sampled_from([0, 1, -1, 2 ** 62, -2 ** 62, 2 ** 63 - 1, -2 ** 63])
+        shape = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        x, y = data.draw(shape), data.draw(shape)
+        net = [sum(row[j] for row in x) - sum(row[j] for row in y) for j in range(n)]
+        matrices = SolutionMatrices(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64),
+                                    np.zeros(n, dtype=np.int64))
+        cfg = Config(n=n, delta=2, theta=3)
+        outside = [j for j, change in enumerate(net, 1) if not -2 ** 63 <= change < 2 ** 63]
+        over = [j for j, total in enumerate(accumulate(net), 1) if not -2 ** 63 <= total < 2 ** 63]
+        if outside or over:
+            message = (f"net change at slot {outside[0]} " if outside
+                       else f"changes summed through slot {over[0]} ")
+            with pytest.raises(ScheduleFormatError, match=message):
+                matrices_to_schedule(matrices, cfg)
+        else:
+            assert matrices_to_schedule(matrices, cfg).changes.tolist() == net
+
+    @pytest.mark.parametrize("field", ["allocations", "deallocations", "requests"])
+    def test_unsigned_entries_beyond_int64_are_rejected(self, field):
+        arrays = dict(allocations=np.zeros((2, 2), dtype=np.uint64),
+                      deallocations=np.zeros((2, 2), dtype=np.uint64),
+                      requests=np.zeros(2, dtype=np.uint64))
+        arrays[field][-1] = 2 ** 63
+        with pytest.raises(ValueError, match=f"{field} has an entry outside the int64 range at "):
+            SolutionMatrices(**arrays)

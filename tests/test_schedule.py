@@ -47,6 +47,14 @@ class TestContainer:
             assert sched(*changes).changes.tolist() == changes
 
 
+    def test_unsigned_entries_beyond_int64_are_rejected(self):
+        # cast to int64, 2^63 wrapped to -2^63
+        with pytest.raises(ScheduleFormatError,
+                           match="changes has an entry outside the int64 range at slot 2"):
+            Schedule(np.array([0, 2 ** 63], dtype=np.uint64))
+        assert Schedule(np.array([2 ** 63 - 1], dtype=np.uint64)).changes.tolist() == [2 ** 63 - 1]
+
+
 class TestTrajectory:
     def test_lag_shifts_activation(self, ref_config):
         s = sched(0, 3, 0, 0, -2, 0, 0, 0)

@@ -18,9 +18,11 @@ from capsched import (
     OracleLimitError,
     OracleLimits,
     ScenarioParams,
+    Schedule,
     SolutionMatrices,
     Workload,
     adaptive_schedule,
+    build_model,
     check_feasibility,
     evaluate,
     exact_oracle,
@@ -34,7 +36,7 @@ from capsched import (
     simulate,
     validate_solution,
 )
-from capsched import solvers
+from capsched import ilp, solvers
 
 
 def _quadratic_adaptive_changes(workload, config):
@@ -61,6 +63,86 @@ def _quadratic_adaptive_changes(workload, config):
         old_size = new_size
         i = best_t + delta
     return changes
+
+
+def _milp_finds_assignment(workload, schedule, config):
+    """Whether scipy's MILP finds an assignment of the integer program whose
+    columns net to the schedule's changes (x_.j - y_.j = s_j for every j)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    model = build_model(workload, config)
+    n, size = config.n, len(model.variables)
+    run_rows = np.repeat(np.arange(len(model.rhs)), np.diff(model.run_ptr))
+    rows = sparse.csr_matrix((np.repeat(model.run_coefs, model.run_lengths),
+                              (np.repeat(run_rows, model.run_lengths),
+                               ilp._ranges(model.run_starts, model.run_lengths))),
+                             shape=(len(model.rhs), size))
+    lo = np.where(model.senses == "<=", -np.inf, model.rhs)
+    hi = np.where(model.senses == ">=", np.inf, model.rhs)
+    net = np.zeros((n, size))
+    for j in range(n):
+        net[j, j:n * n:n] = 1
+        net[j, n * n + j:2 * n * n:n] = -1
+    changes = schedule.changes.astype(float)
+    # HiGHS's presolve (scipy 1.17) wrongly declares some of these models
+    # infeasible, e.g. n=10, delta=3, theta=4, arrivals [2,0,0,0,2,3,3,3,3,3],
+    # departures [1,0,1,0,0,4,4,1,0,0] and changes 8 at slot 7
+    result = optimize.milp(
+        np.zeros(size), integrality=np.ones(size),
+        bounds=optimize.Bounds(0, np.r_[np.full(2 * n * n, np.inf), np.ones(n)]),
+        constraints=[optimize.LinearConstraint(rows, lo, hi),
+                     optimize.LinearConstraint(net, changes, changes)],
+        options={"presolve": False})
+    assert result.status in (0, 2), result.message     # solved, or proven infeasible
+    return result.status == 0
+
+
+@st.composite
+def _small_lift_cases(draw, max_n):
+    """A small workload with a schedule: either levels held from delta-spaced
+    request slots, or arbitrary changes, mostly zero, up to slot n - delta."""
+    n = draw(st.integers(3, max_n), label="n")
+    delta = draw(st.integers(2, n - 1), label="delta")
+    theta = draw(st.integers(delta + 1, n), label="theta")
+    arrivals = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="arrivals")
+    departures, present = [], 0
+    for joined in arrivals:
+        present += joined
+        departures.append(draw(st.integers(0, present)))
+        present -= departures[-1]
+    if draw(st.booleans()):
+        slots = draw(st.sampled_from(solvers._request_slot_sets(n - delta, delta)))
+        levels = draw(st.lists(st.integers(0, sum(arrivals) + 2), min_size=len(slots),
+                               max_size=len(slots)), label="levels")
+        changes = [0] * n
+        for j, lo, hi in zip(slots, [0, *levels], levels):
+            changes[j - 1] = hi - lo
+    else:
+        changes = draw(st.lists(st.one_of(st.just(0), st.integers(-2, 4)), min_size=n - delta,
+                                max_size=n - delta), label="changes") + [0] * delta
+    return (Workload(np.array(arrivals), np.array(departures)), Schedule(np.array(changes)),
+            Config(n=n, delta=delta, theta=theta))
+
+
+def _lifts(workload, schedule, config):
+    """Whether lift_schedule lifts the schedule; a lift must validate and
+    collapse back to the schedule."""
+    try:
+        matrices = lift_schedule(workload, schedule, config)
+    except LiftError:
+        return False
+    assert validate_solution(matrices, workload, config) == []
+    assert np.array_equal(matrices_to_schedule(matrices, config).changes, schedule.changes)
+    return True
+
+
+# n=8, delta=2, theta=3: one participant joins at slot 1 and leaves at slot 8
+_LONE_STAY = (Workload(arrivals=np.array([1, 0, 0, 0, 0, 0, 0, 0]),
+                       departures=np.array([0, 0, 0, 0, 0, 0, 0, 1])), Config(n=8, delta=2, theta=3))
+# n=6, delta=3, theta=4: greedy holds one unit, which the simulator finds
+# enough and the integer program cannot express
+_FREED_REUSE = (Workload(arrivals=np.array([0, 1, 1, 0, 1, 0]),
+                         departures=np.array([0, 0, 1, 0, 1, 0])), Config(n=6, delta=3, theta=4))
 
 
 def _column_hall_ok(demands, supplies):
@@ -717,17 +799,86 @@ class TestLift:
         assert validate_solution(matrices, wl, cfg) == []
         assert objective_value(matrices, cfg) == resource_cost(schedule, cfg)
 
-    def test_narrow_threshold_reuse_can_defeat_the_earmarking(self):
-        # with a lag of four and a threshold of five the spacing rule can
-        # leave no host slot for reused capacity; the lift refuses rather
-        # than distorting the cost, even though the schedule is feasible
+    def test_narrow_threshold_reuse_lifts(self):
+        # with a lag of four and a threshold of five the spacing rule leaves
+        # few slots for a zero-net column; the forward pass still finds one
         cfg = Config(n=30, delta=4, theta=5)
         wl = generate_workload(ScenarioParams(name="t", amplitude=1, seed=41),
                                cfg)
         schedule = adaptive_schedule(wl, cfg)
         assert check_feasibility(wl, schedule, cfg) == []
-        with pytest.raises(LiftError, match="no departed participants"):
-            lift_schedule(wl, schedule, cfg)
+        assert _lifts(wl, schedule, cfg)
+
+    def test_requests_closer_than_delta_are_refused(self):
+        workload, cfg = _LONE_STAY
+        schedule = Schedule(np.array([1, 1, 0, 0, 0, 0, 0, 0]))
+        with pytest.raises(LiftError, match="slots 1 and 2 are closer than delta=2"):
+            lift_schedule(workload, schedule, cfg)
+
+    def test_capacity_beyond_the_arrivals_fills_rows_up_to_big_m(self):
+        # three units for one participant: the two spare allocations sit in
+        # rows 8 and 7, at most the EQ10 coefficient (the arrival total, 1) each
+        workload, cfg = _LONE_STAY
+        schedule = Schedule(np.array([3, 0, 0, 0, 0, 0, 0, 0]))
+        assert check_feasibility(workload, schedule, cfg) == []
+        matrices = lift_schedule(workload, schedule, cfg)
+        assert matrices.allocations[:, 0].tolist() == [1, 0, 0, 0, 0, 0, 1, 1]
+        assert validate_solution(matrices, workload, cfg) == []
+        assert np.array_equal(matrices_to_schedule(matrices, cfg).changes, schedule.changes)
+
+    def test_capacity_beyond_every_row_is_refused(self):
+        workload, cfg = _LONE_STAY
+        assert _lifts(workload, Schedule(np.array([8, 0, 0, 0, 0, 0, 0, 0])), cfg)
+        with pytest.raises(LiftError, match="request at slot 1"):
+            lift_schedule(workload, Schedule(np.array([9, 0, 0, 0, 0, 0, 0, 0])), cfg)
+
+    def test_simulator_reuse_of_freed_capacity_can_be_unliftable(self):
+        # the slot-5 cohort is admitted into the unit the slot-3 departure
+        # frees; the program must cover it at a column no later than slot 3,
+        # and no second column fits delta=3 from the request at slot 1
+        workload, cfg = _FREED_REUSE
+        schedule = greedy_schedule(workload, cfg)
+        assert schedule.changes.tolist() == [1, 0, 0, 0, 0, 0]
+        assert check_feasibility(workload, schedule, cfg) == []
+        with pytest.raises(LiftError, match="no request flags"):
+            lift_schedule(workload, schedule, cfg)
+
+    def test_zero_net_column_may_sit_more_than_delta_before_the_next(self):
+        # the slot-1 cohort's window ends at slot 2, so a column must sit
+        # there, three slots (delta + 1) before the request at slot 5
+        cfg = Config(n=7, delta=2, theta=3)
+        workload = Workload(arrivals=np.array([3, 0, 2, 2, 0, 0, 0]),
+                            departures=np.array([0, 2, 0, 4, 1, 0, 0]))
+        schedule = Schedule(np.array([0, 0, 0, 0, 2, 0, 0]))
+        matrices = lift_schedule(workload, schedule, cfg)
+        assert (np.flatnonzero(matrices.requests) + 1).tolist() == [2, 5]
+        assert validate_solution(matrices, workload, cfg) == []
+
+    @given(case=_small_lift_cases(max_n=12))
+    @settings(max_examples=300, deadline=None)
+    def test_lift_validates_and_collapses_or_raises(self, case):
+        _lifts(*case)
+
+    @given(case=_small_lift_cases(max_n=10))
+    @settings(max_examples=150, deadline=None)
+    def test_lift_raises_iff_milp_finds_no_assignment(self, case):
+        assert _lifts(*case) == _milp_finds_assignment(*case)
+
+    @pytest.mark.parametrize("case, changes, lifts", [
+        (_LONE_STAY, [1, 1, 0, 0, 0, 0, 0, 0], False),
+        (_LONE_STAY, [3, 0, 0, 0, 0, 0, 0, 0], True),
+        (_LONE_STAY, [8, 0, 0, 0, 0, 0, 0, 0], True),
+        (_LONE_STAY, [9, 0, 0, 0, 0, 0, 0, 0], False),
+        (_FREED_REUSE, [1, 0, 0, 0, 0, 0], False),
+        ((Workload(arrivals=np.array([2, 0, 0, 0, 2, 3, 3, 3, 3, 3]),
+                   departures=np.array([1, 0, 1, 0, 0, 4, 4, 1, 0, 0])),
+          Config(n=10, delta=3, theta=4)), [0, 0, 0, 0, 0, 0, 8, 0, 0, 0], True),
+    ])
+    def test_pinned_cases_match_milp(self, case, changes, lifts):
+        workload, cfg = case
+        schedule = Schedule(np.array(changes))
+        assert _lifts(workload, schedule, cfg) == lifts
+        assert _milp_finds_assignment(workload, schedule, cfg) == lifts
 
 
 class TestFeasibilityProperties:

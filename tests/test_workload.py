@@ -63,6 +63,17 @@ class TestWorkloadContainer:
         wl = Workload(arrivals=np.array([1, 2, 0]), departures=np.array([1, 2, 0]))
         assert occupancy(wl).tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("field", ["arrivals", "departures"])
+    @pytest.mark.parametrize("big", [np.array([0, 2 ** 63], dtype=np.uint64),
+                                     np.array([0.0, 1e19]), np.array([0.0, np.inf])])
+    def test_entries_beyond_int64_are_rejected(self, field, big):
+        # cast to int64 these wrapped negative, and were refused for the wrong reason
+        counts = dict(arrivals=np.array([1, 0]), departures=np.array([0, 0]))
+        counts[field] = big
+        with pytest.raises(WorkloadFormatError,
+                           match=f"{field} has an entry outside the int64 range at slot 2"):
+            Workload(**counts)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(WorkloadFormatError):
             Workload(arrivals=np.array([1, 0]), departures=np.zeros(3, dtype=int))
