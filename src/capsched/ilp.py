@@ -472,6 +472,11 @@ def _column_sums(matrix: np.ndarray) -> List[int]:
     return [h * 2 ** 32 + lo for h, lo in zip(high, low)]
 
 
+def _magnitude(arr: np.ndarray) -> int:
+    """Largest absolute entry, as a Python integer."""
+    return max(int(arr.max()), -int(arr.min()))
+
+
 def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Config,
                       skip_families: Iterable[str] = ()) -> List[ConstraintViolation]:
     """Check every constraint row in exact integer arithmetic.
@@ -493,11 +498,16 @@ def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Co
 
     values = np.concatenate([matrices.allocations.ravel(), matrices.deallocations.ravel(),
                              matrices.requests])
+    coefs, lengths = rows["run_coefs"], rows["run_lengths"]
     # int64 wrap-around in the running sums cancels in their differences, so
-    # a row's value is exact whenever the value itself fits in int64
+    # a row is exact when no run, product or row value can leave int64;
+    # otherwise evaluate in Python integers
+    terms = int(np.add.reduceat(lengths, rows["run_ptr"][:-1]).max())
+    if _magnitude(coefs) * _magnitude(values) * terms > INT64_MAX:
+        values, coefs = values.astype(object), coefs.astype(object)
     prefix = np.concatenate([[0], np.cumsum(values)])
-    starts, ends = rows["run_starts"], rows["run_starts"] + rows["run_lengths"]
-    sums = np.concatenate([[0], np.cumsum(rows["run_coefs"] * (prefix[ends] - prefix[starts]))])
+    starts, ends = rows["run_starts"], rows["run_starts"] + lengths
+    sums = np.concatenate([[0], np.cumsum(coefs * (prefix[ends] - prefix[starts]))])
     lhs = sums[rows["run_ptr"][1:]] - sums[rows["run_ptr"][:-1]]
     rhs, senses, tags = rows["rhs"], rows["senses"], rows["row_tags"]
     failed = np.where(senses == ">=", lhs < rhs, np.where(senses == "<=", lhs > rhs, lhs != rhs))

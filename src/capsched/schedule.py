@@ -7,14 +7,13 @@ slots <= t - delta.
 """
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import (Config, Workload, mandatory_load, _as_int64, _read_json_object,
-                       _require_matching)
+from .workload import Config, Workload, _as_int64, _read_json_object, _require_matching
 
 
 class ScheduleFormatError(ValueError):
@@ -23,10 +22,6 @@ class ScheduleFormatError(ValueError):
 
 class InfeasibleScheduleError(ValueError):
     """Raised when a schedule drives capacity negative."""
-
-
-class ModelInconsistencyError(RuntimeError):
-    """Raised when the simulator sees departures with nobody left to depart."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +77,72 @@ class Violation:
 class SimulationReport:
     """Outcome of first-in-first-out admission under a capacity trajectory.
 
+    theta_violations lists the arrival slots of cohorts with a participant
+    who waited beyond theta or was never admitted; those still waiting when
+    the horizon ends are counted per arrival slot in unadmitted.  overcommit
+    lists (slot, admitted, capacity) for each slot where the participants
+    already admitted exceeded capacity.
+
+    arrived, departed and exited are cumulative counts indexed by slot, entry
+    0 standing for before slot 1: participants who joined, who left, and who
+    left the waiting queue, by admission or by departing while waiting.  So
+    exited - departed participants are admitted after each slot and
+    arrived - exited are waiting.
+
     waits maps a waiting time in slots to the number of participants who
     experienced it; admissions maps an arrival slot to (count, admit slot)
-    batches.  Participants who left before ever being admitted appear in
-    departed_waiting, and those still waiting when the horizon ends in
-    unadmitted.  overcommit lists slots where already admitted participants
-    exceeded capacity.
+    batches and departed_waiting to (count, departure slot) batches of
+    participants who left before ever being admitted.  All three are derived
+    from the cumulative curves the first time they are read.
     """
 
     qos_cost: int
-    waits: Dict[int, int]
     theta_violations: List[int]
     capacity: np.ndarray
-    admissions: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
-    departed_waiting: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
-    unadmitted: Dict[int, int] = field(default_factory=dict)
-    overcommit: List[Tuple[int, int, int]] = field(default_factory=list)
+    unadmitted: Dict[int, int]
+    overcommit: List[Tuple[int, int, int]]
+    arrived: np.ndarray
+    departed: np.ndarray
+    exited: np.ndarray
+
+    @cached_property
+    def _exits(self) -> Tuple[List[int], List[int], List[int], List[bool]]:
+        # participants leave the queue in arrival order, and within slot t
+        # departures leave first: the queue's exits reach
+        # max(exited[t-1], departed[t]) after them and exited[t] after
+        # admissions.  Cutting the participant line at every point of both
+        # curves gives the runs that share an arrival slot and an exit event.
+        arrived, departed, exited = self.arrived, self.departed, self.exited
+        steps = np.empty(2 * (len(exited) - 1), dtype=np.int64)
+        np.maximum(exited[:-1], departed[1:], out=steps[0::2])
+        steps[1::2] = exited[1:]
+        cuts = np.union1d(arrived, steps)
+        cuts = cuts[cuts <= exited[-1]]
+        step = np.searchsorted(steps, cuts[1:])
+        return (np.searchsorted(arrived, cuts[1:]).tolist(), (step // 2 + 1).tolist(),
+                np.diff(cuts).tolist(), (step % 2 == 1).tolist())
+
+    @cached_property
+    def waits(self) -> Dict[int, int]:
+        waits: Dict[int, int] = {}
+        for arr, t, count, _ in zip(*self._exits):
+            waits[t - arr] = waits.get(t - arr, 0) + count
+        return waits
+
+    @cached_property
+    def admissions(self) -> Dict[int, List[Tuple[int, int]]]:
+        return self._batches(True)
+
+    @cached_property
+    def departed_waiting(self) -> Dict[int, List[Tuple[int, int]]]:
+        return self._batches(False)
+
+    def _batches(self, admitted: bool) -> Dict[int, List[Tuple[int, int]]]:
+        out: Dict[int, List[Tuple[int, int]]] = {}
+        for arr, t, count, by_admission in zip(*self._exits):
+            if by_admission == admitted:
+                out.setdefault(arr, []).append((count, t))
+        return out
 
 
 @dataclass(frozen=True)
@@ -113,10 +158,10 @@ class CostReport:
 
 def _raw_trajectory(schedule: Schedule, config: Config) -> np.ndarray:
     # capacity during slot t is the net of changes requested at slots <= t - delta
-    n = config.n
-    cum = np.concatenate([[0], np.cumsum(schedule.changes)])
-    idx = np.clip(np.arange(1, n + 1) - config.delta, 0, n)
-    return cum[idx]
+    n, delta = config.n, config.delta
+    cap = np.zeros(n, dtype=np.int64)
+    np.add.accumulate(schedule.changes[:n - delta], out=cap[delta:])
+    return cap
 
 
 def capacity_trajectory(schedule: Schedule, config: Config) -> np.ndarray:
@@ -144,8 +189,9 @@ def resource_cost(schedule: Schedule, config: Config) -> int:
     """
     _require_schedule_span(schedule, config)
     n, delta = config.n, config.delta
-    s = schedule.changes[: n - delta].tolist()
-    return sum(c * (n - j - delta) for j, c in enumerate(s, start=1))
+    s = schedule.changes[: n - delta]
+    hot = s.nonzero()[0]
+    return sum(c * (n - j - 1 - delta) for j, c in zip(hot.tolist(), s[hot].tolist()))
 
 
 def _require_schedule_span(schedule: Schedule, config: Config) -> None:
@@ -155,90 +201,72 @@ def _require_schedule_span(schedule: Schedule, config: Config) -> None:
 
 
 def simulate(workload: Workload, schedule: Schedule, config: Config) -> SimulationReport:
-    """Replay admissions slot by slot under the schedule's capacity.
+    """Replay admissions under the schedule's capacity, in closed form.
 
     Within a slot, joining participants enter the waiting queue first, then
     departures are processed, then waiting participants are admitted in
     arrival order up to free capacity.  Departures fall on admitted
     participants first; any excess falls on the earliest still-waiting
     participants, whose waiting time then ends at the departure slot.
-    Departures beyond everyone present indicate a corrupted workload and
-    raise ModelInconsistencyError.
-
     Waiting time above theta is flagged whether or not the participant was
     admitted later; participants still waiting when the horizon ends are
-    flagged as unadmitted.
+    flagged as unadmitted and add nothing to qos_cost.
+
+    With occ_t present and cap_t available during slot t, d_t departing and
+    M_t admitted after it, these rules read
+
+        M_t = max(M_{t-1} - d_t, min(cap_t, occ_t), 0),
+
+    and slot t overcommits when cap_t < max(M_{t-1} - d_t, 0).  Adding the
+    departures D_t through slot t turns the recurrence into a running
+    maximum, M_t + D_t = max over u <= t of max(min(cap_u, occ_u), 0) + D_u,
+    which is the number of participants who have left the queue.  Every
+    field follows from that curve and the cumulative arrivals, with no loop
+    over slots.
     """
     _require_matching(workload, config)
     _require_schedule_span(schedule, config)
     cap = _raw_trajectory(schedule, config)
-    theta = config.theta
+    n, a = config.n, workload.arrivals
 
-    arrivals = workload.arrivals.tolist()
-    departures = workload.departures.tolist()
-    cap_at = cap.tolist()
+    arrived = np.zeros(n + 1, dtype=np.int64)
+    departed = np.zeros(n + 1, dtype=np.int64)
+    exited = np.zeros(n + 1, dtype=np.int64)
+    ca, cd, ex = arrived[1:], departed[1:], exited[1:]
+    np.add.accumulate(a, out=ca)
+    np.add.accumulate(workload.departures, out=cd)
+    np.maximum(np.minimum(cap, ca - cd), 0, out=ex)
+    ex += cd
+    np.maximum.accumulate(exited, out=exited)
 
-    waiting: Deque[List[int]] = deque()    # [arrival slot, count], arrival order
-    admitted_total = 0
-    qos = 0
-    waits: Dict[int, int] = {}
-    violators = set()
-    admissions: Dict[int, List[Tuple[int, int]]] = {}
-    departed_waiting: Dict[int, List[Tuple[int, int]]] = {}
-    overcommit: List[Tuple[int, int, int]] = []
-
-    def record_wait(arr_slot: int, count: int, wait: int) -> None:
-        nonlocal qos
-        qos += wait * count
-        waits[wait] = waits.get(wait, 0) + count
-        if wait > theta:
-            violators.add(arr_slot)
-
-    for t in range(1, config.n + 1):
-        a = arrivals[t - 1]
-        if a:
-            waiting.append([t, a])
-        d = departures[t - 1]
-        take = min(d, admitted_total)
-        admitted_total -= take
-        d -= take
-        while d > 0:
-            if not waiting:
-                raise ModelInconsistencyError(
-                    f"departures at slot {t} exceed participants present")
-            batch = waiting[0]
-            take = min(d, batch[1])
-            batch[1] -= take
-            record_wait(batch[0], take, t - batch[0])
-            departed_waiting.setdefault(batch[0], []).append((take, t))
-            if batch[1] == 0:
-                waiting.popleft()
-            d -= take
-        free = cap_at[t - 1] - admitted_total
-        if free < 0:
-            overcommit.append((t, admitted_total, cap_at[t - 1]))
-        while free > 0 and waiting:
-            batch = waiting[0]
-            take = min(free, batch[1])
-            batch[1] -= take
-            if batch[1] == 0:
-                waiting.popleft()
-            record_wait(batch[0], take, t - batch[0])
-            admissions.setdefault(batch[0], []).append((take, t))
-            admitted_total += take
-            free -= take
-
-    unadmitted = {arr: count for arr, count in waiting if count > 0}
-    violators.update(unadmitted)
+    kept = np.maximum(exited[:-1], cd) - cd
+    over = (cap < kept).nonzero()[0]
+    # a cohort is late when its last participant has not left the queue
+    # theta slots after arriving, or by the horizon end
+    due = np.empty(n, dtype=np.int64)
+    due[:n - config.theta] = exited[1 + config.theta:]
+    due[n - config.theta:] = exited[n]
+    late = ((due < ca) & (a > 0)).nonzero()[0]
+    unadmitted: Dict[int, int] = {}
+    if exited[n] < arrived[n]:
+        short = ca[late] - exited[n]
+        stuck = short > 0
+        unadmitted = dict(zip((late[stuck] + 1).tolist(),
+                              np.minimum(a[late][stuck], short[stuck]).tolist()))
+    # everyone waiting after a slot waits through it; those never admitted
+    # are charged nothing, so take back their n - s + 1 slots
+    qos = sum((arrived - exited).tolist()) - sum(
+        count * (n - arr + 1) for arr, count in unadmitted.items())
     return SimulationReport(
         qos_cost=qos,
-        waits=waits,
-        theta_violations=sorted(violators),
+        theta_violations=(late + 1).tolist(),
         capacity=cap,
-        admissions=admissions,
-        departed_waiting=departed_waiting,
         unadmitted=unadmitted,
-        overcommit=overcommit,
+        overcommit=list(zip((over + 1).tolist(), kept[over].tolist(), cap[over].tolist()))
+        if over.size else [],
+        arrived=arrived,
+        departed=departed,
+        exited=exited,
     )
 
 
@@ -249,34 +277,37 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config) ->
     close to the horizon end to take effect, negative capacity, capacity
     below the mandatory load floor, waiting times beyond theta or participants
     never admitted, and capacity dropping below the already admitted count.
+    The last two come from simulate, whose closed form gives the overcommit
+    condition cap_t < max(M_{t-1} - d_t, 0) directly; the per-participant
+    waits and admission batches are never built here.
     """
-    return _violations(workload, schedule, config, simulate(workload, schedule, config))
+    return _violations(schedule, config, simulate(workload, schedule, config))
 
 
-def _violations(workload: Workload, schedule: Schedule, config: Config,
-                sim: SimulationReport) -> List[Violation]:
-    n, delta = config.n, config.delta
+def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
+    n, delta, theta = config.n, config.delta, config.theta
     out: List[Violation] = []
 
-    hot = (np.flatnonzero(schedule.changes) + 1).tolist()
-    for j, j2 in zip(hot, hot[1:]):
-        if j2 - j < delta:
-            out.append(Violation("separation", j, j2,
-                                 f"requests {j2 - j} slots apart, need {delta}"))
-    for j in hot:
-        if j > n - delta:
-            out.append(Violation("tail_request", j,
-                                 detail=f"cannot take effect by slot {n}"))
+    hot = schedule.changes.nonzero()[0] + 1
+    close = (np.diff(hot) < delta).nonzero()[0]
+    for j, j2 in zip(hot[close].tolist(), hot[close + 1].tolist()):
+        out.append(Violation("separation", j, j2,
+                             f"requests {j2 - j} slots apart, need {delta}"))
+    for j in hot[hot > n - delta].tolist():
+        out.append(Violation("tail_request", j,
+                             detail=f"cannot take effect by slot {n}"))
 
     cap = sim.capacity
-    for t in np.nonzero(cap < 0)[0]:
-        out.append(Violation("negative_capacity", int(t) + 1,
-                             detail=f"capacity {int(cap[t])}"))
-    load = mandatory_load(workload, config).values
-    for t in np.nonzero(cap < load)[0]:
-        if cap[t] >= 0:
-            out.append(Violation("mandatory_load", int(t) + 1,
-                                 detail=f"capacity {int(cap[t])} below floor {int(load[t])}"))
+    for t in (cap < 0).nonzero()[0].tolist():
+        out.append(Violation("negative_capacity", t + 1, detail=f"capacity {cap[t]}"))
+    # mandatory_load's floor, read from the simulation's cumulative counts: it
+    # is 0 through slot theta, so only a later slot's non-negative capacity
+    # can fall below it
+    floor = sim.arrived[1:n + 1 - theta] - sim.departed[1 + theta:]
+    tail = cap[theta:]
+    for k in ((tail >= 0) & (tail < floor)).nonzero()[0].tolist():
+        out.append(Violation("mandatory_load", theta + k + 1,
+                             detail=f"capacity {tail[k]} below floor {floor[k]}"))
 
     for arr in sim.theta_violations:
         if arr in sim.unadmitted:
@@ -299,7 +330,7 @@ def evaluate(workload: Workload, schedule: Schedule, config: Config) -> CostRepo
         qos_cost=sim.qos_cost,
         max_capacity=int(sim.capacity.max()),
         num_requests=int(np.count_nonzero(schedule.changes)),
-        feasible=not _violations(workload, schedule, config, sim),
+        feasible=not _violations(schedule, config, sim),
     )
 
 

@@ -294,12 +294,16 @@ def parse_workload(text: str) -> Tuple[Config, Workload]:
     """Parse workload text into a validated (Config, Workload) pair.
 
     The format is a JSON object with exactly the fields n, delta, theta,
-    arrivals, and departures.  Violations are reported with the offending
-    field or 1-based slot index.
+    arrivals, and departures.  Every defect, dimensions that no Config holds
+    included, raises WorkloadFormatError naming the offending field or
+    1-based slot index.
     """
     doc = _read_json_object(text, "workload", WorkloadFormatError,
                             ("n", "delta", "theta"), ("arrivals", "departures"))
-    config = Config(doc["n"], doc["delta"], doc["theta"])
+    try:
+        config = Config(doc["n"], doc["delta"], doc["theta"])
+    except ConfigurationError as exc:
+        raise WorkloadFormatError(str(exc)) from exc
     for f in ("arrivals", "departures"):
         if len(doc[f]) != config.n:
             raise WorkloadFormatError(

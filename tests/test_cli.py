@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from capsched import (
     Workload,
     WorkloadFormatError,
     compare_instance,
+    format_schedule,
     format_workload,
     generate_workload,
     parse_schedule,
@@ -277,6 +279,62 @@ class TestFuzzedFiles:
                 if code == 2:
                     assert out == ""
                     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _texts(near):
+    return near | _JSON.map(json.dumps) | _TEXT
+
+
+def _solution_text(matrices):
+    """Solver-style `<variable> <value>` lines for the nonzero entries."""
+    lines = [f"{name}_{i + 1}_{j + 1} {matrix[i, j]}"
+             for name, matrix in (("x", matrices.allocations), ("y", matrices.deallocations))
+             for i, j in zip(*matrix.nonzero())]
+    return "".join(line + "\n" for line in
+                   lines + [f"r_{j + 1} 1" for j in matrices.requests.nonzero()[0]])
+
+
+class TestFuzzedParsers:
+    # each parser returns what its formatter writes back and reads again
+    # unchanged, or raises its own format error
+    @given(text=_texts(_near_workload()))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_workload(self, text):
+        try:
+            config, workload = parse_workload(text)
+        except WorkloadFormatError:
+            return
+        again = format_workload(config, workload)
+        config2, workload2 = parse_workload(again)
+        assert config2 == config
+        assert format_workload(config2, workload2) == again
+
+    @given(text=_texts(_near_schedule()))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_schedule(self, text):
+        try:
+            n, delta, schedule = parse_schedule(text)
+        except ScheduleFormatError:
+            return
+        # format_schedule reads only n and delta, and a schedule file may
+        # carry a pair no Config holds (the CLI refuses it as a mismatch)
+        again = format_schedule(SimpleNamespace(n=n, delta=delta), schedule)
+        n2, delta2, schedule2 = parse_schedule(again)
+        assert (n2, delta2) == (n, delta)
+        assert schedule2.changes.tolist() == schedule.changes.tolist()
+
+    @given(n=st.integers(3, 12), text=_texts(
+        st.lists(_SOLUTION_LINE | _TEXT, max_size=6).map("\n".join)))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_solution(self, n, text):
+        config = Config(n=n, delta=2, theta=3)
+        try:
+            matrices = parse_solution(text, config)
+        except SolutionFormatError:
+            return
+        again = parse_solution(_solution_text(matrices), config)
+        for name in ("allocations", "deallocations", "requests"):
+            assert np.array_equal(getattr(again, name), getattr(matrices, name))
 
 
 _WORDS = st.sampled_from(["", "x", "1.5", "1e3", "0x10", " 7", "--"]) | st.text(max_size=5)

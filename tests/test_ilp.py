@@ -543,6 +543,21 @@ class TestValidateSolution:
             ref_workload, ref_config)
         assert any(v.tag == "EQ6" and v.i == 5 for v in out)
 
+    def test_rows_beyond_int64_are_exact(self):
+        # EQ7/EQ8 rows sum x_1_1 + x_6_3 = 2^63, which wraps to -2^63 in int64
+        config = Config(n=6, delta=2, theta=3)
+        workload = Workload(np.array([2 ** 62, 0, 0, 0, 0, 0]), np.zeros(6, dtype=int))
+        x = np.zeros((6, 6), dtype=np.int64)
+        x[0, 0] = x[5, 2] = 2 ** 62
+        r = np.array([1, 0, 1, 0, 0, 0])
+        matrices = SolutionMatrices(x, np.zeros_like(x), r)
+        assert validate_solution(matrices, workload, config) == []
+        x[0, 0] = 2 ** 63 - 1
+        r[0] = 0
+        assert [v.render() for v in validate_solution(
+            SolutionMatrices(x, np.zeros_like(x), r), workload, config)] == [
+            f"VIOLATION EQ10 i=1 j=1 detail=left side {1 - 2 ** 63} is not >= 0"]
+
     def test_violation_rendering(self, ref_config, ref_workload):
         empty = SolutionMatrices(np.zeros((8, 8), dtype=int),
                                  np.zeros((8, 8), dtype=int),

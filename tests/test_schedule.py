@@ -1,21 +1,31 @@
 import json
+from collections import deque
 from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsched import (
+    SCENARIO_PRESETS,
     Config,
     InfeasibleScheduleError,
+    ScenarioParams,
     Schedule,
     ScheduleFormatError,
+    SimulationReport,
+    Violation,
     Workload,
+    WorkloadFormatError,
+    adaptive_schedule,
     capacity_trajectory,
     check_feasibility,
     evaluate,
     format_schedule,
+    generate_workload,
+    greedy_schedule,
+    mandatory_load,
     parse_schedule,
     resource_cost,
     simulate,
@@ -160,6 +170,194 @@ class TestSimulate:
             (5, 2, 1), (6, 2, 1), (7, 2, 1), (8, 2, 1)]
 
 
+def _reference_simulate(workload, schedule, config):
+    """The slot-by-slot FIFO replay that simulate's closed form replaced.
+
+    Returns every SimulationReport field as plain Python values, plus the
+    admitted and waiting counts after each slot.
+    """
+    n, delta, theta = config.n, config.delta, config.theta
+    cum = [0] + list(accumulate(schedule.changes.tolist()))
+    cap_at = [cum[max(t - delta, 0)] for t in range(1, n + 1)]
+    arrivals = workload.arrivals.tolist()
+    departures = workload.departures.tolist()
+
+    waiting = deque()    # [arrival slot, count], arrival order
+    admitted_total = 0
+    qos = 0
+    waits, violators, admissions, departed_waiting = {}, set(), {}, {}
+    overcommit, admitted_after, waiting_after = [], [], []
+
+    def record_wait(arr_slot, count, wait):
+        nonlocal qos
+        qos += wait * count
+        waits[wait] = waits.get(wait, 0) + count
+        if wait > theta:
+            violators.add(arr_slot)
+
+    for t in range(1, n + 1):
+        a = arrivals[t - 1]
+        if a:
+            waiting.append([t, a])
+        d = departures[t - 1]
+        take = min(d, admitted_total)
+        admitted_total -= take
+        d -= take
+        while d > 0:
+            assert waiting, f"departures at slot {t} exceed participants present"
+            batch = waiting[0]
+            take = min(d, batch[1])
+            batch[1] -= take
+            record_wait(batch[0], take, t - batch[0])
+            departed_waiting.setdefault(batch[0], []).append((take, t))
+            if batch[1] == 0:
+                waiting.popleft()
+            d -= take
+        free = cap_at[t - 1] - admitted_total
+        if free < 0:
+            overcommit.append((t, admitted_total, cap_at[t - 1]))
+        while free > 0 and waiting:
+            batch = waiting[0]
+            take = min(free, batch[1])
+            batch[1] -= take
+            if batch[1] == 0:
+                waiting.popleft()
+            record_wait(batch[0], take, t - batch[0])
+            admissions.setdefault(batch[0], []).append((take, t))
+            admitted_total += take
+            free -= take
+        admitted_after.append(admitted_total)
+        waiting_after.append(sum(count for _, count in waiting))
+
+    unadmitted = {arr: count for arr, count in waiting if count > 0}
+    violators.update(unadmitted)
+    return {"qos_cost": qos, "waits": waits, "theta_violations": sorted(violators),
+            "capacity": cap_at, "admissions": admissions,
+            "departed_waiting": departed_waiting, "unadmitted": unadmitted,
+            "overcommit": overcommit, "admitted": admitted_after, "waiting": waiting_after}
+
+
+def _assert_matches_reference(workload, schedule, config):
+    ref = _reference_simulate(workload, schedule, config)
+    rep = simulate(workload, schedule, config)
+    for name in ("qos_cost", "theta_violations", "overcommit"):
+        assert getattr(rep, name) == ref[name], name
+    # dict equality ignores order, so compare items in order
+    for name in ("waits", "admissions", "departed_waiting", "unadmitted"):
+        assert list(getattr(rep, name).items()) == list(ref[name].items()), name
+    assert rep.capacity.tolist() == ref["capacity"]
+    assert rep.arrived[0] == rep.departed[0] == rep.exited[0] == 0
+    assert (rep.exited - rep.departed)[1:].tolist() == ref["admitted"]
+    assert (rep.arrived - rep.exited)[1:].tolist() == ref["waiting"]
+    return rep
+
+
+def _reference_violations(workload, schedule, config, ref):
+    """check_feasibility's list, slot by slot, from _reference_simulate's report."""
+    n, delta, theta = config.n, config.delta, config.theta
+    out = []
+    hot = [j + 1 for j, c in enumerate(schedule.changes.tolist()) if c]
+    for j, j2 in zip(hot, hot[1:]):
+        if j2 - j < delta:
+            out.append(Violation("separation", j, j2,
+                                 f"requests {j2 - j} slots apart, need {delta}"))
+    out += [Violation("tail_request", j, detail=f"cannot take effect by slot {n}")
+            for j in hot if j > n - delta]
+    cap, load = ref["capacity"], mandatory_load(workload, config).values.tolist()
+    out += [Violation("negative_capacity", t, detail=f"capacity {c}")
+            for t, c in enumerate(cap, start=1) if c < 0]
+    out += [Violation("mandatory_load", t, detail=f"capacity {c} below floor {f}")
+            for t, (c, f) in enumerate(zip(cap, load), start=1) if 0 <= c < f]
+    for arr in ref["theta_violations"]:
+        if arr in ref["unadmitted"]:
+            out.append(Violation("never_admitted", arr, detail=f"{ref['unadmitted'][arr]} "
+                                 "participants still waiting at horizon end"))
+        else:
+            out.append(Violation("theta_delay", arr, detail=f"waited beyond theta={theta}"))
+    out += [Violation("capacity_below_occupancy", t, detail=f"{occ} admitted but capacity {c}")
+            for t, occ, c in ref["overcommit"]]
+    return out
+
+
+@st.composite
+def _fifo_instances(draw):
+    """A workload and a schedule with any capacity path: negative levels,
+    drops under admitted participants, departures that reach the queue,
+    cohorts never admitted, and at most one cohort near 2^62 (two would pass
+    int64 in sum).  Config needs n >= theta > delta >= 2, so n starts at 3."""
+    n = draw(st.integers(3, 30))
+    delta = draw(st.integers(2, n - 1))
+    config = Config(n=n, delta=delta, theta=draw(st.integers(delta + 1, n)))
+    arrivals = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    big = draw(st.none() | st.integers(0, n - 1))
+    if big is not None:
+        arrivals[big] += 2 ** 62 + draw(st.integers(-3, 3))
+    departures, present = [], 0
+    for a in arrivals:
+        present += a
+        d = draw(st.just(0) | st.integers(0, min(present, 3)) | st.integers(0, present))
+        departures.append(d)
+        present -= d
+    total = sum(arrivals)
+    levels, level = [], 0
+    for _ in range(n):
+        if draw(st.booleans()):
+            level = draw(st.integers(-2, 6) | st.sampled_from([total - 1, total, total + 1]))
+        levels.append(level)
+    changes = [levels[0]] + [b - a for a, b in zip(levels, levels[1:])]
+    return config, Workload(np.array(arrivals), np.array(departures)), sched(*changes)
+
+
+class TestClosedForm:
+    @given(instance=_fifo_instances())
+    # a wait of exactly theta, which is not late
+    @example(instance=(Config(n=8, delta=2, theta=3), Workload(np.eye(1, 8, dtype=int)[0],
+                                                               np.zeros(8, dtype=int)),
+                       sched(0, 1, 0, 0, 0, 0, 0, 0)))
+    # a 2^62 cohort waits 4 slots, so qos_cost passes int64; the slot-5
+    # joiner is never admitted
+    @example(instance=(Config(n=6, delta=2, theta=3),
+                       Workload(np.array([2 ** 62, 0, 0, 0, 1, 0]), np.zeros(6, dtype=int)),
+                       sched(0, 0, 2 ** 62, 0, 0, 0)))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_slot_loop(self, instance):
+        config, workload, schedule = instance
+        _assert_matches_reference(workload, schedule, config)
+        assert check_feasibility(workload, schedule, config) == _reference_violations(
+            workload, schedule, config, _reference_simulate(workload, schedule, config))
+
+    @pytest.mark.parametrize("planner", [adaptive_schedule, greedy_schedule])
+    def test_equals_the_slot_loop_at_ten_thousand_slots(self, planner):
+        values = SCENARIO_PRESETS["mmog"]
+        config = Config(n=10_000, delta=values["delta"], theta=values["theta"])
+        workload = generate_workload(
+            ScenarioParams(name="mmog", amplitude=values["amplitude"], seed=3), config)
+        _assert_matches_reference(workload, planner(workload, config), config)
+
+    def test_feasibility_builds_no_batches(self, monkeypatch, ref_config, ref_workload):
+        def refuse(self):
+            raise AssertionError("waits or admission batches were built")
+        monkeypatch.setattr(SimulationReport, "_exits", property(refuse))
+        for s in (sched(0, 3, 0, 0, -2, 0, 0, 0), sched(0, 0, 0, 0, 0, 0, 0, 0)):
+            check_feasibility(ref_workload, s, ref_config)
+            evaluate(ref_workload, s, ref_config)
+
+    @given(counts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=3, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_queue_never_runs_dry(self, counts):
+        # Workload refuses every prefix where departures outrun arrivals, so
+        # the replay always finds someone present to depart
+        arrivals, departures = map(list, zip(*counts))
+        try:
+            workload = Workload(np.array(arrivals), np.array(departures))
+        except WorkloadFormatError:
+            assert any(d > a for a, d in zip(accumulate(arrivals), accumulate(departures)))
+            return
+        config = Config(n=len(counts), delta=2, theta=3)
+        _assert_matches_reference(workload, sched(*[0] * config.n), config)
+
+
 class TestCheckFeasibility:
     def test_clean_schedule_has_no_violations(self, ref_config, ref_workload):
         assert check_feasibility(ref_workload, sched(0, 3, 0, 0, -2, 0, 0, 0),
@@ -194,7 +392,6 @@ class TestCheckFeasibility:
         assert "never_admitted" in kinds
 
     def test_violation_rendering(self):
-        from capsched import Violation
         v = Violation("separation", 3, 4, "requests 1 slots apart, need 2")
         assert v.render() == ("VIOLATION separation slot=3 slot2=4 "
                               "detail=requests 1 slots apart, need 2")
