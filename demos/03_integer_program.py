@@ -29,7 +29,7 @@ def main():
     model = build_model(workload, config)
     text = export_lp(model)
     print(f"model: {len(model.variables)} variables, "
-          f"{len(model.constraints)} constraint rows")
+          f"{len(model.rhs)} constraint rows")
     print(f"LP text is {len(text)} bytes; first lines:")
     for line in text.splitlines()[:12]:
         print("   ", line)

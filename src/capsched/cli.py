@@ -22,7 +22,6 @@ from .ilp import (
     validate_solution,
 )
 from .schedule import (
-    InfeasibleScheduleError,
     Schedule,
     ScheduleFormatError,
     check_feasibility,
@@ -31,7 +30,6 @@ from .schedule import (
     parse_schedule,
 )
 from .solvers import (
-    OracleInfeasibleError,
     OracleLimitError,
     OracleLimits,
     adaptive_schedule,
@@ -400,9 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleScheduleError, OracleInfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -335,12 +335,15 @@ def evaluate(workload: Workload, schedule: Schedule, config: Config) -> CostRepo
 
 
 def parse_schedule(text: str) -> Tuple[int, int, Schedule]:
-    """Parse schedule text: a JSON object with fields n, delta, changes."""
+    """Parse schedule text: a JSON object with fields n, delta, changes, whose
+    2 <= delta <= n - 1 is a pair some Config holds."""
     doc = _read_json_object(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
-    changes = doc["changes"]
-    if len(changes) != doc["n"]:
-        raise ScheduleFormatError(f"changes has {len(changes)} entries but n is {doc['n']}")
-    return doc["n"], doc["delta"], Schedule(np.array(changes, dtype=np.int64))
+    n, delta, changes = doc["n"], doc["delta"], doc["changes"]
+    if len(changes) != n:
+        raise ScheduleFormatError(f"changes has {len(changes)} entries but n is {n}")
+    if not 2 <= delta <= n - 1:
+        raise ScheduleFormatError(f"delta must lie in 2..n-1, got delta={delta} with n={n}")
+    return n, delta, Schedule(np.array(changes, dtype=np.int64))
 
 
 def format_schedule(config: Config, schedule: Schedule) -> str:
@@ -349,6 +352,6 @@ def format_schedule(config: Config, schedule: Schedule) -> str:
     doc = {
         "n": config.n,
         "delta": config.delta,
-        "changes": [int(v) for v in schedule.changes],
+        "changes": schedule.changes.tolist(),
     }
     return json.dumps(doc, indent=2) + "\n"

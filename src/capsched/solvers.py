@@ -33,10 +33,6 @@ class OracleLimitError(RuntimeError):
     """Raised when an instance is too large for exhaustive search."""
 
 
-class OracleInfeasibleError(RuntimeError):
-    """Raised when no assignment satisfies the constraints."""
-
-
 class LiftError(RuntimeError):
     """Raised when no assignment of the integer program nets to a schedule."""
 
@@ -140,10 +136,11 @@ def exact_oracle(workload: Workload, config: Config,
     """Minimum-cost assignment by exhaustive search over request placements.
 
     Enumerates request slot placements with the minimum spacing and prices
-    each in closed form: every arrival cohort is allocated at the last
-    column of its window, and the releases are the cheapest within each
-    column's cap (its departure budget and, where EQ7 or EQ8 is screened,
-    its cumulative allocation), found by _cheapest_releases.  EQ8 acts only
+    each in closed form from the prefixes _prefixes returns: every arrival
+    cohort is allocated at the last column of its window, so the cumulative
+    allocation at a column is A at the next column (every arrival after the
+    last), and the cumulative releases are D within reach of the column,
+    capped by that allocation where EQ7 or EQ8 is screened.  EQ8 acts only
     by ruling out placements whose first column comes after a slot with
     mandatory load, so skip_families={"EQ7"} alone changes nothing.  Ties
     on cost resolve to the smallest solution in row-major allocation,
@@ -158,7 +155,7 @@ def exact_oracle(workload: Workload, config: Config,
     """
     _require_matching(workload, config)
     limits = limits if limits is not None else OracleLimits()
-    n, delta, theta = config.n, config.delta, config.theta
+    n, delta = config.n, config.delta
     total = int(workload.arrivals.sum())
     if n > limits.max_n:
         raise OracleLimitError(f"n={n} exceeds the search limit max_n={limits.max_n}")
@@ -170,80 +167,74 @@ def exact_oracle(workload: Workload, config: Config,
     skip = set(skip_families)
     capped = "EQ7" not in skip or "EQ8" not in skip
 
-    load = [int(v) for v in mandatory_load(workload, config).values]
-    last = n - delta
-    arr_cohorts = [(i, v) for i, v in enumerate(workload.arrivals.tolist(), 1) if v]
-    dep_cohorts = [(i, v) for i, v in enumerate(workload.departures.tolist(), 1) if v]
+    load = mandatory_load(workload, config).values.tolist()
+    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
 
-    best_cost: Optional[int] = None
-    best_key = None  # the allocations, de-allocations and flags of the best pick
-    for slots in _request_slot_sets(last, delta):
+    best_cost, best_key = None, None  # best_key: allocations, de-allocations, flags
+    for slots in _request_slot_sets(n - delta, delta):
         if time.monotonic() > deadline:
-            raise OracleLimitError(
-                f"time budget {limits.time_budget}s exhausted during search")
+            raise OracleLimitError(f"time budget {limits.time_budget}s exhausted during search")
         m = len(slots)
-        weights = [n - j - delta for j in slots]
-        # eligible column count per arrival cohort (columns are a prefix)
-        xwin = [sum(1 for j in slots if j <= min(i + theta - delta, last))
-                for i, _ in arr_cohorts]
-        if 0 in xwin:
+        first = slots[0] if m else n
+        # an arrival whose window ends before the first column, or mandatory
+        # load before that column takes effect, cannot be covered
+        if due[first] or ("EQ8" not in skip and any(load[delta:first + delta - 1])):
             continue
-        # mandatory load before the first column takes effect cannot be covered
-        if "EQ8" not in skip and max(load[delta:slots[0] + delta - 1 if m else n],
-                                     default=0) > 0:
-            continue
-        # eligible departure cohort count per column (cohorts are a prefix)
-        ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
-        dk = [sum(amount for _, amount in dep_cohorts[:h]) for h in ywin]
-        # Each cohort sits at the last column of its window, so the cumulative
-        # allocation cu is the smallest any Hall-feasible split allows.  That
-        # is the cheapest split: by parts the cost is the sum over columns of
-        # (w[k] - w[k + 1]) * (cu[k] - V[k]), with V[k] the releases up to
-        # column k, at best min(dk[k], cu[k]) or dk[k]; every coefficient is
-        # >= 0 and every term grows with cu[k].  It also wins the row-major
-        # tie rule, since each cohort's row is zero before its last column.
-        # The EQ8 cap cu[k] - (peak load over column k's interval) never
-        # binds: cohorts mandatory at a slot t there have windows that end
-        # before the next column, so they sit at or before column k, and
-        # cu[k] - load[t] >= departures through t >= dk[k].
-        cu = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin) if win <= k + 1)
-              for k in range(m)]
-        u = [hi - lo for lo, hi in zip([0] + cu, cu)]
-        v = _cheapest_releases([min(b, c) for b, c in zip(dk, cu)] if capped else dk,
-                               weights)
-        cost = sum((gross - freed) * w for gross, freed, w in zip(u, v, weights))
+        # With each cohort at the last column of its window, the cumulative
+        # allocation cu[k] = A(c_{k+1}) is the least Hall's condition allows.
+        # By parts the cost is the sum of (cu[k] - V[k]) * (c_{k+1} - c_k),
+        # c_{m+1} = n - delta, so the cumulative releases V[k] take their caps,
+        # D(c_k) and, with EQ7 or EQ8 screened, cu[k]; both rise with k.  The
+        # EQ8 cap cu[k] - load[t] over column k's interval never binds: cohorts
+        # mandatory at t sit at or before column k, so it is >= the departures
+        # through t >= dk[k].  Rows are zero before their last column and a last
+        # column at n - delta (weight 0) releases nothing: the tie rule's pick.
+        cu = [due[c] for c in slots[1:] + (n,)][:m]
+        dk = [freed[min(j + delta, n)] for j in slots]
+        reach = [min(d, c) if capped else d for d, c in zip(dk, cu)]
+        if m and slots[-1] == n - delta:
+            reach[-1] = reach[-2] if m > 1 else 0
+        cost = sum((c - r) * (nxt - j)
+                   for c, r, j, nxt in zip(cu, reach, slots, slots[1:] + (n - delta,)))
         if best_cost is not None and cost > best_cost:
             continue
+        u = [hi - lo for lo, hi in zip([0] + cu, cu)]
+        v = [hi - lo for lo, hi in zip([0] + reach, reach)]
+        xwin, ywin = _windows(slots, arr_cohorts, dep_cohorts, config)
         key = _pick_flat((slots, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
         if best_cost is None or cost < best_cost or key < best_key:
             best_cost, best_key = cost, key
 
-    if best_key is None:
-        raise OracleInfeasibleError("no feasible assignment exists for this workload")
     x, y, r = best_key
     matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
     return matrices, int(best_cost)
 
 
-def _cheapest_releases(caps: List[int], weights: List[int]) -> Optional[List[int]]:
-    """Releases per column that save the most, sum(v * w), while the
-    releases up to each column stay within its cap; None if a cap is below 0.
+def _prefixes(workload: Workload, config: Config):
+    """Arrival and departure cohorts, (slot, amount) with amount > 0, and the
+    prefixes that price columns: due[c] = A(c), the arrival mass whose window
+    end min(i + theta - delta, n - delta) is before slot c (due[n] is every
+    arrival), and freed[t], the departures through slot t, so that D(c), the
+    departures within reach of column c, is freed[min(c + delta, n)]."""
+    n, delta, theta = config.n, config.delta, config.theta
+    arr_cohorts = [(i, v) for i, v in enumerate(workload.arrivals.tolist(), 1) if v]
+    dep_cohorts = [(i, v) for i, v in enumerate(workload.departures.tolist(), 1) if v]
+    ending = [0] * n
+    for i, amount in arr_cohorts:
+        ending[min(i + theta - delta, n - delta)] += amount
+    due = list(itertools.accumulate(ending, initial=0))
+    freed = list(itertools.accumulate(workload.departures.tolist(), initial=0))
+    return arr_cohorts, dep_cohorts, due, freed
 
-    By parts the saving is the sum of V[c] * (w[c] - w[c + 1]), with V the
-    cumulative releases and w past the last column 0.  The weights fall
-    strictly and end at 0 or above, so every term grows with V[c], and the
-    best V[c] is the smallest cap at or after column c (a suffix minimum).
-    A last column of weight 0 saves nothing either way and releases
-    nothing, which gives the oracle its row-major smallest de-allocations.
-    """
-    if any(cap < 0 for cap in caps):
-        return None
-    reach = list(caps)
-    for c in range(len(reach) - 2, -1, -1):
-        reach[c] = min(reach[c], reach[c + 1])
-    if reach and weights[-1] == 0:
-        reach[-1] = reach[-2] if len(reach) > 1 else 0
-    return [hi - lo for lo, hi in zip([0] + reach, reach)]
+
+def _windows(cols, arr_cohorts, dep_cohorts, config: Config):
+    """_pick_flat's windows over ascending columns: the columns by each arrival
+    cohort's window end, and the departure cohorts by each column plus delta."""
+    n, delta, theta = config.n, config.delta, config.theta
+    xwin = [bisect.bisect_right(cols, min(i + theta - delta, n - delta)) for i, _ in arr_cohorts]
+    dep_slots = [i for i, _ in dep_cohorts]
+    ywin = [bisect.bisect_right(dep_slots, c + delta) for c in cols]
+    return xwin, ywin
 
 
 def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
@@ -308,15 +299,14 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
 
     Over columns c_1 < ... < c_m with net capacity C_k the least cumulative
     allocation is U_k = max(A(c_{k+1}), U_{k-1} + (C_k - C_{k-1})+), U_0 = 0,
-    where A(c) is the arrival mass whose window end
-    min(i + theta - delta, n - delta) is before c (past c_m, every arrival).
+    with A and D the prefixes of _prefixes (past c_m, A is every arrival).
     The columns carry an assignment iff A(c_1) = 0 and each U_k - C_k is at
-    most D(c_k), the departures through min(c_k + delta, n).  A zero-net
-    column never raises U nor breaks that test, so one forward pass keeps
-    per slot the least U over valid columns ending there, looking back to
-    the last request (or the start) and to slots 2 * delta - 1 to delta
-    before; ties go to fewer columns, then to the later one.  Slot n stands
-    for the end, needing every arrival.  _pick_flat splits the deltas.
+    most D(c_k).  A zero-net column never raises U nor breaks that test, so
+    one forward pass keeps per slot the least U over valid columns ending
+    there, looking back to the last request (or the start) and to slots
+    2 * delta - 1 to delta before; ties go to fewer columns, then to the
+    later one.  Slot n stands for the end, needing every arrival.
+    _pick_flat splits the deltas.
 
     Raises LiftError exactly when no assignment nets to the schedule: a
     request past n - delta or within delta of another, capacity below zero
@@ -327,7 +317,7 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
     """
     _require_matching(workload, config)
     _require_schedule_span(schedule, config)
-    n, delta, theta = config.n, config.delta, config.theta
+    n, delta = config.n, config.delta
     last = n - delta
     s = schedule.changes.tolist()
     requests = [j for j in range(1, n + 1) if s[j - 1]]
@@ -348,13 +338,7 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
         raise LiftError(f"capacity {int(cap[t])} at slot {t + 1} is below zero "
                         f"or the mandatory load {int(load[t])}")
 
-    arr_cohorts = [(i, v) for i, v in enumerate(workload.arrivals.tolist(), 1) if v]
-    dep_cohorts = [(i, v) for i, v in enumerate(workload.departures.tolist(), 1) if v]
-    ending = [0] * (n + 1)
-    for i, amount in arr_cohorts:
-        ending[min(i + theta - delta, last)] += amount
-    due = list(itertools.accumulate(ending, initial=0))     # due[c] = A(c), due[n] = total
-    freed = list(itertools.accumulate(workload.departures.tolist(), initial=0))
+    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
     running = list(itertools.accumulate(s, initial=0))
     # the most U column p may hold, releasing U - C_p; the start (p = 0) holds nothing
     room = [0] + [freed[min(p + delta, n)] + running[p] for p in range(1, last + 1)]
@@ -388,11 +372,9 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
         cols.append(end)
         end = best[end][2]
     cols.reverse()
-    top = [held(c, need) for c, need in zip(cols, [due[c] for c in cols[1:]] + [total])]
+    top = [held(c, due[c_next]) for c, c_next in zip(cols, cols[1:] + [n])]
     u = [hi - lo for lo, hi in zip([0] + top, top)]
     v = [gross - s[c - 1] for gross, c in zip(u, cols)]
-    xwin = [bisect.bisect_right(cols, min(i + theta - delta, last)) for i, _ in arr_cohorts]
-    dep_slots = [i for i, _ in dep_cohorts]
-    ywin = [bisect.bisect_right(dep_slots, c + delta) for c in cols]
+    xwin, ywin = _windows(cols, arr_cohorts, dep_cohorts, config)
     x, y, r = _pick_flat((cols, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
     return SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))

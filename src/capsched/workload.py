@@ -320,7 +320,7 @@ def format_workload(config: Config, workload: Workload) -> str:
         "n": config.n,
         "delta": config.delta,
         "theta": config.theta,
-        "arrivals": [int(v) for v in workload.arrivals],
-        "departures": [int(v) for v in workload.departures],
+        "arrivals": workload.arrivals.tolist(),
+        "departures": workload.departures.tolist(),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -3,7 +3,6 @@ import io
 import json
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -316,9 +315,7 @@ class TestFuzzedParsers:
             n, delta, schedule = parse_schedule(text)
         except ScheduleFormatError:
             return
-        # format_schedule reads only n and delta, and a schedule file may
-        # carry a pair no Config holds (the CLI refuses it as a mismatch)
-        again = format_schedule(SimpleNamespace(n=n, delta=delta), schedule)
+        again = format_schedule(Config(n, delta, n), schedule)
         n2, delta2, schedule2 = parse_schedule(again)
         assert (n2, delta2) == (n, delta)
         assert schedule2.changes.tolist() == schedule.changes.tolist()
@@ -590,6 +587,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (f"error: schedule was built for n={n}, delta={delta}, "
                                 f"not n=8, delta=2\n")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["validate", "--schedule"]])
+    def test_schedule_with_an_impossible_delta_is_a_usage_error(
+            self, tmp_path, capsys, ref_config, ref_workload, command):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        sched = tmp_path / "other.json"
+        sched.write_text('{"n": 3, "delta": -7, "changes": [0, 0, 0]}', encoding="utf-8")
+        assert main([command[0], wl, *command[1:], str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: delta must lie in 2..n-1, got delta=-7 with n=3\n"
 
     def test_bad_seed_ranges(self):
         base = ["compare", "--n", "8", "--delta", "2", "--theta", "3",

@@ -434,6 +434,18 @@ class TestSerialization:
                            match=f"changes summed through slot {slot} exceed the int64 range"):
             parse_schedule(text)
 
+    @pytest.mark.parametrize("n, delta", [(3, -7), (3, 1), (3, 3), (8, 8), (2, 2), (0, 2)])
+    def test_parse_rejects_deltas_no_config_holds(self, n, delta):
+        text = json.dumps({"n": n, "delta": delta, "changes": [0] * n})
+        with pytest.raises(ScheduleFormatError) as info:
+            parse_schedule(text)
+        assert str(info.value) == f"delta must lie in 2..n-1, got delta={delta} with n={n}"
+
+    @pytest.mark.parametrize("n, delta", [(3, 2), (8, 7)])
+    def test_parse_accepts_every_delta_a_config_holds(self, n, delta):
+        text = json.dumps({"n": n, "delta": delta, "changes": [0] * n})
+        assert parse_schedule(text)[:2] == (n, delta)
+
     def test_parse_rejects_fractional_change(self):
         with pytest.raises(ScheduleFormatError, match="slot 1"):
             parse_schedule('{"n": 2, "delta": 2, "changes": [0.5, 0]}')

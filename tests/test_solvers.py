@@ -14,7 +14,6 @@ from capsched import (
     Config,
     ConfigurationError,
     LiftError,
-    OracleInfeasibleError,
     OracleLimitError,
     OracleLimits,
     ScenarioParams,
@@ -165,6 +164,10 @@ def _column_hall_ok(demands, supplies):
     return True
 
 
+class _NoAssignment(RuntimeError):
+    """Raised by the reference search when nothing meets its constraints."""
+
+
 def _lexmin_transport(rows, demands, exact):
     """Reference split of column demands over supply rows: each entry in
     row-major order takes the smallest value that leaves the rest feasible.
@@ -197,7 +200,7 @@ def _lexmin_transport(rows, demands, exact):
                     chosen = v
                     break
             if chosen is None:
-                raise OracleInfeasibleError("no transport decomposition exists")
+                raise _NoAssignment("no transport decomposition exists")
             if chosen:
                 assign[(row, col)] = chosen
                 rem_supply[pos] -= chosen
@@ -315,7 +318,7 @@ def _reference_exact_oracle(workload, config, limits=None, skip_families=()):
         search_u(0, 0, [], 0)
 
     if "key" not in best:
-        raise OracleInfeasibleError("no feasible assignment exists for this workload")
+        raise _NoAssignment("no feasible assignment exists for this workload")
     x, y, r = best["key"]
     matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
     return matrices, best["cost"]
@@ -325,7 +328,7 @@ def _oracle_outcome(oracle, workload, config, skip_families):
     """Cost and the three matrices as lists, or the error type and message."""
     try:
         matrices, cost = oracle(workload, config, skip_families=skip_families)
-    except (OracleInfeasibleError, OracleLimitError) as exc:
+    except (_NoAssignment, OracleLimitError) as exc:
         return type(exc), str(exc)
     return (cost, matrices.allocations.tolist(), matrices.deallocations.tolist(),
             matrices.requests.tolist())
@@ -602,20 +605,11 @@ class TestOracleSplit:
                                               seed=seed), cfg)
         assume(int(wl.arrivals.sum()) <= OracleLimits().max_total_participants)
 
-        def solve():
-            try:
-                return exact_oracle(wl, cfg, skip_families=skip)
-            except OracleInfeasibleError:
-                return None
-
-        got = solve()
+        got = exact_oracle(wl, cfg, skip_families=skip)
         with mock.patch.object(solvers, "_pick_flat",
                                functools.partial(_reference_pick_flat, cfg)):
-            want = solve()
-        if want is None:
-            assert got is None
-            return
-        assert got is not None and got[1] == want[1]
+            want = exact_oracle(wl, cfg, skip_families=skip)
+        assert got[1] == want[1]
         for name in ("allocations", "deallocations", "requests"):
             assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
 
@@ -657,21 +651,6 @@ class TestOracleReleases:
         assert (_oracle_outcome(exact_oracle, wl, cfg, skip)
                 == _oracle_outcome(_reference_exact_oracle, wl, cfg, skip))
 
-    @given(caps=st.lists(st.integers(-1, 4), max_size=5), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_cheapest_releases_match_brute_force(self, caps, data):
-        # the caps here may fall and go negative, which the oracle's never do
-        weights = sorted(data.draw(st.sets(st.integers(0, 9), min_size=len(caps),
-                                           max_size=len(caps))), reverse=True)
-        best = None
-        for v in itertools.product(range(5), repeat=len(caps)):
-            if all(sum(v[:c + 1]) <= cap for c, cap in enumerate(caps)):
-                rank = (-sum(r * w for r, w in zip(v, weights)), sum(v))
-                if best is None or rank < best[0]:
-                    best = (rank, list(v))
-        want = None if best is None else best[1]
-        assert solvers._cheapest_releases(caps, weights) == want
-
     def test_zero_weight_last_column_releases_nothing(self):
         # the request at slot n - delta costs nothing either way; releasing
         # the departure there would tie on cost with a larger y
@@ -699,17 +678,64 @@ class TestOraclePrice:
     def test_each_request_slot_set_is_priced_once(self, monkeypatch):
         cfg = Config(n=10, delta=2, theta=9)
         wl = Workload(arrivals=np.array([1] * 8 + [0, 0]), departures=np.zeros(10, dtype=int))
-        priced = []
-        releases = solvers._cheapest_releases
+        windowed = []
+        windows = solvers._windows
 
-        def counted(caps, weights):
-            priced.append(caps)
-            return releases(caps, weights)
+        def counted(cols, *rest):
+            windowed.append(cols)
+            return windows(cols, *rest)
 
-        monkeypatch.setattr(solvers, "_cheapest_releases", counted)
+        monkeypatch.setattr(solvers, "_windows", counted)
         exact_oracle(wl, cfg)
         assert len(solvers._request_slot_sets(8, 2)) == 55
-        assert len(priced) <= 55
+        assert 0 < len(windowed) <= 55
+        assert len(set(windowed)) == len(windowed)
+
+    @given(data=st.data(), n=st.integers(3, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_prefixes_give_the_oracle_its_path_cost(self, data, n):
+        # departures anywhere in the horizon, not only in a decay phase
+        delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
+        theta = data.draw(st.integers(delta + 1, n), label="theta")
+        arrivals = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                             .filter(lambda a: sum(a) <= 8), label="arrivals")
+        departures = []
+        present = 0
+        for joined in arrivals:
+            present += joined
+            departures.append(data.draw(st.integers(0, present)))
+            present -= departures[-1]
+        cfg = Config(n=n, delta=delta, theta=theta)
+        wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
+        ends = [min(i + theta - delta, n - delta) for i in range(1, n + 1)]
+
+        def window_mass(c):     # A(c): arrivals whose window ends before slot c
+            return sum(a for a, end in zip(arrivals, ends) if end < c)
+
+        def within_reach(c):    # D(c): departures through slot c + delta
+            return sum(departures[:c + delta])
+
+        arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(wl, cfg)
+        assert arr_cohorts == [(i, a) for i, a in enumerate(arrivals, 1) if a]
+        assert dep_cohorts == [(i, d) for i, d in enumerate(departures, 1) if d]
+        assert due == [window_mass(c) for c in range(n + 1)]
+        assert due[n] == sum(arrivals)
+        assert freed == [sum(departures[:t]) for t in range(n + 1)]
+
+        # the cost of columns c_1 < ... < c_m is the sum over k of
+        # (A(c_{k+1}) - D(c_k))+ * (c_{k+1} - c_k), where c_{m+1} = n - delta
+        # spaces the last term and A there is every arrival
+        load = mandatory_load(wl, cfg).values.tolist()
+        costs = []
+        for slots in solvers._request_slot_sets(n - delta, delta):
+            first = slots[0] if slots else n
+            if window_mass(first) or any(load[t - 1] for t in
+                                         range(delta + 1, min(first + delta, n + 1))):
+                continue
+            needs = [window_mass(c) for c in slots[1:]] + [sum(arrivals)]
+            costs.append(sum(max(need - within_reach(c), 0) * (c_next - c)
+                             for c, c_next, need in zip(slots, [*slots[1:], n - delta], needs)))
+        assert exact_oracle(wl, cfg)[1] == min(costs)
 
     @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=100, deadline=None)
