@@ -1,7 +1,7 @@
 """Run all three planners on one tiny instance and compare their answers.
 
 The adaptive planner looks ahead to batch capacity requests, the greedy
-baseline reacts slot by slot, and the exhaustive oracle finds the cheapest
+baseline reacts slot by slot, and the exact oracle finds the cheapest
 feasible assignment outright.  On a trace this small all three finish
 instantly, so the gap between heuristic and optimal is easy to see.
 """
@@ -49,7 +49,7 @@ def main():
                       workload, greedy_schedule(workload, config), config)
 
     matrices, cost = exact_oracle(workload, config)
-    oracle = describe("exhaustive oracle",
+    oracle = describe("exact oracle",
                       workload, matrices_to_schedule(matrices, config), config)
     assert oracle.resource_cost == cost
 

@@ -30,8 +30,8 @@ from .schedule import (
     parse_schedule,
 )
 from .solvers import (
+    ORACLE_MAX_N,
     OracleLimitError,
-    OracleLimits,
     adaptive_schedule,
     exact_oracle,
     greedy_schedule,
@@ -110,14 +110,13 @@ def _resolve_scenario(args: argparse.Namespace, seed: int) -> Tuple[Config, Scen
     return config, params
 
 
-def _plan(algorithm: str, workload: Workload, config: Config,
-          limits: Optional[OracleLimits] = None) -> Schedule:
+def _plan(algorithm: str, workload: Workload, config: Config) -> Schedule:
     if algorithm == "ads":
         return adaptive_schedule(workload, config)
     if algorithm == "greedy":
         return greedy_schedule(workload, config)
     if algorithm == "oracle":
-        matrices, _ = exact_oracle(workload, config, limits)
+        matrices, _ = exact_oracle(workload, config)
         return matrices_to_schedule(matrices, config)
     raise ConfigurationError(f"unknown algorithm {algorithm!r}")
 
@@ -141,8 +140,7 @@ def _report_lines(report) -> List[str]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config, workload = parse_workload(_read_text(args.workload))
-    limits = OracleLimits(time_budget=args.time_budget)
-    schedule = _plan(args.algorithm, workload, config, limits)
+    schedule = _plan(args.algorithm, workload, config)
     _write_text(args.out, format_schedule(config, schedule))
     report = evaluate(workload, schedule, config)
     for line in _report_lines(report):
@@ -220,8 +218,7 @@ CSV_HEADER = "seed,algorithm,resource_cost,qos_cost,max_capacity,num_requests,fe
 
 
 def compare_instance(workload: Workload, config: Config, algorithms: Sequence[str],
-                     seed: int, limits: Optional[OracleLimits] = None,
-                     ) -> Tuple[List[CompareRow], List[str]]:
+                     seed: int) -> Tuple[List[CompareRow], List[str]]:
     """Evaluate each named planner on one workload.
 
     Returns the result rows plus notes for planners that refused the
@@ -231,7 +228,7 @@ def compare_instance(workload: Workload, config: Config, algorithms: Sequence[st
     notes: List[str] = []
     for algorithm in algorithms:
         try:
-            schedule = _plan(algorithm, workload, config, limits)
+            schedule = _plan(algorithm, workload, config)
         except OracleLimitError as exc:
             notes.append(f"{algorithm} skipped seed={seed}: {exc}")
             continue
@@ -247,13 +244,12 @@ def compare_instance(workload: Workload, config: Config, algorithms: Sequence[st
 @dataclass(frozen=True)
 class CompareSpec:
     """Everything one comparison run needs: dimensions, scenario template,
-    seed range, planner set, and the oracle's size/time limits."""
+    seed range and planner set."""
 
     config: Config
     scenario: ScenarioParams
     seeds: Tuple[int, ...]
     algorithms: Tuple[str, ...]
-    oracle_limits: Optional[OracleLimits] = None
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -278,18 +274,16 @@ def run_compare(spec: CompareSpec) -> str:
     dropped up front, with a note, when the dimensions exceed its limits.
     """
     config, params = spec.config, spec.scenario
-    limits = spec.oracle_limits or OracleLimits()
     notes: List[str] = []
     algorithms = list(spec.algorithms)
-    if "oracle" in algorithms and config.n > limits.max_n:
+    if "oracle" in algorithms and config.n > ORACLE_MAX_N:
         algorithms.remove("oracle")
         notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
-                     f"limit max_n={limits.max_n}")
+                     f"limit max_n={ORACLE_MAX_N}")
     rows: List[CompareRow] = []
     for seed in spec.seeds:
         workload = generate_workload(replace(params, seed=seed), config)
-        seed_rows, seed_notes = compare_instance(workload, config, algorithms,
-                                                 seed, limits)
+        seed_rows, seed_notes = compare_instance(workload, config, algorithms, seed)
         rows.extend(seed_rows)
         notes.extend(seed_notes)
     rows.sort(key=lambda row: (row.seed, row.algorithm))
@@ -329,8 +323,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         config=config, scenario=params,
         seeds=tuple(_parse_seed_range(args.seeds)),
         algorithms=tuple(name.strip() for name in args.algorithms.split(",")
-                         if name.strip()),
-        oracle_limits=OracleLimits(time_budget=args.time_budget))
+                         if name.strip()))
     _write_text(args.out, run_compare(spec))
     return EXIT_OK
 
@@ -351,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="plan a capacity schedule for a workload")
     p.add_argument("workload", help="workload JSON path, '-' for stdin")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="ads")
-    p.add_argument("--time-budget", type=float, default=60.0,
-                   help="oracle search budget in seconds")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=_cmd_solve)
 
@@ -378,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0..9", help="seed or inclusive range A..B")
     p.add_argument("--algorithms", default="ads,greedy",
                    help="comma separated planner names")
-    p.add_argument("--time-budget", type=float, default=60.0,
-                   help="oracle search budget in seconds")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=_cmd_compare)
 

@@ -8,8 +8,8 @@ parameters they return a schedule of capacity changes.
   delay allows.
 * greedy_schedule: a fixed-period baseline that re-targets capacity to the
   occupancy peak of the next window.
-* exact_oracle: exhaustive search over request placements, each priced
-  once in closed form; exact but restricted to tiny instances.
+* exact_oracle: the integer program's optimum, by a shortest path over
+  request placements priced in closed form; restricted to small instances.
 
 All planners are pure functions of their inputs.
 """
@@ -17,20 +17,17 @@ All planners are pure functions of their inputs.
 import bisect
 import itertools
 import math
-import time
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from .ilp import SolutionMatrices
+from .ilp import SolutionMatrices, _skip_tags
 from .schedule import Schedule, _raw_trajectory, _require_schedule_span
-from .workload import (Config, ConfigurationError, Workload, mandatory_load, occupancy,
-                       _require_matching)
+from .workload import Config, Workload, mandatory_load, occupancy, _require_matching
 
 
 class OracleLimitError(RuntimeError):
-    """Raised when an instance is too large for exhaustive search."""
+    """Raised when an instance exceeds the oracle's size caps."""
 
 
 class LiftError(RuntimeError):
@@ -102,112 +99,104 @@ def greedy_schedule(workload: Workload, config: Config) -> Schedule:
     return Schedule(changes)
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Hard ceilings for exhaustive search; beyond them the oracle refuses."""
-
-    max_n: int = 10
-    max_total_participants: int = 8
-    time_budget: float = 60.0
-
-    def __post_init__(self):
-        if not self.time_budget >= 0:
-            raise ConfigurationError(f"time_budget must be >= 0, got {self.time_budget!r}")
-
-
-def _request_slot_sets(last_slot: int, delta: int) -> List[Tuple[int, ...]]:
-    # every ascending tuple from 1..last_slot with pairwise gaps >= delta
-    out: List[Tuple[int, ...]] = []
-
-    def grow(start: int, acc: List[int]) -> None:
-        out.append(tuple(acc))
-        for j in range(start, last_slot + 1):
-            acc.append(j)
-            grow(j + delta, acc)
-            acc.pop()
-
-    grow(1, [])
-    return out
+# exact_oracle refuses instances beyond these; compare notes each refusal
+ORACLE_MAX_N = 10
+ORACLE_MAX_PARTICIPANTS = 8
 
 
 def exact_oracle(workload: Workload, config: Config,
-                 limits: Optional[OracleLimits] = None,
                  skip_families: Iterable[str] = ()) -> Tuple[SolutionMatrices, int]:
-    """Minimum-cost assignment by exhaustive search over request placements.
+    """Minimum-cost assignment of the integer program by a shortest path
+    over request slot placements.
 
-    Enumerates request slot placements with the minimum spacing and prices
-    each in closed form from the prefixes _prefixes returns: every arrival
-    cohort is allocated at the last column of its window, so the cumulative
-    allocation at a column is A at the next column (every arrival after the
-    last), and the cumulative releases are D within reach of the column,
-    capped by that allocation where EQ7 or EQ8 is screened.  EQ8 acts only
-    by ruling out placements whose first column comes after a slot with
-    mandatory load, so skip_families={"EQ7"} alone changes nothing.  Ties
-    on cost resolve to the smallest solution in row-major allocation,
-    de-allocation, flag order.
+    Request slots are columns at least delta apart, up to n - delta.  Every
+    arrival cohort is allocated at the last column of its window, so the
+    cumulative allocation at a column is A at the next column (every arrival
+    after the last), and the cumulative releases are D within reach of the
+    column, capped by that allocation where EQ7 or EQ8 is screened; A and D
+    are the prefixes _prefixes returns.  Each term of the cost then depends
+    on two consecutive columns only, as in Wagner-Whitin lot sizing, so one
+    forward pass over the columns, then the end (slot n), keeps per column
+    the best placement ending there.  EQ8 acts only by ruling out
+    placements whose first column comes after a slot with mandatory load,
+    so skip_families={"EQ7"} alone changes nothing.  Ties on cost go to the
+    row-major smallest allocations, then the smallest flags.  That is the
+    row-major allocation, de-allocation, flag order of the matrices unless
+    the de-allocations alone would break a tie, which no instance the tests
+    compare against the full enumeration has shown.
 
     skip_families accepts the tags EQ7 and EQ8 to drop those families from
-    the screen; the remaining families are built into the enumeration
-    itself and cannot be disabled.
+    the screen; the remaining families are built into the placements
+    themselves and cannot be disabled.  Any other tag, or a bare string,
+    raises ConfigurationError.
 
-    Instances beyond the limits, or searches beyond the time budget, raise
-    OracleLimitError rather than approximating.
+    Instances with n above ORACLE_MAX_N, or more than
+    ORACLE_MAX_PARTICIPANTS arrivals, raise OracleLimitError.
     """
     _require_matching(workload, config)
-    limits = limits if limits is not None else OracleLimits()
-    n, delta = config.n, config.delta
+    skip = _skip_tags(skip_families, ("EQ7", "EQ8"))
+    n, delta, theta = config.n, config.delta, config.theta
     total = int(workload.arrivals.sum())
-    if n > limits.max_n:
-        raise OracleLimitError(f"n={n} exceeds the search limit max_n={limits.max_n}")
-    if total > limits.max_total_participants:
+    if n > ORACLE_MAX_N:
+        raise OracleLimitError(f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}")
+    if total > ORACLE_MAX_PARTICIPANTS:
         raise OracleLimitError(
             f"{total} participants exceed the search limit "
-            f"max_total_participants={limits.max_total_participants}")
-    deadline = time.monotonic() + limits.time_budget
-    skip = set(skip_families)
+            f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
     capped = "EQ7" not in skip or "EQ8" not in skip
 
     load = mandatory_load(workload, config).values.tolist()
     arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
+    last = n - delta
+    ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
+    # best[c] = (cost, columns) of the cheapest columns ending at c, where
+    # column 0 stands for the start and column n for the end of the horizon
+    best = [(0, ())] + [None] * n
 
-    best_cost, best_key = None, None  # best_key: allocations, de-allocations, flags
-    for slots in _request_slot_sets(n - delta, delta):
-        if time.monotonic() > deadline:
-            raise OracleLimitError(f"time budget {limits.time_budget}s exhausted during search")
-        m = len(slots)
-        first = slots[0] if m else n
-        # an arrival whose window ends before the first column, or mandatory
-        # load before that column takes effect, cannot be covered
-        if due[first] or ("EQ8" not in skip and any(load[delta:first + delta - 1])):
-            continue
-        # With each cohort at the last column of its window, the cumulative
-        # allocation cu[k] = A(c_{k+1}) is the least Hall's condition allows.
-        # By parts the cost is the sum of (cu[k] - V[k]) * (c_{k+1} - c_k),
-        # c_{m+1} = n - delta, so the cumulative releases V[k] take their caps,
-        # D(c_k) and, with EQ7 or EQ8 screened, cu[k]; both rise with k.  The
-        # EQ8 cap cu[k] - load[t] over column k's interval never binds: cohorts
-        # mandatory at t sit at or before column k, so it is >= the departures
-        # through t >= dk[k].  Rows are zero before their last column and a last
-        # column at n - delta (weight 0) releases nothing: the tie rule's pick.
-        cu = [due[c] for c in slots[1:] + (n,)][:m]
-        dk = [freed[min(j + delta, n)] for j in slots]
-        reach = [min(d, c) if capped else d for d, c in zip(dk, cu)]
-        if m and slots[-1] == n - delta:
-            reach[-1] = reach[-2] if m > 1 else 0
-        cost = sum((c - r) * (nxt - j)
-                   for c, r, j, nxt in zip(cu, reach, slots, slots[1:] + (n - delta,)))
-        if best_cost is not None and cost > best_cost:
-            continue
-        u = [hi - lo for lo, hi in zip([0] + cu, cu)]
-        v = [hi - lo for lo, hi in zip([0] + reach, reach)]
-        xwin, ywin = _windows(slots, arr_cohorts, dep_cohorts, config)
-        key = _pick_flat((slots, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
-        if best_cost is None or cost < best_cost or key < best_key:
-            best_cost, best_key = cost, key
+    def released(p, c):
+        # the cumulative releases at column p when column c comes next
+        reach = freed[min(p + delta, n)]
+        return min(reach, due[c]) if capped else reach
 
-    x, y, r = best_key
+    def tie_key(cols):
+        # with each cohort at the last column of its window, row-major
+        # allocation order is the cohorts' columns, later first, and those
+        # of the cohorts whose window ends before cols[-1] are fixed by then;
+        # the flags order the columns the same way
+        return ([-cols[bisect.bisect_right(cols, e) - 1] for e in ends if e < cols[-1]],
+                [-j for j in cols])
+
+    for c in [*range(1, last + 1), n]:
+        # c may come first unless an arrival's window ends before it, or
+        # mandatory load comes before it takes effect
+        first = not due[c] and ("EQ8" in skip or not any(load[delta:c + delta - 1]))
+        options = [(0, 0)] if first else []
+        # By parts the cost is the sum of (A(c) - V) * (c - p) over consecutive
+        # columns p < c, with c = n - delta after the last column, so the
+        # cumulative releases V at p take their caps, D(p) and, with EQ7 or
+        # EQ8 screened, A(c).  The EQ8 cap A(c) - load[t] over p's interval
+        # never binds: cohorts mandatory at t sit at or before p, so it is >=
+        # the departures through t >= D(p).
+        options += [(best[p][0] + (due[c] - released(p, c)) * (min(c, last) - p), p)
+                    for p in range(1, min(c - delta, last) + 1) if best[p]]
+        if options:
+            low = min(options)[0]
+            tied = [best[p][1] + (c,) for cost, p in options if cost == low]
+            best[c] = (low, min(tied, key=tie_key))
+
+    cols = list(best[n][1][:-1])
+    cu = [due[c] for c in cols[1:] + [n]]
+    reach = [released(j, c) for j, c in zip(cols, cols[1:] + [n])]
+    # rows are zero before their last column and a last column at n - delta
+    # (weight 0) releases nothing: the tie rule's pick
+    if cols and cols[-1] == last:
+        reach[-1] = reach[-2] if len(cols) > 1 else 0
+    u = [hi - lo for lo, hi in zip([0] + cu, cu)]
+    v = [hi - lo for lo, hi in zip([0] + reach, reach)]
+    xwin, ywin = _windows(cols, arr_cohorts, dep_cohorts, config)
+    x, y, r = _pick_flat((cols, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
     matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
-    return matrices, int(best_cost)
+    return matrices, int(best[n][0])
 
 
 def _prefixes(workload: Workload, config: Config):

@@ -15,7 +15,6 @@ from capsched import (
     CompareSpec,
     Config,
     ConfigurationError,
-    OracleLimits,
     ScenarioParams,
     ScheduleFormatError,
     SolutionFormatError,
@@ -355,7 +354,6 @@ _OPTIONS = {
                               max_size=4).map(",".join),
                      st.lists(st.sampled_from(["ads", "magic", "", " ads"]),
                               max_size=4).map(",".join) | _WORDS),
-    "--time-budget": (st.floats(0, 1), _REAL),
 }
 
 
@@ -365,7 +363,7 @@ def _option_argv(draw):
     left out."""
     command = draw(st.sampled_from(["generate", "compare"]))
     flags = ["--n", "--delta", "--theta", "--amplitude", "--plateau-fraction"]
-    flags += ["--seed"] if command == "generate" else ["--seeds", "--algorithms", "--time-budget"]
+    flags += ["--seed"] if command == "generate" else ["--seeds", "--algorithms"]
     argv = [command]
     if draw(st.booleans()):
         argv += ["--scenario", draw(st.sampled_from(sorted(SCENARIO_PRESETS)))]
@@ -532,15 +530,14 @@ class TestExitCodes:
         ["compare", "--n", "8", "--delta", "2", "--theta", "3", "--amplitude", "1",
          "--seeds", "0", "--algorithms", "oracle"],
     ])
-    @pytest.mark.parametrize("budget", ["nan", "-1"])
-    def test_unusable_time_budget_is_a_usage_error(self, tmp_path, capsys, ref_config,
-                                                   ref_workload, command, budget):
+    def test_time_budget_is_not_an_option(self, tmp_path, capsys, ref_config,
+                                          ref_workload, command):
         wl = _write_reference(tmp_path, ref_config, ref_workload)
         argv = [wl if arg == "WL" else arg for arg in command]
-        assert main([*argv, "--time-budget", budget]) == 2
+        assert main([*argv, "--time-budget", "60"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: time_budget must be >= 0, got {float(budget)!r}\n"
+        assert "unrecognized arguments: --time-budget 60" in captured.err
 
     def test_oracle_refusal_is_a_usage_error(self, tmp_path):
         cfg = Config(n=12, delta=2, theta=3)
@@ -703,13 +700,17 @@ class TestCompare:
         # amplitude high enough that some seeds exceed the participant cap
         # while others stay inside it
         spec = CompareSpec(
-            config=Config(n=8, delta=2, theta=3),
+            config=Config(n=10, delta=2, theta=3),
             scenario=ScenarioParams(name="t", amplitude=2),
-            seeds=tuple(range(8)), algorithms=("oracle",),
-            oracle_limits=OracleLimits(max_total_participants=6))
+            seeds=tuple(range(10)), algorithms=("oracle",))
         text = run_compare(spec)
         skipped = [line for line in text.splitlines()
                    if line.startswith("# oracle skipped seed=")]
         kept = [line for line in text.splitlines()
                 if line.split(",")[1:2] == ["oracle"]]
-        assert skipped and kept
+        assert skipped == [
+            "# oracle skipped seed=4: 11 participants exceed the search limit "
+            "max_total_participants=8",
+            "# oracle skipped seed=7: 10 participants exceed the search limit "
+            "max_total_participants=8"]
+        assert len(kept) == 8

@@ -1,15 +1,16 @@
-"""Golden digests of planner output, compare CSVs, evaluate reports and
-LP text.
+"""Golden digests of planner output, compare CSVs, evaluate reports, LP
+text and the exact oracle's assignments.
 
 The digests were recorded from the original quadratic-scan planner,
-list-based simulator and term-tuple model builder.  Any change to one byte
-of a schedule, a compare CSV, an evaluate report or an exported model fails
-here, without running the benchmark.  After an intended output change, re-record with
+list-based simulator and term-tuple model builder, and the oracle's from
+its enumeration of request slot sets.  Any change to one byte of a
+schedule, a compare CSV, an evaluate report, an exported model or an oracle
+assignment fails here, without running the benchmark.  After an intended output change, re-record with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; print(g.compare_digests()); \
 print(g.long_horizon_digests()); print(g.lp_digests()); \
-print(g.lp40_digests())"
+print(g.lp40_digests()); print(g.oracle_digests())"
 """
 
 import hashlib
@@ -22,12 +23,14 @@ from capsched import (
     adaptive_schedule,
     build_model,
     evaluate,
+    exact_oracle,
     export_lp,
     format_schedule,
     generate_workload,
     greedy_schedule,
     run_compare,
 )
+from capsched.solvers import OracleLimitError
 from capsched.cli import _report_lines
 
 COMPARE_SEEDS = range(20)
@@ -36,6 +39,12 @@ LONG_SEEDS = range(3)
 LP_N = 16
 LP_SEEDS = range(3)
 LP40_N = 40
+# (n, delta, theta, amplitude) of the oracle grid
+ORACLE_SHAPES = ((8, 2, 3, 2), (10, 2, 3, 2), (10, 3, 4, 2), (9, 2, 4, 3), (10, 2, 5, 1),
+                 (10, 3, 5, 2), (7, 2, 3, 4), (10, 4, 6, 2), (6, 2, 3, 3), (10, 2, 8, 2))
+ORACLE_SEEDS = range(40)
+ORACLE_PLATEAUS = (0.0, 0.3, 0.6)
+ORACLE_SKIPS = ((), ("EQ7",), ("EQ8",), ("EQ7", "EQ8"))
 PLANNERS = {"ads": adaptive_schedule, "greedy": greedy_schedule}
 
 
@@ -105,6 +114,33 @@ def lp40_digests():
     config = Config(n=3, delta=2, theta=3)
     workload = generate_workload(ScenarioParams(name="flat", amplitude=4, seed=0), config)
     out["n3/empty-objective"] = _digest(export_lp(build_model(workload, config)))
+    return out
+
+
+def oracle_digests():
+    """Digest per shape of the oracle's outcome on every seed, plateau
+    fraction and skip setting: the cost and the three matrices, or the
+    refusal message."""
+    out = {}
+    for n, delta, theta, amplitude in ORACLE_SHAPES:
+        config = Config(n=n, delta=delta, theta=theta)
+        lines = []
+        for seed in ORACLE_SEEDS:
+            for plateau in ORACLE_PLATEAUS:
+                params = ScenarioParams(name="grid", amplitude=amplitude,
+                                        plateau_fraction=plateau, seed=seed)
+                workload = generate_workload(params, config)
+                for skip in ORACLE_SKIPS:
+                    try:
+                        matrices, cost = exact_oracle(workload, config, skip_families=skip)
+                    except OracleLimitError as exc:
+                        outcome = f"refused {exc}"
+                    else:
+                        outcome = repr((cost, matrices.allocations.tolist(),
+                                        matrices.deallocations.tolist(),
+                                        matrices.requests.tolist()))
+                    lines.append(f"{seed} {plateau} {','.join(skip)} {outcome}\n")
+        out[f"{n}/{delta}/{theta}/{amplitude}"] = _digest("".join(lines))
     return out
 
 
@@ -246,6 +282,30 @@ LP40_GOLDEN = {
 }
 
 
+ORACLE_GOLDEN = {
+    "8/2/3/2":
+        "af77a45eb258bf6abc08aaeadb011aba766ba0aa75e614ccd0289b341f658d67",
+    "10/2/3/2":
+        "9ea64639543d587b4978abf3cf3bca103e486fc7e5b7a996de2b3093ef354f37",
+    "10/3/4/2":
+        "48819b46c03f6a8f399a2f6131d0e954d110a7abce0c454f7adaa1ac446256de",
+    "9/2/4/3":
+        "4ea7420a141d240ac2a91bdb695bdf42bc4379d5099ec7497e303477f299633f",
+    "10/2/5/1":
+        "59bf6f862fa1e483676564ab3807e4c675d886d26809b489a215385e58219e49",
+    "10/3/5/2":
+        "89396b0dae799cff1fa14388e2f1be3c8944e2fa892340c67320726e20910d52",
+    "7/2/3/4":
+        "8a577d1afc972297b93b0d49b030725c0b816a5dbd068920e0f1dfeb5ae748df",
+    "10/4/6/2":
+        "b0d45348e1bca2e7c4f7da3753d9241ccc5b98093f70dbaf9a62a32b41457647",
+    "6/2/3/3":
+        "c373b6ae8810a1c7695d9bbb6765821dec982503f69396eae03487d7ad398f1c",
+    "10/2/8/2":
+        "bfda38279ee616cd87e08e5cb1df4a4d0c3b453a7b325dba73de52b4f31d537e",
+}
+
+
 def test_compare_csvs_match_golden():
     assert compare_digests() == COMPARE_GOLDEN
 
@@ -260,3 +320,7 @@ def test_exported_models_match_golden():
 
 def test_exported_models_at_benchmark_size_match_golden():
     assert lp40_digests() == LP40_GOLDEN
+
+
+def test_oracle_assignments_match_golden():
+    assert oracle_digests() == ORACLE_GOLDEN

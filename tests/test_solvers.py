@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capsched import (
+    SCENARIO_PRESETS,
     Config,
     ConfigurationError,
     LiftError,
     OracleLimitError,
-    OracleLimits,
     ScenarioParams,
     Schedule,
     SolutionMatrices,
@@ -64,6 +64,21 @@ def _quadratic_adaptive_changes(workload, config):
     return changes
 
 
+def _request_slot_sets(last_slot, delta):
+    """Every ascending tuple from 1..last_slot with pairwise gaps >= delta."""
+    out = []
+
+    def grow(start, acc):
+        out.append(tuple(acc))
+        for j in range(start, last_slot + 1):
+            acc.append(j)
+            grow(j + delta, acc)
+            acc.pop()
+
+    grow(1, [])
+    return out
+
+
 def _milp_finds_assignment(workload, schedule, config):
     """Whether scipy's MILP finds an assignment of the integer program whose
     columns net to the schedule's changes (x_.j - y_.j = s_j for every j)."""
@@ -110,7 +125,7 @@ def _small_lift_cases(draw, max_n):
         departures.append(draw(st.integers(0, present)))
         present -= departures[-1]
     if draw(st.booleans()):
-        slots = draw(st.sampled_from(solvers._request_slot_sets(n - delta, delta)))
+        slots = draw(st.sampled_from(_request_slot_sets(n - delta, delta)))
         levels = draw(st.lists(st.integers(0, sum(arrivals) + 2), min_size=len(slots),
                                max_size=len(slots)), label="levels")
         changes = [0] * n
@@ -142,6 +157,22 @@ _LONE_STAY = (Workload(arrivals=np.array([1, 0, 0, 0, 0, 0, 0, 0]),
 # enough and the integer program cannot express
 _FREED_REUSE = (Workload(arrivals=np.array([0, 1, 1, 0, 1, 0]),
                          departures=np.array([0, 0, 1, 0, 1, 0])), Config(n=6, delta=3, theta=4))
+
+
+# n=8, delta=2, theta=3: with EQ7 and EQ8 both skipped the oracle releases
+# capacity before allocating it, and its cost is -2
+_OVER_RELEASE = (Workload(arrivals=np.array([1, 1, 2, 0, 2, 0, 0, 0]),
+                          departures=np.array([0, 0, 2, 0, 2, 0, 0, 0])),
+                 Config(n=8, delta=2, theta=3))
+
+
+def _preset_workload(name, n):
+    """The named preset's seed-0 workload over n slots."""
+    values = SCENARIO_PRESETS[name]
+    cfg = Config(n=n, delta=values["delta"], theta=values["theta"])
+    params = ScenarioParams(name=name, amplitude=values["amplitude"],
+                            plateau_fraction=values["plateau_fraction"], seed=0)
+    return generate_workload(params, cfg), cfg
 
 
 def _column_hall_ok(demands, supplies):
@@ -236,19 +267,18 @@ def _reference_pick_flat(config, pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
     return (*_transport_split(pick, n, xrows, yrows), rflat)
 
 
-def _reference_exact_oracle(workload, config, limits=None, skip_families=()):
-    """Reference oracle: the original search, which enumerates every release
-    vector within the caps under each allocation vector, and every
-    allocation total for the last column too."""
-    limits = limits if limits is not None else OracleLimits()
+def _reference_exact_oracle(workload, config, skip_families=()):
+    """Reference oracle: the original search, which enumerates every request
+    slot set, every release vector within the caps under each allocation
+    vector, and every allocation total for the last column too."""
     n, delta, theta = config.n, config.delta, config.theta
     total = int(workload.arrivals.sum())
-    if n > limits.max_n:
-        raise OracleLimitError(f"n={n} exceeds the search limit max_n={limits.max_n}")
-    if total > limits.max_total_participants:
+    if n > solvers.ORACLE_MAX_N:
+        raise OracleLimitError(f"n={n} exceeds the search limit max_n={solvers.ORACLE_MAX_N}")
+    if total > solvers.ORACLE_MAX_PARTICIPANTS:
         raise OracleLimitError(
             f"{total} participants exceed the search limit "
-            f"max_total_participants={limits.max_total_participants}")
+            f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
     check7 = "EQ7" not in set(skip_families)
     check8 = "EQ8" not in set(skip_families)
     a = [int(v) for v in workload.arrivals]
@@ -260,7 +290,7 @@ def _reference_exact_oracle(workload, config, limits=None, skip_families=()):
     dep_cohorts = [(i, d[i - 1]) for i in range(1, n + 1) if d[i - 1]]
     best = {}
 
-    for slots in solvers._request_slot_sets(last, delta):
+    for slots in _request_slot_sets(last, delta):
         m = len(slots)
         xwin = [sum(1 for j in slots if j <= min(i + theta - delta, last))
                 for i, _ in arr_cohorts]
@@ -475,21 +505,52 @@ class TestOracle:
         with pytest.raises(OracleLimitError, match="participants"):
             exact_oracle(wl, ref_config)
 
-    def test_refuses_when_time_is_up(self, ref_config, ref_workload):
-        with pytest.raises(OracleLimitError, match="time budget"):
-            exact_oracle(ref_workload, ref_config,
-                         OracleLimits(time_budget=0.0))
+    @pytest.mark.parametrize("skip, message", [
+        ("EQ7", "not the string 'EQ7'"),
+        ("EQ7 EQ8", "not the string 'EQ7 EQ8'"),
+        ({"EQ9"}, "tag 'EQ9': expected one of EQ7, EQ8"),
+        (["EQ7", "eq8"], "tag 'eq8'"),
+    ])
+    def test_oracle_rejects_unknown_skip_tags(self, skip, message):
+        wl, cfg = _OVER_RELEASE
+        with pytest.raises(ConfigurationError, match=message):
+            exact_oracle(wl, cfg, skip_families=skip)
 
-    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
-    def test_unusable_time_budget_is_rejected(self, budget):
-        with pytest.raises(ConfigurationError, match="time_budget"):
-            OracleLimits(time_budget=budget)
+    @pytest.mark.parametrize("skip, message", [
+        ("EQ7", "not the string 'EQ7'"),
+        (["EQ7", "eq8"], "tag 'eq8': expected one of EQ2, EQ3, .*, EQ12"),
+        ({"EQ13"}, "tag 'EQ13'"),
+        ({"BOUND"}, "tag 'BOUND'"),
+    ])
+    def test_validator_rejects_unknown_skip_tags(self, skip, message):
+        wl, cfg = _OVER_RELEASE
+        matrices, cost = exact_oracle(wl, cfg, skip_families={"EQ7", "EQ8"})
+        assert cost == -2
+        assert validate_solution(matrices, wl, cfg, skip_families=("EQ7", "EQ8")) == []
+        assert {v.tag for v in validate_solution(matrices, wl, cfg)} == {"EQ7", "EQ8"}
+        with pytest.raises(ConfigurationError, match=message):
+            validate_solution(matrices, wl, cfg, skip_families=skip)
 
-    def test_zero_and_infinite_time_budgets_are_valid(self, ref_config, ref_workload):
-        assert OracleLimits(time_budget=0.0).time_budget == 0.0
-        _, cost = exact_oracle(ref_workload, ref_config,
-                               OracleLimits(time_budget=math.inf))
-        assert cost == 6
+    @pytest.mark.parametrize("name, optimum", [("oppd", 310657), ("mmog", 1554643)])
+    def test_paper_scale_optima(self, monkeypatch, name, optimum):
+        # the optima scipy's MILP proves for the n=100 presets at seed 0
+        monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
+        monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
+        wl, cfg = _preset_workload(name, 100)
+        matrices, cost = exact_oracle(wl, cfg)
+        assert cost == optimum
+        assert validate_solution(matrices, wl, cfg) == []
+        assert objective_value(matrices, cfg) == cost
+
+    def test_long_horizon_is_solved_quickly(self, monkeypatch):
+        # the pass is quadratic in n: about 1 s at n=1000 on a 2-vCPU Xeon
+        monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
+        monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
+        wl, cfg = _preset_workload("oppd", 1000)
+        start = time.perf_counter()
+        matrices, cost = exact_oracle(wl, cfg)
+        assert time.perf_counter() - start < 5
+        assert objective_value(matrices, cfg) == cost
 
     def test_deterministic(self, ref_config, ref_workload):
         a, cost_a = exact_oracle(ref_workload, ref_config)
@@ -603,7 +664,7 @@ class TestOracleSplit:
         wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
                                               plateau_fraction=plateau,
                                               seed=seed), cfg)
-        assume(int(wl.arrivals.sum()) <= OracleLimits().max_total_participants)
+        assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
 
         got = exact_oracle(wl, cfg, skip_families=skip)
         with mock.patch.object(solvers, "_pick_flat",
@@ -628,7 +689,7 @@ class TestOracleReleases:
         wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
                                               plateau_fraction=plateau,
                                               seed=seed), cfg)
-        assume(int(wl.arrivals.sum()) <= OracleLimits().max_total_participants)
+        assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
         assert (_oracle_outcome(exact_oracle, wl, cfg, skip)
                 == _oracle_outcome(_reference_exact_oracle, wl, cfg, skip))
 
@@ -675,21 +736,20 @@ class TestOracleReleases:
 
 
 class TestOraclePrice:
-    def test_each_request_slot_set_is_priced_once(self, monkeypatch):
+    def test_only_the_winner_is_windowed(self, monkeypatch):
+        # 55 request slot sets fit n=10, delta=2; only the optimum is split
         cfg = Config(n=10, delta=2, theta=9)
         wl = Workload(arrivals=np.array([1] * 8 + [0, 0]), departures=np.zeros(10, dtype=int))
         windowed = []
         windows = solvers._windows
 
         def counted(cols, *rest):
-            windowed.append(cols)
+            windowed.append(list(cols))
             return windows(cols, *rest)
 
         monkeypatch.setattr(solvers, "_windows", counted)
-        exact_oracle(wl, cfg)
-        assert len(solvers._request_slot_sets(8, 2)) == 55
-        assert 0 < len(windowed) <= 55
-        assert len(set(windowed)) == len(windowed)
+        matrices, _ = exact_oracle(wl, cfg)
+        assert windowed == [(np.flatnonzero(matrices.requests) + 1).tolist()]
 
     @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=150, deadline=None)
@@ -727,7 +787,7 @@ class TestOraclePrice:
         # spaces the last term and A there is every arrival
         load = mandatory_load(wl, cfg).values.tolist()
         costs = []
-        for slots in solvers._request_slot_sets(n - delta, delta):
+        for slots in _request_slot_sets(n - delta, delta):
             first = slots[0] if slots else n
             if window_mass(first) or any(load[t - 1] for t in
                                          range(delta + 1, min(first + delta, n + 1))):
@@ -758,7 +818,7 @@ class TestOraclePrice:
         load = mandatory_load(Workload(arrivals=np.array(arrivals),
                                        departures=np.array(departures)), cfg).values
         total = sum(arrivals)
-        for slots in solvers._request_slot_sets(n - delta, delta):
+        for slots in _request_slot_sets(n - delta, delta):
             supplies = [(amount, [k for k, j in enumerate(slots)
                                   if j <= min(i + theta - delta, n - delta)])
                         for i, amount in enumerate(arrivals, 1) if amount]
