@@ -6,14 +6,14 @@ capacity available during slot t is the sum of all changes requested at
 slots <= t - delta.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import Config, Workload, _as_int64, _read_json_object, _require_matching
+from .workload import (Config, Workload, _as_int64, _read_json_object, _require_matching,
+                       _write_json_object)
 
 
 class ScheduleFormatError(ValueError):
@@ -343,15 +343,11 @@ def parse_schedule(text: str) -> Tuple[int, int, Schedule]:
         raise ScheduleFormatError(f"changes has {len(changes)} entries but n is {n}")
     if not 2 <= delta <= n - 1:
         raise ScheduleFormatError(f"delta must lie in 2..n-1, got delta={delta} with n={n}")
-    return n, delta, Schedule(np.array(changes, dtype=np.int64))
+    return n, delta, Schedule(changes)
 
 
 def format_schedule(config: Config, schedule: Schedule) -> str:
     """Serialize a schedule to the canonical JSON text accepted by parse_schedule."""
     _require_schedule_span(schedule, config)
-    doc = {
-        "n": config.n,
-        "delta": config.delta,
-        "changes": schedule.changes.tolist(),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _write_json_object({"n": config.n, "delta": config.delta},
+                              {"changes": schedule.changes})

@@ -257,10 +257,10 @@ def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...
                       lists: Tuple[str, ...]) -> dict:
     """Decode a JSON object whose fields are exactly scalars + lists.
 
-    Scalars must be integers and lists must hold int64 integers.  Every
-    defect, text nested too deeply or integers too long to decode included,
-    raises error with a one-line message naming the noun, the field and
-    the 1-based slot.
+    Scalars must be integers and lists must hold int64 integers; each list
+    comes back as an int64 array.  Every defect, text nested too deeply or
+    integers too long to decode included, raises error with a one-line
+    message naming the noun, the field and the 1-based slot.
     """
     try:
         doc = json.loads(text)
@@ -282,12 +282,33 @@ def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...
     for f in lists:
         if type(doc[f]) is not list:
             raise error(f"field {f} must be a list")
-        for k, v in enumerate(doc[f]):
-            if type(v) is not int:
-                raise error(f"{f} has a non-integer entry at slot {k + 1}")
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise error(f"{f} has an entry outside the int64 range at slot {k + 1}")
+        doc[f] = _int64_array(doc[f], f, error)
     return doc
+
+
+def _int64_array(values: list, field: str, error: type) -> np.ndarray:
+    """values as an int64 array, converted in one pass when every entry is an
+    int; otherwise error naming the first entry that is not an int64 integer."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    k, v = next((k, v) for k, v in enumerate(values)
+                if type(v) is not int or not INT64_MIN <= v <= INT64_MAX)
+    if type(v) is not int:
+        raise error(f"{field} has a non-integer entry at slot {k + 1}")
+    raise error(f"{field} has an entry outside the int64 range at slot {k + 1}")
+
+
+def _write_json_object(scalars: dict, lists: dict) -> str:
+    """The text json.dumps({**scalars, **lists}, indent=2) + "\n" gives for
+    integer scalars and non-empty int64 arrays, with each array written by one
+    str.join rather than json's pure-Python encoder."""
+    fields = [f'  "{f}": {v}' for f, v in scalars.items()]
+    fields += [f'  "{f}": [\n    ' + ",\n    ".join(map(str, v.tolist())) + "\n  ]"
+               for f, v in lists.items()]
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def parse_workload(text: str) -> Tuple[Config, Workload]:
@@ -308,19 +329,12 @@ def parse_workload(text: str) -> Tuple[Config, Workload]:
         if len(doc[f]) != config.n:
             raise WorkloadFormatError(
                 f"{f} has {len(doc[f])} entries but n is {config.n}")
-    workload = Workload(np.array(doc["arrivals"], dtype=np.int64),
-                        np.array(doc["departures"], dtype=np.int64))
-    return config, workload
+    return config, Workload(doc["arrivals"], doc["departures"])
 
 
 def format_workload(config: Config, workload: Workload) -> str:
     """Serialize a workload to the canonical JSON text accepted by parse_workload."""
     _require_matching(workload, config)
-    doc = {
-        "n": config.n,
-        "delta": config.delta,
-        "theta": config.theta,
-        "arrivals": workload.arrivals.tolist(),
-        "departures": workload.departures.tolist(),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _write_json_object(
+        {"n": config.n, "delta": config.delta, "theta": config.theta},
+        {"arrivals": workload.arrivals, "departures": workload.departures})

@@ -1,16 +1,17 @@
 """Golden digests of planner output, compare CSVs, evaluate reports, LP
-text and the exact oracle's assignments.
+text, workload files and the exact oracle's assignments.
 
 The digests were recorded from the original quadratic-scan planner,
 list-based simulator and term-tuple model builder, and the oracle's from
 its enumeration of request slot sets.  Any change to one byte of a
-schedule, a compare CSV, an evaluate report, an exported model or an oracle
-assignment fails here, without running the benchmark.  After an intended output change, re-record with
+schedule, a compare CSV, an evaluate report, an exported model, a workload
+file or an oracle assignment fails here, without running the benchmark.  After an intended output change, re-record with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; print(g.compare_digests()); \
 print(g.long_horizon_digests()); print(g.lp_digests()); \
-print(g.lp40_digests()); print(g.oracle_digests())"
+print(g.lp40_digests()); print(g.oracle_digests()); \
+print(g.workload_digests())"
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from capsched import (
     exact_oracle,
     export_lp,
     format_schedule,
+    format_workload,
     generate_workload,
     greedy_schedule,
     run_compare,
@@ -34,6 +36,8 @@ from capsched.solvers import OracleLimitError
 from capsched.cli import _report_lines
 
 COMPARE_SEEDS = range(20)
+WORKLOAD_N = 100
+WORKLOAD_SEEDS = range(20)
 LONG_N = 2000
 LONG_SEEDS = range(3)
 LP_N = 16
@@ -141,6 +145,22 @@ def oracle_digests():
                                         matrices.requests.tolist()))
                     lines.append(f"{seed} {plateau} {','.join(skip)} {outcome}\n")
         out[f"{n}/{delta}/{theta}/{amplitude}"] = _digest("".join(lines))
+    return out
+
+
+def workload_digests():
+    """Digest of the workload text of mmog and oppd at WORKLOAD_N slots per
+    seed, and of mmog cut to LONG_N slots."""
+    out = {}
+    for name in ("mmog", "oppd"):
+        for seed in WORKLOAD_SEEDS:
+            config, params = _preset(name, WORKLOAD_N, seed)
+            out[f"{name}/{seed}"] = _digest(
+                format_workload(config, generate_workload(params, config)))
+    for seed in LONG_SEEDS:
+        config, params = _preset("mmog", LONG_N, seed)
+        out[f"mmog-long/{seed}"] = _digest(
+            format_workload(config, generate_workload(params, config)))
     return out
 
 
@@ -306,6 +326,96 @@ ORACLE_GOLDEN = {
 }
 
 
+WORKLOAD_GOLDEN = {
+    "mmog/0":
+        "f4d8fb15362a9526b368092dd8ec2b1a0f6021118865f9ac0c8210e038014963",
+    "mmog/1":
+        "c2b5c2d035493b9c9adfec2efdb059102abc003dcef6e0d27b394727eba8e01b",
+    "mmog/2":
+        "b145b2de781467e45b26e86213d088fe8958bc223e059c8b571d43e546362f64",
+    "mmog/3":
+        "fa087251b5c877e847f51a020ab4ec438b731d7c1409476556effbd294f7da65",
+    "mmog/4":
+        "102a35344c032a38714261e0874f7fcaee3fd245cd06af82deaedf3cb57ac1bf",
+    "mmog/5":
+        "3324e2b83c5c97f16c6e392c8e3db4e7d57108d6d9c827d8e2717f3ed68d500b",
+    "mmog/6":
+        "b34bfde5966d04d3b1a9becb40014f3f6fccac957aa9d82015c0d78803cdc249",
+    "mmog/7":
+        "97f4e5823a3c326dba28f5d23e1b99c0e758c84570031ac938ac26d73a77d7ad",
+    "mmog/8":
+        "10d64549126f2dd5b09c6ca913d6704b0fbd84d369c8a9fb9317fd20ad810b35",
+    "mmog/9":
+        "c9784e48c9ab12b9c591618da8c3bc107968962d43cbd8812a87c326178f7218",
+    "mmog/10":
+        "8346f49b0a55fc444f6be4a5ac2d9a50862b57676761b1fd1362b8b9446d522f",
+    "mmog/11":
+        "03c61b73a07cd0168ea527d8016ed9c6de0940f5d3f35959e6f0bb3688031c71",
+    "mmog/12":
+        "57b5591434ce7c292db5a3c0e2c72cc7ef2de662ab00cc18ae5e1718b9fea7de",
+    "mmog/13":
+        "9667249450e9bbd27ee1e5b57c442400d4af2396bec8b3e3e50354e5aa12285a",
+    "mmog/14":
+        "e415d010492989e0126566150b5cbf99c6fb5dacad5ca9a8e63941672381ca20",
+    "mmog/15":
+        "a1ec79fcbfa9214ee6ff365159e473e5603531eec9a9ae5083867b764c51e628",
+    "mmog/16":
+        "9648b0a8304f97d1008ea53f197b92fda19ad2258dd4281be3214e7bf52c9d03",
+    "mmog/17":
+        "2394d6d1d3b8d648d0fba27e518484d212e88af90af17699c6db3194fd548d4c",
+    "mmog/18":
+        "8357dabe600ee4e5b40a785d7f55762256a8b64a89d6b5e1ab803610d3a0b725",
+    "mmog/19":
+        "1861ad1ec74fa828ab5732774bb87bcf3692c0e9468184f49f0c14179d39197c",
+    "oppd/0":
+        "a6c6f45bf75206b150eea0000b60b8b3313a1210c76a3e809b476521c2de0825",
+    "oppd/1":
+        "a2b1f98b54c184ed37a3b034a44ace098749e67d0f7918cc63c1516ff4dada10",
+    "oppd/2":
+        "93b3fd860dabe65442a20daae9ad768924ed907d44ecd3ba5ff71d4bb27ffa09",
+    "oppd/3":
+        "f1d42cbdcc63eeb8e342abe9d472e7fd024d3efec138bf8cd4453fc0393e2bde",
+    "oppd/4":
+        "a87570355cd6ca48fccf7d45ace30bfe7c9c83d7c1849d2ef9baf43dcd6d6a46",
+    "oppd/5":
+        "f0c4ea56bae2fd57e3d2589b2ee837e75ba7dd1e9c84e8769d65d80614fd81b5",
+    "oppd/6":
+        "2009777235cd1c2eca6c093181b4893df012226c36de4df688673cb7e73a6a2a",
+    "oppd/7":
+        "086a118c73570cc59be372e139e26533ffa10a95b6740df65c57791f3592e487",
+    "oppd/8":
+        "5e6917f16b173cca93c76af3882deabe4c07c21b7bef0653c1e66aa278c6230d",
+    "oppd/9":
+        "3aec80e63ec997b4e3665e11016b2da6d8e4877bb3657e1b5f906dfb82788fc7",
+    "oppd/10":
+        "af99ac6564769af20ed098ab5aa64dfc56928605a60c9f4f0aa5b942c6fe77a0",
+    "oppd/11":
+        "8f488bef945df5106b97364e95b25abe222c443fec955679c1e2aed27c5bf9f2",
+    "oppd/12":
+        "c3a97180216814f2d5bd1276129cf50dea308d613d6e23cae448bba3811077b0",
+    "oppd/13":
+        "290ea63824a2226fbe2721936792939ddf6f99d5ef53bce3b5907b6713023f23",
+    "oppd/14":
+        "34f763f7c37446cbc3433fcbe659c62a916dc89bf23e0b6378826bea571ddd2c",
+    "oppd/15":
+        "6ddcc6d90fbefea199bb05449f967d5f2fca9b9b240427f26a34e715a1ac3ecf",
+    "oppd/16":
+        "d87cac7cb7f83d82917998ced56bcd9b3020be590cab5943573ce1108b551a09",
+    "oppd/17":
+        "22af034c777683ca830911823b31446a4370dad6e34d818697cd56fe991d715e",
+    "oppd/18":
+        "cc914b0e29c3dff4295ee2897796006766d9a384ff1d3e2e860d50e8f461aafd",
+    "oppd/19":
+        "a6196702ec5323d751dab21ac86fe876688c71228b59202f5add565b4b242ffc",
+    "mmog-long/0":
+        "377e100bda04ef6a6272762a9de9057dd6c76bd18c895007c55751955e3f99e1",
+    "mmog-long/1":
+        "94610d4d41e6fedb26231d7099b69adf5c3fe37c54a6e01adf0b5faef8ee5cd4",
+    "mmog-long/2":
+        "ae4b2c128c31c4b1fe3bdc28f37eb8670f49c947624a04f9df224246596bf7a1",
+}
+
+
 def test_compare_csvs_match_golden():
     assert compare_digests() == COMPARE_GOLDEN
 
@@ -324,3 +434,7 @@ def test_exported_models_at_benchmark_size_match_golden():
 
 def test_oracle_assignments_match_golden():
     assert oracle_digests() == ORACLE_GOLDEN
+
+
+def test_workload_files_match_golden():
+    assert workload_digests() == WORKLOAD_GOLDEN

@@ -23,6 +23,7 @@ from capsched import (
     check_feasibility,
     evaluate,
     format_schedule,
+    format_workload,
     generate_workload,
     greedy_schedule,
     mandatory_load,
@@ -30,10 +31,44 @@ from capsched import (
     resource_cost,
     simulate,
 )
+from capsched.workload import INT64_MAX, INT64_MIN
+from test_workload import _reference_read_json_object, assert_reads_alike, json_lists
 
 
 def sched(*changes):
     return Schedule(np.array(changes, dtype=np.int64))
+
+
+def _reference_parse_schedule(text):
+    doc = _reference_read_json_object(text, "schedule", ScheduleFormatError,
+                                      ("n", "delta"), ("changes",))
+    n, delta, changes = doc["n"], doc["delta"], doc["changes"]
+    if len(changes) != n:
+        raise ScheduleFormatError(f"changes has {len(changes)} entries but n is {n}")
+    if not 2 <= delta <= n - 1:
+        raise ScheduleFormatError(f"delta must lie in 2..n-1, got delta={delta} with n={n}")
+    return n, delta, Schedule(np.array(changes, dtype=np.int64))
+
+
+@st.composite
+def schedule_docs(draw):
+    n = draw(st.integers(1, 8))
+    return {"n": n, "delta": draw(st.sampled_from([2, n - 1, n])),
+            "changes": draw(st.one_of(json_lists(draw(st.sampled_from([n, n, 0, n + 1]))),
+                                      st.integers(0, 9)))}
+
+
+@st.composite
+def int64_schedules(draw):
+    """A schedule at 3 to 50 slots with changes anywhere in int64 that keep
+    the running sum in int64."""
+    n = draw(st.integers(3, 50))
+    changes, total = [], 0
+    for v in draw(st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=n, max_size=n)):
+        v = v if INT64_MIN <= total + v <= INT64_MAX else 0
+        total += v
+        changes.append(v)
+    return Config(n=n, delta=2, theta=3), sched(*changes)
 
 
 class TestContainer:
@@ -449,3 +484,48 @@ class TestSerialization:
     def test_parse_rejects_fractional_change(self):
         with pytest.raises(ScheduleFormatError, match="slot 1"):
             parse_schedule('{"n": 2, "delta": 2, "changes": [0.5, 0]}')
+
+    @given(int64_schedules())
+    @example((Config(n=3, delta=2, theta=3), sched(INT64_MAX, INT64_MIN, 0)))
+    @settings(max_examples=200, deadline=None)
+    def test_format_equals_json_dumps_with_indent(self, instance):
+        config, schedule = instance
+        doc = {"n": config.n, "delta": config.delta, "changes": schedule.changes.tolist()}
+        assert format_schedule(config, schedule) == json.dumps(doc, indent=2) + "\n"
+
+    @given(schedule_docs())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_and_parser_equal_the_entry_loop(self, doc):
+        text = json.dumps(doc)
+        assert_reads_alike(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
+        try:
+            n, delta, expected = _reference_parse_schedule(text)
+        except ScheduleFormatError as exc:
+            with pytest.raises(ScheduleFormatError) as info:
+                parse_schedule(text)
+            assert str(info.value) == str(exc)
+            return
+        got = parse_schedule(text)
+        assert got[:2] == (n, delta)
+        assert np.array_equal(got[2].changes, expected.changes)
+
+    def test_writers_skip_the_pure_python_encoder(self, monkeypatch, ref_config, ref_workload):
+        # json.dumps(..., indent=2) builds its encoder here, once per call
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        format_workload(ref_config, ref_workload)
+        format_schedule(ref_config, sched(0, 3, 0, 0, -2, 0, 0, 0))
+
+    def test_round_trip_at_ten_thousand_slots(self):
+        values = SCENARIO_PRESETS["mmog"]
+        config = Config(n=10_000, delta=values["delta"], theta=values["theta"])
+        workload = generate_workload(
+            ScenarioParams(name="mmog", amplitude=values["amplitude"], seed=3), config)
+        schedule = adaptive_schedule(workload, config)
+        text = format_schedule(config, schedule)
+        n, delta, parsed = parse_schedule(text)
+        assert (n, delta) == (config.n, config.delta)
+        assert np.array_equal(parsed.changes, schedule.changes)
+        assert format_schedule(config, parsed) == text

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsched import (
@@ -18,6 +18,110 @@ from capsched import (
     parse_workload,
     segment_lengths,
 )
+from capsched.workload import INT64_MAX, INT64_MIN, _read_json_object, _write_json_object
+
+INT64 = st.integers(INT64_MIN, INT64_MAX)
+# ints at and just beyond the int64 bounds, and far beyond them
+EDGE_INTS = st.sampled_from([INT64_MIN - 1, INT64_MIN, INT64_MAX, INT64_MAX + 1,
+                             -10 ** 30, 10 ** 30])
+NON_INTS = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=3),
+                     st.lists(INT64, max_size=2))
+
+
+def json_lists(size: int):
+    """Lists of size decoded JSON values: small counts, int64 and edge ints,
+    or any of those mixed with values that are not ints."""
+    return st.one_of(*(st.lists(entries, min_size=size, max_size=size) for entries in (
+        st.integers(0, 9), st.one_of(INT64, EDGE_INTS),
+        st.one_of(st.integers(0, 9), EDGE_INTS, NON_INTS))))
+
+
+def _reference_read_json_object(text, noun, error, scalars, lists):
+    """_read_json_object with every list entry checked in a Python loop and
+    the lists returned as decoded."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{noun} text is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{noun} text must be a JSON object")
+    fields = scalars + lists
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise error(f"missing {noun} field: {missing[0]}")
+    unknown = [f for f in doc if f not in fields]
+    if unknown:
+        name = unknown[0]
+        raise error(f"unknown {noun} field: {name if name.isprintable() else repr(name)}")
+    for f in scalars:
+        if type(doc[f]) is not int:
+            raise error(f"field {f} must be an integer")
+    for f in lists:
+        if type(doc[f]) is not list:
+            raise error(f"field {f} must be a list")
+        for k, v in enumerate(doc[f]):
+            if type(v) is not int:
+                raise error(f"{f} has a non-integer entry at slot {k + 1}")
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise error(f"{f} has an entry outside the int64 range at slot {k + 1}")
+    return doc
+
+
+def assert_reads_alike(text, noun, error, scalars, lists):
+    """_read_json_object returns the reference's fields, each list as an
+    int64 array, or raises the reference's error with the same message."""
+    try:
+        expected = _reference_read_json_object(text, noun, error, scalars, lists)
+    except error as exc:
+        with pytest.raises(error) as info:
+            _read_json_object(text, noun, error, scalars, lists)
+        assert str(info.value) == str(exc)
+        return
+    got = _read_json_object(text, noun, error, scalars, lists)
+    assert {f: got[f] for f in scalars} == {f: expected[f] for f in scalars}
+    for f in lists:
+        assert got[f].dtype == np.int64 and got[f].tolist() == expected[f]
+
+
+def _reference_parse_workload(text):
+    doc = _reference_read_json_object(text, "workload", WorkloadFormatError,
+                                      ("n", "delta", "theta"), ("arrivals", "departures"))
+    try:
+        config = Config(doc["n"], doc["delta"], doc["theta"])
+    except ConfigurationError as exc:
+        raise WorkloadFormatError(str(exc)) from exc
+    for f in ("arrivals", "departures"):
+        if len(doc[f]) != config.n:
+            raise WorkloadFormatError(
+                f"{f} has {len(doc[f])} entries but n is {config.n}")
+    return config, Workload(np.array(doc["arrivals"], dtype=np.int64),
+                            np.array(doc["departures"], dtype=np.int64))
+
+
+@st.composite
+def workload_docs(draw):
+    n = draw(st.integers(3, 8))
+    doc = {"n": n, "delta": 2, "theta": draw(st.sampled_from([3, 4, n + 1]))}
+    for f in ("arrivals", "departures"):
+        doc[f] = draw(st.one_of(json_lists(draw(st.sampled_from([n, n, 0, n + 1]))),
+                                st.integers(0, 9)))
+    return doc
+
+
+@st.composite
+def valid_workloads(draw):
+    """A workload at 3 to 50 slots with counts anywhere in int64 that keep
+    the arrival sum in int64 and occupancy non-negative."""
+    n = draw(st.integers(3, 50))
+    arrivals, departures, total, occ = [], [], 0, 0
+    for a, d in draw(st.lists(st.tuples(st.integers(0, INT64_MAX), st.integers(0, INT64_MAX)),
+                              min_size=n, max_size=n)):
+        a = a if total + a <= INT64_MAX else 0
+        d = min(d, occ + a)
+        total, occ = total + a, occ + a - d
+        arrivals.append(a)
+        departures.append(d)
+    return Config(n=n, delta=2, theta=3), Workload(np.array(arrivals), np.array(departures))
 
 
 class TestConfig:
@@ -204,3 +308,51 @@ class TestSerialization:
     def test_parse_rejects_bad_json(self):
         with pytest.raises(WorkloadFormatError):
             parse_workload("{not json")
+
+    @given(st.dictionaries(st.sampled_from(["n", "delta", "theta"]), INT64),
+           st.dictionaries(st.sampled_from(["arrivals", "departures", "changes"]),
+                           st.lists(INT64, min_size=1, max_size=50), min_size=1))
+    @example({"n": INT64_MIN, "delta": INT64_MAX},
+             {"changes": [INT64_MIN, INT64_MAX, 0, -1]})
+    @settings(max_examples=300, deadline=None)
+    def test_writer_equals_json_dumps_with_indent(self, scalars, lists):
+        arrays = {f: np.array(v, dtype=np.int64) for f, v in lists.items()}
+        assert _write_json_object(scalars, arrays) == json.dumps(
+            {**scalars, **lists}, indent=2) + "\n"
+
+    @given(valid_workloads())
+    @settings(max_examples=200, deadline=None)
+    def test_format_equals_json_dumps_with_indent(self, instance):
+        config, workload = instance
+        doc = {"n": config.n, "delta": config.delta, "theta": config.theta,
+               "arrivals": workload.arrivals.tolist(),
+               "departures": workload.departures.tolist()}
+        assert format_workload(config, workload) == json.dumps(doc, indent=2) + "\n"
+
+    @given(workload_docs())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_and_parser_equal_the_entry_loop(self, doc):
+        text = json.dumps(doc)
+        assert_reads_alike(text, "workload", WorkloadFormatError,
+                           ("n", "delta", "theta"), ("arrivals", "departures"))
+        try:
+            config, expected = _reference_parse_workload(text)
+        except WorkloadFormatError as exc:
+            with pytest.raises(WorkloadFormatError) as info:
+                parse_workload(text)
+            assert str(info.value) == str(exc)
+            return
+        assert parse_workload(text)[0] == config
+        got = parse_workload(text)[1]
+        assert np.array_equal(got.arrivals, expected.arrivals)
+        assert np.array_equal(got.departures, expected.departures)
+
+    def test_round_trip_at_ten_thousand_slots(self):
+        cfg = Config(n=10_000, delta=3, theta=4)
+        wl = generate_workload(ScenarioParams(name="mmog", amplitude=1500, seed=3), cfg)
+        text = format_workload(cfg, wl)
+        parsed_cfg, parsed = parse_workload(text)
+        assert parsed_cfg == cfg
+        assert np.array_equal(parsed.arrivals, wl.arrivals)
+        assert np.array_equal(parsed.departures, wl.departures)
+        assert format_workload(parsed_cfg, parsed) == text
