@@ -387,7 +387,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

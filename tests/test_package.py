@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -22,3 +23,8 @@ def test_python_dash_m_runs_the_command_line():
     assert done.returncode == 0
     assert done.stdout.startswith("usage: capsched ")
     assert done.stderr == ""
+
+
+def test_importing_the_main_module_does_not_run_the_command_line():
+    # tools that import every submodule must not trigger a CLI run and exit
+    importlib.import_module("capsched.__main__")

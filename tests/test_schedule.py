@@ -32,7 +32,7 @@ from capsched import (
     simulate,
 )
 from capsched.workload import INT64_MAX, INT64_MIN
-from test_workload import _reference_read_json_object, assert_reads_alike, json_lists
+from json_reference import _reference_read_json_object, assert_reads_alike, json_lists
 
 
 def sched(*changes):

@@ -18,69 +18,8 @@ from capsched import (
     parse_workload,
     segment_lengths,
 )
-from capsched.workload import INT64_MAX, INT64_MIN, _read_json_object, _write_json_object
-
-INT64 = st.integers(INT64_MIN, INT64_MAX)
-# ints at and just beyond the int64 bounds, and far beyond them
-EDGE_INTS = st.sampled_from([INT64_MIN - 1, INT64_MIN, INT64_MAX, INT64_MAX + 1,
-                             -10 ** 30, 10 ** 30])
-NON_INTS = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=3),
-                     st.lists(INT64, max_size=2))
-
-
-def json_lists(size: int):
-    """Lists of size decoded JSON values: small counts, int64 and edge ints,
-    or any of those mixed with values that are not ints."""
-    return st.one_of(*(st.lists(entries, min_size=size, max_size=size) for entries in (
-        st.integers(0, 9), st.one_of(INT64, EDGE_INTS),
-        st.one_of(st.integers(0, 9), EDGE_INTS, NON_INTS))))
-
-
-def _reference_read_json_object(text, noun, error, scalars, lists):
-    """_read_json_object with every list entry checked in a Python loop and
-    the lists returned as decoded."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{noun} text is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise error(f"{noun} text must be a JSON object")
-    fields = scalars + lists
-    missing = [f for f in fields if f not in doc]
-    if missing:
-        raise error(f"missing {noun} field: {missing[0]}")
-    unknown = [f for f in doc if f not in fields]
-    if unknown:
-        name = unknown[0]
-        raise error(f"unknown {noun} field: {name if name.isprintable() else repr(name)}")
-    for f in scalars:
-        if type(doc[f]) is not int:
-            raise error(f"field {f} must be an integer")
-    for f in lists:
-        if type(doc[f]) is not list:
-            raise error(f"field {f} must be a list")
-        for k, v in enumerate(doc[f]):
-            if type(v) is not int:
-                raise error(f"{f} has a non-integer entry at slot {k + 1}")
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise error(f"{f} has an entry outside the int64 range at slot {k + 1}")
-    return doc
-
-
-def assert_reads_alike(text, noun, error, scalars, lists):
-    """_read_json_object returns the reference's fields, each list as an
-    int64 array, or raises the reference's error with the same message."""
-    try:
-        expected = _reference_read_json_object(text, noun, error, scalars, lists)
-    except error as exc:
-        with pytest.raises(error) as info:
-            _read_json_object(text, noun, error, scalars, lists)
-        assert str(info.value) == str(exc)
-        return
-    got = _read_json_object(text, noun, error, scalars, lists)
-    assert {f: got[f] for f in scalars} == {f: expected[f] for f in scalars}
-    for f in lists:
-        assert got[f].dtype == np.int64 and got[f].tolist() == expected[f]
+from capsched.workload import INT64_MAX, INT64_MIN, _write_json_object
+from json_reference import INT64, _reference_read_json_object, assert_reads_alike, json_lists
 
 
 def _reference_parse_workload(text):
