@@ -1,7 +1,5 @@
 """Generate a synthetic session trace and poke at its structure."""
 
-import numpy as np
-
 from capsched import (
     Config,
     ScenarioParams,
@@ -47,7 +45,7 @@ def main():
     # everyone whose patience ran out, minus everyone already gone
     load = mandatory_load(workload, config)
     print("mandatory load per slot:")
-    print(" ", np.array(load.values))
+    print(" ", load)
     print()
 
     print("serialized form (what the file format looks like):")

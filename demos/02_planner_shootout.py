@@ -10,7 +10,6 @@ from capsched import (
     Config,
     ScenarioParams,
     adaptive_schedule,
-    capacity_trajectory,
     evaluate,
     exact_oracle,
     generate_workload,
@@ -25,7 +24,7 @@ def describe(name, workload, schedule, config):
     sim = simulate(workload, schedule, config)
     print(f"--- {name}")
     print(f"changes:    {[int(v) for v in schedule.changes]}")
-    print(f"capacity:   {[int(v) for v in capacity_trajectory(schedule, config)]}")
+    print(f"capacity:   {[int(v) for v in sim.capacity]}")
     print(f"resource cost {report.resource_cost}, qos cost {report.qos_cost}, "
           f"peak capacity {report.max_capacity}, requests {report.num_requests}")
     if sim.theta_violations:

@@ -31,12 +31,10 @@ from .ilp import (
 )
 from .schedule import (
     CostReport,
-    InfeasibleScheduleError,
     Schedule,
     ScheduleFormatError,
     SimulationReport,
     Violation,
-    capacity_trajectory,
     check_feasibility,
     evaluate,
     format_schedule,
@@ -55,7 +53,6 @@ from .solvers import (
 from .workload import (
     Config,
     ConfigurationError,
-    MandatoryLoad,
     ScenarioParams,
     Workload,
     WorkloadFormatError,
@@ -79,10 +76,8 @@ __all__ = [
     "CostReport",
     "INTEGRALITY_TOLERANCE",
     "IlpModel",
-    "InfeasibleScheduleError",
     "LiftError",
     "LinearConstraint",
-    "MandatoryLoad",
     "OracleLimitError",
     "SCENARIO_PRESETS",
     "ScenarioParams",
@@ -96,7 +91,6 @@ __all__ = [
     "WorkloadFormatError",
     "adaptive_schedule",
     "build_model",
-    "capacity_trajectory",
     "check_feasibility",
     "compare_instance",
     "evaluate",

@@ -8,6 +8,7 @@ refused oracle runs.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from statistics import median
@@ -328,6 +329,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# built once per process: main parses with it on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capsched",

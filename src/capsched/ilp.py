@@ -210,7 +210,7 @@ def _row_table(workload: Workload, config: Config) -> Dict[str, np.ndarray]:
     n, delta, theta = config.n, config.delta, config.theta
     a = workload.arrivals
     d = workload.departures
-    load = mandatory_load(workload, config).values
+    load = mandatory_load(workload, config)
     nn = n * n
     x_rows = np.arange(0, nn, n)        # index of x_i_1 for each i
     y_rows = x_rows + nn
@@ -410,31 +410,37 @@ def parse_solution(text: str, config: Config) -> SolutionMatrices:
             raise SolutionFormatError(f"line {lineno}: unknown variable name {name!r}")
         if name in seen:
             raise SolutionFormatError(f"line {lineno}: duplicate assignment for {name}")
+        # an integer token is read exactly; float would round it beyond 2^53
         try:
-            val = float(val_text)
-        except ValueError as exc:
-            raise SolutionFormatError(
-                f"line {lineno}: value {val_text!r} is not a number") from exc
-        if not math.isfinite(val):
-            raise SolutionFormatError(f"line {lineno}: value {val_text} of {name} is not finite")
-        if not -2.0 ** 63 <= val < 2.0 ** 63:
+            value = int(val_text)
+        except ValueError:
+            try:
+                val = float(val_text)
+            except ValueError as exc:
+                raise SolutionFormatError(
+                    f"line {lineno}: value {val_text!r} is not a number") from exc
+            if not math.isfinite(val):
+                raise SolutionFormatError(
+                    f"line {lineno}: value {val_text} of {name} is not finite")
+            # a float beyond int64 is integral, so it reaches the range check
+            value = round(val)
+            if abs(val - value) > INTEGRALITY_TOLERANCE:
+                raise SolutionFormatError(
+                    f"line {lineno}: value {val_text} of {name} is not integral")
+        if not INT64_MIN <= value <= INT64_MAX:
             raise SolutionFormatError(
                 f"line {lineno}: value {val_text} of {name} is outside the int64 range")
-        rounded = round(val)
-        if abs(val - rounded) > INTEGRALITY_TOLERANCE:
+        if name.startswith("r_") and value not in (0, 1):
             raise SolutionFormatError(
-                f"line {lineno}: value {val_text} of {name} is not integral")
-        if name.startswith("r_") and rounded not in (0, 1):
+                f"line {lineno}: request flag {name} must be 0 or 1, got {value}")
+        if not name.startswith("r_") and value < 0:
             raise SolutionFormatError(
-                f"line {lineno}: request flag {name} must be 0 or 1, got {rounded}")
-        if not name.startswith("r_") and rounded < 0:
-            raise SolutionFormatError(
-                f"line {lineno}: {name} must be non-negative, got {rounded}")
+                f"line {lineno}: {name} must be non-negative, got {value}")
         seen.add(name)
         if match.group(1) is None:
-            r[int(slots[0]) - 1] = rounded
+            r[int(slots[0]) - 1] = value
         else:
-            (x if match.group(1) == "x" else y)[int(slots[0]) - 1, int(slots[1]) - 1] = rounded
+            (x if match.group(1) == "x" else y)[int(slots[0]) - 1, int(slots[1]) - 1] = value
     return SolutionMatrices(x, y, r)
 
 

@@ -7,7 +7,6 @@ slots <= t - delta.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -18,10 +17,6 @@ from .workload import (Config, Workload, _as_int64, _read_json_object, _require_
 
 class ScheduleFormatError(ValueError):
     """Raised when schedule text fails to parse or validate."""
-
-
-class InfeasibleScheduleError(ValueError):
-    """Raised when a schedule drives capacity negative."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +82,9 @@ class SimulationReport:
     0 standing for before slot 1: participants who joined, who left, and who
     left the waiting queue, by admission or by departing while waiting.  So
     exited - departed participants are admitted after each slot and
-    arrived - exited are waiting.
-
-    waits maps a waiting time in slots to the number of participants who
-    experienced it; admissions maps an arrival slot to (count, admit slot)
-    batches and departed_waiting to (count, departure slot) batches of
-    participants who left before ever being admitted.  All three are derived
-    from the cumulative curves the first time they are read.
+    arrived - exited are waiting.  Within slot t departures leave the queue
+    before admissions: max(exited[t-1], departed[t]) - exited[t-1] depart
+    while waiting, and exited[t] - max(exited[t-1], departed[t]) are admitted.
     """
 
     qos_cost: int
@@ -104,45 +95,6 @@ class SimulationReport:
     arrived: np.ndarray
     departed: np.ndarray
     exited: np.ndarray
-
-    @cached_property
-    def _exits(self) -> Tuple[List[int], List[int], List[int], List[bool]]:
-        # participants leave the queue in arrival order, and within slot t
-        # departures leave first: the queue's exits reach
-        # max(exited[t-1], departed[t]) after them and exited[t] after
-        # admissions.  Cutting the participant line at every point of both
-        # curves gives the runs that share an arrival slot and an exit event.
-        arrived, departed, exited = self.arrived, self.departed, self.exited
-        steps = np.empty(2 * (len(exited) - 1), dtype=np.int64)
-        np.maximum(exited[:-1], departed[1:], out=steps[0::2])
-        steps[1::2] = exited[1:]
-        cuts = np.union1d(arrived, steps)
-        cuts = cuts[cuts <= exited[-1]]
-        step = np.searchsorted(steps, cuts[1:])
-        return (np.searchsorted(arrived, cuts[1:]).tolist(), (step // 2 + 1).tolist(),
-                np.diff(cuts).tolist(), (step % 2 == 1).tolist())
-
-    @cached_property
-    def waits(self) -> Dict[int, int]:
-        waits: Dict[int, int] = {}
-        for arr, t, count, _ in zip(*self._exits):
-            waits[t - arr] = waits.get(t - arr, 0) + count
-        return waits
-
-    @cached_property
-    def admissions(self) -> Dict[int, List[Tuple[int, int]]]:
-        return self._batches(True)
-
-    @cached_property
-    def departed_waiting(self) -> Dict[int, List[Tuple[int, int]]]:
-        return self._batches(False)
-
-    def _batches(self, admitted: bool) -> Dict[int, List[Tuple[int, int]]]:
-        out: Dict[int, List[Tuple[int, int]]] = {}
-        for arr, t, count, by_admission in zip(*self._exits):
-            if by_admission == admitted:
-                out.setdefault(arr, []).append((count, t))
-        return out
 
 
 @dataclass(frozen=True)
@@ -161,21 +113,6 @@ def _raw_trajectory(schedule: Schedule, config: Config) -> np.ndarray:
     n, delta = config.n, config.delta
     cap = np.zeros(n, dtype=np.int64)
     np.add.accumulate(schedule.changes[:n - delta], out=cap[delta:])
-    return cap
-
-
-def capacity_trajectory(schedule: Schedule, config: Config) -> np.ndarray:
-    """Capacity available during each slot.
-
-    Raises InfeasibleScheduleError naming the first slot where the
-    trajectory goes negative.
-    """
-    _require_schedule_span(schedule, config)
-    cap = _raw_trajectory(schedule, config)
-    bad = np.nonzero(cap < 0)[0]
-    if bad.size:
-        raise InfeasibleScheduleError(
-            f"capacity is {int(cap[bad[0]])} at slot {int(bad[0]) + 1}")
     return cap
 
 
@@ -278,8 +215,7 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config) ->
     below the mandatory load floor, waiting times beyond theta or participants
     never admitted, and capacity dropping below the already admitted count.
     The last two come from simulate, whose closed form gives the overcommit
-    condition cap_t < max(M_{t-1} - d_t, 0) directly; the per-participant
-    waits and admission batches are never built here.
+    condition cap_t < max(M_{t-1} - d_t, 0) directly.
     """
     return _violations(schedule, config, simulate(workload, schedule, config))
 

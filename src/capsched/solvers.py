@@ -145,7 +145,7 @@ def exact_oracle(workload: Workload, config: Config,
             f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
     capped = "EQ7" not in skip or "EQ8" not in skip
 
-    load = mandatory_load(workload, config).values.tolist()
+    load = mandatory_load(workload, config).tolist()
     arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
@@ -320,7 +320,7 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
         if s[j - 1] > n * max(total, 1):
             raise LiftError(f"request at slot {j} adds more than n entries of {max(total, 1)} hold")
     cap = _raw_trajectory(schedule, config)
-    load = mandatory_load(workload, config).values
+    load = mandatory_load(workload, config)
     short = np.flatnonzero(cap < load)
     if short.size:
         t = int(short[0])

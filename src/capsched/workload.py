@@ -125,13 +125,6 @@ class Workload:
         return len(self.arrivals)
 
 
-@dataclass(frozen=True, eq=False)
-class MandatoryLoad:
-    """Per-slot lower bound on provisioned capacity."""
-
-    values: np.ndarray
-
-
 def _as_count_array(values, field: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
@@ -225,7 +218,7 @@ def occupancy(workload: Workload) -> np.ndarray:
     return np.cumsum(workload.arrivals - workload.departures)
 
 
-def mandatory_load(workload: Workload, config: Config) -> MandatoryLoad:
+def mandatory_load(workload: Workload, config: Config) -> np.ndarray:
     """Capacity floor implied by the join-delay bound.
 
     At slot i every participant who arrived at or before slot i - theta has
@@ -243,8 +236,7 @@ def mandatory_load(workload: Workload, config: Config) -> MandatoryLoad:
     ca = np.concatenate([[0], np.cumsum(workload.arrivals)])
     cd = np.concatenate([[0], np.cumsum(workload.departures)])
     lead = np.maximum(np.arange(1, n + 1) - config.theta, 0)
-    values = np.maximum(ca[lead] - cd[1:], 0)
-    return MandatoryLoad(values.astype(np.int64))
+    return np.maximum(ca[lead] - cd[1:], 0).astype(np.int64)
 
 
 def _require_matching(workload: Workload, config: Config) -> None:

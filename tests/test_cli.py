@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -29,7 +30,7 @@ from capsched import (
     parse_workload,
     run_compare,
 )
-from capsched.cli import main
+from capsched.cli import build_parser, main
 
 
 def _write_reference(tmp_path, ref_config, ref_workload):
@@ -460,6 +461,17 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: line 2: value ")
 
+    @pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 63 - 1])
+    def test_integer_solution_values_are_exact(self, tmp_path, ref_config, ref_workload,
+                                               capsys, value):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"x_1_2 2\nx_3_4 1\ny_5_4 2\nr_2 1\nr_4 1\nx_1_1 {value}\n",
+                       encoding="utf-8")
+        assert main(["validate", wl, "--solution", str(sol)]) == 1
+        assert capsys.readouterr().out == (
+            f"VIOLATION EQ10 i=1 j=1 detail=left side -{value} is not >= 0\n")
+
     @pytest.mark.parametrize("field", ["arrivals", "departures"])
     @pytest.mark.parametrize("value", [10 ** 29, -(10 ** 29), 2 ** 63])
     def test_oversized_workload_entries_are_usage_errors(self, tmp_path, capsys,
@@ -605,6 +617,16 @@ class TestExitCodes:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_parser_is_built_once(self, monkeypatch, ref_config, ref_workload, tmp_path):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the parser was built again")
+
+        build_parser()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        assert main(["solve", wl, "--out", str(tmp_path / "s.json")]) == 0
+        assert main(["validate", wl, "--schedule", str(tmp_path / "s.json")]) == 0
 
 
 class TestCompare:

@@ -51,7 +51,7 @@ def _reference_model(workload, config):
     m_eff = max(int(workload.arrivals.sum()), 1)
     a = workload.arrivals
     d = workload.departures
-    load = mandatory_load(workload, config).values
+    load = mandatory_load(workload, config)
 
     def vx(i, j):
         return f"x_{i}_{j}"
@@ -225,7 +225,7 @@ def _reference_validate(matrices, workload, config, skip_families=()):
                     "EQ7", j=j,
                     detail=f"cumulative allocation {int(cx[j - 1])} below release {int(cy[j - 1])}"))
     if "EQ8" not in skip:
-        load = mandatory_load(workload, config).values
+        load = mandatory_load(workload, config)
         for j in range(delta + 1, n + 1):
             net = int(cx[j - delta - 1] - cy[j - delta - 1])
             if net < load[j - 1]:
@@ -433,6 +433,12 @@ class TestParseSolution:
         assert matrices.allocations.sum() == 0
         assert matrices.requests.sum() == 1
 
+    @pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 63 - 1])
+    def test_integer_values_are_read_exactly(self, ref_config, value):
+        # float holds neither: it rounds 2^53 + 1 to 2^53 and 2^63 - 1 to 2^63
+        matrices = parse_solution(f"x_1_1 {value}\n", ref_config)
+        assert int(matrices.allocations[0, 0]) == value
+
     def test_tolerates_near_integral_values(self, ref_config):
         matrices = parse_solution("x_1_2 1.9999997\n", ref_config)
         assert matrices.allocations[0, 1] == 2
@@ -450,6 +456,9 @@ class TestParseSolution:
         ("x_1_1 1e400", "not finite"),
         ("x_1_1 1e30", "outside the int64 range"),
         ("y_1_1 -1e30", "outside the int64 range"),
+        ("x_1_1 9223372036854775808", "outside the int64 range"),
+        # an integer past float's range is finite, not inf
+        pytest.param("x_1_1 1" + "0" * 400, "outside the int64 range", id="x_1_1 10^400"),
     ])
     def test_rejections_name_the_line(self, ref_config, line, fragment):
         with pytest.raises(SolutionFormatError, match="line 2") as err:

@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 from capsched import (
     SCENARIO_PRESETS,
     Config,
-    InfeasibleScheduleError,
     ScenarioParams,
     Schedule,
     ScheduleFormatError,
-    SimulationReport,
     Violation,
     Workload,
     WorkloadFormatError,
     adaptive_schedule,
-    capacity_trajectory,
     check_feasibility,
     evaluate,
     format_schedule,
@@ -37,6 +34,21 @@ from json_reference import _reference_read_json_object, assert_reads_alike, json
 
 def sched(*changes):
     return Schedule(np.array(changes, dtype=np.int64))
+
+
+def _queue_account(rep):
+    """Per-slot admissions and departures while waiting, read from the
+    cumulative curves: within a slot, departures leave the queue first."""
+    before = np.maximum(rep.exited[:-1], rep.departed[1:])
+    return (rep.exited[1:] - before).tolist(), (before - rep.exited[:-1]).tolist()
+
+
+def _queue_exits(rep):
+    """(arrival slot, slot it left the queue) of each participant in arrival
+    order; the participant count must be small."""
+    k = np.arange(1, rep.exited[-1] + 1)
+    return list(zip(np.searchsorted(rep.arrived, k).tolist(),
+                    np.searchsorted(rep.exited, k).tolist()))
 
 
 def _reference_parse_schedule(text):
@@ -101,18 +113,13 @@ class TestContainer:
 
 
 class TestTrajectory:
-    def test_lag_shifts_activation(self, ref_config):
+    def test_lag_shifts_activation(self, ref_config, ref_workload):
         s = sched(0, 3, 0, 0, -2, 0, 0, 0)
-        assert capacity_trajectory(s, ref_config).tolist() == [0, 0, 0, 3, 3, 3, 1, 1]
+        assert simulate(ref_workload, s, ref_config).capacity.tolist() == [0, 0, 0, 3, 3, 3, 1, 1]
 
-    def test_negative_capacity_raises_with_slot(self, ref_config):
-        s = sched(0, 1, 0, -2, 0, 0, 0, 0)
-        with pytest.raises(InfeasibleScheduleError, match="slot 6"):
-            capacity_trajectory(s, ref_config)
-
-    def test_span_mismatch_rejected(self, ref_config):
+    def test_span_mismatch_rejected(self, ref_config, ref_workload):
         with pytest.raises(ScheduleFormatError):
-            capacity_trajectory(sched(0, 0, 0), ref_config)
+            simulate(ref_workload, sched(0, 0, 0), ref_config)
 
 
 class TestResourceCost:
@@ -147,8 +154,10 @@ class TestSimulate:
     def test_reference_adaptive_report(self, ref_config, ref_workload):
         rep = simulate(ref_workload, sched(0, 3, 0, 0, -2, 0, 0, 0), ref_config)
         assert rep.qos_cost == 7
-        assert rep.waits == {3: 2, 1: 1}
-        assert rep.admissions == {1: [(2, 4)], 3: [(1, 4)]}
+        # the two slot-1 joiners wait 3 slots and the slot-3 joiner 1, all
+        # admitted at slot 4
+        assert _queue_exits(rep) == [(1, 4), (1, 4), (3, 4)]
+        assert _queue_account(rep) == ([0, 0, 0, 3, 0, 0, 0, 0], [0] * 8)
         assert rep.theta_violations == []
         assert rep.unadmitted == {}
         assert rep.overcommit == []
@@ -156,14 +165,15 @@ class TestSimulate:
     def test_reference_greedy_report(self, ref_config, ref_workload):
         rep = simulate(ref_workload, sched(3, 0, -2, 0, 0, 0, 0, 0), ref_config)
         assert rep.qos_cost == 4
-        assert rep.waits == {2: 2, 0: 1}
-        assert rep.admissions == {1: [(2, 3)], 3: [(1, 3)]}
+        assert _queue_exits(rep) == [(1, 3), (1, 3), (3, 3)]
+        assert _queue_account(rep) == ([0, 0, 3, 0, 0, 0, 0, 0], [0] * 8)
 
     def test_departure_frees_room_for_waiting(self, ref_config, ref_workload):
         # two slot-1 joiners leave at slot 5, making room for the slot-3 one
         rep = simulate(ref_workload, sched(0, 2, 0, -1, 0, 0, 0, 0), ref_config)
         assert rep.qos_cost == 8
-        assert rep.admissions == {1: [(2, 4)], 3: [(1, 5)]}
+        assert _queue_exits(rep) == [(1, 4), (1, 4), (3, 5)]
+        assert _queue_account(rep) == ([0, 0, 0, 2, 1, 0, 0, 0], [0] * 8)
 
     def test_departure_can_hit_waiting_participant(self):
         cfg = Config(n=6, delta=2, theta=3)
@@ -171,7 +181,8 @@ class TestSimulate:
                       departures=np.array([0, 0, 1, 0, 0, 0]))
         rep = simulate(wl, sched(0, 0, 0, 0, 0, 0), cfg)
         # the participant waited slots 1..3 and left without admission
-        assert rep.departed_waiting == {1: [(1, 3)]}
+        assert _queue_exits(rep) == [(1, 3)]
+        assert _queue_account(rep) == ([0] * 6, [0, 0, 1, 0, 0, 0])
         assert rep.qos_cost == 2
         assert rep.unadmitted == {}
         assert rep.theta_violations == []
@@ -181,8 +192,9 @@ class TestSimulate:
         wl = Workload(arrivals=np.array([1, 0, 0, 0, 0, 0, 0, 0]),
                       departures=np.zeros(8, dtype=int))
         rep = simulate(wl, sched(0, 0, 0, 1, 0, 0, 0, 0), cfg)
-        assert rep.admissions == {1: [(1, 6)]}
-        assert rep.waits == {5: 1}
+        # admitted at slot 6 after waiting 5 slots
+        assert _queue_exits(rep) == [(1, 6)]
+        assert _queue_account(rep) == ([0, 0, 0, 0, 0, 1, 0, 0], [0] * 8)
         assert rep.theta_violations == [1]
 
     def test_never_admitted_participants_are_flagged(self):
@@ -200,7 +212,8 @@ class TestSimulate:
                       departures=np.zeros(8, dtype=int))
         rep = simulate(wl, sched(2, 0, -1, 0, 0, 0, 0, 0), cfg)
         # both admitted at slot 3, then capacity falls to 1 under them
-        assert rep.admissions == {1: [(2, 3)]}
+        assert _queue_exits(rep) == [(1, 3), (1, 3)]
+        assert _queue_account(rep) == ([0, 0, 2, 0, 0, 0, 0, 0], [0] * 8)
         assert [(t, occ, cap) for t, occ, cap in rep.overcommit] == [
             (5, 2, 1), (6, 2, 1), (7, 2, 1), (8, 2, 1)]
 
@@ -208,8 +221,9 @@ class TestSimulate:
 def _reference_simulate(workload, schedule, config):
     """The slot-by-slot FIFO replay that simulate's closed form replaced.
 
-    Returns every SimulationReport field as plain Python values, plus the
-    admitted and waiting counts after each slot.
+    Returns every SimulationReport field but the cumulative curves as plain
+    Python values, plus, per slot, the admitted and waiting counts after it
+    and the participants it admitted and lost from the queue by departure.
     """
     n, delta, theta = config.n, config.delta, config.theta
     cum = [0] + list(accumulate(schedule.changes.tolist()))
@@ -220,13 +234,13 @@ def _reference_simulate(workload, schedule, config):
     waiting = deque()    # [arrival slot, count], arrival order
     admitted_total = 0
     qos = 0
-    waits, violators, admissions, departed_waiting = {}, set(), {}, {}
+    violators = set()
     overcommit, admitted_after, waiting_after = [], [], []
+    admitted_at, departed_waiting_at = [0] * n, [0] * n
 
     def record_wait(arr_slot, count, wait):
         nonlocal qos
         qos += wait * count
-        waits[wait] = waits.get(wait, 0) + count
         if wait > theta:
             violators.add(arr_slot)
 
@@ -244,7 +258,7 @@ def _reference_simulate(workload, schedule, config):
             take = min(d, batch[1])
             batch[1] -= take
             record_wait(batch[0], take, t - batch[0])
-            departed_waiting.setdefault(batch[0], []).append((take, t))
+            departed_waiting_at[t - 1] += take
             if batch[1] == 0:
                 waiting.popleft()
             d -= take
@@ -258,7 +272,7 @@ def _reference_simulate(workload, schedule, config):
             if batch[1] == 0:
                 waiting.popleft()
             record_wait(batch[0], take, t - batch[0])
-            admissions.setdefault(batch[0], []).append((take, t))
+            admitted_at[t - 1] += take
             admitted_total += take
             free -= take
         admitted_after.append(admitted_total)
@@ -266,10 +280,10 @@ def _reference_simulate(workload, schedule, config):
 
     unadmitted = {arr: count for arr, count in waiting if count > 0}
     violators.update(unadmitted)
-    return {"qos_cost": qos, "waits": waits, "theta_violations": sorted(violators),
-            "capacity": cap_at, "admissions": admissions,
-            "departed_waiting": departed_waiting, "unadmitted": unadmitted,
-            "overcommit": overcommit, "admitted": admitted_after, "waiting": waiting_after}
+    return {"qos_cost": qos, "theta_violations": sorted(violators), "capacity": cap_at,
+            "unadmitted": unadmitted, "overcommit": overcommit, "admitted": admitted_after,
+            "waiting": waiting_after, "admitted_at": admitted_at,
+            "departed_waiting_at": departed_waiting_at}
 
 
 def _assert_matches_reference(workload, schedule, config):
@@ -278,12 +292,12 @@ def _assert_matches_reference(workload, schedule, config):
     for name in ("qos_cost", "theta_violations", "overcommit"):
         assert getattr(rep, name) == ref[name], name
     # dict equality ignores order, so compare items in order
-    for name in ("waits", "admissions", "departed_waiting", "unadmitted"):
-        assert list(getattr(rep, name).items()) == list(ref[name].items()), name
+    assert list(rep.unadmitted.items()) == list(ref["unadmitted"].items())
     assert rep.capacity.tolist() == ref["capacity"]
     assert rep.arrived[0] == rep.departed[0] == rep.exited[0] == 0
     assert (rep.exited - rep.departed)[1:].tolist() == ref["admitted"]
     assert (rep.arrived - rep.exited)[1:].tolist() == ref["waiting"]
+    assert _queue_account(rep) == (ref["admitted_at"], ref["departed_waiting_at"])
     return rep
 
 
@@ -298,7 +312,7 @@ def _reference_violations(workload, schedule, config, ref):
                                  f"requests {j2 - j} slots apart, need {delta}"))
     out += [Violation("tail_request", j, detail=f"cannot take effect by slot {n}")
             for j in hot if j > n - delta]
-    cap, load = ref["capacity"], mandatory_load(workload, config).values.tolist()
+    cap, load = ref["capacity"], mandatory_load(workload, config).tolist()
     out += [Violation("negative_capacity", t, detail=f"capacity {c}")
             for t, c in enumerate(cap, start=1) if c < 0]
     out += [Violation("mandatory_load", t, detail=f"capacity {c} below floor {f}")
@@ -369,14 +383,6 @@ class TestClosedForm:
             ScenarioParams(name="mmog", amplitude=values["amplitude"], seed=3), config)
         _assert_matches_reference(workload, planner(workload, config), config)
 
-    def test_feasibility_builds_no_batches(self, monkeypatch, ref_config, ref_workload):
-        def refuse(self):
-            raise AssertionError("waits or admission batches were built")
-        monkeypatch.setattr(SimulationReport, "_exits", property(refuse))
-        for s in (sched(0, 3, 0, 0, -2, 0, 0, 0), sched(0, 0, 0, 0, 0, 0, 0, 0)):
-            check_feasibility(ref_workload, s, ref_config)
-            evaluate(ref_workload, s, ref_config)
-
     @given(counts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                            min_size=3, max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -413,6 +419,12 @@ class TestCheckFeasibility:
         out = check_feasibility(ref_workload, sched(3, 0, 0, -4, 0, 0, 3, 0),
                                 ref_config)
         assert any(v.kind == "negative_capacity" and v.slot == 6 for v in out)
+
+    def test_negative_capacity_names_each_slot(self, ref_config, ref_workload):
+        # capacity 1 from slot 4, then -1 from slot 6 when the drop of 2 lands
+        out = check_feasibility(ref_workload, sched(0, 1, 0, -2, 0, 0, 0, 0), ref_config)
+        assert [(v.slot, v.detail) for v in out if v.kind == "negative_capacity"] == [
+            (6, "capacity -1"), (7, "capacity -1"), (8, "capacity -1")]
 
     def test_mandatory_load_floor(self, ref_config, ref_workload):
         # capacity stays at 1 from slot 4 on, below the floor of 2 at slot 4

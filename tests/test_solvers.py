@@ -283,7 +283,7 @@ def _reference_exact_oracle(workload, config, skip_families=()):
     check8 = "EQ8" not in set(skip_families)
     a = [int(v) for v in workload.arrivals]
     d = [int(v) for v in workload.departures]
-    load = [int(v) for v in mandatory_load(workload, config).values]
+    load = [int(v) for v in mandatory_load(workload, config)]
     last = n - delta
     weight = [n - j - delta for j in range(1, n + 1)]
     arr_cohorts = [(i, a[i - 1]) for i in range(1, n + 1) if a[i - 1]]
@@ -608,8 +608,10 @@ class TestOracle:
         assert [(v.kind, v.slot) for v in violations] == [
             ("capacity_below_occupancy", 6), ("capacity_below_occupancy", 7)]
         report = simulate(wl, schedule, ref_config)
-        assert report.departed_waiting == {}
-        assert report.admissions[5] == [(2, 5)]
+        # no departure reaches the queue, and the exits after slots 4 and 5
+        # are 2 and 4: the slot-5 cohort is admitted at slot 5
+        assert (report.departed[1:] <= report.exited[:-1]).all()
+        assert report.exited[4:6].tolist() == [2, 4]
 
 
 class TestOracleSplit:
@@ -785,7 +787,7 @@ class TestOraclePrice:
         # the cost of columns c_1 < ... < c_m is the sum over k of
         # (A(c_{k+1}) - D(c_k))+ * (c_{k+1} - c_k), where c_{m+1} = n - delta
         # spaces the last term and A there is every arrival
-        load = mandatory_load(wl, cfg).values.tolist()
+        load = mandatory_load(wl, cfg).tolist()
         costs = []
         for slots in _request_slot_sets(n - delta, delta):
             first = slots[0] if slots else n
@@ -816,7 +818,7 @@ class TestOraclePrice:
             present -= departures[-1]
         cfg = Config(n=n, delta=delta, theta=theta)
         load = mandatory_load(Workload(arrivals=np.array(arrivals),
-                                       departures=np.array(departures)), cfg).values
+                                       departures=np.array(departures)), cfg)
         total = sum(arrivals)
         for slots in _request_slot_sets(n - delta, delta):
             supplies = [(amount, [k for k, j in enumerate(slots)

@@ -190,10 +190,11 @@ class TestDerivedSeries:
 
     def test_reference_mandatory_load(self, ref_config, ref_workload):
         load = mandatory_load(ref_workload, ref_config)
-        assert load.values.tolist() == [0, 0, 0, 2, 0, 1, 1, 1]
+        assert load.dtype == np.int64
+        assert load.tolist() == [0, 0, 0, 2, 0, 1, 1, 1]
 
     def test_load_is_zero_inside_grace_window(self, ref_config, ref_workload):
-        load = mandatory_load(ref_workload, ref_config).values
+        load = mandatory_load(ref_workload, ref_config)
         assert not load[: ref_config.theta].any()
 
     @given(seed=st.integers(0, 10 ** 6))
@@ -201,7 +202,7 @@ class TestDerivedSeries:
     def test_load_matches_direct_count(self, seed):
         cfg = Config(n=14, delta=2, theta=4)
         wl = generate_workload(ScenarioParams(name="t", amplitude=5, seed=seed), cfg)
-        load = mandatory_load(wl, cfg).values
+        load = mandatory_load(wl, cfg)
         for i in range(1, cfg.n + 1):
             overdue = int(wl.arrivals[: max(i - cfg.theta, 0)].sum())
             gone = int(wl.departures[:i].sum())
