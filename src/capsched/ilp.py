@@ -28,7 +28,7 @@ validate_solution evaluates them over prefix sums of an assignment.
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -483,35 +483,18 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min()))
 
 
-def _skip_tags(skip_families: Iterable[str], allowed: Sequence[str]) -> List[str]:
-    """The tags of skip_families as a list; a bare string, or a tag outside
-    allowed, raises ConfigurationError."""
-    if isinstance(skip_families, str):
-        raise ConfigurationError(
-            f"skip_families takes a collection of tags, not the string {skip_families!r}")
-    skip = list(skip_families)
-    for tag in skip:
-        if tag not in allowed:
-            raise ConfigurationError(f"unknown skip_families tag {tag!r}: "
-                                     f"expected one of {', '.join(allowed)}")
-    return skip
-
-
-def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Config,
-                      skip_families: Iterable[str] = ()) -> List[ConstraintViolation]:
+def validate_solution(matrices: SolutionMatrices, workload: Workload,
+                      config: Config) -> List[ConstraintViolation]:
     """Check every constraint row in exact integer arithmetic.
 
     Returns one BOUND violation per negative allocation or de-allocation,
     then one violation per failed row in model order, tagged with the family
-    name and the 1-based row indices.  skip_families drops whole families by
-    tag, which supports probing which ones are implied by the rest; a tag
-    outside EQ2 to EQ12, or a bare string, raises ConfigurationError.  The
-    rows are those of build_model, read from the same table; a run's value
-    is its coefficient times a difference of prefix sums of the assignment.
+    name and the 1-based row indices.  The rows are those of build_model,
+    read from the same table; a run's value is its coefficient times a
+    difference of prefix sums of the assignment.
     """
     _require_matching(workload, config)
     _require_size(matrices, config)
-    skip = _skip_tags(skip_families, [f"EQ{k}" for k in range(2, 13)])
     rows = _row_table(workload, config)
     out = [ConstraintViolation("BOUND", i0 + 1, j0 + 1, f"{what} {int(matrix[i0, j0])} is negative")
            for what, matrix in (("allocation", matrices.allocations),
@@ -533,7 +516,6 @@ def validate_solution(matrices: SolutionMatrices, workload: Workload, config: Co
     lhs = sums[rows["run_ptr"][1:]] - sums[rows["run_ptr"][:-1]]
     rhs, senses, tags = rows["rhs"], rows["senses"], rows["row_tags"]
     failed = np.where(senses == ">=", lhs < rhs, np.where(senses == "<=", lhs > rhs, lhs != rhs))
-    failed &= ~np.isin(tags, skip)
     for k in np.flatnonzero(failed).tolist():
         i, j = int(rows["row_i"][k]), int(rows["row_j"][k])
         out.append(ConstraintViolation(str(tags[k]), i or None, j or None,

@@ -17,11 +17,11 @@ All planners are pure functions of their inputs.
 import bisect
 import itertools
 import math
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .ilp import SolutionMatrices, _skip_tags
+from .ilp import SolutionMatrices
 from .schedule import Schedule, _raw_trajectory, _require_schedule_span
 from .workload import Config, Workload, mandatory_load, occupancy, _require_matching
 
@@ -104,8 +104,7 @@ ORACLE_MAX_N = 10
 ORACLE_MAX_PARTICIPANTS = 8
 
 
-def exact_oracle(workload: Workload, config: Config,
-                 skip_families: Iterable[str] = ()) -> Tuple[SolutionMatrices, int]:
+def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, int]:
     """Minimum-cost assignment of the integer program by a shortest path
     over request slot placements.
 
@@ -113,28 +112,23 @@ def exact_oracle(workload: Workload, config: Config,
     arrival cohort is allocated at the last column of its window, so the
     cumulative allocation at a column is A at the next column (every arrival
     after the last), and the cumulative releases are D within reach of the
-    column, capped by that allocation where EQ7 or EQ8 is screened; A and D
-    are the prefixes _prefixes returns.  Each term of the cost then depends
-    on two consecutive columns only, as in Wagner-Whitin lot sizing, so one
-    forward pass over the columns, then the end (slot n), keeps per column
-    the best placement ending there.  EQ8 acts only by ruling out
-    placements whose first column comes after a slot with mandatory load,
-    so skip_families={"EQ7"} alone changes nothing.  Ties on cost go to the
-    row-major smallest allocations, then the smallest flags.  That is the
-    row-major allocation, de-allocation, flag order of the matrices unless
-    the de-allocations alone would break a tie, which no instance the tests
-    compare against the full enumeration has shown.
-
-    skip_families accepts the tags EQ7 and EQ8 to drop those families from
-    the screen; the remaining families are built into the placements
-    themselves and cannot be disabled.  Any other tag, or a bare string,
-    raises ConfigurationError.
+    column, capped by that allocation; A and D are the prefixes _prefixes
+    returns.  Each term of the cost then depends on two consecutive columns
+    only, as in Wagner-Whitin lot sizing, so one forward pass over the
+    columns, then the end (slot n), keeps per column the best placement
+    ending there.  EQ8 acts only by ruling out placements whose first column
+    takes effect after a slot with mandatory load, and these already leave
+    an arrival window ending before the first column: a cohort mandatory at
+    slot t arrived by t - theta, so its window ends by t - delta.  Ties on
+    cost go to the row-major smallest allocations, then the smallest flags.
+    That is the row-major allocation, de-allocation, flag order of the
+    matrices unless the de-allocations alone would break a tie, which no
+    instance the tests compare against the full enumeration has shown.
 
     Instances with n above ORACLE_MAX_N, or more than
     ORACLE_MAX_PARTICIPANTS arrivals, raise OracleLimitError.
     """
     _require_matching(workload, config)
-    skip = _skip_tags(skip_families, ("EQ7", "EQ8"))
     n, delta, theta = config.n, config.delta, config.theta
     total = int(workload.arrivals.sum())
     if n > ORACLE_MAX_N:
@@ -143,9 +137,7 @@ def exact_oracle(workload: Workload, config: Config,
         raise OracleLimitError(
             f"{total} participants exceed the search limit "
             f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
-    capped = "EQ7" not in skip or "EQ8" not in skip
 
-    load = mandatory_load(workload, config).tolist()
     arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
@@ -155,8 +147,7 @@ def exact_oracle(workload: Workload, config: Config,
 
     def released(p, c):
         # the cumulative releases at column p when column c comes next
-        reach = freed[min(p + delta, n)]
-        return min(reach, due[c]) if capped else reach
+        return min(freed[min(p + delta, n)], due[c])
 
     def tie_key(cols):
         # with each cohort at the last column of its window, row-major
@@ -167,16 +158,14 @@ def exact_oracle(workload: Workload, config: Config,
                 [-j for j in cols])
 
     for c in [*range(1, last + 1), n]:
-        # c may come first unless an arrival's window ends before it, or
-        # mandatory load comes before it takes effect
-        first = not due[c] and ("EQ8" in skip or not any(load[delta:c + delta - 1]))
+        # c may come first unless an arrival's window ends before it
+        first = not due[c]
         options = [(0, 0)] if first else []
         # By parts the cost is the sum of (A(c) - V) * (c - p) over consecutive
         # columns p < c, with c = n - delta after the last column, so the
-        # cumulative releases V at p take their caps, D(p) and, with EQ7 or
-        # EQ8 screened, A(c).  The EQ8 cap A(c) - load[t] over p's interval
-        # never binds: cohorts mandatory at t sit at or before p, so it is >=
-        # the departures through t >= D(p).
+        # cumulative releases V at p take their caps, D(p) and A(c).  The EQ8
+        # cap A(c) - load[t] over p's interval never binds: cohorts mandatory
+        # at t sit at or before p, so it is >= the departures through t >= D(p).
         options += [(best[p][0] + (due[c] - released(p, c)) * (min(c, last) - p), p)
                     for p in range(1, min(c - delta, last) + 1) if best[p]]
         if options:
@@ -227,8 +216,9 @@ def _windows(cols, arr_cohorts, dep_cohorts, config: Config):
 
 
 def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
-    """The allocations, de-allocations and flags of a pick as row-major tuples,
-    which order candidates of equal cost.
+    """The allocations, de-allocations and flags of a pick as row-major tuples;
+    only the tests' reference enumeration compares them, to order candidates
+    of equal cost.
 
     A pick is (request slots, allocation per slot, release per slot).  The
     windows are nested: an arrival cohort may be covered at the first

@@ -1,0 +1,115 @@
+"""A reference copy of the exact oracle: the original enumeration of every
+request slot set, allocation vector and release vector, shared by the
+solver tests and the acceptance gate.  Unlike exact_oracle it can drop the
+EQ7 and EQ8 screens, which gives the relaxed optima those tests compare."""
+
+import numpy as np
+
+from capsched import OracleLimitError, SolutionMatrices, mandatory_load
+from capsched import solvers
+
+
+def _request_slot_sets(last_slot, delta):
+    """Every ascending tuple from 1..last_slot with pairwise gaps >= delta."""
+    out = []
+
+    def grow(start, acc):
+        out.append(tuple(acc))
+        for j in range(start, last_slot + 1):
+            acc.append(j)
+            grow(j + delta, acc)
+            acc.pop()
+
+    grow(1, [])
+    return out
+
+
+class _NoAssignment(RuntimeError):
+    """Raised by the reference search when nothing meets its constraints."""
+
+
+def _reference_exact_oracle(workload, config, skip_families=()):
+    """Reference oracle: the original search, which enumerates every request
+    slot set, every release vector within the caps under each allocation
+    vector, and every allocation total for the last column too."""
+    n, delta, theta = config.n, config.delta, config.theta
+    total = int(workload.arrivals.sum())
+    if n > solvers.ORACLE_MAX_N:
+        raise OracleLimitError(f"n={n} exceeds the search limit max_n={solvers.ORACLE_MAX_N}")
+    if total > solvers.ORACLE_MAX_PARTICIPANTS:
+        raise OracleLimitError(
+            f"{total} participants exceed the search limit "
+            f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
+    check7 = "EQ7" not in set(skip_families)
+    check8 = "EQ8" not in set(skip_families)
+    a = [int(v) for v in workload.arrivals]
+    d = [int(v) for v in workload.departures]
+    load = [int(v) for v in mandatory_load(workload, config)]
+    last = n - delta
+    weight = [n - j - delta for j in range(1, n + 1)]
+    arr_cohorts = [(i, a[i - 1]) for i in range(1, n + 1) if a[i - 1]]
+    dep_cohorts = [(i, d[i - 1]) for i in range(1, n + 1) if d[i - 1]]
+    best = {}
+
+    for slots in _request_slot_sets(last, delta):
+        m = len(slots)
+        xwin = [sum(1 for j in slots if j <= min(i + theta - delta, last))
+                for i, _ in arr_cohorts]
+        if 0 in xwin:
+            continue
+        ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
+        dk = [sum(amount for _, amount in dep_cohorts[:h]) for h in ywin]
+        maxl = []
+        for k in range(m + 1):
+            lo = slots[k - 1] + delta if k else delta + 1
+            hi = min(slots[k] + delta - 1 if k < m else n, n)
+            maxl.append(max([load[j - 1] for j in range(lo, hi + 1)], default=0))
+        if check8 and maxl[0] > 0:
+            continue
+        suffix_budget = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin)
+                             if win >= k + 1) for k in range(m)]
+        u_vec = [0] * m
+        v_vec = [0] * m
+
+        def search_v(c, cu, cv_prev, gain, cost_u):
+            if c == m:
+                cost = cost_u - gain
+                if "cost" in best and cost > best["cost"]:
+                    return
+                key = solvers._pick_flat((slots, u_vec, v_vec), n, arr_cohorts,
+                                         xwin, dep_cohorts, ywin)
+                if "cost" not in best or cost < best["cost"] or key < best["key"]:
+                    best.update(cost=cost, key=key)
+                return
+            ub = dk[c] - cv_prev
+            if check7:
+                ub = min(ub, cu[c] - cv_prev)
+            if check8:
+                ub = min(ub, cu[c] - maxl[c + 1] - cv_prev)
+            for v in range(ub + 1):
+                v_vec[c] = v
+                search_v(c + 1, cu, cv_prev + v, gain + v * weight[slots[c] - 1], cost_u)
+                v_vec[c] = 0
+
+        def search_u(c, placed, cu, cost_u):
+            if c == m:
+                if placed == total:
+                    search_v(0, cu, 0, 0, cost_u)
+                return
+            rem = total - placed
+            if rem > suffix_budget[c]:
+                return
+            for u in range(rem + 1):
+                u_vec[c] = u
+                cu.append((cu[-1] if cu else 0) + u)
+                search_u(c + 1, placed + u, cu, cost_u + u * weight[slots[c] - 1])
+                cu.pop()
+                u_vec[c] = 0
+
+        search_u(0, 0, [], 0)
+
+    if "key" not in best:
+        raise _NoAssignment("no feasible assignment exists for this workload")
+    x, y, r = best["key"]
+    matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
+    return matrices, best["cost"]

@@ -36,6 +36,8 @@ from capsched import (
     validate_solution,
 )
 
+from oracle_reference import _reference_exact_oracle
+
 REF_CONFIG = Config(n=8, delta=2, theta=3)
 
 
@@ -149,7 +151,7 @@ def test_criterion_5_load_bound_is_implied():
     cfg, instances = _tiny_suite(amplitude=2)
     clean = 0
     for _, wl in instances:
-        matrices, _ = exact_oracle(wl, cfg, skip_families=("EQ8",))
+        matrices, _ = _reference_exact_oracle(wl, cfg, skip_families=("EQ8",))
         violations = validate_solution(matrices, wl, cfg)
         if not any(v.tag == "EQ8" for v in violations):
             clean += 1

@@ -400,6 +400,31 @@ class TestExitCodes:
         assert main(["evaluate", wl, str(sched)]) == 1
         assert "feasible=false" in capsys.readouterr().out
 
+    def test_infeasible_solve_prints_each_violation(self, tmp_path, capsys, ref_config):
+        # the oracle's schedule for this workload overcommits under FIFO
+        # admission (see TestOracle.test_ilp_admits_what_the_simulator_overcommits)
+        wl = tmp_path / "wl.json"
+        wl.write_text(format_workload(ref_config, Workload(
+            arrivals=np.array([2, 0, 0, 0, 2, 0, 0, 0]),
+            departures=np.array([0, 0, 0, 0, 2, 0, 0, 0]))), encoding="utf-8")
+        assert main(["solve", str(wl), "--algorithm", "oracle"]) == 1
+        captured = capsys.readouterr()
+        assert parse_schedule(captured.out)[2].changes.tolist() == [0, 2, 0, -2, 0, 2, 0, 0]
+        assert captured.err.splitlines() == [
+            "resource_cost=4", "qos_cost=6", "max_capacity=2", "num_requests=3",
+            "feasible=false",
+            "VIOLATION capacity_below_occupancy slot=6 detail=2 admitted but capacity 0",
+            "VIOLATION capacity_below_occupancy slot=7 detail=2 admitted but capacity 0"]
+
+    def test_solve_reads_the_workload_from_stdin(self, tmp_path, capsys, monkeypatch,
+                                                 ref_config, ref_workload):
+        wl = _write_reference(tmp_path, ref_config, ref_workload)
+        from_file = main(["solve", wl, "--algorithm", "ads"]), capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(wl).read_text(encoding="utf-8")))
+        from_stdin = main(["solve", "-", "--algorithm", "ads"]), capsys.readouterr()
+        assert from_stdin == from_file
+        assert from_file[0] == 0 and "resource_cost=10" in from_file[1].err
+
     def test_validate_lists_solution_violations(self, tmp_path, ref_config,
                                                 ref_workload, capsys):
         wl = _write_reference(tmp_path, ref_config, ref_workload)
@@ -613,6 +638,16 @@ class TestExitCodes:
                 "--amplitude", "1"]
         assert main([*base, "--seeds", "5..2"]) == 2
         assert main([*base, "--seeds", "abc"]) == 2
+
+    @pytest.mark.parametrize("option, message", [
+        (["--plateau-fraction", "1.5", "--seeds", "0"],
+         "plateau_fraction must lie in [0, 1], got 1.5"),
+        (["--seeds=-1..2"], "seed must be a non-negative integer, got -1"),
+    ])
+    def test_out_of_range_scenario_values_are_usage_errors(self, capsys, option, message):
+        assert main(["compare", "--scenario", "oppd", *option]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0

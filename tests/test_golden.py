@@ -3,7 +3,8 @@ text, workload files and the exact oracle's assignments.
 
 The digests were recorded from the original quadratic-scan planner,
 list-based simulator and term-tuple model builder, and the oracle's from
-its enumeration of request slot sets.  Any change to one byte of a
+its shortest-path pass, which reproduced the enumeration of request slot
+sets byte for byte.  Any change to one byte of a
 schedule, a compare CSV, an evaluate report, an exported model, a workload
 file or an oracle assignment fails here, without running the benchmark.  After an intended output change, re-record with
 
@@ -48,7 +49,6 @@ ORACLE_SHAPES = ((8, 2, 3, 2), (10, 2, 3, 2), (10, 3, 4, 2), (9, 2, 4, 3), (10, 
                  (10, 3, 5, 2), (7, 2, 3, 4), (10, 4, 6, 2), (6, 2, 3, 3), (10, 2, 8, 2))
 ORACLE_SEEDS = range(40)
 ORACLE_PLATEAUS = (0.0, 0.3, 0.6)
-ORACLE_SKIPS = ((), ("EQ7",), ("EQ8",), ("EQ7", "EQ8"))
 PLANNERS = {"ads": adaptive_schedule, "greedy": greedy_schedule}
 
 
@@ -122,9 +122,8 @@ def lp40_digests():
 
 
 def oracle_digests():
-    """Digest per shape of the oracle's outcome on every seed, plateau
-    fraction and skip setting: the cost and the three matrices, or the
-    refusal message."""
+    """Digest per shape of the oracle's outcome on every seed and plateau
+    fraction: the cost and the three matrices, or the refusal message."""
     out = {}
     for n, delta, theta, amplitude in ORACLE_SHAPES:
         config = Config(n=n, delta=delta, theta=theta)
@@ -134,16 +133,15 @@ def oracle_digests():
                 params = ScenarioParams(name="grid", amplitude=amplitude,
                                         plateau_fraction=plateau, seed=seed)
                 workload = generate_workload(params, config)
-                for skip in ORACLE_SKIPS:
-                    try:
-                        matrices, cost = exact_oracle(workload, config, skip_families=skip)
-                    except OracleLimitError as exc:
-                        outcome = f"refused {exc}"
-                    else:
-                        outcome = repr((cost, matrices.allocations.tolist(),
-                                        matrices.deallocations.tolist(),
-                                        matrices.requests.tolist()))
-                    lines.append(f"{seed} {plateau} {','.join(skip)} {outcome}\n")
+                try:
+                    matrices, cost = exact_oracle(workload, config)
+                except OracleLimitError as exc:
+                    outcome = f"refused {exc}"
+                else:
+                    outcome = repr((cost, matrices.allocations.tolist(),
+                                    matrices.deallocations.tolist(),
+                                    matrices.requests.tolist()))
+                lines.append(f"{seed} {plateau} {outcome}\n")
         out[f"{n}/{delta}/{theta}/{amplitude}"] = _digest("".join(lines))
     return out
 
@@ -304,25 +302,25 @@ LP40_GOLDEN = {
 
 ORACLE_GOLDEN = {
     "8/2/3/2":
-        "af77a45eb258bf6abc08aaeadb011aba766ba0aa75e614ccd0289b341f658d67",
+        "59de008ea3a9456bca1ba21c8289110949da3c4a3fadfcf9bac949238cc9d027",
     "10/2/3/2":
-        "9ea64639543d587b4978abf3cf3bca103e486fc7e5b7a996de2b3093ef354f37",
+        "ad1c56264ea551cf404ec68851dfc348876d2957e44699da018ebbdfa596df57",
     "10/3/4/2":
-        "48819b46c03f6a8f399a2f6131d0e954d110a7abce0c454f7adaa1ac446256de",
+        "8094f8b7e7b52a19e5bbeb03f5c83835be9e50c29ace24914cf84b1bd3e6e2f1",
     "9/2/4/3":
-        "4ea7420a141d240ac2a91bdb695bdf42bc4379d5099ec7497e303477f299633f",
+        "2216c823230010efb5efce2c57662be5a0c96dc67272c8a6d996c6f71a8425c7",
     "10/2/5/1":
-        "59bf6f862fa1e483676564ab3807e4c675d886d26809b489a215385e58219e49",
+        "4c448fb52ddfdbef982f89bbdc1e8a1e8c86380247b76d7532930f3240c5b642",
     "10/3/5/2":
-        "89396b0dae799cff1fa14388e2f1be3c8944e2fa892340c67320726e20910d52",
+        "84f855788c14bb29036871f735a190f21ce991e7d18ba08d1b47001489a11fd0",
     "7/2/3/4":
-        "8a577d1afc972297b93b0d49b030725c0b816a5dbd068920e0f1dfeb5ae748df",
+        "93d3f96a31ddc19a1aec984f7397b7d9c95b3f3951929e65f787d67c19f320a6",
     "10/4/6/2":
-        "b0d45348e1bca2e7c4f7da3753d9241ccc5b98093f70dbaf9a62a32b41457647",
+        "fb405593bc5e6fc2ba649db10addee1b2e14024473ab18b8d8f1c69316388d6c",
     "6/2/3/3":
-        "c373b6ae8810a1c7695d9bbb6765821dec982503f69396eae03487d7ad398f1c",
+        "be1b76ac5f0483d4182e5809190d6d9e5d15c697440fa9653a70f0b347cfdb6c",
     "10/2/8/2":
-        "bfda38279ee616cd87e08e5cb1df4a4d0c3b453a7b325dba73de52b4f31d537e",
+        "4141609ec5adc8bd87d37dc335ef35d66a13099e5132d87b701871be190552d3",
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from capsched import (
     SCENARIO_PRESETS,
     Config,
+    ConfigurationError,
     ConstraintViolation,
     LiftError,
     LinearConstraint,
@@ -164,11 +165,10 @@ def _reference_export(model):
     return "\n".join(out) + "\n"
 
 
-def _reference_validate(matrices, workload, config, skip_families=()):
+def _reference_validate(matrices, workload, config):
     """Reference validator: the original one, which spells out every family
     as hand-indexed slices of the assignment."""
     n, delta, theta = config.n, config.delta, config.theta
-    skip = set(skip_families)
     m_eff = max(int(workload.arrivals.sum()), 1)
     x = matrices.allocations
     y = matrices.deallocations
@@ -186,72 +186,61 @@ def _reference_validate(matrices, workload, config, skip_families=()):
         out.append(ConstraintViolation("BOUND", int(i0) + 1, int(j0) + 1,
                                        f"de-allocation {int(y[i0, j0])} is negative"))
 
-    if "EQ2" not in skip:
-        for i in range(1, n - theta + 1):
-            got = int(x[i - 1, : i + theta - delta].sum())
-            if got < a[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ2", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
-    if "EQ3" not in skip:
-        for i in range(n - theta + 1, n + 1):
-            got = int(x[i - 1, : n - delta].sum())
-            if got < a[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ3", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
-    if "EQ4" not in skip:
-        for i in range(1, delta + 1):
-            got = int(y[i - 1, : n - delta].sum())
-            if got > d[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ4", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
-    if "EQ5" not in skip:
-        for i in range(delta + 1, n + 1):
-            got = int(y[i - 1, i - delta - 1: n - delta].sum())
-            if got > d[i - 1]:
-                out.append(ConstraintViolation(
-                    "EQ5", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
-    if "EQ6" not in skip:
-        for i in range(delta + 2, n + 1):
-            got = int(y[i - 1, : i - delta - 1].sum())
-            if got != 0:
-                out.append(ConstraintViolation(
-                    "EQ6", i=i, detail=f"{got} released before departure could free it"))
+    for i in range(1, n - theta + 1):
+        got = int(x[i - 1, : i + theta - delta].sum())
+        if got < a[i - 1]:
+            out.append(ConstraintViolation(
+                "EQ2", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
+    for i in range(n - theta + 1, n + 1):
+        got = int(x[i - 1, : n - delta].sum())
+        if got < a[i - 1]:
+            out.append(ConstraintViolation(
+                "EQ3", i=i, detail=f"covered {got} of {int(a[i - 1])} arrivals"))
+    for i in range(1, delta + 1):
+        got = int(y[i - 1, : n - delta].sum())
+        if got > d[i - 1]:
+            out.append(ConstraintViolation(
+                "EQ4", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
+    for i in range(delta + 1, n + 1):
+        got = int(y[i - 1, i - delta - 1: n - delta].sum())
+        if got > d[i - 1]:
+            out.append(ConstraintViolation(
+                "EQ5", i=i, detail=f"released {got} for {int(d[i - 1])} departures"))
+    for i in range(delta + 2, n + 1):
+        got = int(y[i - 1, : i - delta - 1].sum())
+        if got != 0:
+            out.append(ConstraintViolation(
+                "EQ6", i=i, detail=f"{got} released before departure could free it"))
     cx = np.cumsum(x.sum(axis=0))
     cy = np.cumsum(y.sum(axis=0))
-    if "EQ7" not in skip:
-        for j in range(1, n + 1):
-            if cx[j - 1] < cy[j - 1]:
-                out.append(ConstraintViolation(
-                    "EQ7", j=j,
-                    detail=f"cumulative allocation {int(cx[j - 1])} below release {int(cy[j - 1])}"))
-    if "EQ8" not in skip:
-        load = mandatory_load(workload, config)
-        for j in range(delta + 1, n + 1):
-            net = int(cx[j - delta - 1] - cy[j - delta - 1])
-            if net < load[j - 1]:
-                out.append(ConstraintViolation(
-                    "EQ8", j=j, detail=f"active capacity {net} below floor {int(load[j - 1])}"))
-    if "EQ9" not in skip:
-        for i in range(1, n - delta + 1):
-            got = int(r[i - 1: i + delta - 1].sum())
-            if got > 1:
-                out.append(ConstraintViolation(
-                    "EQ9", i=i, detail=f"{got} requests within {delta} slots"))
-    if "EQ10" not in skip:
-        for i0, j0 in np.argwhere(x > m_eff * r[None, :]):
+    for j in range(1, n + 1):
+        if cx[j - 1] < cy[j - 1]:
             out.append(ConstraintViolation(
-                "EQ10", int(i0) + 1, int(j0) + 1,
-                f"allocation {int(x[i0, j0])} at unflagged slot"))
-    if "EQ11" not in skip:
-        for i0, j0 in np.argwhere(y > m_eff * r[None, :]):
+                "EQ7", j=j,
+                detail=f"cumulative allocation {int(cx[j - 1])} below release {int(cy[j - 1])}"))
+    load = mandatory_load(workload, config)
+    for j in range(delta + 1, n + 1):
+        net = int(cx[j - delta - 1] - cy[j - delta - 1])
+        if net < load[j - 1]:
             out.append(ConstraintViolation(
-                "EQ11", int(i0) + 1, int(j0) + 1,
-                f"de-allocation {int(y[i0, j0])} at unflagged slot"))
-    if "EQ12" not in skip:
-        for j in range(n - delta + 1, n + 1):
-            if r[j - 1] != 0:
-                out.append(ConstraintViolation(
-                    "EQ12", j=j, detail="request cannot take effect within the horizon"))
+                "EQ8", j=j, detail=f"active capacity {net} below floor {int(load[j - 1])}"))
+    for i in range(1, n - delta + 1):
+        got = int(r[i - 1: i + delta - 1].sum())
+        if got > 1:
+            out.append(ConstraintViolation(
+                "EQ9", i=i, detail=f"{got} requests within {delta} slots"))
+    for i0, j0 in np.argwhere(x > m_eff * r[None, :]):
+        out.append(ConstraintViolation(
+            "EQ10", int(i0) + 1, int(j0) + 1,
+            f"allocation {int(x[i0, j0])} at unflagged slot"))
+    for i0, j0 in np.argwhere(y > m_eff * r[None, :]):
+        out.append(ConstraintViolation(
+            "EQ11", int(i0) + 1, int(j0) + 1,
+            f"de-allocation {int(y[i0, j0])} at unflagged slot"))
+    for j in range(n - delta + 1, n + 1):
+        if r[j - 1] != 0:
+            out.append(ConstraintViolation(
+                "EQ12", j=j, detail="request cannot take effect within the horizon"))
     return out
 
 
@@ -267,13 +256,10 @@ def _instances(draw):
     return workload, config
 
 
-FAMILIES = ("EQ2", "EQ3", "EQ4", "EQ5", "EQ6", "EQ7", "EQ8", "EQ9", "EQ10", "EQ11", "EQ12")
-
-
 @st.composite
 def _perturbed_solutions(draw):
     """A lifted ads solution with a few entries shifted, some of them below
-    zero, and a few request flags flipped; with a set of families to skip."""
+    zero, and a few request flags flipped."""
     n = draw(st.integers(3, 20))
     delta = draw(st.integers(2, n - 1))
     theta = draw(st.integers(delta + 1, n))
@@ -292,8 +278,7 @@ def _perturbed_solutions(draw):
             matrix[i, j] += shift
     for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         r[j] = 1 - r[j]
-    skip = draw(st.sets(st.sampled_from(FAMILIES)))
-    return SolutionMatrices(x, y, r), workload, config, skip
+    return SolutionMatrices(x, y, r), workload, config
 
 
 def _oppd_lifted(n):
@@ -524,14 +509,6 @@ class TestValidateSolution:
                                 ref_workload, ref_config)
         assert any(v.tag == "BOUND" and (v.i, v.j) == (4, 3) for v in out)
 
-    def test_skip_families_suppresses_their_rows(self, ref_config, ref_workload):
-        empty = SolutionMatrices(np.zeros((8, 8), dtype=int),
-                                 np.zeros((8, 8), dtype=int),
-                                 np.zeros(8, dtype=int))
-        tags = {v.tag for v in validate_solution(
-            empty, ref_workload, ref_config, skip_families={"EQ2", "EQ3", "EQ8"})}
-        assert not tags & {"EQ2", "EQ3", "EQ8"}
-
     def test_excess_release_detected(self, ref_config, ref_workload):
         y = np.zeros((8, 8), dtype=int)
         y[4, 3] = 3                            # only 2 participants leave
@@ -579,9 +556,9 @@ class TestValidateSolution:
     @given(case=_perturbed_solutions())
     @settings(max_examples=150, deadline=None)
     def test_rows_failed_equal_the_reference(self, case):
-        matrices, workload, config, skip = case
-        got = validate_solution(matrices, workload, config, skip_families=skip)
-        expected = _reference_validate(matrices, workload, config, skip_families=skip)
+        matrices, workload, config = case
+        got = validate_solution(matrices, workload, config)
+        expected = _reference_validate(matrices, workload, config)
         assert [(v.tag, v.i, v.j) for v in got] == [(v.tag, v.i, v.j) for v in expected]
 
     def test_guard_validate_at_n300(self):
@@ -655,3 +632,26 @@ class TestCostForms:
         arrays[field][-1] = 2 ** 63
         with pytest.raises(ValueError, match=f"{field} has an entry outside the int64 range at "):
             SolutionMatrices(**arrays)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: SolutionMatrices(np.zeros((2, 3), int), np.zeros((2, 3), int), np.zeros(2, int)),
+         ValueError, "allocations must be a square matrix"),
+        (lambda: SolutionMatrices(np.zeros((2, 2), int), np.zeros((3, 3), int), np.zeros(2, int)),
+         ValueError, "deallocations must match allocations in shape"),
+        (lambda: SolutionMatrices(np.zeros((2, 2), int), np.zeros((2, 2), int), np.zeros(3, int)),
+         ValueError, "requests must be a vector of length n"),
+        (lambda: SolutionMatrices(np.zeros((2, 2)), np.zeros((2, 2), int), np.zeros(2, int)),
+         ValueError, "allocations must contain integers"),
+        (lambda: SolutionMatrices(np.zeros((2, 2), int), np.zeros((2, 2), int), np.array([0, 2])),
+         ValueError, "requests entries must be 0 or 1"),
+        (lambda: matrices_to_schedule(SolutionMatrices(np.zeros((3, 3), int), np.zeros((3, 3), int),
+                                                       np.zeros(3, int)), Config(8, 2, 3)),
+         ConfigurationError, "matrices are 3x3 but config.n is 8"),
+    ])
+    def test_rejections_name_the_fault(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert str(info.value) == message

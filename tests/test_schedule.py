@@ -541,3 +541,15 @@ class TestSerialization:
         assert (n, delta) == (config.n, config.delta)
         assert np.array_equal(parsed.changes, schedule.changes)
         assert format_schedule(config, parsed) == text
+
+
+class TestGuards:
+    @pytest.mark.parametrize("changes, message", [
+        (np.zeros((2, 2), dtype=np.int64), "changes must be a non-empty 1-d array"),
+        (np.zeros(0, dtype=np.int64), "changes must be a non-empty 1-d array"),
+        (np.array([0.5, 0.0]), "changes must contain integers"),
+    ])
+    def test_rejections_name_the_fault(self, changes, message):
+        with pytest.raises(ScheduleFormatError) as info:
+            Schedule(changes)
+        assert str(info.value) == message

@@ -18,7 +18,6 @@ from capsched import (
     OracleLimitError,
     ScenarioParams,
     Schedule,
-    SolutionMatrices,
     Workload,
     adaptive_schedule,
     build_model,
@@ -36,6 +35,7 @@ from capsched import (
     validate_solution,
 )
 from capsched import ilp, solvers
+from oracle_reference import _NoAssignment, _reference_exact_oracle, _request_slot_sets
 
 
 def _quadratic_adaptive_changes(workload, config):
@@ -62,21 +62,6 @@ def _quadratic_adaptive_changes(workload, config):
         old_size = new_size
         i = best_t + delta
     return changes
-
-
-def _request_slot_sets(last_slot, delta):
-    """Every ascending tuple from 1..last_slot with pairwise gaps >= delta."""
-    out = []
-
-    def grow(start, acc):
-        out.append(tuple(acc))
-        for j in range(start, last_slot + 1):
-            acc.append(j)
-            grow(j + delta, acc)
-            acc.pop()
-
-    grow(1, [])
-    return out
 
 
 def _milp_finds_assignment(workload, schedule, config):
@@ -159,8 +144,8 @@ _FREED_REUSE = (Workload(arrivals=np.array([0, 1, 1, 0, 1, 0]),
                          departures=np.array([0, 0, 1, 0, 1, 0])), Config(n=6, delta=3, theta=4))
 
 
-# n=8, delta=2, theta=3: with EQ7 and EQ8 both skipped the oracle releases
-# capacity before allocating it, and its cost is -2
+# n=8, delta=2, theta=3: with EQ7 and EQ8 both dropped the reference
+# enumeration releases capacity before allocating it, and its cost is -2
 _OVER_RELEASE = (Workload(arrivals=np.array([1, 1, 2, 0, 2, 0, 0, 0]),
                           departures=np.array([0, 0, 2, 0, 2, 0, 0, 0])),
                  Config(n=8, delta=2, theta=3))
@@ -193,10 +178,6 @@ def _column_hall_ok(demands, supplies):
         if need > have:
             return False
     return True
-
-
-class _NoAssignment(RuntimeError):
-    """Raised by the reference search when nothing meets its constraints."""
 
 
 def _lexmin_transport(rows, demands, exact):
@@ -267,104 +248,14 @@ def _reference_pick_flat(config, pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
     return (*_transport_split(pick, n, xrows, yrows), rflat)
 
 
-def _reference_exact_oracle(workload, config, skip_families=()):
-    """Reference oracle: the original search, which enumerates every request
-    slot set, every release vector within the caps under each allocation
-    vector, and every allocation total for the last column too."""
-    n, delta, theta = config.n, config.delta, config.theta
-    total = int(workload.arrivals.sum())
-    if n > solvers.ORACLE_MAX_N:
-        raise OracleLimitError(f"n={n} exceeds the search limit max_n={solvers.ORACLE_MAX_N}")
-    if total > solvers.ORACLE_MAX_PARTICIPANTS:
-        raise OracleLimitError(
-            f"{total} participants exceed the search limit "
-            f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
-    check7 = "EQ7" not in set(skip_families)
-    check8 = "EQ8" not in set(skip_families)
-    a = [int(v) for v in workload.arrivals]
-    d = [int(v) for v in workload.departures]
-    load = [int(v) for v in mandatory_load(workload, config)]
-    last = n - delta
-    weight = [n - j - delta for j in range(1, n + 1)]
-    arr_cohorts = [(i, a[i - 1]) for i in range(1, n + 1) if a[i - 1]]
-    dep_cohorts = [(i, d[i - 1]) for i in range(1, n + 1) if d[i - 1]]
-    best = {}
-
-    for slots in _request_slot_sets(last, delta):
-        m = len(slots)
-        xwin = [sum(1 for j in slots if j <= min(i + theta - delta, last))
-                for i, _ in arr_cohorts]
-        if 0 in xwin:
-            continue
-        ywin = [sum(1 for i, _ in dep_cohorts if i <= j + delta) for j in slots]
-        dk = [sum(amount for _, amount in dep_cohorts[:h]) for h in ywin]
-        maxl = []
-        for k in range(m + 1):
-            lo = slots[k - 1] + delta if k else delta + 1
-            hi = min(slots[k] + delta - 1 if k < m else n, n)
-            maxl.append(max([load[j - 1] for j in range(lo, hi + 1)], default=0))
-        if check8 and maxl[0] > 0:
-            continue
-        suffix_budget = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin)
-                             if win >= k + 1) for k in range(m)]
-        u_vec = [0] * m
-        v_vec = [0] * m
-
-        def search_v(c, cu, cv_prev, gain, cost_u):
-            if c == m:
-                cost = cost_u - gain
-                if "cost" in best and cost > best["cost"]:
-                    return
-                key = solvers._pick_flat((slots, u_vec, v_vec), n, arr_cohorts,
-                                         xwin, dep_cohorts, ywin)
-                if "cost" not in best or cost < best["cost"] or key < best["key"]:
-                    best.update(cost=cost, key=key)
-                return
-            ub = dk[c] - cv_prev
-            if check7:
-                ub = min(ub, cu[c] - cv_prev)
-            if check8:
-                ub = min(ub, cu[c] - maxl[c + 1] - cv_prev)
-            for v in range(ub + 1):
-                v_vec[c] = v
-                search_v(c + 1, cu, cv_prev + v, gain + v * weight[slots[c] - 1], cost_u)
-                v_vec[c] = 0
-
-        def search_u(c, placed, cu, cost_u):
-            if c == m:
-                if placed == total:
-                    search_v(0, cu, 0, 0, cost_u)
-                return
-            rem = total - placed
-            if rem > suffix_budget[c]:
-                return
-            for u in range(rem + 1):
-                u_vec[c] = u
-                cu.append((cu[-1] if cu else 0) + u)
-                search_u(c + 1, placed + u, cu, cost_u + u * weight[slots[c] - 1])
-                cu.pop()
-                u_vec[c] = 0
-
-        search_u(0, 0, [], 0)
-
-    if "key" not in best:
-        raise _NoAssignment("no feasible assignment exists for this workload")
-    x, y, r = best["key"]
-    matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
-    return matrices, best["cost"]
-
-
-def _oracle_outcome(oracle, workload, config, skip_families):
+def _oracle_outcome(oracle, workload, config):
     """Cost and the three matrices as lists, or the error type and message."""
     try:
-        matrices, cost = oracle(workload, config, skip_families=skip_families)
+        matrices, cost = oracle(workload, config)
     except (_NoAssignment, OracleLimitError) as exc:
         return type(exc), str(exc)
     return (cost, matrices.allocations.tolist(), matrices.deallocations.tolist(),
             matrices.requests.tolist())
-
-
-SKIP_SETTINGS = [(), ("EQ8",), ("EQ7",), ("EQ7", "EQ8")]
 
 
 def _workload_from_levels(levels):
@@ -505,31 +396,11 @@ class TestOracle:
         with pytest.raises(OracleLimitError, match="participants"):
             exact_oracle(wl, ref_config)
 
-    @pytest.mark.parametrize("skip, message", [
-        ("EQ7", "not the string 'EQ7'"),
-        ("EQ7 EQ8", "not the string 'EQ7 EQ8'"),
-        ({"EQ9"}, "tag 'EQ9': expected one of EQ7, EQ8"),
-        (["EQ7", "eq8"], "tag 'eq8'"),
-    ])
-    def test_oracle_rejects_unknown_skip_tags(self, skip, message):
+    def test_dropping_both_screens_releases_before_allocating(self):
         wl, cfg = _OVER_RELEASE
-        with pytest.raises(ConfigurationError, match=message):
-            exact_oracle(wl, cfg, skip_families=skip)
-
-    @pytest.mark.parametrize("skip, message", [
-        ("EQ7", "not the string 'EQ7'"),
-        (["EQ7", "eq8"], "tag 'eq8': expected one of EQ2, EQ3, .*, EQ12"),
-        ({"EQ13"}, "tag 'EQ13'"),
-        ({"BOUND"}, "tag 'BOUND'"),
-    ])
-    def test_validator_rejects_unknown_skip_tags(self, skip, message):
-        wl, cfg = _OVER_RELEASE
-        matrices, cost = exact_oracle(wl, cfg, skip_families={"EQ7", "EQ8"})
+        matrices, cost = _reference_exact_oracle(wl, cfg, skip_families=("EQ7", "EQ8"))
         assert cost == -2
-        assert validate_solution(matrices, wl, cfg, skip_families=("EQ7", "EQ8")) == []
         assert {v.tag for v in validate_solution(matrices, wl, cfg)} == {"EQ7", "EQ8"}
-        with pytest.raises(ConfigurationError, match=message):
-            validate_solution(matrices, wl, cfg, skip_families=skip)
 
     @pytest.mark.parametrize("name, optimum", [("oppd", 310657), ("mmog", 1554643)])
     def test_paper_scale_optima(self, monkeypatch, name, optimum):
@@ -577,11 +448,11 @@ class TestOracle:
 
     def test_relaxed_screen_can_only_lower_cost(self, ref_config, ref_workload):
         _, full = exact_oracle(ref_workload, ref_config)
-        relaxed_matrices, relaxed = exact_oracle(ref_workload, ref_config,
-                                                 skip_families={"EQ8"})
+        relaxed_matrices, relaxed = _reference_exact_oracle(ref_workload, ref_config,
+                                                            skip_families=("EQ8",))
         assert relaxed <= full
-        held = validate_solution(relaxed_matrices, ref_workload, ref_config,
-                                 skip_families={"EQ8"})
+        held = [v for v in validate_solution(relaxed_matrices, ref_workload, ref_config)
+                if v.tag != "EQ8"]
         assert held == []
 
     def test_oracle_schedule_is_feasible(self, ref_config, ref_workload):
@@ -655,12 +526,10 @@ class TestOracleSplit:
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
            delta=st.integers(2, 4), spread=st.integers(1, 3),
-           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]),
-           skip=st.sampled_from([(), ("EQ8",), ("EQ7",), ("EQ7", "EQ8")]))
+           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]))
     @settings(max_examples=60, deadline=None)
     def test_oracle_output_matches_the_transport_split(self, seed, n, delta,
-                                                       spread, amplitude,
-                                                       plateau, skip):
+                                                       spread, amplitude, plateau):
         assume(delta + spread <= n)
         cfg = Config(n=n, delta=delta, theta=delta + spread)
         wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
@@ -668,10 +537,10 @@ class TestOracleSplit:
                                               seed=seed), cfg)
         assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
 
-        got = exact_oracle(wl, cfg, skip_families=skip)
+        got = exact_oracle(wl, cfg)
         with mock.patch.object(solvers, "_pick_flat",
                                functools.partial(_reference_pick_flat, cfg)):
-            want = exact_oracle(wl, cfg, skip_families=skip)
+            want = exact_oracle(wl, cfg)
         assert got[1] == want[1]
         for name in ("allocations", "deallocations", "requests"):
             assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
@@ -680,24 +549,22 @@ class TestOracleSplit:
 class TestOracleReleases:
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
            delta=st.integers(2, 4), spread=st.integers(1, 4),
-           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]),
-           skip=st.sampled_from(SKIP_SETTINGS))
+           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]))
     @settings(max_examples=120, deadline=None)
     def test_generated_workloads_match_the_release_search(self, seed, n, delta,
-                                                          spread, amplitude,
-                                                          plateau, skip):
+                                                          spread, amplitude, plateau):
         assume(delta + spread <= n)
         cfg = Config(n=n, delta=delta, theta=delta + spread)
         wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
                                               plateau_fraction=plateau,
                                               seed=seed), cfg)
         assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
-        assert (_oracle_outcome(exact_oracle, wl, cfg, skip)
-                == _oracle_outcome(_reference_exact_oracle, wl, cfg, skip))
+        assert (_oracle_outcome(exact_oracle, wl, cfg)
+                == _oracle_outcome(_reference_exact_oracle, wl, cfg))
 
-    @given(data=st.data(), n=st.integers(3, 10), skip=st.sampled_from(SKIP_SETTINGS))
+    @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=120, deadline=None)
-    def test_drawn_workloads_match_the_release_search(self, data, n, skip):
+    def test_drawn_workloads_match_the_release_search(self, data, n):
         # departures anywhere in the horizon, not only in a decay phase
         delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
         theta = data.draw(st.integers(delta + 1, n), label="theta")
@@ -711,8 +578,8 @@ class TestOracleReleases:
             present -= departures[-1]
         cfg = Config(n=n, delta=delta, theta=theta)
         wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
-        assert (_oracle_outcome(exact_oracle, wl, cfg, skip)
-                == _oracle_outcome(_reference_exact_oracle, wl, cfg, skip))
+        assert (_oracle_outcome(exact_oracle, wl, cfg)
+                == _oracle_outcome(_reference_exact_oracle, wl, cfg))
 
     def test_zero_weight_last_column_releases_nothing(self):
         # the request at slot n - delta costs nothing either way; releasing
@@ -1002,3 +869,18 @@ class TestFeasibilityProperties:
         for planner in (adaptive_schedule, greedy_schedule):
             report = evaluate(wl, planner(wl, cfg), cfg)
             assert report.feasible
+
+
+class TestGuards:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda wl: adaptive_schedule(wl, Config(9, 2, 3)),
+         ConfigurationError, "workload has 8 slots but config.n is 9"),
+        (lambda wl: lift_schedule(wl, Schedule(np.array([1, 0, 0, 0, 0, 0, 0, -1])),
+                                  Config(8, 2, 3)),
+         LiftError, "request at slot 8 cannot take effect by slot 8"),
+    ])
+    def test_rejections_name_the_fault(self, ref_workload, make, error, message):
+        with pytest.raises(error) as info:
+            make(ref_workload)
+        assert type(info.value) is error
+        assert str(info.value) == message

@@ -296,3 +296,21 @@ class TestSerialization:
         assert np.array_equal(parsed.arrivals, wl.arrivals)
         assert np.array_equal(parsed.departures, wl.departures)
         assert format_workload(parsed_cfg, parsed) == text
+
+
+class TestGuards:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Workload(np.zeros((2, 2), int), np.zeros(2, int)),
+         WorkloadFormatError, "arrivals must be a non-empty 1-d array"),
+        (lambda: Workload(np.zeros(0, int), np.zeros(0, int)),
+         WorkloadFormatError, "arrivals must be a non-empty 1-d array"),
+        (lambda: Workload(np.array([0.5, 0.0]), np.zeros(2, int)),
+         WorkloadFormatError, "arrivals must contain integers"),
+        (lambda: Config(3.0, 2, 3), ConfigurationError, "n must be an integer, got 3.0"),
+        (lambda: Config(True, 2, 3), ConfigurationError, "n must be an integer, got True"),
+    ])
+    def test_rejections_name_the_fault(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert str(info.value) == message
