@@ -3,8 +3,8 @@
 Subcommands cover the full workflow: generate a workload, plan a schedule,
 evaluate or validate it, export the integer program, and compare planners
 over a seed range.  Exit codes: 0 on success, 1 when a schedule or
-assignment is infeasible, 2 for usage errors, malformed inputs, and
-refused oracle runs.
+assignment is infeasible, 2 for usage errors, malformed inputs, refused
+oracle runs, and horizons too large to allocate.
 """
 
 import argparse
@@ -387,6 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, WorkloadFormatError, ScheduleFormatError,
-            SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError) as exc:
+            SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

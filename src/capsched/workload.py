@@ -187,6 +187,15 @@ def generate_workload(params: ScenarioParams, config: Config) -> Workload:
     drawing plateau slot, and per decay slot, in slot order.  Identical
     (params, config) pairs therefore reproduce bit-identical workloads on
     any platform.
+
+    The draws are made in blocks of equal bound: one block for the growth
+    and drawing plateau slots, whose bound is amplitude, and in the decay
+    one block for every run of k slots that occupancy of at least k *
+    amplitude keeps at bound amplitude; the rest of the decay is drawn one
+    slot at a time.  Generator.integers maps each value of a block through
+    the same bounded method, on the same PCG64 words, as a scalar call with
+    that bound, so the blocks yield the stream the per-slot draws would.
+    Once occupancy reaches zero every later draw is zero and none is made.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     n = config.n
@@ -195,21 +204,24 @@ def generate_workload(params: ScenarioParams, config: Config) -> Workload:
 
     arrivals = np.zeros(n, dtype=np.int64)
     departures = np.zeros(n, dtype=np.int64)
-    occ = 0
-    for t in range(n):
-        if t < growth:
-            a = int(rng.integers(0, amp + 1))
-            arrivals[t] = a
-            occ += a
-        elif t < growth + plateau:
-            if (t - growth) % 2 == 0:
-                k = int(rng.integers(0, amp + 1))
-                arrivals[t] = k
-                departures[t] = k
+    rise = rng.integers(0, amp + 1, size=growth + (plateau + 1) // 2)
+    arrivals[:growth] = rise[:growth]
+    arrivals[growth:growth + plateau:2] = rise[growth:]
+    departures[growth:growth + plateau:2] = rise[growth:]
+    # an exact int: growth arrivals may sum past int64, which Workload reports
+    occ = sum(rise[:growth].tolist())
+    t = growth + plateau
+    while t < n and occ:
+        k = min(occ // amp, n - t)
+        if k >= 2:
+            fall = rng.integers(0, amp + 1, size=k)
+            departures[t:t + k] = fall
+            occ -= sum(fall.tolist())
+            t += k
         else:
-            d = int(rng.integers(0, min(amp, occ) + 1))
-            departures[t] = d
+            departures[t] = d = int(rng.integers(0, min(amp, occ) + 1))
             occ -= d
+            t += 1
     return Workload(arrivals, departures)
 
 

@@ -554,6 +554,16 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["generate"], ["compare", "--seeds", "0"]])
+    def test_unallocatable_horizon_is_a_usage_error(self, capsys, command):
+        # 8 PB per array lies beyond a 47-bit address space: refused before any page is touched
+        args = ["--n", str(10 ** 15), "--delta", "2", "--theta", "3", "--amplitude", "1"]
+        assert main([*command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: Unable to allocate")
+
     def test_oversized_workload_dimension_is_a_usage_error(self, tmp_path, capsys):
         wl = tmp_path / "wl.json"
         wl.write_text(json.dumps({"n": 10 ** 20, "delta": 2, "theta": 3,

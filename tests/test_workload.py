@@ -1,4 +1,6 @@
 import json
+import time
+from statistics import median
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsched import (
+    SCENARIO_PRESETS,
     Config,
     ConfigurationError,
     ScenarioParams,
@@ -20,6 +23,7 @@ from capsched import (
 )
 from capsched.workload import INT64_MAX, INT64_MIN, _write_json_object
 from json_reference import INT64, _reference_read_json_object, assert_reads_alike, json_lists
+from workload_reference import _reference_generate_workload
 
 
 def _reference_parse_workload(text):
@@ -140,6 +144,33 @@ class TestSegments:
                 assert min(growth, plateau, decay) >= 0
 
 
+# numpy bounds a draw with 32-bit words below a range of 2**32 and 64-bit words from it
+AMPLITUDES = st.one_of(st.integers(0, 2000), st.sampled_from(
+    [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 62, INT64_MAX]))
+
+
+@st.composite
+def scenarios(draw):
+    """Generator parameters at 3 to 300 slots with any delta and theta that
+    Config accepts."""
+    n = draw(st.integers(3, 300))
+    delta = draw(st.integers(2, n - 1))
+    config = Config(n=n, delta=delta, theta=draw(st.integers(delta + 1, n)))
+    params = ScenarioParams(name="t", amplitude=draw(AMPLITUDES),
+                            plateau_fraction=draw(st.floats(0.0, 1.0)),
+                            seed=draw(st.integers(0, 2 ** 32)))
+    return params, config
+
+
+def _generated(generate, params, config):
+    """The arrays generate draws, or the type and message of what it raises."""
+    try:
+        wl = generate(params, config)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return wl.arrivals.tolist(), wl.departures.tolist()
+
+
 class TestGenerator:
     def test_frozen_draw(self):
         cfg = Config(n=8, delta=2, theta=3)
@@ -182,6 +213,26 @@ class TestGenerator:
         assert wl.arrivals.max(initial=0) <= amplitude
         # container construction already enforced the prefix invariant
         assert occupancy(wl).min(initial=0) >= 0
+
+    @given(case=scenarios())
+    @example(case=(ScenarioParams(name="t", amplitude=INT64_MAX, seed=5),
+                   Config(n=20, delta=2, theta=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_slot_reference(self, case):
+        assert _generated(generate_workload, *case) == _generated(
+            _reference_generate_workload, *case)
+
+    def test_guard_generate_at_n10000(self):
+        preset = SCENARIO_PRESETS["mmog"]
+        config = Config(n=10_000, delta=preset["delta"], theta=preset["theta"])
+        params = ScenarioParams(name="mmog", amplitude=preset["amplitude"],
+                                plateau_fraction=preset["plateau_fraction"], seed=0)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            generate_workload(params, config)
+            times.append(time.perf_counter() - start)
+        assert median(times) < 0.005
 
 
 class TestDerivedSeries:
