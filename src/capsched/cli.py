@@ -11,7 +11,6 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass, replace
-from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ilp import (
@@ -266,6 +265,17 @@ class CompareSpec:
                 raise ConfigurationError(f"algorithm {algorithm!r} is listed twice")
 
 
+def _median_text(values: Sequence[int]) -> str:
+    """The exact median of integers: the middle one for an odd count, else the
+    half-sum as <int>.0 or <int>.5, which is a float's text below 2^53."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return str(ordered[mid])
+    total = ordered[mid - 1] + ordered[mid]
+    return f"{'-' if total < 0 else ''}{abs(total) // 2}.{5 * (total % 2)}"
+
+
 def run_compare(spec: CompareSpec) -> str:
     """Run every planner over every seed and render the CSV report.
 
@@ -295,7 +305,7 @@ def run_compare(spec: CompareSpec) -> str:
         qos = [row.qos_cost for row in rows if row.algorithm == algorithm]
         if costs:
             lines.append(f"# median algorithm={algorithm} "
-                         f"resource_cost={median(costs)} qos_cost={median(qos)}")
+                         f"resource_cost={_median_text(costs)} qos_cost={_median_text(qos)}")
         bad = sum(1 for row in rows
                   if row.algorithm == algorithm and not row.feasible)
         if bad:

@@ -11,7 +11,9 @@ parameters they return a schedule of capacity changes.
 * exact_oracle: the integer program's optimum, by a shortest path over
   request placements priced in closed form; restricted to small instances.
 
-All planners are pure functions of their inputs.
+exact_oracle and lift_schedule turn their column picks into the integer
+program's matrices through one builder, _assign.  All planners are pure
+functions of their inputs.
 """
 
 import bisect
@@ -174,17 +176,13 @@ def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, 
             best[c] = (low, min(tied, key=tie_key))
 
     cols = list(best[n][1][:-1])
-    cu = [due[c] for c in cols[1:] + [n]]
-    reach = [released(j, c) for j, c in zip(cols, cols[1:] + [n])]
+    following = cols[1:] + [n]
+    reach = [released(c, c_next) for c, c_next in zip(cols, following)]
     # rows are zero before their last column and a last column at n - delta
     # (weight 0) releases nothing: the tie rule's pick
     if cols and cols[-1] == last:
         reach[-1] = reach[-2] if len(cols) > 1 else 0
-    u = [hi - lo for lo, hi in zip([0] + cu, cu)]
-    v = [hi - lo for lo, hi in zip([0] + reach, reach)]
-    xwin, ywin = _windows(cols, arr_cohorts, dep_cohorts, config)
-    x, y, r = _pick_flat((cols, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
-    matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
+    matrices = _assign(cols, [due[c] for c in following], reach, arr_cohorts, dep_cohorts, config)
     return matrices, int(best[n][0])
 
 
@@ -205,67 +203,58 @@ def _prefixes(workload: Workload, config: Config):
     return arr_cohorts, dep_cohorts, due, freed
 
 
-def _windows(cols, arr_cohorts, dep_cohorts, config: Config):
-    """_pick_flat's windows over ascending columns: the columns by each arrival
-    cohort's window end, and the departure cohorts by each column plus delta."""
-    n, delta, theta = config.n, config.delta, config.theta
-    xwin = [bisect.bisect_right(cols, min(i + theta - delta, n - delta)) for i, _ in arr_cohorts]
-    dep_slots = [i for i, _ in dep_cohorts]
-    ywin = [bisect.bisect_right(dep_slots, c + delta) for c in cols]
-    return xwin, ywin
+def _assign(cols, allocated, released, arr_cohorts, dep_cohorts,
+            config: Config) -> SolutionMatrices:
+    """The assignment whose request slots are the ascending columns cols, with
+    cumulative allocation allocated[k] and cumulative releases released[k] at
+    cols[k].
 
-
-def _pick_flat(pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
-    """The allocations, de-allocations and flags of a pick as row-major tuples;
-    only the tests' reference enumeration compares them, to order candidates
-    of equal cost.
-
-    A pick is (request slots, allocation per slot, release per slot).  The
-    windows are nested: an arrival cohort may be covered at the first
-    xwin[r] columns, a prefix that grows with the cohort's slot, and column
-    k may release the first ywin[k] departure cohorts, a prefix that grows
-    with the column.  On such windows a direct fill gives the row-major
-    smallest split.  Arrival cohorts, earliest first, are poured into their
-    latest columns first; what a cohort leaves lies inside every later
-    cohort's window, so no entry could be smaller.  Each column's releases
-    come from its latest eligible departure cohort first; a cohort eligible
-    at one column stays eligible at every later one, so earlier rows are
-    drawn on only when later rows run dry.  The picks meet Hall's condition
-    (arrival mass per column suffix within reach, releases per column prefix
-    within the departures), so both fills place everything without a
-    feasibility trial.  Allocation beyond the arrivals (a lifted schedule may
-    hold more) goes to rows n, n - 1, ..., at most max(total, 1) per entry.
+    The windows are nested: an arrival cohort at slot i may be covered at the
+    columns up to min(i + theta - delta, n - delta), a prefix that grows with
+    the cohort's slot, and a column c may release the departure cohorts up to
+    slot c + delta, a prefix that grows with the column.  On such windows a
+    direct fill gives the row-major smallest split.  Arrival cohorts, earliest
+    first, are poured into their latest columns first; what a cohort leaves
+    lies inside every later cohort's window, so no entry could be smaller.
+    Each column's releases come from its latest eligible departure cohort
+    first; a cohort eligible at one column stays eligible at every later one,
+    so earlier rows are drawn on only when later rows run dry.  The callers'
+    picks meet Hall's condition (arrival mass per column suffix within reach,
+    releases per column prefix within the departures), so both fills place
+    everything without a feasibility trial.  Allocation beyond the arrivals
+    (a lifted schedule may hold more) goes to rows n, n - 1, ..., at most
+    max(total, 1) per entry.
     """
-    slots, u, v = pick
-    xflat = [0] * (n * n)
-    room = list(u)
-    for (i, amount), win in zip(arr_cohorts, xwin):
-        for k in range(win - 1, -1, -1):
+    n, delta, theta = config.n, config.delta, config.theta
+    x = np.zeros((n, n), dtype=np.int64)
+    y = np.zeros((n, n), dtype=np.int64)
+    r = np.zeros(n, dtype=np.int64)
+    room = [hi - lo for lo, hi in zip([0, *allocated], allocated)]
+    for i, amount in arr_cohorts:
+        for k in reversed(range(bisect.bisect_right(cols, min(i + theta - delta, n - delta)))):
             take = min(amount, room[k])
-            xflat[(i - 1) * n + slots[k] - 1] = take
+            x[i - 1, cols[k] - 1] = take
             room[k] -= take
             amount -= take
     cap = max(sum(amount for _, amount in arr_cohorts), 1)
-    for k, extra in enumerate(room):
+    for c, extra in zip(cols, room):
         i = n
         while extra:
-            cell = (i - 1) * n + slots[k] - 1
-            take = min(extra, cap - xflat[cell])
-            xflat[cell] += take
+            take = min(extra, cap - int(x[i - 1, c - 1]))
+            x[i - 1, c - 1] += take
             extra -= take
             i -= 1
-    yflat = [0] * (n * n)
+    dep_slots = [i for i, _ in dep_cohorts]
     left = [amount for _, amount in dep_cohorts]
-    for k, need in enumerate(v):
-        for r in range(ywin[k] - 1, -1, -1):
-            take = min(need, left[r])
-            yflat[(dep_cohorts[r][0] - 1) * n + slots[k] - 1] = take
-            left[r] -= take
+    for c, lo, hi in zip(cols, [0, *released], released):
+        need = hi - lo
+        for k in reversed(range(bisect.bisect_right(dep_slots, c + delta))):
+            take = min(need, left[k])
+            y[dep_slots[k] - 1, c - 1] = take
+            left[k] -= take
             need -= take
-    rflat = [0] * n
-    for j in slots:
-        rflat[j - 1] = 1
-    return tuple(xflat), tuple(yflat), tuple(rflat)
+    r[[c - 1 for c in cols]] = 1
+    return SolutionMatrices(x, y, r)
 
 
 def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> SolutionMatrices:
@@ -285,7 +274,7 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
     there, looking back to the last request (or the start) and to slots
     2 * delta - 1 to delta before; ties go to fewer columns, then to the
     later one.  Slot n stands for the end, needing every arrival.
-    _pick_flat splits the deltas.
+    _assign splits each column's allocation and releases over the cohorts.
 
     Raises LiftError exactly when no assignment nets to the schedule: a
     request past n - delta or within delta of another, capacity below zero
@@ -352,8 +341,6 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
         end = best[end][2]
     cols.reverse()
     top = [held(c, due[c_next]) for c, c_next in zip(cols, cols[1:] + [n])]
-    u = [hi - lo for lo, hi in zip([0] + top, top)]
-    v = [gross - s[c - 1] for gross, c in zip(u, cols)]
-    xwin, ywin = _windows(cols, arr_cohorts, dep_cohorts, config)
-    x, y, r = _pick_flat((cols, u, v), n, arr_cohorts, xwin, dep_cohorts, ywin)
-    return SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
+    # every request is a column, so C_k = running[c_k] and V_k = U_k - C_k
+    return _assign(cols, top, [u - running[c] for u, c in zip(top, cols)],
+                   arr_cohorts, dep_cohorts, config)

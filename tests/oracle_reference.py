@@ -3,9 +3,9 @@ request slot set, allocation vector and release vector, shared by the
 solver tests and the acceptance gate.  Unlike exact_oracle it can drop the
 EQ7 and EQ8 screens, which gives the relaxed optima those tests compare."""
 
-import numpy as np
+import itertools
 
-from capsched import OracleLimitError, SolutionMatrices, mandatory_load
+from capsched import OracleLimitError, mandatory_load
 from capsched import solvers
 
 
@@ -68,7 +68,6 @@ def _reference_exact_oracle(workload, config, skip_families=()):
             continue
         suffix_budget = [sum(amount for (_, amount), win in zip(arr_cohorts, xwin)
                              if win >= k + 1) for k in range(m)]
-        u_vec = [0] * m
         v_vec = [0] * m
 
         def search_v(c, cu, cv_prev, gain, cost_u):
@@ -76,10 +75,12 @@ def _reference_exact_oracle(workload, config, skip_families=()):
                 cost = cost_u - gain
                 if "cost" in best and cost > best["cost"]:
                     return
-                key = solvers._pick_flat((slots, u_vec, v_vec), n, arr_cohorts,
-                                         xwin, dep_cohorts, ywin)
+                matrices = solvers._assign(slots, cu, list(itertools.accumulate(v_vec)),
+                                           arr_cohorts, dep_cohorts, config)
+                key = tuple(tuple(a.ravel().tolist()) for a in (
+                    matrices.allocations, matrices.deallocations, matrices.requests))
                 if "cost" not in best or cost < best["cost"] or key < best["key"]:
-                    best.update(cost=cost, key=key)
+                    best.update(cost=cost, key=key, matrices=matrices)
                 return
             ub = dk[c] - cv_prev
             if check7:
@@ -100,16 +101,12 @@ def _reference_exact_oracle(workload, config, skip_families=()):
             if rem > suffix_budget[c]:
                 return
             for u in range(rem + 1):
-                u_vec[c] = u
                 cu.append((cu[-1] if cu else 0) + u)
                 search_u(c + 1, placed + u, cu, cost_u + u * weight[slots[c] - 1])
                 cu.pop()
-                u_vec[c] = 0
 
         search_u(0, 0, [], 0)
 
     if "key" not in best:
         raise _NoAssignment("no feasible assignment exists for this workload")
-    x, y, r = best["key"]
-    matrices = SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
-    return matrices, best["cost"]
+    return best["matrices"], best["cost"]

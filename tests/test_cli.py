@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import statistics
 import tempfile
 from pathlib import Path
 
@@ -711,6 +712,31 @@ class TestCompare:
         lines = run_compare(spec).splitlines()
         assert len(lines) == 5
         assert lines[4].startswith("# median algorithm=ads resource_cost=")
+
+    def test_even_count_medians_print_as_floats_do(self):
+        # both .0 and .5 halves, each byte for byte as statistics.median prints them
+        spec = CompareSpec(
+            config=Config(n=8, delta=2, theta=3),
+            scenario=ScenarioParams(name="t", amplitude=3),
+            seeds=(0, 1), algorithms=("ads", "greedy"))
+        lines = run_compare(spec).splitlines()
+        for algorithm in ("ads", "greedy"):
+            rows = [line.split(",") for line in lines[1:5] if line.split(",")[1] == algorithm]
+            costs, qos = ([int(row[k]) for row in rows] for k in (2, 3))
+            assert (f"# median algorithm={algorithm} resource_cost={statistics.median(costs)} "
+                    f"qos_cost={statistics.median(qos)}") in lines
+        assert "# median algorithm=ads resource_cost=25.5 qos_cost=12.5" in lines
+        assert "# median algorithm=greedy resource_cost=32.0 qos_cost=6.0" in lines
+
+    def test_even_count_median_beyond_2_53_is_exact(self, capsys):
+        assert main(["compare", "--n", "20", "--delta", "2", "--theta", "3",
+                     "--amplitude", "100000000000000000", "--seeds", "0..1",
+                     "--algorithms", "ads"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        costs = [int(line.split(",")[2]) for line in lines[1:3]]
+        assert costs == [3921463070191793418, 5173913602292202679]
+        assert lines[3] == ("# median algorithm=ads resource_cost=4547688336241998048.5 "
+                            "qos_cost=429474826944360882.5")
 
     def test_zero_amplitude_costs_nothing(self):
         spec = CompareSpec(

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import time
@@ -18,6 +17,7 @@ from capsched import (
     OracleLimitError,
     ScenarioParams,
     Schedule,
+    SolutionMatrices,
     Workload,
     adaptive_schedule,
     build_model,
@@ -233,19 +233,20 @@ def _transport_split(pick, n, xrows, yrows):
     return tuple(flats)
 
 
-def _reference_pick_flat(config, pick, n, arr_cohorts, xwin, dep_cohorts, ywin):
-    """Drop-in for solvers._pick_flat that ignores the windows it is given,
-    derives each cohort's eligible columns from the config, and splits the
-    pick with _lexmin_transport."""
-    slots = pick[0]
-    delta, theta = config.delta, config.theta
-    xrows = [(i, amount, [k for k, j in enumerate(slots)
+def _reference_assign(cols, allocated, released, arr_cohorts, dep_cohorts, config):
+    """Drop-in for solvers._assign that derives each cohort's eligible columns
+    from the config and splits the columns' amounts with _lexmin_transport."""
+    n, delta, theta = config.n, config.delta, config.theta
+    u_vec = [hi - lo for lo, hi in zip([0, *allocated], allocated)]
+    v_vec = [hi - lo for lo, hi in zip([0, *released], released)]
+    xrows = [(i, amount, [k for k, j in enumerate(cols)
                           if j <= min(i + theta - delta, n - delta)])
              for i, amount in arr_cohorts]
-    yrows = [(i, amount, [k for k, j in enumerate(slots) if j >= max(i - delta, 1)])
+    yrows = [(i, amount, [k for k, j in enumerate(cols) if j >= max(i - delta, 1)])
              for i, amount in dep_cohorts]
-    rflat = tuple(int(j in slots) for j in range(1, n + 1))
-    return (*_transport_split(pick, n, xrows, yrows), rflat)
+    x, y = _transport_split((cols, u_vec, v_vec), n, xrows, yrows)
+    r = [int(j in cols) for j in range(1, n + 1)]
+    return SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
 
 
 def _oracle_outcome(oracle, workload, config):
@@ -489,40 +490,39 @@ class TestOracleSplit:
     @given(data=st.data(), m=st.integers(1, 6))
     @settings(max_examples=300, deadline=None)
     def test_fills_match_the_lexmin_transport(self, data, m):
-        # arrival windows are column prefixes that grow with the cohort;
-        # departure windows are cohort prefixes that grow with the column
-        slots = tuple(range(1, m + 1))
-        xwin = sorted(data.draw(st.lists(st.integers(1, m), max_size=6), label="xwin"))
-        amounts = data.draw(st.lists(st.integers(1, 3), min_size=len(xwin),
-                                     max_size=len(xwin)), label="arrivals")
+        # cohorts sit at distinct slots and are poured into the columns their
+        # windows allow, so the cumulative amounts meet Hall's condition
+        delta = data.draw(st.integers(2, 4), label="delta")
+        theta = data.draw(st.integers(delta + 1, delta + 4), label="theta")
+        n = data.draw(st.integers(max(theta, m + delta), 14), label="n")
+        cfg = Config(n=n, delta=delta, theta=theta)
+        cols = sorted(data.draw(st.sets(st.integers(1, n - delta), min_size=m, max_size=m),
+                                label="columns"))
+        arr_slots = sorted(i for i in data.draw(st.sets(st.integers(1, n), max_size=6),
+                                                label="arrival slots")
+                           if cols[0] <= i + theta - delta)
+        dep_slots = sorted(data.draw(st.sets(st.integers(1, n), max_size=6),
+                                     label="departure slots"))
+        arr_cohorts = [(i, data.draw(st.integers(1, 3))) for i in arr_slots]
+        dep_cohorts = [(i, data.draw(st.integers(1, 3))) for i in dep_slots]
         u_vec = [0] * m
-        for win, amount in zip(xwin, amounts):
+        for i, amount in arr_cohorts:
+            eligible = [k for k, c in enumerate(cols) if c <= min(i + theta - delta, n - delta)]
             for _ in range(amount):
-                u_vec[data.draw(st.integers(0, win - 1))] += 1
-        n_dep = data.draw(st.integers(0, 6), label="departure cohorts")
-        dep_amounts = data.draw(st.lists(st.integers(1, 3), min_size=n_dep,
-                                         max_size=n_dep), label="departures")
-        ywin = sorted(data.draw(st.lists(st.integers(0, n_dep), min_size=m,
-                                         max_size=m), label="ywin"))
+                u_vec[data.draw(st.sampled_from(eligible))] += 1
         v_vec = [0] * m
-        for r, amount in enumerate(dep_amounts):
-            cols = [k for k in range(m) if r < ywin[k]]
-            if cols:
+        for i, amount in dep_cohorts:
+            eligible = [k for k, c in enumerate(cols) if i <= c + delta]
+            if eligible:
                 for _ in range(data.draw(st.integers(0, amount))):
-                    v_vec[data.draw(st.sampled_from(cols))] += 1
-        n = max(m, len(xwin), n_dep)
-        arr_cohorts = [(i + 1, amount) for i, amount in enumerate(amounts)]
-        dep_cohorts = [(i + 1, amount) for i, amount in enumerate(dep_amounts)]
+                    v_vec[data.draw(st.sampled_from(eligible))] += 1
+        allocated = list(itertools.accumulate(u_vec))
+        released = list(itertools.accumulate(v_vec))
 
-        pick = (slots, u_vec, v_vec)
-        xflat, yflat, rflat = solvers._pick_flat(pick, n, arr_cohorts, xwin,
-                                                 dep_cohorts, ywin)
-        xrows = [(i, amount, list(range(win)))
-                 for (i, amount), win in zip(arr_cohorts, xwin)]
-        yrows = [(i, amount, [k for k in range(m) if r < ywin[k]])
-                 for r, (i, amount) in enumerate(dep_cohorts)]
-        assert (xflat, yflat) == _transport_split(pick, n, xrows, yrows)
-        assert rflat == tuple([1] * m + [0] * (n - m))
+        got = solvers._assign(cols, allocated, released, arr_cohorts, dep_cohorts, cfg)
+        want = _reference_assign(cols, allocated, released, arr_cohorts, dep_cohorts, cfg)
+        for name in ("allocations", "deallocations", "requests"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
            delta=st.integers(2, 4), spread=st.integers(1, 3),
@@ -538,8 +538,7 @@ class TestOracleSplit:
         assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
 
         got = exact_oracle(wl, cfg)
-        with mock.patch.object(solvers, "_pick_flat",
-                               functools.partial(_reference_pick_flat, cfg)):
+        with mock.patch.object(solvers, "_assign", _reference_assign):
             want = exact_oracle(wl, cfg)
         assert got[1] == want[1]
         for name in ("allocations", "deallocations", "requests"):
@@ -609,16 +608,16 @@ class TestOraclePrice:
         # 55 request slot sets fit n=10, delta=2; only the optimum is split
         cfg = Config(n=10, delta=2, theta=9)
         wl = Workload(arrivals=np.array([1] * 8 + [0, 0]), departures=np.zeros(10, dtype=int))
-        windowed = []
-        windows = solvers._windows
+        assigned = []
+        assign = solvers._assign
 
         def counted(cols, *rest):
-            windowed.append(list(cols))
-            return windows(cols, *rest)
+            assigned.append(list(cols))
+            return assign(cols, *rest)
 
-        monkeypatch.setattr(solvers, "_windows", counted)
+        monkeypatch.setattr(solvers, "_assign", counted)
         matrices, _ = exact_oracle(wl, cfg)
-        assert windowed == [(np.flatnonzero(matrices.requests) + 1).tolist()]
+        assert assigned == [(np.flatnonzero(matrices.requests) + 1).tolist()]
 
     @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=150, deadline=None)
