@@ -22,6 +22,7 @@ from .ilp import (
     validate_solution,
 )
 from .schedule import (
+    CostReport,
     Schedule,
     ScheduleFormatError,
     check_feasibility,
@@ -128,14 +129,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_lines(report) -> List[str]:
-    return [
-        f"resource_cost={report.resource_cost}",
-        f"qos_cost={report.qos_cost}",
-        f"max_capacity={report.max_capacity}",
-        f"num_requests={report.num_requests}",
-        f"feasible={'true' if report.feasible else 'false'}",
-    ]
+# the report fields, in the order the CLI prints them and the CSV holds them
+_REPORT_FIELDS = ("resource_cost", "qos_cost", "max_capacity", "num_requests", "feasible")
+
+
+def _report_cells(report: CostReport) -> List[str]:
+    values = [getattr(report, field) for field in _REPORT_FIELDS]
+    return [str(value).lower() if isinstance(value, bool) else str(value) for value in values]
+
+
+def _report_lines(report: CostReport) -> List[str]:
+    return [f"{field}={cell}" for field, cell in zip(_REPORT_FIELDS, _report_cells(report))]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -145,11 +149,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = evaluate(workload, schedule, config)
     for line in _report_lines(report):
         print(line, file=sys.stderr)
-    if not report.feasible:
-        for violation in check_feasibility(workload, schedule, config):
-            print(violation.render(), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    for violation in report.violations:
+        print(violation.render(), file=sys.stderr)
+    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def _read_schedule(path: str, config: Config) -> Schedule:
@@ -200,21 +202,13 @@ class CompareRow:
 
     seed: int
     algorithm: str
-    resource_cost: int
-    qos_cost: int
-    max_capacity: int
-    num_requests: int
-    feasible: bool
+    report: CostReport
 
     def as_csv(self) -> str:
-        return ",".join([
-            str(self.seed), self.algorithm, str(self.resource_cost),
-            str(self.qos_cost), str(self.max_capacity), str(self.num_requests),
-            "true" if self.feasible else "false",
-        ])
+        return ",".join([str(self.seed), self.algorithm, *_report_cells(self.report)])
 
 
-CSV_HEADER = "seed,algorithm,resource_cost,qos_cost,max_capacity,num_requests,feasible"
+CSV_HEADER = ",".join(("seed", "algorithm", *_REPORT_FIELDS))
 
 
 def compare_instance(workload: Workload, config: Config, algorithms: Sequence[str],
@@ -232,12 +226,7 @@ def compare_instance(workload: Workload, config: Config, algorithms: Sequence[st
         except OracleLimitError as exc:
             notes.append(f"{algorithm} skipped seed={seed}: {exc}")
             continue
-        report = evaluate(workload, schedule, config)
-        rows.append(CompareRow(
-            seed=seed, algorithm=algorithm,
-            resource_cost=report.resource_cost, qos_cost=report.qos_cost,
-            max_capacity=report.max_capacity, num_requests=report.num_requests,
-            feasible=report.feasible))
+        rows.append(CompareRow(seed, algorithm, evaluate(workload, schedule, config)))
     return rows, notes
 
 
@@ -301,13 +290,13 @@ def run_compare(spec: CompareSpec) -> str:
     lines = [CSV_HEADER]
     lines.extend(row.as_csv() for row in rows)
     for algorithm in sorted(set(algorithms)):
-        costs = [row.resource_cost for row in rows if row.algorithm == algorithm]
-        qos = [row.qos_cost for row in rows if row.algorithm == algorithm]
-        if costs:
-            lines.append(f"# median algorithm={algorithm} "
-                         f"resource_cost={_median_text(costs)} qos_cost={_median_text(qos)}")
-        bad = sum(1 for row in rows
-                  if row.algorithm == algorithm and not row.feasible)
+        reports = [row.report for row in rows if row.algorithm == algorithm]
+        if reports:
+            # the medians of the two costs, the report's first two fields
+            medians = " ".join(f"{field}={_median_text([getattr(r, field) for r in reports])}"
+                               for field in _REPORT_FIELDS[:2])
+            lines.append(f"# median algorithm={algorithm} {medians}")
+        bad = sum(1 for report in reports if not report.feasible)
         if bad:
             lines.append(f"# infeasible algorithm={algorithm} rows={bad}")
     lines.extend(f"# {note}" for note in notes)
@@ -325,6 +314,8 @@ def _parse_seed_range(text: str) -> List[int]:
         raise ConfigurationError(f"bad seed range {text!r}: expected K or A..B") from exc
     if hi < lo:
         raise ConfigurationError(f"bad seed range {text!r}: end before start")
+    if hi - lo >= sys.maxsize:
+        raise ConfigurationError(f"bad seed range {text!r}: more seeds than a list can hold")
     return list(range(lo, hi + 1))
 
 
@@ -399,5 +390,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigurationError, WorkloadFormatError, ScheduleFormatError,
             SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError,
             MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a failed allocation may carry no text of its own
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_USAGE

@@ -99,13 +99,21 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Headline numbers for one (workload, schedule) pairing."""
+    """Headline numbers for one (workload, schedule) pairing.
+
+    violations is what check_feasibility returns for the pairing, in its
+    order; the pairing is feasible when there are none.
+    """
 
     resource_cost: int
     qos_cost: int
     max_capacity: int
     num_requests: int
-    feasible: bool
+    violations: Tuple[Violation, ...]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 def _raw_trajectory(schedule: Schedule, config: Config) -> np.ndarray:
@@ -221,6 +229,23 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config) ->
 
 
 def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
+    out = _screen(schedule, config, sim)
+    for arr in sim.theta_violations:
+        if arr in sim.unadmitted:
+            out.append(Violation("never_admitted", arr,
+                                 detail=f"{sim.unadmitted[arr]} participants still waiting at horizon end"))
+        else:
+            out.append(Violation("theta_delay", arr,
+                                 detail=f"waited beyond theta={config.theta}"))
+    for t, occ, c in sim.overcommit:
+        out.append(Violation("capacity_below_occupancy", t,
+                             detail=f"{occ} admitted but capacity {c}"))
+    return out
+
+
+def _screen(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
+    """The structural violations, the ones the integer program shares: request
+    spacing, tail requests, negative capacity and the mandatory load floor."""
     n, delta, theta = config.n, config.delta, config.theta
     out: List[Violation] = []
 
@@ -244,29 +269,19 @@ def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> Li
     for k in ((tail >= 0) & (tail < floor)).nonzero()[0].tolist():
         out.append(Violation("mandatory_load", theta + k + 1,
                              detail=f"capacity {tail[k]} below floor {floor[k]}"))
-
-    for arr in sim.theta_violations:
-        if arr in sim.unadmitted:
-            out.append(Violation("never_admitted", arr,
-                                 detail=f"{sim.unadmitted[arr]} participants still waiting at horizon end"))
-        else:
-            out.append(Violation("theta_delay", arr,
-                                 detail=f"waited beyond theta={config.theta}"))
-    for t, occ, c in sim.overcommit:
-        out.append(Violation("capacity_below_occupancy", t,
-                             detail=f"{occ} admitted but capacity {c}"))
     return out
 
 
 def evaluate(workload: Workload, schedule: Schedule, config: Config) -> CostReport:
-    """Summarize one schedule: costs, capacity peak, request count, feasibility."""
+    """Summarize one schedule: costs, capacity peak, request count, and the
+    violations check_feasibility would list, from one simulation."""
     sim = simulate(workload, schedule, config)
     return CostReport(
         resource_cost=resource_cost(schedule, config),
         qos_cost=sim.qos_cost,
         max_capacity=int(sim.capacity.max()),
         num_requests=int(np.count_nonzero(schedule.changes)),
-        feasible=not _violations(schedule, config, sim),
+        violations=tuple(_violations(schedule, config, sim)),
     )
 
 

@@ -24,8 +24,8 @@ from typing import Tuple
 import numpy as np
 
 from .ilp import SolutionMatrices
-from .schedule import Schedule, _raw_trajectory, _require_schedule_span
-from .workload import Config, Workload, mandatory_load, occupancy, _require_matching
+from .schedule import Schedule, _screen, simulate
+from .workload import Config, Workload, occupancy, _require_matching
 
 
 class OracleLimitError(RuntimeError):
@@ -276,35 +276,26 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
     later one.  Slot n stands for the end, needing every arrival.
     _assign splits each column's allocation and releases over the cohorts.
 
-    Raises LiftError exactly when no assignment nets to the schedule: a
-    request past n - delta or within delta of another, capacity below zero
-    or the mandatory load, a change more than n entries of the EQ10
-    coefficient hold, or no valid columns.  check_feasibility can accept a
-    schedule that raises: the FIFO simulator admits a cohort into any freed
-    capacity, the program only through a zero-net column in its window.
+    Raises LiftError exactly when no assignment nets to the schedule: on the
+    first violation of check_feasibility's structural screen (a request past
+    n - delta or within delta of another, capacity below zero or the
+    mandatory load), carrying that violation's line; on a change more than
+    n entries of the EQ10 coefficient hold; or when no valid columns exist.
+    check_feasibility can accept a schedule that raises: the FIFO simulator
+    admits a cohort into any freed capacity, the program only through a
+    zero-net column in its window.
     """
-    _require_matching(workload, config)
-    _require_schedule_span(schedule, config)
+    screen = _screen(schedule, config, simulate(workload, schedule, config))
+    if screen:
+        raise LiftError(screen[0].render())
     n, delta = config.n, config.delta
     last = n - delta
     s = schedule.changes.tolist()
     requests = [j for j in range(1, n + 1) if s[j - 1]]
     total = int(workload.arrivals.sum())
-    for j, j2 in zip(requests, requests[1:]):
-        if j2 - j < delta:
-            raise LiftError(f"requests at slots {j} and {j2} are closer than delta={delta}")
     for j in requests:
-        if j > last:
-            raise LiftError(f"request at slot {j} cannot take effect by slot {n}")
         if s[j - 1] > n * max(total, 1):
             raise LiftError(f"request at slot {j} adds more than n entries of {max(total, 1)} hold")
-    cap = _raw_trajectory(schedule, config)
-    load = mandatory_load(workload, config)
-    short = np.flatnonzero(cap < load)
-    if short.size:
-        t = int(short[0])
-        raise LiftError(f"capacity {int(cap[t])} at slot {t + 1} is below zero "
-                        f"or the mandatory load {int(load[t])}")
 
     arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
     running = list(itertools.accumulate(s, initial=0))

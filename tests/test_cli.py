@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import capsched.cli
+import capsched.schedule
 from capsched import (
     CSV_HEADER,
     SCENARIO_PRESETS,
@@ -351,7 +353,8 @@ _OPTIONS = {
     "--seed": (st.integers(0, 5), _INTEGER),
     "--seeds": (st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda p: f"{p[0]}..{sum(p)}"),
                 st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: f"{p[0]}..{p[1]}")
-                | st.sampled_from(["1..", "..2", "0..1..2", str(2 ** 64), "2**70"]) | _WORDS),
+                | st.sampled_from(["1..", "..2", "0..1..2", str(2 ** 64), "2**70",
+                                   "0..99999999999999999999"]) | _WORDS),
     "--algorithms": (st.lists(st.sampled_from(["ads", "greedy", "oracle"]), min_size=1,
                               max_size=4).map(",".join),
                      st.lists(st.sampled_from(["ads", "magic", "", " ads"]),
@@ -401,21 +404,37 @@ class TestExitCodes:
         assert main(["evaluate", wl, str(sched)]) == 1
         assert "feasible=false" in capsys.readouterr().out
 
+    # the oracle's schedule for this workload overcommits under FIFO
+    # admission (see TestOracle.test_ilp_admits_what_the_simulator_overcommits)
+    _OVERCOMMIT = Workload(arrivals=np.array([2, 0, 0, 0, 2, 0, 0, 0]),
+                           departures=np.array([0, 0, 0, 0, 2, 0, 0, 0]))
+    _OVERCOMMIT_ERR = [
+        "resource_cost=4", "qos_cost=6", "max_capacity=2", "num_requests=3",
+        "feasible=false",
+        "VIOLATION capacity_below_occupancy slot=6 detail=2 admitted but capacity 0",
+        "VIOLATION capacity_below_occupancy slot=7 detail=2 admitted but capacity 0"]
+
     def test_infeasible_solve_prints_each_violation(self, tmp_path, capsys, ref_config):
-        # the oracle's schedule for this workload overcommits under FIFO
-        # admission (see TestOracle.test_ilp_admits_what_the_simulator_overcommits)
-        wl = tmp_path / "wl.json"
-        wl.write_text(format_workload(ref_config, Workload(
-            arrivals=np.array([2, 0, 0, 0, 2, 0, 0, 0]),
-            departures=np.array([0, 0, 0, 0, 2, 0, 0, 0]))), encoding="utf-8")
-        assert main(["solve", str(wl), "--algorithm", "oracle"]) == 1
+        wl = _write_reference(tmp_path, ref_config, self._OVERCOMMIT)
+        assert main(["solve", wl, "--algorithm", "oracle"]) == 1
         captured = capsys.readouterr()
         assert parse_schedule(captured.out)[2].changes.tolist() == [0, 2, 0, -2, 0, 2, 0, 0]
-        assert captured.err.splitlines() == [
-            "resource_cost=4", "qos_cost=6", "max_capacity=2", "num_requests=3",
-            "feasible=false",
-            "VIOLATION capacity_below_occupancy slot=6 detail=2 admitted but capacity 0",
-            "VIOLATION capacity_below_occupancy slot=7 detail=2 admitted but capacity 0"]
+        assert captured.err.splitlines() == self._OVERCOMMIT_ERR
+
+    def test_solve_simulates_once(self, tmp_path, capsys, monkeypatch, ref_config):
+        # the violations solve prints come from evaluate's report, not a second run
+        wl = _write_reference(tmp_path, ref_config, self._OVERCOMMIT)
+        calls = []
+        original = capsched.schedule.simulate
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(capsched.schedule, "simulate", counted)
+        assert main(["solve", wl, "--algorithm", "oracle"]) == 1
+        assert capsys.readouterr().err.splitlines() == self._OVERCOMMIT_ERR
+        assert len(calls) == 1
 
     def test_solve_reads_the_workload_from_stdin(self, tmp_path, capsys, monkeypatch,
                                                  ref_config, ref_workload):
@@ -650,10 +669,21 @@ class TestExitCodes:
         assert main([*base, "--seeds", "5..2"]) == 2
         assert main([*base, "--seeds", "abc"]) == 2
 
+    def test_textless_memory_error_is_named(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError()
+
+        monkeypatch.setattr(capsched.cli, "run_compare", exhausted)
+        assert main(["compare", "--scenario", "oppd", "--n", "10", "--seeds", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: out of memory\n")
+
     @pytest.mark.parametrize("option, message", [
         (["--plateau-fraction", "1.5", "--seeds", "0"],
          "plateau_fraction must lie in [0, 1], got 1.5"),
         (["--seeds=-1..2"], "seed must be a non-negative integer, got -1"),
+        (["--n", "10", "--seeds", "0..99999999999999999999"],
+         "bad seed range '0..99999999999999999999': more seeds than a list can hold"),
     ])
     def test_out_of_range_scenario_values_are_usage_errors(self, capsys, option, message):
         assert main(["compare", "--scenario", "oppd", *option]) == 2
@@ -680,11 +710,16 @@ class TestCompare:
         rows, notes = compare_instance(ref_workload, ref_config,
                                        ("ads", "greedy", "oracle"), seed=0)
         assert notes == []
-        by_name = {row.algorithm: row for row in rows}
+        by_name = {row.algorithm: row.report for row in rows}
         assert (by_name["ads"].resource_cost, by_name["ads"].qos_cost) == (10, 7)
         assert (by_name["greedy"].resource_cost, by_name["greedy"].qos_cost) == (9, 4)
         assert (by_name["oracle"].resource_cost, by_name["oracle"].qos_cost) == (6, 8)
-        assert all(row.feasible for row in rows)
+        assert all(row.report.feasible and row.report.violations == () for row in rows)
+
+    def test_unknown_algorithm_is_refused(self, ref_config, ref_workload):
+        with pytest.raises(ConfigurationError) as info:
+            compare_instance(ref_workload, ref_config, ("magic",), 0)
+        assert str(info.value) == "unknown algorithm 'magic'"
 
     def test_rows_sorted_by_seed_then_name(self):
         spec = CompareSpec(

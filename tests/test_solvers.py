@@ -766,8 +766,10 @@ class TestLift:
     def test_requests_closer_than_delta_are_refused(self):
         workload, cfg = _LONE_STAY
         schedule = Schedule(np.array([1, 1, 0, 0, 0, 0, 0, 0]))
-        with pytest.raises(LiftError, match="slots 1 and 2 are closer than delta=2"):
+        with pytest.raises(LiftError) as info:
             lift_schedule(workload, schedule, cfg)
+        assert str(info.value) == (
+            "VIOLATION separation slot=1 slot2=2 detail=requests 1 slots apart, need 2")
 
     def test_capacity_beyond_the_arrivals_fills_rows_up_to_big_m(self):
         # three units for one participant: the two spare allocations sit in
@@ -876,7 +878,7 @@ class TestGuards:
          ConfigurationError, "workload has 8 slots but config.n is 9"),
         (lambda wl: lift_schedule(wl, Schedule(np.array([1, 0, 0, 0, 0, 0, 0, -1])),
                                   Config(8, 2, 3)),
-         LiftError, "request at slot 8 cannot take effect by slot 8"),
+         LiftError, "VIOLATION tail_request slot=8 detail=cannot take effect by slot 8"),
     ])
     def test_rejections_name_the_fault(self, ref_workload, make, error, message):
         with pytest.raises(error) as info:
