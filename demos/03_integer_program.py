@@ -28,7 +28,7 @@ def main():
 
     model = build_model(workload, config)
     text = export_lp(model)
-    print(f"model: {len(model.variables)} variables, "
+    print(f"model: {2 * config.n ** 2 + config.n} variables, "
           f"{len(model.rhs)} constraint rows")
     print(f"LP text is {len(text)} bytes; first lines:")
     for line in text.splitlines()[:12]:

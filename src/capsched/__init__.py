@@ -19,7 +19,6 @@ from .ilp import (
     INTEGRALITY_TOLERANCE,
     ConstraintViolation,
     IlpModel,
-    LinearConstraint,
     SolutionFormatError,
     SolutionMatrices,
     build_model,
@@ -77,7 +76,6 @@ __all__ = [
     "INTEGRALITY_TOLERANCE",
     "IlpModel",
     "LiftError",
-    "LinearConstraint",
     "OracleLimitError",
     "SCENARIO_PRESETS",
     "ScenarioParams",

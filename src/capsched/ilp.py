@@ -74,13 +74,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _terms(names: Sequence[str], starts: np.ndarray, lengths: np.ndarray,
-           coefs: np.ndarray) -> List[Term]:
-    """The runs spelled out as (coefficient, variable name) terms."""
-    return list(zip(np.repeat(coefs, lengths).tolist(),
-                    [names[v] for v in _ranges(starts, lengths).tolist()]))
-
-
 @dataclass(frozen=True, eq=False)
 class IlpModel:
     """A fully instantiated model for one workload, as a table of rows.
@@ -91,8 +84,9 @@ class IlpModel:
     run_ptr[k+1] - 1: run p adds run_coefs[p] times each of the
     run_lengths[p] consecutive variables from index run_starts[p], in the
     variable order of variable_names.  The objective is a list of runs held
-    the same way.  The arrays are read-only; row_names, constraints,
-    objective and variables are derived from them on access.
+    the same way.  The arrays are read-only; row_names and constraints are
+    views derived from them on access, and constraints stays for the traced
+    benchmark's row and term counts.
     """
 
     config: Config
@@ -110,31 +104,18 @@ class IlpModel:
     objective_coefs: np.ndarray
 
     @property
-    def variables(self) -> Tuple[str, ...]:
-        return variable_names(self.config.n)
-
-    @property
-    def integer_variables(self) -> Tuple[str, ...]:
-        return self.variables[: 2 * self.config.n ** 2]
-
-    @property
-    def binary_variables(self) -> Tuple[str, ...]:
-        return self.variables[2 * self.config.n ** 2:]
-
-    @property
     def row_names(self) -> Tuple[str, ...]:
         return tuple(tag + (f"_i{i}" if i else "") + (f"_j{j}" if j else "")
                      for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
                                           self.row_j.tolist()))
 
-    @property
-    def objective(self) -> Tuple[Term, ...]:
-        return tuple(_terms(self.variables, self.objective_starts, self.objective_lengths,
-                            self.objective_coefs))
-
+    # bench/spans.py counts each built model's rows and terms through this view, so a
+    # traced run fails without it until the benchmark reads rhs and run_lengths instead
     @property
     def constraints(self) -> Tuple[LinearConstraint, ...]:
-        terms = _terms(self.variables, self.run_starts, self.run_lengths, self.run_coefs)
+        names = variable_names(self.config.n)
+        terms = list(zip(np.repeat(self.run_coefs, self.run_lengths).tolist(),
+                         [names[v] for v in _ranges(self.run_starts, self.run_lengths).tolist()]))
         bounds = np.concatenate([[0], np.cumsum(self.run_lengths)])[self.run_ptr].tolist()
         return tuple(
             LinearConstraint(name, tag, tuple(terms[lo:hi]), sense, rhs)
@@ -349,7 +330,7 @@ def export_lp(model: IlpModel) -> str:
     Variables with a zero objective weight are declared but left out of the
     objective expression; an objective without terms is written as 0 x_1_1.
     """
-    names = model.variables
+    names = variable_names(model.config.n)
     objective = (model.objective_starts, model.objective_lengths, model.objective_coefs)
     if not len(objective[0]):
         objective = (np.array([0]), np.array([1]), np.array([0]))

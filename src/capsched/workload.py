@@ -25,6 +25,10 @@ class WorkloadFormatError(ValueError):
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
+def _is_number(value, kinds=(int, np.integer)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)     # a bool is an int
+
+
 @dataclass(frozen=True)
 class Config:
     """Horizon parameters.
@@ -41,7 +45,7 @@ class Config:
     def __post_init__(self):
         for name in ("n", "delta", "theta"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            if not _is_number(v):
                 raise ConfigurationError(f"{name} must be an integer, got {v!r}")
             if not INT64_MIN <= v <= INT64_MAX:
                 raise ConfigurationError(f"{name} is outside the int64 range, got {v}")
@@ -73,14 +77,14 @@ class ScenarioParams:
     seed: int = 0
 
     def __post_init__(self):
-        if (not isinstance(self.amplitude, (int, np.integer))
-                or not 0 <= self.amplitude <= INT64_MAX):
+        if not _is_number(self.amplitude) or not 0 <= self.amplitude <= INT64_MAX:
             raise ConfigurationError(
                 f"amplitude must be a non-negative int64 integer, got {self.amplitude!r}")
-        if not 0.0 <= float(self.plateau_fraction) <= 1.0:
+        if (not _is_number(self.plateau_fraction, (int, float, np.integer, np.floating))
+                or not 0.0 <= self.plateau_fraction <= 1.0):
             raise ConfigurationError(
                 f"plateau_fraction must lie in [0, 1], got {self.plateau_fraction!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_number(self.seed) or self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
 

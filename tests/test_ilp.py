@@ -15,7 +15,6 @@ from capsched import (
     ConfigurationError,
     ConstraintViolation,
     LiftError,
-    LinearConstraint,
     ScenarioParams,
     ScheduleFormatError,
     SolutionFormatError,
@@ -33,6 +32,7 @@ from capsched import (
     resource_cost,
     validate_solution,
 )
+from capsched.ilp import LinearConstraint, _ranges, variable_names
 
 WITNESS = "\n".join([
     "# optimal assignment for the reference instance",
@@ -43,6 +43,14 @@ WITNESS = "\n".join([
     "r_4 1",
     "",
 ])
+
+
+def _objective(model):
+    """The model's objective spelled out as (coefficient, name) terms."""
+    names = variable_names(model.config.n)
+    columns = _ranges(model.objective_starts, model.objective_lengths).tolist()
+    return tuple(zip(np.repeat(model.objective_coefs, model.objective_lengths).tolist(),
+                     [names[v] for v in columns]))
 
 
 def _reference_model(workload, config):
@@ -318,16 +326,17 @@ class TestBuildModel:
         wl = Workload(arrivals=np.array([1, 0, 0, 0]),
                       departures=np.array([0, 0, 0, 1]))
         model = build_model(wl, cfg)
-        assert len(model.variables) == 36
-        assert len(model.constraints) == 51
-        families = Counter(c.tag for c in model.constraints)
+        assert len(variable_names(cfg.n)) == 2 * cfg.n * cfg.n + cfg.n == 36
+        assert len(model.rhs) == 51
+        families = Counter(model.row_tags.tolist())
         assert families == {"EQ2": 1, "EQ3": 3, "EQ4": 2, "EQ5": 2, "EQ6": 1,
                             "EQ7": 4, "EQ8": 2, "EQ9": 2, "EQ10": 16,
                             "EQ11": 16, "EQ12": 2}
 
     def test_reference_model_shape(self, ref_model):
-        assert len(ref_model.variables) == 136
-        families = Counter(c.tag for c in ref_model.constraints)
+        n = ref_model.config.n
+        assert len(variable_names(n)) == 2 * n * n + n == 136
+        families = Counter(ref_model.row_tags.tolist())
         assert families == {"EQ2": 5, "EQ3": 3, "EQ4": 2, "EQ5": 6, "EQ6": 5,
                             "EQ7": 8, "EQ8": 6, "EQ9": 6, "EQ10": 64,
                             "EQ11": 64, "EQ12": 2}
@@ -379,7 +388,7 @@ class TestExportLp:
         assert median(times) < 1.5
 
     def test_zero_weight_columns_are_skipped_in_objective(self, ref_model):
-        objective_vars = {name for _, name in ref_model.objective}
+        objective_vars = {name for _, name in _objective(ref_model)}
         assert "x_1_6" not in objective_vars    # weight n - j - delta is zero
         assert "x_1_5" in objective_vars
 
@@ -391,10 +400,12 @@ class TestReferenceBuilder:
         workload, config = instance
         model = build_model(workload, config)
         reference = _reference_model(workload, config)
-        assert model.variables == reference.variables
-        assert model.integer_variables == reference.integer_variables
-        assert model.binary_variables == reference.binary_variables
-        assert model.objective == reference.objective
+        names = variable_names(config.n)
+        assert names == reference.variables
+        assert names[: 2 * config.n ** 2] == reference.integer_variables
+        assert names[2 * config.n ** 2:] == reference.binary_variables
+        assert _objective(model) == reference.objective
+        # the only test of the view the traced benchmark counts rows and terms through
         rows = model.constraints
         assert len(rows) == len(reference.constraints)
         for row, expected in zip(rows, reference.constraints):

@@ -70,7 +70,8 @@ def _milp_finds_assignment(workload, schedule, config):
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
     model = build_model(workload, config)
-    n, size = config.n, len(model.variables)
+    n = config.n
+    size = 2 * n * n + n
     run_rows = np.repeat(np.arange(len(model.rhs)), np.diff(model.run_ptr))
     rows = sparse.csr_matrix((np.repeat(model.run_coefs, model.run_lengths),
                               (np.repeat(run_rows, model.run_lengths),

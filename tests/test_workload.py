@@ -359,9 +359,30 @@ class TestGuards:
          WorkloadFormatError, "arrivals must contain integers"),
         (lambda: Config(3.0, 2, 3), ConfigurationError, "n must be an integer, got 3.0"),
         (lambda: Config(True, 2, 3), ConfigurationError, "n must be an integer, got True"),
+        # a bool is an int to Python, but Config refuses it and so does ScenarioParams
+        (lambda: ScenarioParams(name="x", amplitude=True), ConfigurationError,
+         "amplitude must be a non-negative int64 integer, got True"),
+        (lambda: ScenarioParams(name="x", amplitude=1, seed=True), ConfigurationError,
+         "seed must be a non-negative integer, got True"),
+        (lambda: ScenarioParams(name="x", amplitude=1, plateau_fraction=True),
+         ConfigurationError, "plateau_fraction must lie in [0, 1], got True"),
+        (lambda: ScenarioParams(name="x", amplitude=1, plateau_fraction="0.5"),
+         ConfigurationError, "plateau_fraction must lie in [0, 1], got '0.5'"),
+        (lambda: ScenarioParams(name="x", amplitude=1, plateau_fraction="abc"),
+         ConfigurationError, "plateau_fraction must lie in [0, 1], got 'abc'"),
+        (lambda: ScenarioParams(name="x", amplitude=1, plateau_fraction=None),
+         ConfigurationError, "plateau_fraction must lie in [0, 1], got None"),
     ])
     def test_rejections_name_the_fault(self, make, error, message):
         with pytest.raises(error) as info:
             make()
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("plateau", [0, 1, 0.5, np.int64(1), np.float64(0.5),
+                                         np.float32(0.25)])
+    def test_numpy_and_python_numbers_are_accepted(self, plateau):
+        params = ScenarioParams(name="x", amplitude=np.int64(2), plateau_fraction=plateau,
+                                seed=np.uint8(1))
+        config = Config(n=8, delta=2, theta=3)
+        assert len(generate_workload(params, config).arrivals) == 8
