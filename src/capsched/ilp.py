@@ -25,6 +25,7 @@ each.  build_model stores that table, export_lp renders its runs, and
 validate_solution evaluates them over prefix sums of an assignment.
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ Term = Tuple[int, str]
 _SEP = "\x00"
 _LP_WIDTH = 72
 _INDENT = "   "
+_BREAK = "\n" + _INDENT
 
 
 class SolutionFormatError(ValueError):
@@ -105,9 +107,10 @@ class IlpModel:
 
     @property
     def row_names(self) -> Tuple[str, ...]:
-        return tuple(tag + (f"_i{i}" if i else "") + (f"_j{j}" if j else "")
-                     for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
-                                          self.row_j.tolist()))
+        return tuple([f"{tag}_i{i}_j{j}" if i and j else f"{tag}_i{i}" if i else
+                      f"{tag}_j{j}" if j else tag
+                      for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
+                                           self.row_j.tolist())])
 
     # bench/spans.py counts each built model's rows and terms through this view, so a
     # traced run fails without it until the benchmark reads rhs and run_lengths instead
@@ -264,63 +267,122 @@ def build_model(workload: Workload, config: Config) -> IlpModel:
     return IlpModel(config=config, **fields)
 
 
-def _wrap(row: str) -> str:
-    """Break a row before the pieces that would pass the line width.
+def _wrap(body: str, head_width: int) -> Tuple[str, int]:
+    """Break a row body that follows a head head_width columns wide before
+    the pieces that would pass the line width; return the body's text and
+    the width of its last line.  The body must be too wide to sit beside the
+    head, as the first break is not tested for.
 
     Continuation lines are indented.  Every piece fits on a line: an int64
     coefficient and a variable name take well under the 69 columns left.
     """
-    lines = []
-    start, room = 0, _LP_WIDTH
-    while len(row) - start > room:
-        cut = row.rfind(_SEP, start, start + room + 1)
-        lines.append(row[start:cut])
-        start, room = cut + 1, _LP_WIDTH - len(_INDENT)
-    lines.append(row[start:])
-    return ("\n" + _INDENT).join(lines)
+    find = body.rfind
+    cut = find(_SEP, 0, _LP_WIDTH - head_width + 1)
+    lines = [body[:cut]]
+    append = lines.append
+    start = cut + 1
+    span = _LP_WIDTH - len(_INDENT) + 1
+    last = len(body) - span + 1
+    while start < last:
+        cut = find(_SEP, start, start + span)
+        append(body[start:cut])
+        start = cut + 1
+    append(body[start:])
+    return _BREAK.join(lines).replace(_SEP, " "), len(_INDENT) + len(body) - start
 
 
 def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
                  lengths: np.ndarray, coefs: np.ndarray, heads: Sequence[str],
                  tails: Sequence[str]) -> List[str]:
-    """LP text of each row: head, the terms of its runs, tail, wrapped.
+    """The LP text of the rows as fragments to join: each row's head, body
+    and tail, where a tail (" sense rhs", or nothing) ends its row's line.
 
-    Every coefficient that has a run longer than one term is rendered once
-    as a piece table over all variable names, and its runs are cut out of
-    that table as single slices; single terms are rendered directly.
+    The body is the terms of the row's runs.  A body that fits beside its
+    head is a lead (" + 3 ", or " 3 " for a leading positive term) and a
+    name per term, fragments every row shares, so the short rows are laid
+    out at once as indices into one pool of fragments.
+
+    A longer body is wrapped.  Every coefficient that has a run longer than
+    one term is rendered once as a piece table over all variable names, and
+    its runs are cut out of that table as single slices.  The wrap breaks
+    before the last piece that fits, so its breaks before the tail depend
+    only on the head and body; the tail, one piece, then goes on the last
+    line if it fits there and on a line of its own otherwise.  So a long
+    body is wrapped once per head width and sequence of runs, and every row
+    with both shares that text: EQ8 row j has the runs of EQ7 row j - delta,
+    and their heads differ in width only where the two indices have a
+    different number of digits.
     """
     distinct, which = np.unique(coefs, return_inverse=True)
-    leads = [_SEP + (f"+ {c} " if c >= 0 else f"- {-c} ") for c in distinct.tolist()]
+    spaced = [f" + {c} " if c >= 0 else f" - {-c} " for c in distinct.tolist()]
+    firsts = [" " + lead[3:] if lead[1] == "+" else lead for lead in spaced]
+    leads = [_SEP + lead[1:] for lead in spaced]
+    # offset of variable v's piece in a table whose lead has width w: v * w + name chars before v
+    name_chars = np.concatenate([[0], np.cumsum([len(name) for name in names])])
+    lead_width = np.array([len(lead) for lead in leads])[which]
+    ends = starts + lengths
+    slice_lo = starts * lead_width + name_chars[starts]
+    slice_hi = ends * lead_width + name_chars[ends]
+    # each row's width up to its tail: head and pieces, less the "+ " a leading
+    # positive term drops (no row is without runs)
+    piece_ends = np.concatenate([[0], np.cumsum(slice_hi - slice_lo)])
+    positive = coefs >= 0
+    head_width = np.array([len(head) for head in heads])
+    row_width = head_width + np.diff(piece_ends[run_ptr]) - 2 * positive[run_ptr[:-1]]
+    short = row_width <= _LP_WIDTH
+
     tables = {}
     for k in np.unique(which[lengths > 1]).tolist():
         tables[k] = leads[k] + leads[k].join(names)
-    # offset of variable v's piece in a table whose lead has width w: v * w + name chars before v
-    name_chars = np.concatenate([[0], np.cumsum([len(name) for name in names])])
-    width = np.array([len(lead) for lead in leads])[which]
-    ends = starts + lengths
-    slice_lo = (starts * width + name_chars[starts]).tolist()
-    slice_hi = (ends * width + name_chars[ends]).tolist()
-    which = which.tolist()
-    starts = starts.tolist()
-    positive = (coefs >= 0).tolist()
+    runs = np.stack([starts, lengths, coefs], 1).astype(np.int64).tobytes()
+    run_bytes = 3 * 8
     bounds = run_ptr.tolist()
-
-    rows = []
-    for row, (head, tail) in enumerate(zip(heads, tails)):
-        parts = [head]
+    texts, text_width, text_at, shared = [], [], [], {}
+    wrapped = np.flatnonzero(~short)
+    for row, head_size in zip(wrapped.tolist(), head_width[wrapped].tolist()):
         begin, end = bounds[row], bounds[row + 1]
-        for run in range(begin, end):
-            table = tables.get(which[run])
-            if table is None:
-                parts.append(leads[which[run]] + names[starts[run]])
-            else:
-                parts.append(table[slice_lo[run]:slice_hi[run]])
-        if begin < end and positive[begin]:
-            parts[1] = _SEP + parts[1][3:]      # the first term has no "+ "
-        parts.append(tail)
-        text = "".join(parts)
-        rows.append((_wrap(text) if len(text) > _LP_WIDTH else text).replace(_SEP, " "))
-    return rows
+        key = (head_size, runs[begin * run_bytes:end * run_bytes])
+        at = shared.get(key)
+        if at is None:
+            at = shared[key] = len(texts)
+            parts = [tables[k][lo:hi] if k in tables else leads[k] + names[v]
+                     for k, v, lo, hi in zip(which[begin:end].tolist(), starts[begin:end].tolist(),
+                                             slice_lo[begin:end].tolist(),
+                                             slice_hi[begin:end].tolist())]
+            if positive[begin]:
+                parts[0] = _SEP + parts[0][3:]      # the first term has no "+ "
+            text, line = _wrap("".join(parts), head_size)
+            texts.append(text)
+            text_width.append(line)
+        text_at.append(at)
+    text_at = np.array(text_at, dtype=np.int64)
+    row_width[wrapped] = np.array(text_width, dtype=np.int64)[text_at]
+    broken = np.flatnonzero(row_width + [len(tail) for tail in tails] > _LP_WIDTH + 1)
+
+    rows = len(heads)
+    sections = (heads, tails, names, spaced, firsts, texts,
+                [_BREAK + tails[row][1:] for row in broken.tolist()])
+    pool = list(itertools.chain(*sections))
+    _, tails_at, names_at, spaced_at, firsts_at, texts_at, broken_at = np.cumsum(
+        [0] + [len(section) for section in sections[:-1]]).tolist()
+    tail = tails_at + np.arange(rows)
+    tail[broken] = broken_at + np.arange(len(broken))
+    # fragments per row: head, then a lead and a name per term or one wrapped text, then tail
+    terms = np.diff(np.concatenate([[0], np.cumsum(lengths)])[run_ptr])
+    count = np.where(short, 2 * terms, 1) + 2
+    row_at = np.cumsum(count) - count
+    index = np.empty(int(count.sum()), dtype=np.int64)
+    index[row_at] = np.arange(rows)
+    index[row_at + count - 1] = tail
+    index[row_at[wrapped] + 1] = texts_at + text_at
+    in_short = np.repeat(short, np.diff(run_ptr))
+    short_lengths = lengths[in_short]
+    short_terms = terms[short]
+    rank = _ranges(np.zeros_like(short_terms), short_terms)
+    at = np.repeat(row_at[short], short_terms) + 1 + 2 * rank
+    index[at] = np.where(rank == 0, firsts_at, spaced_at) + np.repeat(which[in_short], short_lengths)
+    index[at + 1] = names_at + _ranges(starts[in_short], short_lengths)
+    return np.array(pool, dtype=object)[index].tolist()
 
 
 def export_lp(model: IlpModel) -> str:
@@ -329,32 +391,26 @@ def export_lp(model: IlpModel) -> str:
     Output is a pure function of the model: same model, same bytes.
     Variables with a zero objective weight are declared but left out of the
     objective expression; an objective without terms is written as 0 x_1_1.
+    The text is joined once from one list of fragments.
     """
     names = variable_names(model.config.n)
     objective = (model.objective_starts, model.objective_lengths, model.objective_coefs)
     if not len(objective[0]):
         objective = (np.array([0]), np.array([1]), np.array([0]))
-    objective = _render_rows(names, np.array([0, len(objective[0])]), *objective,
-                             [" obj:"], [""])
-    rows = _render_rows(
-        names, model.run_ptr, model.run_starts, model.run_lengths, model.run_coefs,
-        [f" {name}:" for name in model.row_names],
-        [f"{_SEP}{sense} {rhs}" for sense, rhs in zip(model.senses.tolist(), model.rhs.tolist())])
     integers = names[: 2 * model.config.n ** 2]
     binaries = names[2 * model.config.n ** 2:]
-    return "\n".join([
-        "Minimize",
-        *objective,
-        "Subject To",
-        *rows,
-        "Bounds",
-        " 0 <= " + "\n 0 <= ".join(integers),
-        "General",
-        " " + "\n ".join(integers),
-        "Binary",
-        " " + "\n ".join(binaries),
-        "End",
-        "",
+    return "".join([
+        "Minimize\n",
+        *_render_rows(names, np.array([0, len(objective[0])]), *objective, [" obj:"], ["\n"]),
+        "Subject To\n",
+        *_render_rows(
+            names, model.run_ptr, model.run_starts, model.run_lengths, model.run_coefs,
+            [f" {name}:" for name in model.row_names],
+            [f" {sense} {rhs}\n" for sense, rhs in zip(model.senses.tolist(), model.rhs.tolist())]),
+        "Bounds\n 0 <= ", "\n 0 <= ".join(integers),
+        "\nGeneral\n ", "\n ".join(integers),
+        "\nBinary\n ", "\n ".join(binaries),
+        "\nEnd\n",
     ])
 
 

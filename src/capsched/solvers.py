@@ -221,9 +221,10 @@ def _assign(cols, allocated, released, arr_cohorts, dep_cohorts,
     so earlier rows are drawn on only when later rows run dry.  The callers'
     picks meet Hall's condition (arrival mass per column suffix within reach,
     releases per column prefix within the departures), so both fills place
-    everything without a feasibility trial.  Allocation beyond the arrivals
-    (a lifted schedule may hold more) goes to rows n, n - 1, ..., at most
-    max(total, 1) per entry.
+    everything without a feasibility trial, and each fill stops once its
+    cohort or column is placed: the entries it skips stay zero.  Allocation
+    beyond the arrivals (a lifted schedule may hold more) goes to rows n,
+    n - 1, ..., at most max(total, 1) per entry.
     """
     n, delta, theta = config.n, config.delta, config.theta
     x = np.zeros((n, n), dtype=np.int64)
@@ -232,6 +233,8 @@ def _assign(cols, allocated, released, arr_cohorts, dep_cohorts,
     room = [hi - lo for lo, hi in zip([0, *allocated], allocated)]
     for i, amount in arr_cohorts:
         for k in reversed(range(bisect.bisect_right(cols, min(i + theta - delta, n - delta)))):
+            if not amount:
+                break
             take = min(amount, room[k])
             x[i - 1, cols[k] - 1] = take
             room[k] -= take
@@ -249,6 +252,8 @@ def _assign(cols, allocated, released, arr_cohorts, dep_cohorts,
     for c, lo, hi in zip(cols, [0, *released], released):
         need = hi - lo
         for k in reversed(range(bisect.bisect_right(dep_slots, c + delta))):
+            if not need:
+                break
             take = min(need, left[k])
             y[dep_slots[k] - 1, c - 1] = take
             left[k] -= take

@@ -11,7 +11,8 @@ file or an oracle assignment fails here, without running the benchmark.  After a
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; print(g.compare_digests()); \
 print(g.long_horizon_digests()); print(g.lp_digests()); \
-print(g.lp40_digests()); print(g.oracle_digests()); \
+print(g.lp40_digests()); print(g.lp101_digests()); \
+print(g.oracle_digests()); \
 print(g.workload_digests())"
 """
 
@@ -44,6 +45,7 @@ LONG_SEEDS = range(3)
 LP_N = 16
 LP_SEEDS = range(3)
 LP40_N = 40
+LP101_N = 101
 # (n, delta, theta, amplitude) of the oracle grid
 ORACLE_SHAPES = ((8, 2, 3, 2), (10, 2, 3, 2), (10, 3, 4, 2), (9, 2, 4, 3), (10, 2, 5, 1),
                  (10, 3, 5, 2), (7, 2, 3, 4), (10, 4, 6, 2), (6, 2, 3, 3), (10, 2, 8, 2))
@@ -118,6 +120,18 @@ def lp40_digests():
     config = Config(n=3, delta=2, theta=3)
     workload = generate_workload(ScenarioParams(name="flat", amplitude=4, seed=0), config)
     out["n3/empty-objective"] = _digest(export_lp(build_model(workload, config)))
+    return out
+
+
+def lp101_digests():
+    """Digests of the exported model of mmog and oppd cut to LP101_N slots,
+    where variable names pass from two to three digits inside a row,
+    recorded from the renderer that wrapped every row on its own."""
+    out = {}
+    for name in ("mmog", "oppd"):
+        config, params = _preset(name, LP101_N, 0)
+        workload = generate_workload(params, config)
+        out[f"{name}/0"] = _digest(export_lp(build_model(workload, config)))
     return out
 
 
@@ -299,6 +313,13 @@ LP40_GOLDEN = {
         "4db8e1d74ca2d579a4587f19ae733d89911639f1602f87800c061ed50ab8377e",
 }
 
+LP101_GOLDEN = {
+    "mmog/0":
+        "8018a7bdca269fdd34bf49e1ae10e5202a33ad30ba01e61ad99a50660fc32436",
+    "oppd/0":
+        "e81523cde14f281e7454b60b8ed9cb969e395ed62791bd730b5b40b161a2b11d",
+}
+
 
 ORACLE_GOLDEN = {
     "8/2/3/2":
@@ -428,6 +449,10 @@ def test_exported_models_match_golden():
 
 def test_exported_models_at_benchmark_size_match_golden():
     assert lp40_digests() == LP40_GOLDEN
+
+
+def test_exported_models_past_three_digit_names_match_golden():
+    assert lp101_digests() == LP101_GOLDEN
 
 
 def test_oracle_assignments_match_golden():

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 from statistics import median
@@ -289,12 +290,17 @@ def _perturbed_solutions(draw):
     return SolutionMatrices(x, y, r), workload, config
 
 
-def _oppd_lifted(n):
+def _oppd(n):
     values = SCENARIO_PRESETS["oppd"]
     config = Config(n=n, delta=values["delta"], theta=values["theta"])
     workload = generate_workload(
         ScenarioParams(name="oppd", amplitude=values["amplitude"],
                        plateau_fraction=values["plateau_fraction"], seed=0), config)
+    return workload, config
+
+
+def _oppd_lifted(n):
+    workload, config = _oppd(n)
     return lift_schedule(workload, adaptive_schedule(workload, config), config), workload, config
 
 
@@ -386,6 +392,18 @@ class TestExportLp:
             export_lp(build_model(workload, config))
             times.append(time.perf_counter() - start)
         assert median(times) < 1.5
+
+    def test_guard_export_memory_at_n100(self):
+        # beside the text itself, the export holds the long row bodies it
+        # wraps once each and the fragments it joins
+        model = build_model(*_oppd(100))
+        tracemalloc.start()
+        try:
+            text = export_lp(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * len(text)
 
     def test_zero_weight_columns_are_skipped_in_objective(self, ref_model):
         objective_vars = {name for _, name in _objective(ref_model)}
