@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .ilp import (
     SolutionFormatError,
     build_model,
@@ -25,6 +27,7 @@ from .schedule import (
     CostReport,
     Schedule,
     ScheduleFormatError,
+    _evaluate_rows,
     check_feasibility,
     evaluate,
     format_schedule,
@@ -33,6 +36,8 @@ from .schedule import (
 from .solvers import (
     ORACLE_MAX_N,
     OracleLimitError,
+    _adaptive_rows,
+    _greedy_rows,
     adaptive_schedule,
     exact_oracle,
     greedy_schedule,
@@ -43,6 +48,7 @@ from .workload import (
     ScenarioParams,
     Workload,
     WorkloadFormatError,
+    _require_matching,
     format_workload,
     generate_workload,
     parse_workload,
@@ -216,18 +222,48 @@ def compare_instance(workload: Workload, config: Config, algorithms: Sequence[st
     """Evaluate each named planner on one workload.
 
     Returns the result rows plus notes for planners that refused the
-    instance (the oracle on anything beyond its limits).
+    instance (the oracle on anything beyond its limits).  This is the
+    one-seed case of the block pass run_compare makes.
     """
-    rows: List[CompareRow] = []
-    notes: List[str] = []
-    for algorithm in algorithms:
-        try:
-            schedule = _plan(algorithm, workload, config)
-        except OracleLimitError as exc:
-            notes.append(f"{algorithm} skipped seed={seed}: {exc}")
-            continue
-        rows.append(CompareRow(seed, algorithm, evaluate(workload, schedule, config)))
-    return rows, notes
+    _require_matching(workload, config)
+    return _compare_block([workload], [seed], config, algorithms)
+
+
+# the planners that plan a whole block of workloads at once
+_BLOCK_PLANNERS = {"ads": _adaptive_rows, "greedy": _greedy_rows}
+
+
+def _compare_block(workloads: Sequence[Workload], seeds: Sequence[int], config: Config,
+                   algorithms: Sequence[str]) -> Tuple[List[CompareRow], List[str]]:
+    """compare_instance for every seed of a block, in one array pass.
+
+    ads and greedy plan all the block's workloads at once and the oracle
+    plans one at a time; then every plan is evaluated in one pass.  Rows
+    and notes come per seed, then per algorithm, in the order given.
+    """
+    arrivals = np.stack([workload.arrivals for workload in workloads])
+    departures = np.stack([workload.departures for workload in workloads])
+    occ = np.cumsum(arrivals - departures, axis=1)
+    planned = {algorithm: plan(occ, config) for algorithm, plan in _BLOCK_PLANNERS.items()
+               if algorithm in algorithms}
+    plans, owners, notes = [], [], []
+    for k, (workload, seed) in enumerate(zip(workloads, seeds)):
+        for algorithm in algorithms:
+            if algorithm in planned:
+                plans.append(planned[algorithm][k])
+            else:
+                try:
+                    plans.append(_plan(algorithm, workload, config).changes)
+                except OracleLimitError as exc:
+                    notes.append(f"{algorithm} skipped seed={seed}: {exc}")
+                    continue
+            owners.append((k, seed, algorithm))
+    if not plans:
+        return [], notes
+    index = [k for k, _, _ in owners]
+    reports = _evaluate_rows(arrivals[index], departures[index], np.stack(plans), config)
+    return ([CompareRow(seed, algorithm, report)
+             for (_, seed, algorithm), report in zip(owners, reports)], notes)
 
 
 @dataclass(frozen=True)
@@ -265,6 +301,11 @@ def _median_text(values: Sequence[int]) -> str:
     return f"{'-' if total < 0 else ''}{abs(total) // 2}.{5 * (total % 2)}"
 
 
+# the seeds x n entries one compare block holds; it bounds the memory of the
+# block's arrays, a few dozen (plans x n) int64 ones at once
+_BLOCK_ENTRIES = 1 << 14
+
+
 def run_compare(spec: CompareSpec) -> str:
     """Run every planner over every seed and render the CSV report.
 
@@ -272,6 +313,8 @@ def run_compare(spec: CompareSpec) -> str:
     and any skip or infeasibility notes follow as comment lines so the
     file stays loadable by any CSV reader that skips '#'.  The oracle is
     dropped up front, with a note, when the dimensions exceed its limits.
+    The seeds are taken in blocks of at most _BLOCK_ENTRIES // n, each
+    planned and evaluated by one _compare_block pass.
     """
     config, params = spec.config, spec.scenario
     notes: List[str] = []
@@ -281,11 +324,13 @@ def run_compare(spec: CompareSpec) -> str:
         notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
                      f"limit max_n={ORACLE_MAX_N}")
     rows: List[CompareRow] = []
-    for seed in spec.seeds:
-        workload = generate_workload(replace(params, seed=seed), config)
-        seed_rows, seed_notes = compare_instance(workload, config, algorithms, seed)
-        rows.extend(seed_rows)
-        notes.extend(seed_notes)
+    per_block = max(1, _BLOCK_ENTRIES // config.n)
+    for first in range(0, len(spec.seeds), per_block):
+        seeds = spec.seeds[first:first + per_block]
+        workloads = [generate_workload(replace(params, seed=seed), config) for seed in seeds]
+        block_rows, block_notes = _compare_block(workloads, seeds, config, algorithms)
+        rows.extend(block_rows)
+        notes.extend(block_notes)
     rows.sort(key=lambda row: (row.seed, row.algorithm))
     lines = [CSV_HEADER]
     lines.extend(row.as_csv() for row in rows)

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schedule import Schedule, ScheduleFormatError, resource_cost
+from .schedule import Schedule, ScheduleFormatError, _exact_sums, resource_cost
 from .workload import (INT64_MAX, INT64_MIN, Config, ConfigurationError, Workload, mandatory_load,
                        _as_int64, _require_matching)
 
@@ -499,20 +499,12 @@ def matrices_to_schedule(matrices: SolutionMatrices, config: Config) -> Schedule
     ScheduleFormatError naming its slot.
     """
     _require_size(matrices, config)
-    net = [gross - freed for gross, freed in zip(_column_sums(matrices.allocations),
-                                                 _column_sums(matrices.deallocations))]
+    net = [gross - freed for gross, freed in zip(_exact_sums(matrices.allocations, 0),
+                                                 _exact_sums(matrices.deallocations, 0))]
     for j, change in enumerate(net, start=1):
         if not INT64_MIN <= change <= INT64_MAX:
             raise ScheduleFormatError(f"net change at slot {j} is outside the int64 range")
     return Schedule(np.array(net, dtype=np.int64))
-
-
-def _column_sums(matrix: np.ndarray) -> List[int]:
-    """Exact column sums of an int64 matrix: the low and high 32 bits of the
-    entries are summed apart, which cannot wrap for fewer than 2^31 rows."""
-    low = (matrix & 0xFFFFFFFF).sum(axis=0).tolist()
-    high = (matrix >> 32).sum(axis=0).tolist()
-    return [h * 2 ** 32 + lo for h, lo in zip(high, low)]
 
 
 def _magnitude(arr: np.ndarray) -> int:

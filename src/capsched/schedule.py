@@ -116,12 +116,21 @@ class CostReport:
         return not self.violations
 
 
-def _raw_trajectory(schedule: Schedule, config: Config) -> np.ndarray:
+def _trajectories(changes: np.ndarray, delta: int) -> np.ndarray:
     # capacity during slot t is the net of changes requested at slots <= t - delta
-    n, delta = config.n, config.delta
-    cap = np.zeros(n, dtype=np.int64)
-    np.add.accumulate(schedule.changes[:n - delta], out=cap[delta:])
+    rows, n = changes.shape
+    cap = np.zeros((rows, n), dtype=np.int64)
+    np.add.accumulate(changes[:, :n - delta], axis=1, out=cap[:, delta:])
     return cap
+
+
+def _exact_sums(matrix: np.ndarray, axis: int) -> List[int]:
+    """Exact sums of an int64 matrix along axis, as Python integers: the low
+    and high 32 bits of the entries are summed apart, which cannot wrap for
+    fewer than 2^31 terms a sum."""
+    low = (matrix & 0xFFFFFFFF).sum(axis=axis).tolist()
+    high = (matrix >> 32).sum(axis=axis).tolist()
+    return [h * 2 ** 32 + lo for h, lo in zip(high, low)]
 
 
 def resource_cost(schedule: Schedule, config: Config) -> int:
@@ -129,20 +138,99 @@ def resource_cost(schedule: Schedule, config: Config) -> int:
 
     A change at slot j is charged s_j * (n - j - delta); changes after slot
     n - delta carry no charge (they are rejected by feasibility checking
-    instead).  The result may be any integer for intermediate schedules; it
-    is summed in Python integers, so it is exact even beyond int64.
+    instead).  Summed over the changes that is the capacity summed over slots
+    1..n-1, since slot t's capacity holds every change requested at slots
+    <= t - delta; that sum is taken here.  The result may be any integer for
+    intermediate schedules, exact even beyond int64.
     """
     _require_schedule_span(schedule, config)
-    n, delta = config.n, config.delta
-    s = schedule.changes[: n - delta]
-    hot = s.nonzero()[0]
-    return sum(c * (n - j - 1 - delta) for j, c in zip(hot.tolist(), s[hot].tolist()))
+    cap = _trajectories(schedule.changes[None], config.delta)
+    return _exact_sums(cap[:, :config.n - 1], 1)[0]
 
 
 def _require_schedule_span(schedule: Schedule, config: Config) -> None:
     if schedule.n != config.n:
         raise ScheduleFormatError(
             f"schedule has {schedule.n} slots but config.n is {config.n}")
+
+
+def _one_row(workload: Workload, schedule: Schedule, config: Config):
+    """The pairing as a block of one row: arrivals, departures, changes."""
+    _require_matching(workload, config)
+    _require_schedule_span(schedule, config)
+    return workload.arrivals[None], workload.departures[None], schedule.changes[None]
+
+
+@dataclass(eq=False)
+class _Replay:
+    """simulate's closed form over a block, one (workload, schedule) pairing a
+    row: the capacity, the cumulative counts arrived, departed and exited
+    (entry 0 before slot 1), kept, the participants already admitted that each
+    slot's capacity must hold, and the masks of late arrival slots and of
+    overcommitted slots."""
+
+    capacity: np.ndarray
+    arrived: np.ndarray
+    departed: np.ndarray
+    exited: np.ndarray
+    kept: np.ndarray
+    late: np.ndarray
+    over: np.ndarray
+
+
+def _replay(arrivals: np.ndarray, departures: np.ndarray, changes: np.ndarray,
+            config: Config) -> _Replay:
+    """Replay every row of (rows x n) int64 blocks in one pass; simulate's
+    docstring gives the closed form."""
+    rows, n = changes.shape
+    cap = _trajectories(changes, config.delta)
+    arrived, departed, exited = (np.zeros((rows, n + 1), dtype=np.int64) for _ in range(3))
+    ca, cd, ex = arrived[:, 1:], departed[:, 1:], exited[:, 1:]
+    np.add.accumulate(arrivals, axis=1, out=ca)
+    np.add.accumulate(departures, axis=1, out=cd)
+    np.maximum(np.minimum(cap, ca - cd), 0, out=ex)
+    ex += cd
+    np.maximum.accumulate(exited, axis=1, out=exited)
+
+    kept = np.maximum(exited[:, :-1], cd) - cd
+    # a cohort is late when its last participant has not left the queue
+    # theta slots after arriving, or by the horizon end
+    theta = config.theta
+    due = np.empty((rows, n), dtype=np.int64)
+    due[:, :n - theta] = exited[:, 1 + theta:]
+    due[:, n - theta:] = exited[:, n:]
+    return _Replay(cap, arrived, departed, exited, kept,
+                   (due < ca) & (arrivals > 0), cap < kept)
+
+
+def _report(replay: _Replay, r: int, config: Config) -> SimulationReport:
+    """Row r of a replay as simulate reports it."""
+    n = config.n
+    cap, arrived, exited, kept = (replay.capacity[r], replay.arrived[r], replay.exited[r],
+                                  replay.kept[r])
+    late = replay.late[r].nonzero()[0]
+    over = replay.over[r].nonzero()[0]
+    unadmitted: Dict[int, int] = {}
+    if exited[n] < arrived[n]:
+        short = arrived[late + 1] - exited[n]
+        stuck = short > 0
+        counts = np.minimum(arrived[late + 1] - arrived[late], short)
+        unadmitted = dict(zip((late[stuck] + 1).tolist(), counts[stuck].tolist()))
+    # everyone waiting after a slot waits through it; those never admitted
+    # are charged nothing, so take back their n - s + 1 slots
+    qos = _exact_sums(replay.arrived[r:r + 1] - replay.exited[r:r + 1], 1)[0] - sum(
+        count * (n - arr + 1) for arr, count in unadmitted.items())
+    return SimulationReport(
+        qos_cost=qos,
+        theta_violations=(late + 1).tolist(),
+        capacity=cap,
+        unadmitted=unadmitted,
+        overcommit=list(zip((over + 1).tolist(), kept[over].tolist(), cap[over].tolist()))
+        if over.size else [],
+        arrived=arrived,
+        departed=replay.departed[r],
+        exited=exited,
+    )
 
 
 def simulate(workload: Workload, schedule: Schedule, config: Config) -> SimulationReport:
@@ -167,52 +255,9 @@ def simulate(workload: Workload, schedule: Schedule, config: Config) -> Simulati
     maximum, M_t + D_t = max over u <= t of max(min(cap_u, occ_u), 0) + D_u,
     which is the number of participants who have left the queue.  Every
     field follows from that curve and the cumulative arrivals, with no loop
-    over slots.
+    over slots; this is the one-row case of the block replay compare runs.
     """
-    _require_matching(workload, config)
-    _require_schedule_span(schedule, config)
-    cap = _raw_trajectory(schedule, config)
-    n, a = config.n, workload.arrivals
-
-    arrived = np.zeros(n + 1, dtype=np.int64)
-    departed = np.zeros(n + 1, dtype=np.int64)
-    exited = np.zeros(n + 1, dtype=np.int64)
-    ca, cd, ex = arrived[1:], departed[1:], exited[1:]
-    np.add.accumulate(a, out=ca)
-    np.add.accumulate(workload.departures, out=cd)
-    np.maximum(np.minimum(cap, ca - cd), 0, out=ex)
-    ex += cd
-    np.maximum.accumulate(exited, out=exited)
-
-    kept = np.maximum(exited[:-1], cd) - cd
-    over = (cap < kept).nonzero()[0]
-    # a cohort is late when its last participant has not left the queue
-    # theta slots after arriving, or by the horizon end
-    due = np.empty(n, dtype=np.int64)
-    due[:n - config.theta] = exited[1 + config.theta:]
-    due[n - config.theta:] = exited[n]
-    late = ((due < ca) & (a > 0)).nonzero()[0]
-    unadmitted: Dict[int, int] = {}
-    if exited[n] < arrived[n]:
-        short = ca[late] - exited[n]
-        stuck = short > 0
-        unadmitted = dict(zip((late[stuck] + 1).tolist(),
-                              np.minimum(a[late][stuck], short[stuck]).tolist()))
-    # everyone waiting after a slot waits through it; those never admitted
-    # are charged nothing, so take back their n - s + 1 slots
-    qos = sum((arrived - exited).tolist()) - sum(
-        count * (n - arr + 1) for arr, count in unadmitted.items())
-    return SimulationReport(
-        qos_cost=qos,
-        theta_violations=(late + 1).tolist(),
-        capacity=cap,
-        unadmitted=unadmitted,
-        overcommit=list(zip((over + 1).tolist(), kept[over].tolist(), cap[over].tolist()))
-        if over.size else [],
-        arrived=arrived,
-        departed=departed,
-        exited=exited,
-    )
+    return _report(_replay(*_one_row(workload, schedule, config), config), 0, config)
 
 
 def check_feasibility(workload: Workload, schedule: Schedule, config: Config) -> List[Violation]:
@@ -225,7 +270,7 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config) ->
     The last two come from simulate, whose closed form gives the overcommit
     condition cap_t < max(M_{t-1} - d_t, 0) directly.
     """
-    return _violations(schedule, config, simulate(workload, schedule, config))
+    return list(_evaluate_rows(*_one_row(workload, schedule, config), config)[0].violations)
 
 
 def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
@@ -275,14 +320,43 @@ def _screen(schedule: Schedule, config: Config, sim: SimulationReport) -> List[V
 def evaluate(workload: Workload, schedule: Schedule, config: Config) -> CostReport:
     """Summarize one schedule: costs, capacity peak, request count, and the
     violations check_feasibility would list, from one simulation."""
-    sim = simulate(workload, schedule, config)
-    return CostReport(
-        resource_cost=resource_cost(schedule, config),
-        qos_cost=sim.qos_cost,
-        max_capacity=int(sim.capacity.max()),
-        num_requests=int(np.count_nonzero(schedule.changes)),
-        violations=tuple(_violations(schedule, config, sim)),
-    )
+    return _evaluate_rows(*_one_row(workload, schedule, config), config)[0]
+
+
+def _evaluate_rows(arrivals: np.ndarray, departures: np.ndarray, changes: np.ndarray,
+                   config: Config) -> List[CostReport]:
+    """evaluate for every row of (rows x n) int64 blocks, row k pairing the
+    workload arrivals[k], departures[k] with the schedule changes[k].
+
+    One replay gives every row's costs: resource_cost is the capacity summed
+    over slots 1..n-1, and qos_cost the waiting counts summed, when no cohort
+    is left unadmitted.  Only the rows flagged with a violation are reported,
+    and listed by _violations, one at a time.  Four masks flag every kind:
+    late cohorts, overcommitted slots, and two requests in some delta
+    consecutive slots or one past n - delta.  Negative capacity falls below
+    kept, which is never negative; and a slot whose capacity c >= 0 is below
+    the mandatory load leaves an earlier cohort late, or else more than c
+    admitted after it, all held over from the slot before, so it overcommits.
+    """
+    n, delta = config.n, config.delta
+    replay = _replay(arrivals, departures, changes, config)
+    cap = replay.capacity
+    # hot[:, k] counts the requests before slot k + 1
+    hot = np.zeros((len(changes), n + 1), dtype=np.int64)
+    np.add.accumulate(changes != 0, axis=1, dtype=np.int64, out=hot[:, 1:])
+    flagged = ((replay.late | replay.over).any(axis=1)
+               | (hot[:, delta:] - hot[:, :-delta] > 1).any(axis=1)
+               | (hot[:, n] > hot[:, n - delta]))
+    resource = _exact_sums(cap[:, :n - 1], 1)
+    qos = _exact_sums(replay.arrived - replay.exited, 1)
+    peaks = cap.max(axis=1).tolist()
+    requests = hot[:, n].tolist()
+    violations = [()] * len(changes)
+    for r in flagged.nonzero()[0].tolist():
+        sim = _report(replay, r, config)
+        qos[r] = sim.qos_cost
+        violations[r] = tuple(_violations(Schedule(changes[r]), config, sim))
+    return [CostReport(*fields) for fields in zip(resource, qos, peaks, requests, violations)]
 
 
 def parse_schedule(text: str) -> Tuple[int, int, Schedule]:

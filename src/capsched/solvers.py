@@ -18,7 +18,6 @@ functions of their inputs.
 
 import bisect
 import itertools
-import math
 from typing import Tuple
 
 import numpy as np
@@ -48,31 +47,54 @@ def adaptive_schedule(workload: Workload, config: Config) -> Schedule:
     then restarts delta slots after the chosen request slot, and planning
     stops once no effect slot fits the horizon.
 
-    Every restart advances i by at least delta and each scan reads at most
-    theta - delta + 1 slots, so planning costs O(n * theta / delta) after
-    one O(n) occupancy pass.
+    This is the one-row case of _adaptive_rows, which builds every slot's
+    scan result at once from theta - delta + 1 shifted slices of the
+    occupancy and then follows the restarts.  Planning costs
+    O(n * (theta - delta + 1)) array work after one O(n) occupancy pass, plus
+    one Python step per restart, of which there are at most n / delta.
     """
     _require_matching(workload, config)
-    n, delta, theta = config.n, config.delta, config.theta
-    occ = occupancy(workload).tolist()
-    changes = np.zeros(n, dtype=np.int64)
+    return Schedule(_adaptive_rows(occupancy(workload)[None], config)[0])
 
-    old_size = 0
-    i = 1
-    while i + delta <= n:
-        min_size = math.inf
-        best_t = 0
-        for t in range(i + delta, min(i + theta, n) + 1):
-            total_size = occ[t - 1]
-            if min_size >= total_size:
-                min_size = total_size
-                best_t = t - delta
-        new_size = int(min_size)
-        if new_size != old_size:
-            changes[best_t - 1] = new_size - old_size
-        old_size = new_size
-        i = best_t + delta
-    return Schedule(changes)
+
+def _adaptive_rows(occ: np.ndarray, config: Config) -> np.ndarray:
+    """adaptive_schedule's changes for every row of a (rows x n) occupancy block.
+
+    Scanning from slot p + 1 (0-based p) picks the latest argmin q of the
+    occupancy over [p + delta, min(p + theta, n - 1)]; the plan restarts from
+    slot q + 1, so the restarts of a row form a chain through that table,
+    from p = 0 while p < n - delta.  Each link q sets capacity to occ[q] by a
+    change at q - delta.
+    """
+    rows, n = occ.shape
+    delta, theta = config.delta, config.theta
+    low = occ[:, delta:].copy()
+    # restart[r, p] is the flat index r * n + q of row r's pick from p; the
+    # last delta columns are never read
+    restart = np.zeros((rows, n), dtype=np.int64)
+    restart[:, :n - delta] = np.arange(delta, n)
+    for k in range(delta + 1, min(theta, n - 1) + 1):
+        # the picks from p < n - k may lie k slots on; later ties win
+        better = occ[:, k:] <= low[:, :n - k]
+        np.copyto(low[:, :n - k], occ[:, k:], where=better)
+        np.copyto(restart[:, :n - k], np.arange(k, n), where=better)
+    restart += np.arange(0, rows * n, n)[:, None]
+
+    step = restart.ravel().tolist()
+    chain, firsts = [], []
+    for start in range(0, rows * n, n):
+        firsts.append(len(chain))
+        p, stop = start, start + n - delta
+        while p < stop:
+            p = step[p]
+            chain.append(p)
+    level = occ.ravel()[chain]
+    change = level.copy()
+    change[1:] -= level[:-1]
+    change[firsts] = level[firsts]
+    changes = np.zeros(rows * n, dtype=np.int64)
+    changes[np.array(chain) - delta] = change
+    return changes.reshape(rows, n)
 
 
 def greedy_schedule(workload: Workload, config: Config) -> Schedule:
@@ -82,23 +104,26 @@ def greedy_schedule(workload: Workload, config: Config) -> Schedule:
     has time to take effect (tick <= n - delta).  Each tick sets capacity to
     the maximum occupancy over slots [tick + delta, tick + 2*delta] clipped
     to the horizon, emitting the difference from the current level when it
-    is nonzero.
+    is nonzero.  This is the one-row case of _greedy_rows.
     """
     _require_matching(workload, config)
-    n, delta = config.n, config.delta
-    occ = occupancy(workload).tolist()
-    changes = np.zeros(n, dtype=np.int64)
-    level = 0
-    t = 1
-    while t <= n - delta:
-        lo = t + delta
-        hi = min(t + 2 * delta, n)
-        target = max(occ[lo - 1: hi])
-        if target != level:
-            changes[t - 1] = target - level
-            level = target
-        t += delta
-    return Schedule(changes)
+    return Schedule(_greedy_rows(occupancy(workload)[None], config)[0])
+
+
+def _greedy_rows(occ: np.ndarray, config: Config) -> np.ndarray:
+    """greedy_schedule's changes for every row of a (rows x n) occupancy block:
+    the window peaks of all ticks (0-based k * delta) from delta + 1 shifted
+    slices, each clipped to the ticks whose window reaches it, then their
+    differences at the ticks."""
+    rows, n = occ.shape
+    delta = config.delta
+    target = occ[:, delta::delta].copy()
+    for k in range(delta + 1, min(2 * delta, n - 1) + 1):
+        reach = occ[:, k::delta]
+        np.maximum(target[:, :reach.shape[1]], reach, out=target[:, :reach.shape[1]])
+    changes = np.zeros((rows, n), dtype=np.int64)
+    changes[:, :n - delta:delta] = np.diff(target, axis=1, prepend=0)
+    return changes
 
 
 # exact_oracle refuses instances beyond these; compare notes each refusal

@@ -4,7 +4,9 @@ import io
 import json
 import statistics
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from capsched import (
     parse_workload,
     run_compare,
 )
-from capsched.cli import build_parser, main
+from capsched.cli import ALGORITHMS, build_parser, main
+from compare_reference import _reference_evaluate, _reference_plan, _reference_run_compare
 
 
 def _write_reference(tmp_path, ref_config, ref_workload):
@@ -422,16 +425,17 @@ class TestExitCodes:
         assert captured.err.splitlines() == self._OVERCOMMIT_ERR
 
     def test_solve_simulates_once(self, tmp_path, capsys, monkeypatch, ref_config):
-        # the violations solve prints come from evaluate's report, not a second run
+        # the violations solve prints come from evaluate's report, not a second
+        # run; simulate and evaluate both replay through schedule._replay
         wl = _write_reference(tmp_path, ref_config, self._OVERCOMMIT)
         calls = []
-        original = capsched.schedule.simulate
+        original = capsched.schedule._replay
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(capsched.schedule, "simulate", counted)
+        monkeypatch.setattr(capsched.schedule, "_replay", counted)
         assert main(["solve", wl, "--algorithm", "oracle"]) == 1
         assert capsys.readouterr().err.splitlines() == self._OVERCOMMIT_ERR
         assert len(calls) == 1
@@ -842,3 +846,87 @@ class TestCompare:
             "# oracle skipped seed=7: 10 participants exceed the search limit "
             "max_total_participants=8"]
         assert len(kept) == 8
+
+
+def _outcome(run, spec):
+    """run(spec)'s text, or the type and message of what it raised."""
+    try:
+        return run(spec)
+    except (ConfigurationError, WorkloadFormatError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _compare_specs(draw):
+    """A compare run small enough for the per-seed reference: n up to 12, so
+    the oracle runs, refuses heavy seeds or is excluded; amplitudes up to
+    2^61, whose costs pass int64 (or whose arrivals do, which both refuse);
+    seeds in any order; and a block budget of one seed, a few, or all."""
+    n = draw(st.integers(3, 12))
+    delta = draw(st.integers(2, n - 1))
+    config = Config(n=n, delta=delta, theta=draw(st.integers(delta + 1, n)))
+    amplitude = draw(st.integers(0, 3) | st.integers(0, 60)
+                     | st.integers(2 ** 61 - 2 ** 10, 2 ** 61))
+    plateau = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6, unique=True))
+    names = draw(st.permutations(ALGORITHMS))
+    algorithms = names[:draw(st.integers(1, len(names)))]
+    spec = CompareSpec(config=config, scenario=ScenarioParams("t", amplitude, plateau),
+                       seeds=tuple(seeds), algorithms=tuple(algorithms))
+    return spec, draw(st.sampled_from([1, 2, 1 << 14])) * n
+
+
+class TestComparePass:
+    @given(case=_compare_specs())
+    # unsorted seeds
+    @example(case=(CompareSpec(Config(8, 2, 3), ScenarioParams("t", 2), (1, 0),
+                               ("greedy", "ads")), 1 << 14))
+    # oracle rows the simulator rejects (seeds 8 and 18), refusals and an
+    # accepted seed, a block a seed
+    @example(case=(CompareSpec(Config(8, 2, 3), ScenarioParams("t", 1, 0.5), (18, 0, 8, 9),
+                               ("oracle", "ads", "greedy")), 8))
+    @example(case=(CompareSpec(Config(10, 2, 3), ScenarioParams("t", 2), tuple(range(10)),
+                               ALGORITHMS), 1 << 14))
+    # the oracle excluded
+    @example(case=(CompareSpec(Config(12, 3, 4), ScenarioParams("t", 3), (2, 1),
+                               ("oracle", "ads")), 1 << 14))
+    # qos_cost and resource_cost past int64
+    @example(case=(CompareSpec(Config(6, 2, 3), ScenarioParams("t", 2 ** 61, 0.0), (4, 3, 0),
+                               ("ads", "greedy")), 1 << 14))
+    @settings(max_examples=150, deadline=None)
+    def test_block_pass_writes_the_per_seed_csv(self, case):
+        spec, budget = case
+        with mock.patch.object(capsched.cli, "_BLOCK_ENTRIES", budget):
+            assert _outcome(run_compare, spec) == _outcome(_reference_run_compare, spec)
+
+    def test_costs_past_int64_are_exact(self):
+        spec = CompareSpec(Config(6, 2, 3), ScenarioParams("t", 2 ** 61, 0.0), (4,), ("ads",))
+        assert run_compare(spec).splitlines()[1] == (
+            "4,ads,10836499869816704232,11132764835236670213,5418249934908352116,2,true")
+
+    def test_overcommitting_oracle_rows_match_the_reference(self):
+        # the oracle's schedule overcommits slots 6 and 7 of this workload
+        config = Config(n=8, delta=2, theta=3)
+        workload = Workload(np.array([2, 0, 0, 0, 2, 0, 0, 0]),
+                            np.array([0, 0, 0, 0, 2, 0, 0, 0]))
+        rows, notes = compare_instance(workload, config, ALGORITHMS, seed=5)
+        assert notes == []
+        assert [row.algorithm for row in rows] == list(ALGORITHMS)
+        for row in rows:
+            want = _reference_evaluate(workload, _reference_plan(row.algorithm, workload, config),
+                                       config)
+            assert row.report == want
+        assert [v.kind for v in rows[2].report.violations] == ["capacity_below_occupancy"] * 2
+
+    def test_memory_stays_within_the_block_budget(self):
+        # 40 seeds at n=10 000 in one block peak near 100 MB here; a block of
+        # _BLOCK_ENTRIES entries holds one seed and peaks near 3 MB
+        spec = CompareSpec(Config(n=10_000, delta=3, theta=4),
+                           ScenarioParams("mmog", 1500), tuple(range(40)), ("ads", "greedy"))
+        tracemalloc.start()
+        try:
+            run_compare(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import capsched.schedule as schedule_module
 from capsched import (
     SCENARIO_PRESETS,
     Config,
+    CostReport,
     ScenarioParams,
     Schedule,
     ScheduleFormatError,
@@ -136,6 +138,18 @@ class TestResourceCost:
         cfg = Config(n=10, delta=2, theta=3)
         big = 2 ** 62
         assert resource_cost(sched(big, 0, 0, 0, 0, 0, 0, 0, 0, 0), cfg) == 7 * big
+
+    @given(data=st.data(), n=st.integers(3, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_cost_is_the_capacity_summed_over_slots_1_to_n_minus_1(self, data, n):
+        delta = data.draw(st.integers(2, n - 1))
+        cfg = Config(n=n, delta=delta, theta=data.draw(st.integers(delta + 1, n)))
+        changes = data.draw(st.lists(st.integers(-2 ** 40 + 1, 2 ** 40 - 1) | st.just(0),
+                                     min_size=n, max_size=n))
+        cost = sum(c * (n - j - delta) for j, c in enumerate(changes[:n - delta], start=1))
+        capacity = simulate(Workload(np.zeros(n, dtype=int), np.zeros(n, dtype=int)),
+                            sched(*changes), cfg).capacity.tolist()
+        assert resource_cost(sched(*changes), cfg) == cost == sum(capacity[:n - 1])
 
     @given(changes=st.lists(st.integers(-6, 6), min_size=8, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -328,15 +342,21 @@ def _reference_violations(workload, schedule, config, ref):
     return out
 
 
+def _configs(draw):
+    # Config needs n >= theta > delta >= 2, so n starts at 3
+    n = draw(st.integers(3, 30))
+    delta = draw(st.integers(2, n - 1))
+    return Config(n=n, delta=delta, theta=draw(st.integers(delta + 1, n)))
+
+
 @st.composite
-def _fifo_instances(draw):
+def _fifo_instances(draw, config=None):
     """A workload and a schedule with any capacity path: negative levels,
     drops under admitted participants, departures that reach the queue,
     cohorts never admitted, and at most one cohort near 2^62 (two would pass
-    int64 in sum).  Config needs n >= theta > delta >= 2, so n starts at 3."""
-    n = draw(st.integers(3, 30))
-    delta = draw(st.integers(2, n - 1))
-    config = Config(n=n, delta=delta, theta=draw(st.integers(delta + 1, n)))
+    int64 in sum); the config is drawn unless given."""
+    config = config or _configs(draw)
+    n = config.n
     arrivals = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     big = draw(st.none() | st.integers(0, n - 1))
     if big is not None:
@@ -374,6 +394,53 @@ class TestClosedForm:
         _assert_matches_reference(workload, schedule, config)
         assert check_feasibility(workload, schedule, config) == _reference_violations(
             workload, schedule, config, _reference_simulate(workload, schedule, config))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_rows_equal_the_slot_loop(self, data):
+        # evaluate is the one-row case; a block of rows sharing a config must
+        # give every row the report the slot-by-slot replay gives it
+        config = _configs(data.draw)
+        rows = data.draw(st.lists(_fifo_instances(config), min_size=1, max_size=5))
+        reports = schedule_module._evaluate_rows(
+            *(np.stack([getattr(item, field) for _, item, _ in rows])
+              for field in ("arrivals", "departures")),
+            np.stack([changes.changes for _, _, changes in rows]), config)
+        for (_, workload, schedule), report in zip(rows, reports):
+            ref = _reference_simulate(workload, schedule, config)
+            n, delta = config.n, config.delta
+            cost = sum(c * (n - j - delta)
+                       for j, c in enumerate(schedule.changes.tolist()[:n - delta], start=1))
+            assert report == CostReport(cost, ref["qos_cost"], max(ref["capacity"]),
+                                        int(np.count_nonzero(schedule.changes)),
+                                        tuple(_reference_violations(workload, schedule,
+                                                                    config, ref)))
+            assert report == evaluate(workload, schedule, config)
+
+    def test_each_flag_alone_reports_its_row(self, ref_config):
+        # one row a kind the block flags: separation, tail_request,
+        # never_admitted (a late cohort), capacity_below_occupancy; then
+        # negative capacity and the mandatory load, which overcommit too
+        empty = np.zeros(8, dtype=int)
+        last = Workload(np.eye(1, 8, 6, dtype=int)[0], empty)
+        held = Workload(np.array([2, 0, 0, 0, 2, 0, 0, 0]), np.array([0, 0, 0, 0, 2, 0, 0, 0]))
+        first = Workload(np.eye(1, 8, dtype=int)[0], empty)
+        rows = [(Workload(empty, empty), sched(1, 1, 0, 0, 0, 0, 0, 0)),
+                (Workload(empty, empty), sched(0, 0, 0, 0, 0, 0, 0, 1)),
+                (last, sched(0, 0, 0, 0, 0, 0, 0, 0)),
+                (held, sched(0, 2, 0, -2, 0, 2, 0, 0)),
+                (Workload(empty, empty), sched(-1, 0, 0, 0, 0, 0, 0, 0)),
+                (first, sched(1, 0, -1, 0, 0, 0, 0, 0))]
+        reports = schedule_module._evaluate_rows(
+            np.stack([w.arrivals for w, _ in rows]), np.stack([w.departures for w, _ in rows]),
+            np.stack([s.changes for _, s in rows]), ref_config)
+        assert [sorted({v.kind for v in report.violations}) for report in reports] == [
+            ["separation"], ["tail_request"], ["never_admitted"],
+            ["capacity_below_occupancy"], ["capacity_below_occupancy", "negative_capacity"],
+            ["capacity_below_occupancy", "mandatory_load"]]
+        for (workload, schedule), report in zip(rows, reports):
+            assert list(report.violations) == _reference_violations(
+                workload, schedule, ref_config, _reference_simulate(workload, schedule, ref_config))
 
     @pytest.mark.parametrize("planner", [adaptive_schedule, greedy_schedule])
     def test_equals_the_slot_loop_at_ten_thousand_slots(self, planner):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capsched import (
@@ -35,7 +35,9 @@ from capsched import (
     validate_solution,
 )
 from capsched import ilp, solvers
+from capsched.workload import INT64_MAX, occupancy
 from oracle_reference import _NoAssignment, _reference_exact_oracle, _request_slot_sets
+from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
 
 def _quadratic_adaptive_changes(workload, config):
@@ -341,6 +343,62 @@ class TestAdaptive:
             adaptive_schedule(wl, cfg)
             samples.append(time.perf_counter() - start)
         assert median(samples) < 0.050
+
+
+def _within_int64(levels):
+    """levels with every rise that would take the arrivals summed past int64
+    flattened, so that a workload has them as its occupancy."""
+    out, level, arrived = [], 0, 0
+    for target in levels:
+        rise = max(target - level, 0)
+        if arrived + rise <= INT64_MAX:
+            level, arrived = target, arrived + rise
+        out.append(level)
+    return out
+
+
+@st.composite
+def _occupancy_blocks(draw):
+    """A config, theta = n among them, and one to five workloads whose
+    occupancy takes few levels, so scans meet ties and flat stretches, with
+    INT64_MAX among them and empty workloads as a special case."""
+    n = draw(st.integers(3, 30))
+    delta = draw(st.integers(2, n - 1))
+    theta = n if draw(st.booleans()) else draw(st.integers(delta + 1, n))
+    levels = st.lists(st.sampled_from([0, 1, 2, INT64_MAX]), min_size=n, max_size=n)
+    return Config(n, delta, theta), [_workload_from_levels(_within_int64(draw(levels)))
+                                     for _ in range(draw(st.integers(1, 5)))]
+
+
+class TestBlockPlanners:
+    @given(block=_occupancy_blocks())
+    @example(block=(Config(8, 2, 3), [_workload_from_levels([0] * 8)] * 2))
+    @example(block=(Config(9, 2, 9), [_workload_from_levels([INT64_MAX] * 9),
+                                      _workload_from_levels([1, 1, 0, 0, 2, 2, 2, 1, 1])]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_slot_loops(self, block):
+        config, workloads = block
+        occ = np.stack([occupancy(workload) for workload in workloads])
+        for rows, one_row, reference in (
+                (solvers._adaptive_rows, adaptive_schedule, _reference_adaptive_schedule),
+                (solvers._greedy_rows, greedy_schedule, _reference_greedy_schedule)):
+            planned = rows(occ, config)
+            for r, workload in enumerate(workloads):
+                want = reference(workload, config).changes.tolist()
+                assert planned[r].tolist() == want
+                assert one_row(workload, config).changes.tolist() == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_rows_equal_the_slot_loops(self, seed):
+        config = Config(n=1000, delta=3, theta=7)
+        workloads = [generate_workload(ScenarioParams("t", 40, 0.3, 10 * seed + k), config)
+                     for k in range(5)]
+        occ = np.stack([occupancy(workload) for workload in workloads])
+        for rows, reference in ((solvers._adaptive_rows, _reference_adaptive_schedule),
+                                (solvers._greedy_rows, _reference_greedy_schedule)):
+            planned = rows(occ, config)
+            assert [row.tolist() for row in planned] == [
+                reference(workload, config).changes.tolist() for workload in workloads]
 
 
 class TestGreedy:
