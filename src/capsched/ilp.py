@@ -25,7 +25,6 @@ each.  build_model stores that table, export_lp renders its runs, and
 validate_solution evaluates them over prefix sums of an assignment.
 """
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schedule import Schedule, ScheduleFormatError, _exact_sums, resource_cost
+from .schedule import Schedule, ScheduleFormatError, _exact_sums, _line, resource_cost
 from .workload import (INT64_MAX, INT64_MIN, Config, ConfigurationError, Workload, mandatory_load,
                        _as_int64, _require_matching)
 
@@ -173,13 +172,7 @@ class ConstraintViolation:
     detail: str = ""
 
     def render(self) -> str:
-        parts = [f"VIOLATION {self.tag}"]
-        if self.i is not None:
-            parts.append(f"i={self.i}")
-        if self.j is not None:
-            parts.append(f"j={self.j}")
-        parts.append(f"detail={self.detail}")
-        return " ".join(parts)
+        return _line(self.tag, i=self.i, j=self.j, detail=self.detail)
 
 
 def _row_table(workload: Workload, config: Config) -> Dict[str, np.ndarray]:
@@ -299,8 +292,8 @@ def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
 
     The body is the terms of the row's runs.  A body that fits beside its
     head is a lead (" + 3 ", or " 3 " for a leading positive term) and a
-    name per term, fragments every row shares, so the short rows are laid
-    out at once as indices into one pool of fragments.
+    name per term, fragments every row shares, so the short rows are
+    written at once into one array of fragments.
 
     A longer body is wrapped.  Every coefficient that has a run longer than
     one term is rendered once as a piece table over all variable names, and
@@ -331,58 +324,46 @@ def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
     row_width = head_width + np.diff(piece_ends[run_ptr]) - 2 * positive[run_ptr[:-1]]
     short = row_width <= _LP_WIDTH
 
-    tables = {}
-    for k in np.unique(which[lengths > 1]).tolist():
-        tables[k] = leads[k] + leads[k].join(names)
-    runs = np.stack([starts, lengths, coefs], 1).astype(np.int64).tobytes()
-    run_bytes = 3 * 8
+    tables = {k: leads[k] + leads[k].join(names) for k in np.unique(which[lengths > 1]).tolist()}
+    runs = np.stack([starts, lengths, coefs], 1).astype(np.int64)
     bounds = run_ptr.tolist()
-    texts, text_width, text_at, shared = [], [], [], {}
+    bodies, shared = [], {}
     wrapped = np.flatnonzero(~short)
     for row, head_size in zip(wrapped.tolist(), head_width[wrapped].tolist()):
         begin, end = bounds[row], bounds[row + 1]
-        key = (head_size, runs[begin * run_bytes:end * run_bytes])
-        at = shared.get(key)
-        if at is None:
-            at = shared[key] = len(texts)
+        key = (head_size, runs[begin:end].tobytes())
+        body = shared.get(key)
+        if body is None:
             parts = [tables[k][lo:hi] if k in tables else leads[k] + names[v]
                      for k, v, lo, hi in zip(which[begin:end].tolist(), starts[begin:end].tolist(),
                                              slice_lo[begin:end].tolist(),
                                              slice_hi[begin:end].tolist())]
             if positive[begin]:
                 parts[0] = _SEP + parts[0][3:]      # the first term has no "+ "
-            text, line = _wrap("".join(parts), head_size)
-            texts.append(text)
-            text_width.append(line)
-        text_at.append(at)
-    text_at = np.array(text_at, dtype=np.int64)
-    row_width[wrapped] = np.array(text_width, dtype=np.int64)[text_at]
+            body = shared[key] = _wrap("".join(parts), head_size)
+        bodies.append(body)
+    row_width[wrapped] = [width for _, width in bodies]
     broken = np.flatnonzero(row_width + [len(tail) for tail in tails] > _LP_WIDTH + 1)
 
-    rows = len(heads)
-    sections = (heads, tails, names, spaced, firsts, texts,
-                [_BREAK + tails[row][1:] for row in broken.tolist()])
-    pool = list(itertools.chain(*sections))
-    _, tails_at, names_at, spaced_at, firsts_at, texts_at, broken_at = np.cumsum(
-        [0] + [len(section) for section in sections[:-1]]).tolist()
-    tail = tails_at + np.arange(rows)
-    tail[broken] = broken_at + np.arange(len(broken))
     # fragments per row: head, then a lead and a name per term or one wrapped text, then tail
     terms = np.diff(np.concatenate([[0], np.cumsum(lengths)])[run_ptr])
     count = np.where(short, 2 * terms, 1) + 2
     row_at = np.cumsum(count) - count
-    index = np.empty(int(count.sum()), dtype=np.int64)
-    index[row_at] = np.arange(rows)
-    index[row_at + count - 1] = tail
-    index[row_at[wrapped] + 1] = texts_at + text_at
+    out = np.empty(int(count.sum()), dtype=object)
+    out[row_at] = np.array(heads, dtype=object)
+    tail = np.array(tails, dtype=object)
+    tail[broken] = np.array([_BREAK + tails[row][1:] for row in broken.tolist()], dtype=object)
+    out[row_at + count - 1] = tail
+    out[row_at[wrapped] + 1] = np.array([text for text, _ in bodies], dtype=object)
     in_short = np.repeat(short, np.diff(run_ptr))
     short_lengths = lengths[in_short]
     short_terms = terms[short]
     rank = _ranges(np.zeros_like(short_terms), short_terms)
     at = np.repeat(row_at[short], short_terms) + 1 + 2 * rank
-    index[at] = np.where(rank == 0, firsts_at, spaced_at) + np.repeat(which[in_short], short_lengths)
-    index[at + 1] = names_at + _ranges(starts[in_short], short_lengths)
-    return np.array(pool, dtype=object)[index].tolist()
+    out[at] = np.array([firsts, spaced], dtype=object)[np.minimum(rank, 1),
+                                                        np.repeat(which[in_short], short_lengths)]
+    out[at + 1] = np.array(names, dtype=object)[_ranges(starts[in_short], short_lengths)]
+    return out.tolist()
 
 
 def export_lp(model: IlpModel) -> str:

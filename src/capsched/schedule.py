@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .workload import (Config, Workload, _as_int64, _read_json_object, _require_matching,
-                       _write_json_object)
+from .workload import (Config, Workload, _as_int64, _floor, _read_json_object,
+                       _require_matching, _write_json_object)
 
 
 class ScheduleFormatError(ValueError):
@@ -61,11 +61,14 @@ class Violation:
     detail: str = ""
 
     def render(self) -> str:
-        parts = [f"VIOLATION {self.kind} slot={self.slot}"]
-        if self.slot2 is not None:
-            parts.append(f"slot2={self.slot2}")
-        parts.append(f"detail={self.detail}")
-        return " ".join(parts)
+        return _line(self.kind, slot=self.slot, slot2=self.slot2, detail=self.detail)
+
+
+def _line(kind: str, detail: str, **fields: Optional[int]) -> str:
+    """A violation's report line: its kind, name=value for each field that
+    is not None, then its detail."""
+    shown = [f"{name}={value}" for name, value in fields.items() if value is not None]
+    return " ".join([f"VIOLATION {kind}", *shown, f"detail={detail}"])
 
 
 @dataclass(eq=False)
@@ -210,12 +213,10 @@ def _report(replay: _Replay, r: int, config: Config) -> SimulationReport:
                                   replay.kept[r])
     late = replay.late[r].nonzero()[0]
     over = replay.over[r].nonzero()[0]
-    unadmitted: Dict[int, int] = {}
-    if exited[n] < arrived[n]:
-        short = arrived[late + 1] - exited[n]
-        stuck = short > 0
-        counts = np.minimum(arrived[late + 1] - arrived[late], short)
-        unadmitted = dict(zip((late[stuck] + 1).tolist(), counts[stuck].tolist()))
+    short = arrived[late + 1] - exited[n]
+    stuck = short > 0
+    counts = np.minimum(arrived[late + 1] - arrived[late], short)
+    unadmitted = dict(zip((late[stuck] + 1).tolist(), counts[stuck].tolist()))
     # everyone waiting after a slot waits through it; those never admitted
     # are charged nothing, so take back their n - s + 1 slots
     qos = _exact_sums(replay.arrived[r:r + 1] - replay.exited[r:r + 1], 1)[0] - sum(
@@ -291,7 +292,7 @@ def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> Li
 def _screen(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
     """The structural violations, the ones the integer program shares: request
     spacing, tail requests, negative capacity and the mandatory load floor."""
-    n, delta, theta = config.n, config.delta, config.theta
+    n, delta = config.n, config.delta
     out: List[Violation] = []
 
     hot = schedule.changes.nonzero()[0] + 1
@@ -306,14 +307,10 @@ def _screen(schedule: Schedule, config: Config, sim: SimulationReport) -> List[V
     cap = sim.capacity
     for t in (cap < 0).nonzero()[0].tolist():
         out.append(Violation("negative_capacity", t + 1, detail=f"capacity {cap[t]}"))
-    # mandatory_load's floor, read from the simulation's cumulative counts: it
-    # is 0 through slot theta, so only a later slot's non-negative capacity
-    # can fall below it
-    floor = sim.arrived[1:n + 1 - theta] - sim.departed[1 + theta:]
-    tail = cap[theta:]
-    for k in ((tail >= 0) & (tail < floor)).nonzero()[0].tolist():
-        out.append(Violation("mandatory_load", theta + k + 1,
-                             detail=f"capacity {tail[k]} below floor {floor[k]}"))
+    floor = _floor(sim.arrived, sim.departed, config.theta)
+    for t in ((cap >= 0) & (cap < floor)).nonzero()[0].tolist():
+        out.append(Violation("mandatory_load", t + 1,
+                             detail=f"capacity {cap[t]} below floor {floor[t]}"))
     return out
 
 

@@ -248,11 +248,15 @@ def mandatory_load(workload: Workload, config: Config) -> np.ndarray:
     The first theta slots always get a floor of zero.
     """
     _require_matching(workload, config)
-    n = config.n
-    ca = np.concatenate([[0], np.cumsum(workload.arrivals)])
-    cd = np.concatenate([[0], np.cumsum(workload.departures)])
-    lead = np.maximum(np.arange(1, n + 1) - config.theta, 0)
-    return np.maximum(ca[lead] - cd[1:], 0).astype(np.int64)
+    return _floor(np.concatenate([[0], np.cumsum(workload.arrivals)]),
+                  np.concatenate([[0], np.cumsum(workload.departures)]), config.theta)
+
+
+def _floor(arrived: np.ndarray, departed: np.ndarray, theta: int) -> np.ndarray:
+    """mandatory_load from cumulative arrivals and departures whose entry 0
+    stands for before slot 1; it is 0 through slot theta."""
+    lead = np.maximum(np.arange(1, len(arrived)) - theta, 0)
+    return np.maximum(arrived[lead] - departed[1:], 0)
 
 
 def _require_matching(workload: Workload, config: Config) -> None:

@@ -33,7 +33,7 @@ from capsched import (
     resource_cost,
     validate_solution,
 )
-from capsched.ilp import LinearConstraint, _ranges, variable_names
+from capsched.ilp import LinearConstraint, _ranges, _render_rows, variable_names
 
 WITNESS = "\n".join([
     "# optimal assignment for the reference instance",
@@ -290,6 +290,31 @@ def _perturbed_solutions(draw):
     return SolutionMatrices(x, y, r), workload, config
 
 
+@st.composite
+def _run_tables(draw):
+    """Rows no model builds, for _render_rows: heads up to 65 columns, tails
+    with or without a sense, and runs of one or many terms whose coefficients
+    may be negative, zero or up to 2^62 in size, leading ones included."""
+    names = draw(st.lists(st.text("xyr_0123456789", min_size=1, max_size=10),
+                          min_size=1, max_size=30))
+    coef = st.one_of(st.integers(-3, 3), st.integers(-2 ** 62, 2 ** 62),
+                     st.sampled_from([-2 ** 62, 2 ** 62]))
+    heads, tails, run_ptr, runs = [], [], [0], []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.integers(1, 63))
+        heads.append(" " + draw(st.text("EQ_ij0123456789", min_size=width, max_size=width)) + ":")
+        tails.append(draw(st.one_of(
+            st.just("\n"),
+            st.builds(" {} {}\n".format, st.sampled_from([">=", "<=", "="]),
+                      st.integers(-2 ** 63, 2 ** 63 - 1)))))
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(st.integers(0, len(names) - 1))
+            length = draw(st.one_of(st.just(1), st.integers(1, len(names) - start)))
+            runs.append((start, length, draw(coef)))
+        run_ptr.append(len(runs))
+    return names, np.array(run_ptr), *np.array(runs, dtype=np.int64).T, heads, tails
+
+
 def _oppd(n):
     values = SCENARIO_PRESETS["oppd"]
     config = Config(n=n, delta=values["delta"], theta=values["theta"])
@@ -404,6 +429,20 @@ class TestExportLp:
         finally:
             tracemalloc.stop()
         assert peak <= 1.8 * len(text)
+
+    @given(table=_run_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_rendered_rows_equal_the_reference_wrap(self, table):
+        names, run_ptr, starts, lengths, coefs, heads, tails = table
+        expected = []
+        for row, (head, tail) in enumerate(zip(heads, tails)):
+            terms = [(coef, names[v]) for start, length, coef in
+                     zip(*(part[run_ptr[row]:run_ptr[row + 1]].tolist()
+                           for part in (starts, lengths, coefs)))
+                     for v in range(start, start + length)]
+            expected += [line + "\n" for line in _reference_expr_lines(head, terms, tail[:-1])]
+        text = "".join(_render_rows(names, run_ptr, starts, lengths, coefs, heads, tails))
+        assert text.splitlines(keepends=True) == expected
 
     def test_zero_weight_columns_are_skipped_in_objective(self, ref_model):
         objective_vars = {name for _, name in _objective(ref_model)}
