@@ -88,6 +88,8 @@ class SimulationReport:
     arrived - exited are waiting.  Within slot t departures leave the queue
     before admissions: max(exited[t-1], departed[t]) - exited[t-1] depart
     while waiting, and exited[t] - max(exited[t-1], departed[t]) are admitted.
+    Those never admitted are the latest arrivals, so qos_cost, the waiting
+    charged, is min(arrived, exited[n]) - exited summed over entries 0..n.
     """
 
     qos_cost: int
@@ -169,8 +171,8 @@ class _Replay:
     """simulate's closed form over a block, one (workload, schedule) pairing a
     row: the capacity, the cumulative counts arrived, departed and exited
     (entry 0 before slot 1), kept, the participants already admitted that each
-    slot's capacity must hold, and the masks of late arrival slots and of
-    overcommitted slots."""
+    slot's capacity must hold, the masks of late arrival slots and of
+    overcommitted slots, and each row's qos_cost."""
 
     capacity: np.ndarray
     arrived: np.ndarray
@@ -179,6 +181,7 @@ class _Replay:
     kept: np.ndarray
     late: np.ndarray
     over: np.ndarray
+    qos: List[int]
 
 
 def _replay(arrivals: np.ndarray, departures: np.ndarray, changes: np.ndarray,
@@ -202,8 +205,9 @@ def _replay(arrivals: np.ndarray, departures: np.ndarray, changes: np.ndarray,
     due = np.empty((rows, n), dtype=np.int64)
     due[:, :n - theta] = exited[:, 1 + theta:]
     due[:, n - theta:] = exited[:, n:]
+    qos = _exact_sums(np.minimum(arrived, exited[:, n:]) - exited, 1)
     return _Replay(cap, arrived, departed, exited, kept,
-                   (due < ca) & (arrivals > 0), cap < kept)
+                   (due < ca) & (arrivals > 0), cap < kept, qos)
 
 
 def _report(replay: _Replay, r: int, config: Config) -> SimulationReport:
@@ -216,16 +220,11 @@ def _report(replay: _Replay, r: int, config: Config) -> SimulationReport:
     short = arrived[late + 1] - exited[n]
     stuck = short > 0
     counts = np.minimum(arrived[late + 1] - arrived[late], short)
-    unadmitted = dict(zip((late[stuck] + 1).tolist(), counts[stuck].tolist()))
-    # everyone waiting after a slot waits through it; those never admitted
-    # are charged nothing, so take back their n - s + 1 slots
-    qos = _exact_sums(replay.arrived[r:r + 1] - replay.exited[r:r + 1], 1)[0] - sum(
-        count * (n - arr + 1) for arr, count in unadmitted.items())
     return SimulationReport(
-        qos_cost=qos,
+        qos_cost=replay.qos[r],
         theta_violations=(late + 1).tolist(),
         capacity=cap,
-        unadmitted=unadmitted,
+        unadmitted=dict(zip((late[stuck] + 1).tolist(), counts[stuck].tolist())),
         overcommit=list(zip((over + 1).tolist(), kept[over].tolist(), cap[over].tolist()))
         if over.size else [],
         arrived=arrived,
@@ -274,8 +273,8 @@ def check_feasibility(workload: Workload, schedule: Schedule, config: Config) ->
     return list(_evaluate_rows(*_one_row(workload, schedule, config), config)[0].violations)
 
 
-def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
-    out = _screen(schedule, config, sim)
+def _violations(changes: np.ndarray, config: Config, sim: SimulationReport) -> List[Violation]:
+    out = _screen(changes, config, sim)
     for arr in sim.theta_violations:
         if arr in sim.unadmitted:
             out.append(Violation("never_admitted", arr,
@@ -289,13 +288,14 @@ def _violations(schedule: Schedule, config: Config, sim: SimulationReport) -> Li
     return out
 
 
-def _screen(schedule: Schedule, config: Config, sim: SimulationReport) -> List[Violation]:
-    """The structural violations, the ones the integer program shares: request
-    spacing, tail requests, negative capacity and the mandatory load floor."""
+def _screen(changes: np.ndarray, config: Config, sim: SimulationReport) -> List[Violation]:
+    """The structural violations of a schedule's changes, the ones the integer
+    program shares: request spacing, tail requests, negative capacity and the
+    mandatory load floor."""
     n, delta = config.n, config.delta
     out: List[Violation] = []
 
-    hot = schedule.changes.nonzero()[0] + 1
+    hot = changes.nonzero()[0] + 1
     close = (np.diff(hot) < delta).nonzero()[0]
     for j, j2 in zip(hot[close].tolist(), hot[close + 1].tolist()):
         out.append(Violation("separation", j, j2,
@@ -326,9 +326,9 @@ def _evaluate_rows(arrivals: np.ndarray, departures: np.ndarray, changes: np.nda
     workload arrivals[k], departures[k] with the schedule changes[k].
 
     One replay gives every row's costs: resource_cost is the capacity summed
-    over slots 1..n-1, and qos_cost the waiting counts summed, when no cohort
-    is left unadmitted.  Only the rows flagged with a violation are reported,
-    and listed by _violations, one at a time.  Four masks flag every kind:
+    over slots 1..n-1, and qos_cost the replay's.  The flags decide only
+    which rows get a violation list: each flagged row alone is reported and
+    listed by _violations.  Four masks flag every kind:
     late cohorts, overcommitted slots, and two requests in some delta
     consecutive slots or one past n - delta.  Negative capacity falls below
     kept, which is never negative; and a slot whose capacity c >= 0 is below
@@ -345,15 +345,12 @@ def _evaluate_rows(arrivals: np.ndarray, departures: np.ndarray, changes: np.nda
                | (hot[:, delta:] - hot[:, :-delta] > 1).any(axis=1)
                | (hot[:, n] > hot[:, n - delta]))
     resource = _exact_sums(cap[:, :n - 1], 1)
-    qos = _exact_sums(replay.arrived - replay.exited, 1)
     peaks = cap.max(axis=1).tolist()
     requests = hot[:, n].tolist()
     violations = [()] * len(changes)
     for r in flagged.nonzero()[0].tolist():
-        sim = _report(replay, r, config)
-        qos[r] = sim.qos_cost
-        violations[r] = tuple(_violations(Schedule(changes[r]), config, sim))
-    return [CostReport(*fields) for fields in zip(resource, qos, peaks, requests, violations)]
+        violations[r] = tuple(_violations(changes[r], config, _report(replay, r, config)))
+    return [CostReport(*row) for row in zip(resource, replay.qos, peaks, requests, violations)]
 
 
 def parse_schedule(text: str) -> Tuple[int, int, Schedule]:

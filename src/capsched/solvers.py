@@ -311,11 +311,11 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
     n - delta or within delta of another, capacity below zero or the
     mandatory load), carrying that violation's line; on a change more than
     n entries of the EQ10 coefficient hold; or when no valid columns exist.
-    check_feasibility can accept a schedule that raises: the FIFO simulator
-    admits a cohort into any freed capacity, the program only through a
-    zero-net column in its window.
+    check_feasibility accepts some schedules that raise: it admits a cohort
+    into any freed capacity, the program only through a zero-net column in
+    its window, and it caps no change at n EQ10 coefficients.
     """
-    screen = _screen(schedule, config, simulate(workload, schedule, config))
+    screen = _screen(schedule.changes, config, simulate(workload, schedule, config))
     if screen:
         raise LiftError(screen[0].render())
     n, delta = config.n, config.delta

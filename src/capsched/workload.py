@@ -8,6 +8,7 @@ in every user-facing message and file format; the arrays themselves are
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -267,7 +268,8 @@ def _require_matching(workload: Workload, config: Config) -> None:
 
 def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...],
                       lists: Tuple[str, ...]) -> dict:
-    """Decode a JSON object whose fields are exactly scalars + lists.
+    """Decode a JSON object whose fields are exactly scalars + lists, each
+    given once.
 
     Scalars must be integers and lists must hold int64 integers; each list
     comes back as an int64 array.  Every defect, text nested too deeply or
@@ -275,19 +277,23 @@ def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...
     message naming the noun, the field and the 1-based slot.
     """
     try:
-        doc = json.loads(text)
+        # every object decodes as a tuple of its (name, value) pairs, which
+        # keeps a repeated name that a dict would drop
+        pairs = json.loads(text, object_pairs_hook=tuple)
     except (ValueError, RecursionError) as exc:
         raise error(f"{noun} text is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if type(pairs) is not tuple:
         raise error(f"{noun} text must be a JSON object")
+    doc = dict(pairs)
     fields = scalars + lists
     missing = [f for f in fields if f not in doc]
     if missing:
         raise error(f"missing {noun} field: {missing[0]}")
-    unknown = [f for f in doc if f not in fields]
-    if unknown:
-        name = unknown[0]
-        raise error(f"unknown {noun} field: {name if name.isprintable() else repr(name)}")
+    repeated = [f for f, count in Counter(f for f, _ in pairs).items() if count > 1]
+    for kind, names in (("duplicate", repeated), ("unknown", [f for f in doc if f not in fields])):
+        if names:
+            name = names[0]
+            raise error(f"{kind} {noun} field: {name if name.isprintable() else repr(name)}")
     for f in scalars:
         if type(doc[f]) is not int:
             raise error(f"field {f} must be an integer")

@@ -74,7 +74,7 @@ def _reference_evaluate(workload, schedule, config) -> CostReport:
         qos_cost=sim.qos_cost,
         max_capacity=int(sim.capacity.max()),
         num_requests=int(np.count_nonzero(schedule.changes)),
-        violations=tuple(_violations(schedule, config, sim)),
+        violations=tuple(_violations(schedule.changes, config, sim)),
     )
 
 

@@ -25,19 +25,28 @@ def json_lists(size: int):
         st.one_of(st.integers(0, 9), EDGE_INTS, NON_INTS))))
 
 
+class _Pairs(list):
+    """A decoded JSON object's (name, value) pairs, in text order."""
+
+
 def _reference_read_json_object(text, noun, error, scalars, lists):
-    """_read_json_object with every list entry checked in a Python loop and
-    the lists returned as decoded."""
+    """_read_json_object with every list entry checked in a Python loop, each
+    name checked for a repeat by a scan of the names after it, and the lists
+    returned as decoded."""
     try:
-        doc = json.loads(text)
+        pairs = json.loads(text, object_pairs_hook=_Pairs)
     except (ValueError, RecursionError) as exc:
         raise error(f"{noun} text is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(pairs, _Pairs):
         raise error(f"{noun} text must be a JSON object")
+    doc = dict(pairs)
     fields = scalars + lists
     missing = [f for f in fields if f not in doc]
     if missing:
         raise error(f"missing {noun} field: {missing[0]}")
+    for k, (name, _) in enumerate(pairs):
+        if any(later == name for later, _ in pairs[k + 1:]):
+            raise error(f"duplicate {noun} field: {name if name.isprintable() else repr(name)}")
     unknown = [f for f in doc if f not in fields]
     if unknown:
         name = unknown[0]

@@ -218,6 +218,21 @@ class TestMalformedFiles:
         assert (code, out) == (2, "")
         assert err == f"error: changes summed through slot {slot} exceed the int64 range\n"
 
+    @pytest.mark.parametrize("command, files, message", [
+        (["solve", "WL"], {"WL": '{"n": 4, "n": 5, "delta": 2, "theta": 3, '
+                                 '"arrivals": [1, 0, 0, 0, 0], "departures": [0, 0, 0, 0, 1]}'},
+         "duplicate workload field: n"),
+        (["evaluate", "WL", "SCHED"],
+         {"WL": _VALID_INPUTS["WL"][:-1] + ', "arrivals": [2, 0, 0, 0, 0, 0, 0, 0]}'},
+         "duplicate workload field: arrivals"),
+        (["evaluate", "WL", "SCHED"],
+         {"SCHED": _VALID_INPUTS["SCHED"][:-1] + ', "changes": [0, 0, 0, 0, 0, 0, 0, 0]}'},
+         "duplicate schedule field: changes"),
+    ])
+    def test_repeated_field_is_a_usage_error(self, tmp_path, command, files, message):
+        # json.loads alone would keep the last value and plan or price it
+        assert _run(tmp_path, command, files) == (2, "", f"error: {message}\n")
+
     def test_unknown_field_with_a_line_break_stays_on_one_line(self, tmp_path):
         doc = json.loads(_VALID_INPUTS["WL"])
         doc["a\nb"] = 1

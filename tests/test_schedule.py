@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import capsched.schedule as schedule_module
@@ -377,6 +377,13 @@ def _fifo_instances(draw, config=None):
     return config, Workload(np.array(arrivals), np.array(departures)), sched(*changes)
 
 
+@st.composite
+def _blocks(draw):
+    """A config and one to five instances drawn for it, rows of one block."""
+    config = _configs(draw)
+    return config, draw(st.lists(_fifo_instances(config), min_size=1, max_size=5))
+
+
 class TestClosedForm:
     @given(instance=_fifo_instances())
     # a wait of exactly theta, which is not late
@@ -395,13 +402,12 @@ class TestClosedForm:
         assert check_feasibility(workload, schedule, config) == _reference_violations(
             workload, schedule, config, _reference_simulate(workload, schedule, config))
 
-    @given(data=st.data())
+    @given(block=_blocks())
     @settings(max_examples=100, deadline=None)
-    def test_block_rows_equal_the_slot_loop(self, data):
+    def test_block_rows_equal_the_slot_loop(self, block):
         # evaluate is the one-row case; a block of rows sharing a config must
         # give every row the report the slot-by-slot replay gives it
-        config = _configs(data.draw)
-        rows = data.draw(st.lists(_fifo_instances(config), min_size=1, max_size=5))
+        config, rows = block
         reports = schedule_module._evaluate_rows(
             *(np.stack([getattr(item, field) for _, item, _ in rows])
               for field in ("arrivals", "departures")),
@@ -416,6 +422,25 @@ class TestClosedForm:
                                         tuple(_reference_violations(workload, schedule,
                                                                     config, ref)))
             assert report == evaluate(workload, schedule, config)
+
+    @given(block=_blocks())
+    # a 2^62 cohort waits 4 slots, so qos_cost passes int64, and the slot-5
+    # joiner is never admitted
+    @example(block=(Config(n=6, delta=2, theta=3), [
+        (None, Workload(np.array([2 ** 62, 0, 0, 0, 1, 0]), np.zeros(6, dtype=int)),
+         sched(0, 0, 2 ** 62, 0, 0, 0))]))
+    @settings(max_examples=100, deadline=None)
+    def test_replay_qos_equals_the_slot_loop(self, block):
+        # the closed form caps the waiting at exited[n]: those still waiting
+        # at the horizon end are charged nothing, as the loop never charges them
+        config, rows = block
+        refs = [_reference_simulate(workload, schedule, config) for _, workload, schedule in rows]
+        assume(any(ref["unadmitted"] for ref in refs))
+        replay = schedule_module._replay(
+            *(np.stack([getattr(item, field) for _, item, _ in rows])
+              for field in ("arrivals", "departures")),
+            np.stack([changes.changes for _, _, changes in rows]), config)
+        assert replay.qos == [ref["qos_cost"] for ref in refs]
 
     def test_each_flag_alone_reports_its_row(self, ref_config):
         # one row a kind the block flags: separation, tail_request,
@@ -559,6 +584,18 @@ class TestSerialization:
     def test_parse_accepts_every_delta_a_config_holds(self, n, delta):
         text = json.dumps({"n": n, "delta": delta, "changes": [0] * n})
         assert parse_schedule(text)[:2] == (n, delta)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 3, "delta": 2, "changes": [0, 0, 0], "changes": [1, 0, 0]}',
+         "duplicate schedule field: changes"),
+        ('{"delta": 2, "n": 3, "changes": [0, 0, 0], "delta": 2}',
+         "duplicate schedule field: delta"),
+    ])
+    def test_parse_rejects_repeated_field(self, text, message):
+        with pytest.raises(ScheduleFormatError) as info:
+            parse_schedule(text)
+        assert str(info.value) == message
+        assert_reads_alike(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
 
     def test_parse_rejects_fractional_change(self):
         with pytest.raises(ScheduleFormatError, match="slot 1"):

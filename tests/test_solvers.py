@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from statistics import median
 from unittest import mock
@@ -122,6 +123,28 @@ def _small_lift_cases(draw, max_n):
     else:
         changes = draw(st.lists(st.one_of(st.just(0), st.integers(-2, 4)), min_size=n - delta,
                                 max_size=n - delta), label="changes") + [0] * delta
+    return (Workload(np.array(arrivals), np.array(departures)), Schedule(np.array(changes)),
+            Config(n=n, delta=delta, theta=theta))
+
+
+@st.composite
+def _spaced_cases(draw):
+    """A small workload with requests delta to delta + 2 slots apart, each
+    slot's change nonzero with probability 0.6, in [-3, 6]."""
+    n = draw(st.integers(3, 10))
+    delta = draw(st.integers(2, min(3, n - 1)))
+    theta = draw(st.integers(delta + 1, min(n, delta + 3)))
+    arrivals = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    departures, present = [], 0
+    for joined in arrivals:
+        present += joined
+        departures.append(draw(st.integers(0, present)))
+        present -= departures[-1]
+    changes, j = [0] * n, 1
+    while j <= n:
+        if draw(st.integers(0, 9)) < 6:
+            changes[j - 1] = draw(st.sampled_from([v for v in range(-3, 7) if v]))
+        j += delta + draw(st.integers(0, 2))
     return (Workload(np.array(arrivals), np.array(departures)), Schedule(np.array(changes)),
             Config(n=n, delta=delta, theta=theta))
 
@@ -842,10 +865,14 @@ class TestLift:
         assert np.array_equal(matrices_to_schedule(matrices, cfg).changes, schedule.changes)
 
     def test_capacity_beyond_every_row_is_refused(self):
+        # the program caps each column at n entries of the arrival total; the
+        # simulator has no such bound and accepts the over-provisioned plan
         workload, cfg = _LONE_STAY
         assert _lifts(workload, Schedule(np.array([8, 0, 0, 0, 0, 0, 0, 0])), cfg)
+        schedule = Schedule(np.array([9, 0, 0, 0, 0, 0, 0, 0]))
+        assert check_feasibility(workload, schedule, cfg) == []
         with pytest.raises(LiftError, match="request at slot 1"):
-            lift_schedule(workload, Schedule(np.array([9, 0, 0, 0, 0, 0, 0, 0])), cfg)
+            lift_schedule(workload, schedule, cfg)
 
     def test_simulator_reuse_of_freed_capacity_can_be_unliftable(self):
         # the slot-5 cohort is admitted into the unit the slot-3 departure
@@ -857,6 +884,27 @@ class TestLift:
         assert check_feasibility(workload, schedule, cfg) == []
         with pytest.raises(LiftError, match="no request flags"):
             lift_schedule(workload, schedule, cfg)
+
+    @given(case=_spaced_cases())
+    # over-provisioning past the big-M: the simulator accepts, the lift raises
+    @example(case=(Workload(np.array([1, 0, 0]), np.zeros(3, dtype=int)),
+                   Schedule(np.array([4, 0, 0])), Config(n=3, delta=2, theta=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_simulator_and_program_differ_only_in_the_three_classes(self, case):
+        # the simulator accepts what the lift refuses only through freed
+        # capacity reuse or capacity past the big-M; the lift validates what
+        # the simulator refuses only through overcommit
+        workload, schedule, cfg = case
+        violations = check_feasibility(workload, schedule, cfg)
+        try:
+            matrices = lift_schedule(workload, schedule, cfg)
+        except LiftError as exc:
+            if not violations:
+                assert re.match(r"no request flags cover |"
+                                r"request at slot \d+ adds more than n entries ", str(exc))
+            return
+        assert validate_solution(matrices, workload, cfg) == []
+        assert {v.kind for v in violations} <= {"capacity_below_occupancy"}
 
     def test_zero_net_column_may_sit_more_than_delta_before_the_next(self):
         # the slot-1 cohort's window ends at slot 2, so a column must sit

@@ -280,6 +280,25 @@ class TestSerialization:
         with pytest.raises(WorkloadFormatError, match="extra"):
             parse_workload(json.dumps(payload))
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 4, "n": 5, "delta": 2, "theta": 3, "arrivals": [1, 0, 0, 0, 0], '
+         '"departures": [0, 0, 0, 0, 1]}', "duplicate workload field: n"),
+        ('{"n": 5, "delta": 2, "theta": 3, "arrivals": [1, 0, 0, 0, 0], '
+         '"departures": [0, 0, 0, 0, 1], "arrivals": [2, 0, 0, 0, 0]}',
+         "duplicate workload field: arrivals"),
+        ('{"a\\nb": 1, "n": 3, "delta": 2, "theta": 3, "arrivals": [0, 0, 0], '
+         '"departures": [0, 0, 0], "a\\nb": 1}', "duplicate workload field: 'a\\nb'"),
+        # a name repeated inside a list entry is not a field
+        ('{"n": 3, "delta": 2, "theta": 3, "arrivals": [{"a": 1, "a": 2}, 0, 0], '
+         '"departures": [0, 0, 0]}', "arrivals has a non-integer entry at slot 1"),
+    ])
+    def test_parse_rejects_repeated_field(self, text, message):
+        with pytest.raises(WorkloadFormatError) as info:
+            parse_workload(text)
+        assert str(info.value) == message
+        assert_reads_alike(text, "workload", WorkloadFormatError,
+                           ("n", "delta", "theta"), ("arrivals", "departures"))
+
     def test_parse_rejects_fractional_entry(self):
         payload = {"n": 3, "delta": 2, "theta": 3, "arrivals": [0, 1.5, 0],
                    "departures": [0, 0, 0]}
