@@ -10,7 +10,7 @@ oracle runs, and horizons too large to allocate.
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,6 @@ from .ilp import (
     SolutionFormatError,
     build_model,
     export_lp,
-    matrices_to_schedule,
     parse_solution,
     validate_solution,
 )
@@ -38,8 +37,8 @@ from .solvers import (
     OracleLimitError,
     _adaptive_rows,
     _greedy_rows,
+    _oracle_changes,
     adaptive_schedule,
-    exact_oracle,
     greedy_schedule,
 )
 from .workload import (
@@ -48,6 +47,7 @@ from .workload import (
     ScenarioParams,
     Workload,
     WorkloadFormatError,
+    _generate_rows,
     _require_matching,
     format_workload,
     generate_workload,
@@ -118,14 +118,10 @@ def _resolve_scenario(args: argparse.Namespace, seed: int) -> Tuple[Config, Scen
 
 
 def _plan(algorithm: str, workload: Workload, config: Config) -> Schedule:
-    if algorithm == "ads":
-        return adaptive_schedule(workload, config)
-    if algorithm == "greedy":
-        return greedy_schedule(workload, config)
+    """solve's plan; algorithm is one of ALGORITHMS, as its parser allows."""
     if algorithm == "oracle":
-        matrices, _ = exact_oracle(workload, config)
-        return matrices_to_schedule(matrices, config)
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+        return Schedule(_oracle_changes(workload.arrivals, workload.departures, config))
+    return {"ads": adaptive_schedule, "greedy": greedy_schedule}[algorithm](workload, config)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -226,34 +222,34 @@ def compare_instance(workload: Workload, config: Config, algorithms: Sequence[st
     one-seed case of the block pass run_compare makes.
     """
     _require_matching(workload, config)
-    return _compare_block([workload], [seed], config, algorithms)
+    return _compare_block(workload.arrivals[None], workload.departures[None], [seed], config,
+                          algorithms)
 
 
 # the planners that plan a whole block of workloads at once
 _BLOCK_PLANNERS = {"ads": _adaptive_rows, "greedy": _greedy_rows}
 
 
-def _compare_block(workloads: Sequence[Workload], seeds: Sequence[int], config: Config,
-                   algorithms: Sequence[str]) -> Tuple[List[CompareRow], List[str]]:
-    """compare_instance for every seed of a block, in one array pass.
-
-    ads and greedy plan all the block's workloads at once and the oracle
-    plans one at a time; then every plan is evaluated in one pass.  Rows
-    and notes come per seed, then per algorithm, in the order given.
-    """
-    arrivals = np.stack([workload.arrivals for workload in workloads])
-    departures = np.stack([workload.departures for workload in workloads])
+def _compare_block(arrivals: np.ndarray, departures: np.ndarray, seeds: Sequence[int],
+                   config: Config, algorithms: Sequence[str]) -> Tuple[List[CompareRow], List[str]]:
+    """compare_instance for every seed of a block, in one array pass over its
+    (seeds x n) arrivals and departures, with no per-seed Workload: ads and
+    greedy plan every row at once, the oracle one row at a time from its
+    columns without matrices, then every plan is evaluated in one pass.
+    Rows and notes come per seed, then per algorithm, in the order given."""
     occ = np.cumsum(arrivals - departures, axis=1)
     planned = {algorithm: plan(occ, config) for algorithm, plan in _BLOCK_PLANNERS.items()
                if algorithm in algorithms}
     plans, owners, notes = [], [], []
-    for k, (workload, seed) in enumerate(zip(workloads, seeds)):
+    for k, seed in enumerate(seeds):
         for algorithm in algorithms:
             if algorithm in planned:
                 plans.append(planned[algorithm][k])
+            elif algorithm != "oracle":
+                raise ConfigurationError(f"unknown algorithm {algorithm!r}")
             else:
                 try:
-                    plans.append(_plan(algorithm, workload, config).changes)
+                    plans.append(_oracle_changes(arrivals[k], departures[k], config))
                 except OracleLimitError as exc:
                     notes.append(f"{algorithm} skipped seed={seed}: {exc}")
                     continue
@@ -313,8 +309,8 @@ def run_compare(spec: CompareSpec) -> str:
     and any skip or infeasibility notes follow as comment lines so the
     file stays loadable by any CSV reader that skips '#'.  The oracle is
     dropped up front, with a note, when the dimensions exceed its limits.
-    The seeds are taken in blocks of at most _BLOCK_ENTRIES // n, each
-    planned and evaluated by one _compare_block pass.
+    The seeds are taken in blocks of at most _BLOCK_ENTRIES // n, each drawn
+    by _generate_rows, then planned and evaluated by one _compare_block pass.
     """
     config, params = spec.config, spec.scenario
     notes: List[str] = []
@@ -327,8 +323,8 @@ def run_compare(spec: CompareSpec) -> str:
     per_block = max(1, _BLOCK_ENTRIES // config.n)
     for first in range(0, len(spec.seeds), per_block):
         seeds = spec.seeds[first:first + per_block]
-        workloads = [generate_workload(replace(params, seed=seed), config) for seed in seeds]
-        block_rows, block_notes = _compare_block(workloads, seeds, config, algorithms)
+        arrivals, departures = _generate_rows(params, seeds, config)
+        block_rows, block_notes = _compare_block(arrivals, departures, seeds, config, algorithms)
         rows.extend(block_rows)
         notes.extend(block_notes)
     rows.sort(key=lambda row: (row.seed, row.algorithm))

@@ -12,8 +12,9 @@ parameters they return a schedule of capacity changes.
   request placements priced in closed form; restricted to small instances.
 
 exact_oracle and lift_schedule turn their column picks into the integer
-program's matrices through one builder, _assign.  All planners are pure
-functions of their inputs.
+program's matrices through one builder, _assign.  compare's oracle rows and
+solve --algorithm oracle take the oracle's schedule straight from its
+columns, without the matrices.  All planners are pure functions of their inputs.
 """
 
 import bisect
@@ -132,8 +133,30 @@ ORACLE_MAX_PARTICIPANTS = 8
 
 
 def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, int]:
-    """Minimum-cost assignment of the integer program by a shortest path
-    over request slot placements.
+    """Minimum-cost assignment of the integer program, and its cost: _assign
+    on _oracle_path's columns.  Instances with n above ORACLE_MAX_N, or more
+    than ORACLE_MAX_PARTICIPANTS arrivals, raise OracleLimitError."""
+    _require_matching(workload, config)
+    picks, cost = _oracle_path(workload.arrivals, workload.departures, config)
+    return _assign(*picks, config), cost
+
+
+def _oracle_changes(arrivals: np.ndarray, departures: np.ndarray, config: Config) -> np.ndarray:
+    """matrices_to_schedule of exact_oracle's assignment, exactly, without it:
+    column c_k changes capacity by (U_k - U_{k-1}) - (V_k - V_{k-1}).  _assign's
+    x column k sums to its room U_k - U_{k-1}, as the pour and then the
+    extra-allocation loop use all of it; its y column k sums to its need
+    V_k - V_{k-1}, as V rises and stays within D(c_k) (Hall's condition)."""
+    (cols, allocated, released, _, _), _ = _oracle_path(arrivals, departures, config)
+    changes = np.zeros(config.n, dtype=np.int64)
+    changes[np.array(cols, dtype=np.intp) - 1] = np.diff(np.subtract(allocated, released), prepend=0)
+    return changes
+
+
+def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
+    """exact_oracle's shortest path, after its OracleLimitError checks: _assign's
+    arguments but config, (cols, allocated, released, arrival cohorts, departure
+    cohorts), with allocated[k] = U_k and released[k] = V_k, and the cost.
 
     Request slots are columns at least delta apart, up to n - delta.  Every
     arrival cohort is allocated at the last column of its window, so the
@@ -151,13 +174,9 @@ def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, 
     That is the row-major allocation, de-allocation, flag order of the
     matrices unless the de-allocations alone would break a tie, which no
     instance the tests compare against the full enumeration has shown.
-
-    Instances with n above ORACLE_MAX_N, or more than
-    ORACLE_MAX_PARTICIPANTS arrivals, raise OracleLimitError.
     """
-    _require_matching(workload, config)
     n, delta, theta = config.n, config.delta, config.theta
-    total = int(workload.arrivals.sum())
+    total = int(arrivals.sum())
     if n > ORACLE_MAX_N:
         raise OracleLimitError(f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}")
     if total > ORACLE_MAX_PARTICIPANTS:
@@ -165,7 +184,7 @@ def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, 
             f"{total} participants exceed the search limit "
             f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
 
-    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
+    arr_cohorts, dep_cohorts, due, freed = _prefixes(arrivals, departures, config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
     # best[c] = (cost, columns) of the cheapest columns ending at c, where
@@ -207,24 +226,23 @@ def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, 
     # (weight 0) releases nothing: the tie rule's pick
     if cols and cols[-1] == last:
         reach[-1] = reach[-2] if len(cols) > 1 else 0
-    matrices = _assign(cols, [due[c] for c in following], reach, arr_cohorts, dep_cohorts, config)
-    return matrices, int(best[n][0])
+    return (cols, [due[c] for c in following], reach, arr_cohorts, dep_cohorts), int(best[n][0])
 
 
-def _prefixes(workload: Workload, config: Config):
+def _prefixes(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     """Arrival and departure cohorts, (slot, amount) with amount > 0, and the
     prefixes that price columns: due[c] = A(c), the arrival mass whose window
     end min(i + theta - delta, n - delta) is before slot c (due[n] is every
     arrival), and freed[t], the departures through slot t, so that D(c), the
     departures within reach of column c, is freed[min(c + delta, n)]."""
     n, delta, theta = config.n, config.delta, config.theta
-    arr_cohorts = [(i, v) for i, v in enumerate(workload.arrivals.tolist(), 1) if v]
-    dep_cohorts = [(i, v) for i, v in enumerate(workload.departures.tolist(), 1) if v]
+    arr_cohorts = [(i, v) for i, v in enumerate(arrivals.tolist(), 1) if v]
+    dep_cohorts = [(i, v) for i, v in enumerate(departures.tolist(), 1) if v]
     ending = [0] * n
     for i, amount in arr_cohorts:
         ending[min(i + theta - delta, n - delta)] += amount
     due = list(itertools.accumulate(ending, initial=0))
-    freed = list(itertools.accumulate(workload.departures.tolist(), initial=0))
+    freed = list(itertools.accumulate(departures.tolist(), initial=0))
     return arr_cohorts, dep_cohorts, due, freed
 
 
@@ -327,7 +345,7 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
         if s[j - 1] > n * max(total, 1):
             raise LiftError(f"request at slot {j} adds more than n entries of {max(total, 1)} hold")
 
-    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload, config)
+    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload.arrivals, workload.departures, config)
     running = list(itertools.accumulate(s, initial=0))
     # the most U column p may hold, releasing U - C_p; the start (p = 0) holds nothing
     room = [0] + [freed[min(p + delta, n)] + running[p] for p in range(1, last + 1)]

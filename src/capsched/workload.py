@@ -85,9 +85,12 @@ class ScenarioParams:
                 or not 0.0 <= self.plateau_fraction <= 1.0):
             raise ConfigurationError(
                 f"plateau_fraction must lie in [0, 1], got {self.plateau_fraction!r}")
-        if not _is_number(self.seed) or self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:     # shared with the block generator
+    if not _is_number(seed) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +194,15 @@ def generate_workload(params: ScenarioParams, config: Config) -> Workload:
     directly with params.seed; one integer is drawn per growth slot, per
     drawing plateau slot, and per decay slot, in slot order.  Identical
     (params, config) pairs therefore reproduce bit-identical workloads on
-    any platform.
+    any platform.  This is the one-row case of _generate_rows.
+    """
+    arrivals, departures = _generate_rows(params, (params.seed,), config)
+    return Workload(arrivals[0], departures[0])
+
+
+def _generate_rows(params: ScenarioParams, seeds, config: Config) -> Tuple[np.ndarray, np.ndarray]:
+    """generate_workload's arrays for each of seeds in place of params.seed, as
+    the rows of two (seeds x n) arrays, raising what it would at the first seed.
 
     The draws are made in blocks of equal bound: one block for the growth
     and drawing plateau slots, whose bound is amplitude, and in the decay
@@ -202,32 +213,35 @@ def generate_workload(params: ScenarioParams, config: Config) -> Workload:
     that bound, so the blocks yield the stream the per-slot draws would.
     Once occupancy reaches zero every later draw is zero and none is made.
     """
-    rng = np.random.Generator(np.random.PCG64(params.seed))
     n = config.n
     growth, plateau, _ = segment_lengths(n, params.plateau_fraction)
     amp = int(params.amplitude)
-
-    arrivals = np.zeros(n, dtype=np.int64)
-    departures = np.zeros(n, dtype=np.int64)
-    rise = rng.integers(0, amp + 1, size=growth + (plateau + 1) // 2)
-    arrivals[:growth] = rise[:growth]
-    arrivals[growth:growth + plateau:2] = rise[growth:]
-    departures[growth:growth + plateau:2] = rise[growth:]
-    # an exact int: growth arrivals may sum past int64, which Workload reports
-    occ = sum(rise[:growth].tolist())
-    t = growth + plateau
-    while t < n and occ:
-        k = min(occ // amp, n - t)
-        if k >= 2:
-            fall = rng.integers(0, amp + 1, size=k)
-            departures[t:t + k] = fall
-            occ -= sum(fall.tolist())
-            t += k
-        else:
-            departures[t] = d = int(rng.integers(0, min(amp, occ) + 1))
-            occ -= d
-            t += 1
-    return Workload(arrivals, departures)
+    arrivals, departures = np.zeros((2, len(seeds), n), dtype=np.int64)
+    for a, d, seed in zip(arrivals, departures, seeds):
+        _check_seed(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rise = rng.integers(0, amp + 1, size=growth + (plateau + 1) // 2)
+        a[:growth] = rise[:growth]
+        a[growth:growth + plateau:2] = rise[growth:]
+        d[growth:growth + plateau:2] = rise[growth:]
+        # no draw is negative, none in the decay exceeds the occupancy left; only
+        # the exact sum of every arrival, growth and plateau, can break a rule
+        occ = sum(rise[:growth].tolist())
+        if amp * rise.size > INT64_MAX and occ + sum(rise[growth:].tolist()) > INT64_MAX:
+            Workload(a, d)      # raises, naming the slot the sum passes int64 at
+        t = growth + plateau
+        while t < n and occ:
+            k = min(occ // amp, n - t)
+            if k >= 2:
+                fall = rng.integers(0, amp + 1, size=k)
+                d[t:t + k] = fall
+                occ -= sum(fall.tolist())
+                t += k
+            else:
+                d[t] = step = int(rng.integers(0, min(amp, occ) + 1))
+                occ -= step
+                t += 1
+    return arrivals, departures
 
 
 def occupancy(workload: Workload) -> np.ndarray:

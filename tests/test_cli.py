@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import capsched.cli
 import capsched.schedule
+import capsched.solvers
+import capsched.workload
 from capsched import (
     CSV_HEADER,
     SCENARIO_PRESETS,
@@ -36,6 +38,7 @@ from capsched import (
     run_compare,
 )
 from capsched.cli import ALGORITHMS, build_parser, main
+from capsched.workload import INT64_MAX
 from compare_reference import _reference_evaluate, _reference_plan, _reference_run_compare
 
 
@@ -908,11 +911,55 @@ class TestComparePass:
     # qos_cost and resource_cost past int64
     @example(case=(CompareSpec(Config(6, 2, 3), ScenarioParams("t", 2 ** 61, 0.0), (4, 3, 0),
                                ("ads", "greedy")), 1 << 14))
+    # every arrival a plateau draw: the overflow shows only in their exact sum
+    @example(case=(CompareSpec(Config(6, 2, 3), ScenarioParams("t", INT64_MAX, 1.0), (0, 1, 2),
+                               ("ads", "greedy")), 1 << 14))
     @settings(max_examples=150, deadline=None)
     def test_block_pass_writes_the_per_seed_csv(self, case):
         spec, budget = case
         with mock.patch.object(capsched.cli, "_BLOCK_ENTRIES", budget):
             assert _outcome(run_compare, spec) == _outcome(_reference_run_compare, spec)
+
+    def test_plateau_arrivals_past_int64_are_a_usage_error(self, capsys):
+        assert main(["compare", "--n", "6", "--delta", "2", "--theta", "3",
+                     "--amplitude", str(INT64_MAX), "--plateau-fraction", "1.0",
+                     "--seeds", "0..2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: arrivals summed through slot 3 exceed the int64 range\n")
+
+    def test_block_pass_builds_no_per_seed_objects(self):
+        preset = SCENARIO_PRESETS["mmog"]
+        spec = CompareSpec(Config(preset["n"], preset["delta"], preset["theta"]),
+                           ScenarioParams("mmog", preset["amplitude"], preset["plateau_fraction"]),
+                           tuple(range(10)), ("ads", "greedy"))
+        calls = {"generate_workload": 0, "Workload": 0}
+        generate = capsched.workload.generate_workload
+        post_init = Workload.__post_init__
+
+        def generated(*args):
+            calls["generate_workload"] += 1
+            return generate(*args)
+
+        def constructed(workload):
+            calls["Workload"] += 1
+            post_init(workload)
+
+        with mock.patch.object(capsched.workload, "generate_workload", generated), \
+                mock.patch.object(capsched.cli, "generate_workload", generated), \
+                mock.patch.object(Workload, "__post_init__", constructed):
+            text = run_compare(spec)
+        assert len(text.splitlines()) == 1 + 20 + 2
+        assert calls == {"generate_workload": 0, "Workload": 0}
+
+    def test_oracle_rows_build_no_matrices(self):
+        # the exact-tiny benchmark shape: eight oracle rows and two refusals
+        spec = CompareSpec(Config(10, 2, 3), ScenarioParams("t", 2), tuple(range(10)), ALGORITHMS)
+        with mock.patch.object(capsched.solvers, "_assign",
+                               side_effect=AssertionError("_assign called")):
+            text = run_compare(spec)
+        assert text == _reference_run_compare(spec)
+        assert sum(line.split(",")[1:2] == ["oracle"] for line in text.splitlines()) == 8
 
     def test_costs_past_int64_are_exact(self):
         spec = CompareSpec(Config(6, 2, 3), ScenarioParams("t", 2 ** 61, 0.0), (4,), ("ads",))

@@ -36,6 +36,7 @@ from capsched import (
     validate_solution,
 )
 from capsched import ilp, solvers
+from capsched.cli import _plan
 from capsched.workload import INT64_MAX, occupancy
 from oracle_reference import _NoAssignment, _reference_exact_oracle, _request_slot_sets
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
@@ -568,6 +569,32 @@ class TestOracle:
         assert report.exited[4:6].tolist() == [2, 4]
 
 
+class TestOracleSchedule:
+    @given(data=st.data(), n=st.integers(3, 11))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_is_the_collapsed_assignment(self, data, n):
+        # tiny shapes, with departures anywhere; n=11 and more than eight
+        # participants are refused
+        delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
+        cfg = Config(n=n, delta=delta, theta=data.draw(st.integers(delta + 1, n), label="theta"))
+        arrivals = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="arrivals")
+        departures, present = [], 0
+        for joined in arrivals:
+            present += joined
+            departures.append(data.draw(st.integers(0, present)))
+            present -= departures[-1]
+        wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
+
+        def outcome(plan):
+            try:
+                return plan().changes.tolist()
+            except OracleLimitError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: _plan("oracle", wl, cfg)) == outcome(
+            lambda: matrices_to_schedule(exact_oracle(wl, cfg)[0], cfg))
+
+
 class TestOracleSplit:
     @given(data=st.data(), m=st.integers(1, 6))
     @settings(max_examples=300, deadline=None)
@@ -725,7 +752,7 @@ class TestOraclePrice:
         def within_reach(c):    # D(c): departures through slot c + delta
             return sum(departures[:c + delta])
 
-        arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(wl, cfg)
+        arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(wl.arrivals, wl.departures, cfg)
         assert arr_cohorts == [(i, a) for i, a in enumerate(arrivals, 1) if a]
         assert dep_cohorts == [(i, d) for i, d in enumerate(departures, 1) if d]
         assert due == [window_mass(c) for c in range(n + 1)]

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from statistics import median
 
 import numpy as np
@@ -21,7 +22,7 @@ from capsched import (
     parse_workload,
     segment_lengths,
 )
-from capsched.workload import INT64_MAX, INT64_MIN, _write_json_object
+from capsched.workload import INT64_MAX, INT64_MIN, _generate_rows, _write_json_object
 from json_reference import INT64, _reference_read_json_object, assert_reads_alike, json_lists
 from workload_reference import _reference_generate_workload
 
@@ -221,6 +222,31 @@ class TestGenerator:
     def test_matches_the_per_slot_reference(self, case):
         assert _generated(generate_workload, *case) == _generated(
             _reference_generate_workload, *case)
+
+    @given(case=scenarios(), seeds=st.lists(st.integers(-2, 2 ** 32), min_size=1, max_size=8))
+    # the first refused seed is the one named
+    @example(case=(ScenarioParams("t", 3), Config(10, 2, 3)), seeds=[4, -2, 0, -1])
+    @example(case=(ScenarioParams("t", 3), Config(10, 2, 3)), seeds=[1, True])
+    @example(case=(ScenarioParams("t", 3), Config(10, 2, 3)), seeds=[False, 0])
+    # every arrival is a plateau draw, so only their exact sum shows the overflow
+    @example(case=(ScenarioParams("t", INT64_MAX, 1.0), Config(6, 2, 3)), seeds=[0, 1, 2])
+    @example(case=(ScenarioParams("t", INT64_MAX, 1.0), Config(6, 2, 3)), seeds=[0, -1])
+    @example(case=(ScenarioParams("t", INT64_MAX, 1.0), Config(6, 2, 3)), seeds=[-1, 0])
+    @settings(max_examples=150, deadline=None)
+    def test_block_rows_match_the_per_seed_generator(self, case, seeds):
+        params, config = case
+        try:
+            arrivals, departures = _generate_rows(params, seeds, config)
+            got = arrivals.tolist(), departures.tolist()
+        except Exception as exc:
+            got = type(exc), str(exc)
+        try:
+            workloads = [generate_workload(replace(params, seed=s), config) for s in seeds]
+            want = ([wl.arrivals.tolist() for wl in workloads],
+                    [wl.departures.tolist() for wl in workloads])
+        except Exception as exc:
+            want = type(exc), str(exc)
+        assert got == want
 
     def test_guard_generate_at_n10000(self):
         preset = SCENARIO_PRESETS["mmog"]
