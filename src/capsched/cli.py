@@ -47,6 +47,7 @@ from .workload import (
     ScenarioParams,
     Workload,
     WorkloadFormatError,
+    _ascii_number,
     _generate_rows,
     _require_matching,
     format_workload,
@@ -348,9 +349,9 @@ def _parse_seed_range(text: str) -> List[int]:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = int(_ascii_number(lo_text)), int(_ascii_number(hi_text))
         else:
-            lo = hi = int(text)
+            lo = hi = int(_ascii_number(text))
     except ValueError as exc:
         raise ConfigurationError(f"bad seed range {text!r}: expected K or A..B") from exc
     if hi < lo:

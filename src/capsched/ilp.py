@@ -34,7 +34,7 @@ import numpy as np
 
 from .schedule import Schedule, ScheduleFormatError, _exact_sums, _line, resource_cost
 from .workload import (INT64_MAX, INT64_MIN, Config, ConfigurationError, Workload, mandatory_load,
-                       _as_int64, _require_matching)
+                       _as_int64, _ascii_number, _require_matching)
 
 Term = Tuple[int, str]
 
@@ -430,10 +430,10 @@ def parse_solution(text: str, config: Config) -> SolutionMatrices:
             raise SolutionFormatError(f"line {lineno}: duplicate assignment for {name}")
         # an integer token is read exactly; float would round it beyond 2^53
         try:
-            value = int(val_text)
+            value = int(_ascii_number(val_text))
         except ValueError:
             try:
-                val = float(val_text)
+                val = float(_ascii_number(val_text))
             except ValueError as exc:
                 raise SolutionFormatError(
                     f"line {lineno}: value {val_text!r} is not a number") from exc

@@ -30,6 +30,14 @@ def _is_number(value, kinds=(int, np.integer)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)     # a bool is an int
 
 
+def _ascii_number(text: str) -> str:
+    """text, or ValueError if it holds an underscore or a non-ASCII character:
+    int() and float() read digit-group underscores and any script's digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return text
+
+
 @dataclass(frozen=True)
 class Config:
     """Horizon parameters.
@@ -190,58 +198,162 @@ def generate_workload(params: ScenarioParams, config: Config) -> Workload:
     Decay slots draw a departure count uniformly from [0, min(amplitude,
     occupancy so far)] with no arrivals, so occupancy never goes negative.
 
-    Randomness comes from a PCG64 generator (numpy.random.Generator) seeded
-    directly with params.seed; one integer is drawn per growth slot, per
-    drawing plateau slot, and per decay slot, in slot order.  Identical
-    (params, config) pairs therefore reproduce bit-identical workloads on
-    any platform.  This is the one-row case of _generate_rows.
+    Each draw is the one numpy.random.Generator(numpy.random.PCG64(
+    params.seed)) makes with its integers method over [0, bound], made one
+    per growth slot, per drawing plateau slot and per decay slot, in slot
+    order; a bound of 0 draws nothing.  Identical (params, config) pairs
+    therefore reproduce bit-identical workloads on any platform.  This is
+    the one-row case of _generate_rows, which bounds PCG64's raw words
+    itself as that method does.
     """
     arrivals, departures = _generate_rows(params, (params.seed,), config)
     return Workload(arrivals[0], departures[0])
+
+
+_LOW, _HIGH = np.uint64(0xFFFFFFFF), np.uint64(32)
+_SPARE_WORDS = 16       # words in a seed's first block beyond what its draws take unrejected
 
 
 def _generate_rows(params: ScenarioParams, seeds, config: Config) -> Tuple[np.ndarray, np.ndarray]:
     """generate_workload's arrays for each of seeds in place of params.seed, as
     the rows of two (seeds x n) arrays, raising what it would at the first seed.
 
-    The draws are made in blocks of equal bound: one block for the growth
-    and drawing plateau slots, whose bound is amplitude, and in the decay
-    one block for every run of k slots that occupancy of at least k *
-    amplitude keeps at bound amplitude; the rest of the decay is drawn one
-    slot at a time.  Generator.integers maps each value of a block through
-    the same bounded method, on the same PCG64 words, as a scalar call with
-    that bound, so the blocks yield the stream the per-slot draws would.
-    Once occupancy reaches zero every later draw is zero and none is made.
+    Each seed's PCG64 hands out one block of raw words, and every draw is
+    bounded from them as Generator.integers bounds it (see _Words).  Below
+    an amplitude of 2**32 a draw reads 32-bit halves of the words, low half
+    first, and each half u of the (seeds x halves) block is mapped for the
+    bound amplitude in one array pass: its value is u * (amplitude + 1) >> 32,
+    kept when u * (amplitude + 1) mod 2**32 is at least 2**32 mod (amplitude
+    + 1), Lemire's threshold.  The kept values, in order, are the draws of
+    the growth and drawing plateau slots and then of the decay slots for as
+    long as the occupancy before each keeps its bound at amplitude.  The
+    rest of the decay, a row that runs out of kept halves, and every draw
+    at an amplitude of 2**32 or more are made one at a time by _draw_rest
+    on the same words.  Once occupancy reaches zero every later draw is
+    zero and none is made.
+
+    This relies on two numpy behaviours, the same on every numpy the package
+    allows (1.24 on): PCG64 hands out a word's low 32-bit half before its
+    high half, and Generator.integers bounds int64 draws by Lemire's method
+    with the thresholds above.  tests/test_workload.py checks both, matching
+    these rows against the per-slot Generator loop of
+    tests/workload_reference.py and _Words.integer against Generator.integers.
     """
     n = config.n
     growth, plateau, _ = segment_lengths(n, params.plateau_fraction)
     amp = int(params.amplitude)
     arrivals, departures = np.zeros((2, len(seeds), n), dtype=np.int64)
-    for a, d, seed in zip(arrivals, departures, seeds):
+    if amp >= 2 ** 32 or amp * n > INT64_MAX:      # 64-bit draws, or sums that may pass int64
+        for a, d, seed in zip(arrivals, departures, seeds):
+            _check_seed(seed)
+            bitgen = np.random.PCG64(seed)
+            words = _Words(bitgen, bitgen.random_raw(n + _SPARE_WORDS).tolist())
+            _draw_rest(a, d, words, 0, 0, 0, amp, growth, plateau)
+        return arrivals, departures
+    for seed in seeds:      # no sum here can pass int64, so only a seed is refused
         _check_seed(seed)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rise = rng.integers(0, amp + 1, size=growth + (plateau + 1) // 2)
-        a[:growth] = rise[:growth]
-        a[growth:growth + plateau:2] = rise[growth:]
-        d[growth:growth + plateau:2] = rise[growth:]
-        # no draw is negative, none in the decay exceeds the occupancy left; only
-        # the exact sum of every arrival, growth and plateau, can break a rule
-        occ = sum(rise[:growth].tolist())
-        if amp * rise.size > INT64_MAX and occ + sum(rise[growth:].tolist()) > INT64_MAX:
-            Workload(a, d)      # raises, naming the slot the sum passes int64 at
-        t = growth + plateau
-        while t < n and occ:
-            k = min(occ // amp, n - t)
-            if k >= 2:
-                fall = rng.integers(0, amp + 1, size=k)
-                d[t:t + k] = fall
-                occ -= sum(fall.tolist())
-                t += k
-            else:
-                d[t] = step = int(rng.integers(0, min(amp, occ) + 1))
-                occ -= step
-                t += 1
+    bitgens = [np.random.PCG64(seed) for seed in seeds]
+    size = n // 2 + _SPARE_WORDS
+    draws = n - plateau // 2        # one a slot, but none in every second plateau slot
+    words = np.array([bitgen.random_raw(size) for bitgen in bitgens],
+                     dtype=np.uint64).reshape(len(seeds), size)
+    halves = np.empty((len(seeds), 2 * size), dtype=np.uint64)
+    halves[:, 0::2] = words & _LOW
+    halves[:, 1::2] = words >> _HIGH
+    scaled = halves * np.uint64(amp + 1)
+    kept = (scaled & _LOW) >= 2 ** 32 % (amp + 1)
+    # each row's j-th kept value and where its half lies; past a row's last
+    # kept half the values are 0, which move no occupancy and are drawn again
+    at = np.argsort(~kept, axis=1, kind="stable")[:, :n]
+    value = np.where(kept, scaled >> _HIGH, 0).astype(np.int64)
+    value = value[np.arange(len(seeds))[:, None], at]
+    rise, end = growth + (plateau + 1) // 2, growth + plateau
+    arrivals[:, :growth] = value[:, :growth]
+    arrivals[:, growth:end:2] = departures[:, growth:end:2] = value[:, growth:rise]
+    # a decay draw is bounded by amplitude while the occupancy before it is
+    fall = value[:, rise:draws]
+    before = value[:, :growth].sum(axis=1)[:, None] - np.cumsum(fall, axis=1) + fall
+    held = np.logical_and.accumulate(before >= amp, axis=1)
+    departures[:, end:] = np.where(held, fall, 0)
+    drawn = np.minimum(kept.sum(axis=1), rise + held.sum(axis=1))
+    total = arrivals.sum(axis=1)
+    left = total - departures.sum(axis=1)
+    for i in np.flatnonzero((drawn < rise) | (drawn < draws) & (left > 0)):
+        k = int(drawn[i])
+        stream = _Words(bitgens[i], words[i].tolist(), int(at[i, k - 1]) + 1 if k else 0)
+        _draw_rest(arrivals[i], departures[i], stream, k, int(left[i]), int(total[i]),
+                   amp, growth, plateau)
     return arrivals, departures
+
+
+def _draw_rest(a: np.ndarray, d: np.ndarray, words: "_Words", k: int, occ: int, total: int,
+               amp: int, growth: int, plateau: int) -> None:
+    """Make the draws of the row a, d from its k-th on, one at a time from
+    words, its first k draws being written and leaving occ present and total
+    arrived; raise Workload's error if all its arrivals sum past int64."""
+    rise = growth + (plateau + 1) // 2
+    while k < rise:
+        value = words.integer(amp)
+        if k < growth:
+            a[k] = value
+            occ += value
+        else:
+            a[2 * k - growth] = d[2 * k - growth] = value
+        total += value
+        k += 1
+    if total > INT64_MAX:
+        Workload(a, d)      # raises, naming the slot the sum passes int64 at
+    t = k - rise + growth + plateau
+    while t < len(d) and occ:
+        d[t] = value = words.integer(min(amp, occ))
+        occ -= value
+        t += 1
+
+
+class _Words:
+    """A PCG64's raw output words, read as numpy's Generator reads them.
+
+    words are the words taken from bitgen so far, read up to the 32-bit half
+    numbered half, low halves first; more are taken as needed.  next64 reads
+    a whole word, as PCG64's next_uint64 does, leaving a pending half alone;
+    next32 reads the low half of a word and keeps its high half pending for
+    the next 32-bit read, as next_uint32 does.
+    """
+
+    __slots__ = ("bitgen", "words", "at", "pending")
+
+    def __init__(self, bitgen: "np.random.PCG64", words: list, half: int = 0):
+        self.bitgen, self.words, self.at = bitgen, words, (half + 1) // 2
+        self.pending = words[half // 2] >> 32 if half % 2 else None
+
+    def next64(self) -> int:
+        if self.at == len(self.words):
+            self.words += self.bitgen.random_raw(len(self.words)).tolist()
+        self.at += 1
+        return self.words[self.at - 1]
+
+    def next32(self) -> int:
+        half, self.pending = self.pending, None
+        if half is None:
+            word = self.next64()
+            half, self.pending = word & 0xFFFFFFFF, word >> 32
+        return half
+
+    def integer(self, bound: int) -> int:
+        """The draw Generator.integers makes over [0, bound], 0 <= bound <=
+        INT64_MAX: no read for a bound of 0, else Lemire's method on 32-bit
+        reads below 2**32 and on 64-bit reads from it, reading again while
+        the product's low bits fall below the threshold 2**bits mod (bound +
+        1)."""
+        if not bound:
+            return 0
+        span = bound + 1
+        bits, read = (32, self.next32) if bound < 2 ** 32 else (64, self.next64)
+        threshold = 2 ** bits % span
+        while True:
+            scaled = read() * span
+            if scaled % 2 ** bits >= threshold:
+                return scaled >> bits
 
 
 def occupancy(workload: Workload) -> np.ndarray:

@@ -706,6 +706,12 @@ class TestExitCodes:
         (["--seeds=-1..2"], "seed must be a non-negative integer, got -1"),
         (["--n", "10", "--seeds", "0..99999999999999999999"],
          "bad seed range '0..99999999999999999999': more seeds than a list can hold"),
+        # int reads digit-group underscores and any script's digits, a seed range neither
+        (["--seeds", "\u0661..\u0662"], "bad seed range '\u0661..\u0662': expected K or A..B"),
+        (["--seeds", "1_0"], "bad seed range '1_0': expected K or A..B"),
+        (["--seeds", "0..1_0"], "bad seed range '0..1_0': expected K or A..B"),
+        (["--seeds", "\uff15"], "bad seed range '\uff15': expected K or A..B"),
+        (["--seeds=-2..0"], "seed must be a non-negative integer, got -2"),
     ])
     def test_out_of_range_scenario_values_are_usage_errors(self, capsys, option, message):
         assert main(["compare", "--scenario", "oppd", *option]) == 2

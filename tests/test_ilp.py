@@ -500,6 +500,11 @@ class TestParseSolution:
         ("x_9_1 1", "unknown variable"),
         ("x_1_1 1 2", "expected"),
         ("x_1_1 abc", "not a number"),
+        # int and float read these too, but they are not ASCII numbers
+        ("x_1_1 1_000", "value '1_000' is not a number"),
+        ("x_1_1 1_0.5", "value '1_0.5' is not a number"),
+        ("r_1 \uff10", "value '\uff10' is not a number"),
+        ("x_1_1 \u0661.0", "value '\u0661.0' is not a number"),
         ("x_1_1 0.5", "not integral"),
         ("r_2 2", "must be 0 or 1"),
         ("x_1_1 -1", "non-negative"),

@@ -2,6 +2,7 @@ import json
 import time
 from dataclasses import replace
 from statistics import median
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from capsched import (
     parse_workload,
     segment_lengths,
 )
-from capsched.workload import INT64_MAX, INT64_MIN, _generate_rows, _write_json_object
+from capsched.workload import INT64_MAX, INT64_MIN, _generate_rows, _Words, _write_json_object
 from json_reference import INT64, _reference_read_json_object, assert_reads_alike, json_lists
 from workload_reference import _reference_generate_workload
 
@@ -145,9 +146,10 @@ class TestSegments:
                 assert min(growth, plateau, decay) >= 0
 
 
-# numpy bounds a draw with 32-bit words below a range of 2**32 and 64-bit words from it
+# numpy bounds a draw with 32-bit words below a range of 2**32 and 64-bit words from it;
+# at 2**31 about half of all 32-bit words are rejected, at 3 * 2**30 about a quarter
 AMPLITUDES = st.one_of(st.integers(0, 2000), st.sampled_from(
-    [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 62, INT64_MAX]))
+    [2 ** 31, 3 * 2 ** 30, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 62, INT64_MAX]))
 
 
 @st.composite
@@ -218,6 +220,9 @@ class TestGenerator:
     @given(case=scenarios())
     @example(case=(ScenarioParams(name="t", amplitude=INT64_MAX, seed=5),
                    Config(n=20, delta=2, theta=3)))
+    # seed 7's first half times 3 * 2**30 leaves low bits equal to the threshold: it is kept
+    @example(case=(ScenarioParams(name="t", amplitude=3 * 2 ** 30 - 1, seed=7),
+                   Config(n=20, delta=2, theta=3)))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_slot_reference(self, case):
         assert _generated(generate_workload, *case) == _generated(
@@ -247,6 +252,29 @@ class TestGenerator:
         except Exception as exc:
             want = type(exc), str(exc)
         assert got == want
+
+    @given(seed=st.integers(0, 2 ** 32), bounds=st.lists(st.one_of(
+        st.integers(0, 2000), st.integers(0, 2 ** 32), st.integers(0, INT64_MAX),
+        st.sampled_from([0, 2 ** 31, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32, INT64_MAX])), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_draw_matches_the_generator(self, seed, bounds):
+        # 32-bit and 64-bit bounds interleaved pin the order a pending half is read in
+        rng = np.random.Generator(np.random.PCG64(seed))
+        bitgen = np.random.PCG64(seed)
+        words = _Words(bitgen, bitgen.random_raw(1).tolist())     # more are taken as needed
+        assert [words.integer(b) for b in bounds] == [int(rng.integers(0, b + 1)) for b in bounds]
+
+    def test_block_draws_use_no_generator(self):
+        preset = SCENARIO_PRESETS["mmog"]
+        config = Config(n=preset["n"], delta=preset["delta"], theta=preset["theta"])
+        params = ScenarioParams(name="mmog", amplitude=preset["amplitude"],
+                                plateau_fraction=preset["plateau_fraction"])
+        want = [_reference_generate_workload(replace(params, seed=s), config) for s in range(10)]
+        with mock.patch.object(np.random, "Generator",
+                               side_effect=AssertionError("numpy.random.Generator used")):
+            arrivals, departures = _generate_rows(params, range(10), config)
+        assert arrivals.tolist() == [wl.arrivals.tolist() for wl in want]
+        assert departures.tolist() == [wl.departures.tolist() for wl in want]
 
     def test_guard_generate_at_n10000(self):
         preset = SCENARIO_PRESETS["mmog"]
