@@ -8,10 +8,8 @@ exporting the underlying integer program in LP format for external solvers.
 
 from .cli import (
     CSV_HEADER,
-    CompareRow,
     CompareSpec,
     SCENARIO_PRESETS,
-    compare_instance,
     main,
     run_compare,
 )
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CSV_HEADER",
-    "CompareRow",
     "CompareSpec",
     "Config",
     "ConfigurationError",
@@ -90,7 +87,6 @@ __all__ = [
     "adaptive_schedule",
     "build_model",
     "check_feasibility",
-    "compare_instance",
     "evaluate",
     "exact_oracle",
     "export_lp",

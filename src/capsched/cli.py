@@ -49,7 +49,6 @@ from .workload import (
     WorkloadFormatError,
     _ascii_number,
     _generate_rows,
-    _require_matching,
     format_workload,
     generate_workload,
     parse_workload,
@@ -84,14 +83,19 @@ def _write_text(path: Optional[str], text: str) -> None:
         handle.write(text)
 
 
+def _ascii(parse):
+    """parse of ASCII text only, as an argparse type named as parse in its errors."""
+    return functools.wraps(parse, updated=())(lambda text: parse(_ascii_number(text)))
+
+
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS),
                         help="parameter preset; explicit flags override it")
-    parser.add_argument("--n", type=int, help="number of slots")
-    parser.add_argument("--delta", type=int, help="provisioning lag in slots")
-    parser.add_argument("--theta", type=int, help="acceptable join delay in slots")
-    parser.add_argument("--amplitude", type=int, help="peak per-slot draw")
-    parser.add_argument("--plateau-fraction", type=float, dest="plateau_fraction",
+    parser.add_argument("--n", type=_ascii(int), help="number of slots")
+    parser.add_argument("--delta", type=_ascii(int), help="provisioning lag in slots")
+    parser.add_argument("--theta", type=_ascii(int), help="acceptable join delay in slots")
+    parser.add_argument("--amplitude", type=_ascii(int), help="peak per-slot draw")
+    parser.add_argument("--plateau-fraction", type=_ascii(float), dest="plateau_fraction",
                         help="fraction of the horizon spent at the plateau")
 
 
@@ -199,68 +203,40 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    """One planner's evaluation on one seeded workload."""
-
-    seed: int
-    algorithm: str
-    report: CostReport
-
-    def as_csv(self) -> str:
-        return ",".join([str(self.seed), self.algorithm, *_report_cells(self.report)])
-
-
 CSV_HEADER = ",".join(("seed", "algorithm", *_REPORT_FIELDS))
-
-
-def compare_instance(workload: Workload, config: Config, algorithms: Sequence[str],
-                     seed: int) -> Tuple[List[CompareRow], List[str]]:
-    """Evaluate each named planner on one workload.
-
-    Returns the result rows plus notes for planners that refused the
-    instance (the oracle on anything beyond its limits).  This is the
-    one-seed case of the block pass run_compare makes.
-    """
-    _require_matching(workload, config)
-    return _compare_block(workload.arrivals[None], workload.departures[None], [seed], config,
-                          algorithms)
-
 
 # the planners that plan a whole block of workloads at once
 _BLOCK_PLANNERS = {"ads": _adaptive_rows, "greedy": _greedy_rows}
 
 
 def _compare_block(arrivals: np.ndarray, departures: np.ndarray, seeds: Sequence[int],
-                   config: Config, algorithms: Sequence[str]) -> Tuple[List[CompareRow], List[str]]:
-    """compare_instance for every seed of a block, in one array pass over its
+                   config: Config, algorithms: Sequence[str]
+                   ) -> Tuple[List[Tuple[int, str, CostReport]], List[str]]:
+    """Plan and evaluate every seed of a block in one array pass over its
     (seeds x n) arrivals and departures, with no per-seed Workload: ads and
     greedy plan every row at once, the oracle one row at a time from its
     columns without matrices, then every plan is evaluated in one pass.
-    Rows and notes come per seed, then per algorithm, in the order given."""
+    Rows are (seed, algorithm, report), per algorithm in the order given,
+    then per seed; run_compare sorts them.  Notes name the refused seeds."""
     occ = np.cumsum(arrivals - departures, axis=1)
-    planned = {algorithm: plan(occ, config) for algorithm, plan in _BLOCK_PLANNERS.items()
-               if algorithm in algorithms}
     plans, owners, notes = [], [], []
-    for k, seed in enumerate(seeds):
-        for algorithm in algorithms:
-            if algorithm in planned:
-                plans.append(planned[algorithm][k])
-            elif algorithm != "oracle":
-                raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-            else:
-                try:
-                    plans.append(_oracle_changes(arrivals[k], departures[k], config))
-                except OracleLimitError as exc:
-                    notes.append(f"{algorithm} skipped seed={seed}: {exc}")
-                    continue
+    for algorithm in algorithms:
+        if algorithm in _BLOCK_PLANNERS:
+            plans.extend(_BLOCK_PLANNERS[algorithm](occ, config))
+            owners.extend((k, seed, algorithm) for k, seed in enumerate(seeds))
+            continue
+        for k, seed in enumerate(seeds):  # the oracle, one row at a time
+            try:
+                plans.append(_oracle_changes(arrivals[k], departures[k], config))
+            except OracleLimitError as exc:
+                notes.append(f"{algorithm} skipped seed={seed}: {exc}")
+                continue
             owners.append((k, seed, algorithm))
     if not plans:
         return [], notes
     index = [k for k, _, _ in owners]
     reports = _evaluate_rows(arrivals[index], departures[index], np.stack(plans), config)
-    return ([CompareRow(seed, algorithm, report)
-             for (_, seed, algorithm), report in zip(owners, reports)], notes)
+    return [(seed, algorithm, report) for (_, seed, algorithm), report in zip(owners, reports)], notes
 
 
 @dataclass(frozen=True)
@@ -320,7 +296,7 @@ def run_compare(spec: CompareSpec) -> str:
         algorithms.remove("oracle")
         notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
                      f"limit max_n={ORACLE_MAX_N}")
-    rows: List[CompareRow] = []
+    rows: List[Tuple[int, str, CostReport]] = []
     per_block = max(1, _BLOCK_ENTRIES // config.n)
     for first in range(0, len(spec.seeds), per_block):
         seeds = spec.seeds[first:first + per_block]
@@ -328,11 +304,12 @@ def run_compare(spec: CompareSpec) -> str:
         block_rows, block_notes = _compare_block(arrivals, departures, seeds, config, algorithms)
         rows.extend(block_rows)
         notes.extend(block_notes)
-    rows.sort(key=lambda row: (row.seed, row.algorithm))
+    rows.sort(key=lambda row: row[:2])
     lines = [CSV_HEADER]
-    lines.extend(row.as_csv() for row in rows)
+    lines.extend(",".join([str(seed), algorithm, *_report_cells(report)])
+                 for seed, algorithm, report in rows)
     for algorithm in sorted(set(algorithms)):
-        reports = [row.report for row in rows if row.algorithm == algorithm]
+        reports = [report for _, name, report in rows if name == algorithm]
         if reports:
             # the medians of the two costs, the report's first two fields
             medians = " ".join(f"{field}={_median_text([getattr(r, field) for r in reports])}"
@@ -383,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic workload")
     _add_scenario_options(p)
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_ascii(int), default=0, help="generator seed")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=_cmd_generate)
 

@@ -5,13 +5,13 @@ closed form with Python-integer costs.  run_compare's block pass must give
 its CSV text byte for byte."""
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from capsched import (CompareRow, CostReport, SimulationReport, exact_oracle, generate_workload,
+from capsched import (CostReport, SimulationReport, exact_oracle, generate_workload,
                       matrices_to_schedule)
-from capsched.cli import CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text
+from capsched.cli import CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text, _report_cells
 from capsched.schedule import _violations
 from capsched.solvers import OracleLimitError
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
@@ -95,7 +95,7 @@ def _reference_run_compare(spec) -> str:
         algorithms.remove("oracle")
         notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
                      f"limit max_n={ORACLE_MAX_N}")
-    rows: List[CompareRow] = []
+    rows: List[Tuple[int, str, CostReport]] = []
     for seed in spec.seeds:
         workload = generate_workload(replace(params, seed=seed), config)
         for algorithm in algorithms:
@@ -104,12 +104,13 @@ def _reference_run_compare(spec) -> str:
             except OracleLimitError as exc:
                 notes.append(f"{algorithm} skipped seed={seed}: {exc}")
                 continue
-            rows.append(CompareRow(seed, algorithm, _reference_evaluate(workload, schedule, config)))
-    rows.sort(key=lambda row: (row.seed, row.algorithm))
+            rows.append((seed, algorithm, _reference_evaluate(workload, schedule, config)))
+    rows.sort(key=lambda row: row[:2])
     lines = [CSV_HEADER]
-    lines.extend(row.as_csv() for row in rows)
+    lines.extend(",".join([str(seed), algorithm, *_report_cells(report)])
+                 for seed, algorithm, report in rows)
     for algorithm in sorted(set(algorithms)):
-        reports = [row.report for row in rows if row.algorithm == algorithm]
+        reports = [report for _, name, report in rows if name == algorithm]
         if reports:
             medians = " ".join(f"{field}={_median_text([getattr(r, field) for r in reports])}"
                                for field in _REPORT_FIELDS[:2])

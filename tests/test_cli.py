@@ -28,7 +28,6 @@ from capsched import (
     SolutionFormatError,
     Workload,
     WorkloadFormatError,
-    compare_instance,
     format_schedule,
     format_workload,
     generate_workload,
@@ -37,9 +36,16 @@ from capsched import (
     parse_workload,
     run_compare,
 )
-from capsched.cli import ALGORITHMS, build_parser, main
+from capsched.cli import ALGORITHMS, _compare_block, build_parser, main
 from capsched.workload import INT64_MAX
 from compare_reference import _reference_evaluate, _reference_plan, _reference_run_compare
+
+
+def _subparser(command):
+    """build_parser's parser for one subcommand."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices[command]
 
 
 def _write_reference(tmp_path, ref_config, ref_workload):
@@ -712,11 +718,29 @@ class TestExitCodes:
         (["--seeds", "0..1_0"], "bad seed range '0..1_0': expected K or A..B"),
         (["--seeds", "\uff15"], "bad seed range '\uff15': expected K or A..B"),
         (["--seeds=-2..0"], "seed must be a non-negative integer, got -2"),
+        (["--n", "-3"], "n must be at least 1, got -3"),
+        (["--plateau-fraction", "nan"], "plateau_fraction must lie in [0, 1], got nan"),
+        # and neither do the scenario options, which argparse refuses with its usage
+        (["--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["--delta", "\u0661"], "argument --delta: invalid int value: '\u0661'"),
+        (["--amplitude", "\uff13"], "argument --amplitude: invalid int value: '\uff13'"),
+        (["--plateau-fraction", "0_5"], "argument --plateau-fraction: invalid float value: '0_5'"),
     ])
     def test_out_of_range_scenario_values_are_usage_errors(self, capsys, option, message):
         assert main(["compare", "--scenario", "oppd", *option]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        usage = ""
+        if message.startswith("argument "):
+            usage = _subparser("compare").format_usage() + "capsched compare: "
+        assert (captured.out, captured.err) == ("", f"{usage}error: {message}\n")
+
+    @pytest.mark.parametrize("seed", ["1_0", "\u0661", "\uff13"])
+    def test_generate_seed_is_ascii(self, capsys, seed):
+        assert main(["generate", "--scenario", "oppd", "--n", "10", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", _subparser("generate").format_usage()
+            + f"capsched generate: error: argument --seed: invalid int value: {seed!r}\n")
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
@@ -735,19 +759,14 @@ class TestExitCodes:
 
 class TestCompare:
     def test_reference_rows_for_all_planners(self, ref_config, ref_workload):
-        rows, notes = compare_instance(ref_workload, ref_config,
-                                       ("ads", "greedy", "oracle"), seed=0)
+        rows, notes = _compare_block(ref_workload.arrivals[None], ref_workload.departures[None],
+                                     [0], ref_config, ("ads", "greedy", "oracle"))
         assert notes == []
-        by_name = {row.algorithm: row.report for row in rows}
+        by_name = {algorithm: report for _, algorithm, report in rows}
         assert (by_name["ads"].resource_cost, by_name["ads"].qos_cost) == (10, 7)
         assert (by_name["greedy"].resource_cost, by_name["greedy"].qos_cost) == (9, 4)
         assert (by_name["oracle"].resource_cost, by_name["oracle"].qos_cost) == (6, 8)
-        assert all(row.report.feasible and row.report.violations == () for row in rows)
-
-    def test_unknown_algorithm_is_refused(self, ref_config, ref_workload):
-        with pytest.raises(ConfigurationError) as info:
-            compare_instance(ref_workload, ref_config, ("magic",), 0)
-        assert str(info.value) == "unknown algorithm 'magic'"
+        assert all(report.feasible and report.violations == () for _, _, report in rows)
 
     def test_rows_sorted_by_seed_then_name(self):
         spec = CompareSpec(
@@ -939,7 +958,7 @@ class TestComparePass:
         spec = CompareSpec(Config(preset["n"], preset["delta"], preset["theta"]),
                            ScenarioParams("mmog", preset["amplitude"], preset["plateau_fraction"]),
                            tuple(range(10)), ("ads", "greedy"))
-        calls = {"generate_workload": 0, "Workload": 0}
+        calls = {"generate_workload": 0, "Workload": 0, "ads": 0, "greedy": 0}
         generate = capsched.workload.generate_workload
         post_init = Workload.__post_init__
 
@@ -951,12 +970,21 @@ class TestComparePass:
             calls["Workload"] += 1
             post_init(workload)
 
+        def counted(name, plan):
+            def planned(occ, config):
+                calls[name] += 1
+                return plan(occ, config)
+            return planned
+
+        planners = {name: counted(name, plan) for name, plan in capsched.cli._BLOCK_PLANNERS.items()}
         with mock.patch.object(capsched.workload, "generate_workload", generated), \
                 mock.patch.object(capsched.cli, "generate_workload", generated), \
-                mock.patch.object(Workload, "__post_init__", constructed):
+                mock.patch.object(Workload, "__post_init__", constructed), \
+                mock.patch.dict(capsched.cli._BLOCK_PLANNERS, planners):
             text = run_compare(spec)
         assert len(text.splitlines()) == 1 + 20 + 2
-        assert calls == {"generate_workload": 0, "Workload": 0}
+        # one block of ten seeds, each block planner called once on all of it
+        assert calls == {"generate_workload": 0, "Workload": 0, "ads": 1, "greedy": 1}
 
     def test_oracle_rows_build_no_matrices(self):
         # the exact-tiny benchmark shape: eight oracle rows and two refusals
@@ -977,14 +1005,15 @@ class TestComparePass:
         config = Config(n=8, delta=2, theta=3)
         workload = Workload(np.array([2, 0, 0, 0, 2, 0, 0, 0]),
                             np.array([0, 0, 0, 0, 2, 0, 0, 0]))
-        rows, notes = compare_instance(workload, config, ALGORITHMS, seed=5)
+        rows, notes = _compare_block(workload.arrivals[None], workload.departures[None], [5],
+                                     config, ALGORITHMS)
         assert notes == []
-        assert [row.algorithm for row in rows] == list(ALGORITHMS)
-        for row in rows:
-            want = _reference_evaluate(workload, _reference_plan(row.algorithm, workload, config),
+        assert [algorithm for _, algorithm, _ in rows] == list(ALGORITHMS)
+        for seed, algorithm, report in rows:
+            want = _reference_evaluate(workload, _reference_plan(algorithm, workload, config),
                                        config)
-            assert row.report == want
-        assert [v.kind for v in rows[2].report.violations] == ["capacity_below_occupancy"] * 2
+            assert (seed, report) == (5, want)
+        assert [v.kind for v in rows[2][2].violations] == ["capacity_below_occupancy"] * 2
 
     def test_memory_stays_within_the_block_budget(self):
         # 40 seeds at n=10 000 in one block peak near 100 MB here; a block of

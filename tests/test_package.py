@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -16,6 +17,48 @@ SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 def test_every_exported_name_resolves_and_the_list_is_sorted():
     assert capsched.__all__ == sorted(set(capsched.__all__))
     assert [name for name in capsched.__all__ if not hasattr(capsched, name)] == []
+
+
+def _annotations(tree):
+    """Every annotation in tree: of arguments, returns and annotated names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _unread_imports(path):
+    """'file:line name' for each name path's imports bind that its code never
+    reads; a string annotation such as "np.random.PCG64" reads np."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    trees = [tree] + [ast.parse(node.value, mode="eval")
+                      for annotation in _annotations(tree) for node in ast.walk(annotation)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    read = {node.id for top in trees for node in ast.walk(top)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_module_reads_each_name_it_imports():
+    # __init__.py imports to export, so it is the one module left out
+    modules = sorted(path for path in SRC.joinpath("capsched").glob("*.py")
+                     if path.name != "__init__.py")
+    assert modules
+    assert [unread for path in modules for unread in _unread_imports(path)] == []
 
 
 def test_python_dash_m_runs_the_command_line():
