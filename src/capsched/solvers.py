@@ -19,6 +19,7 @@ columns, without the matrices.  All planners are pure functions of their inputs.
 
 import bisect
 import itertools
+import math
 from typing import Tuple
 
 import numpy as np
@@ -148,9 +149,10 @@ def _oracle_changes(arrivals: np.ndarray, departures: np.ndarray, config: Config
     extra-allocation loop use all of it; its y column k sums to its need
     V_k - V_{k-1}, as V rises and stays within D(c_k) (Hall's condition)."""
     (cols, allocated, released, _, _), _ = _oracle_path(arrivals, departures, config)
-    changes = np.zeros(config.n, dtype=np.int64)
-    changes[np.array(cols, dtype=np.intp) - 1] = np.diff(np.subtract(allocated, released), prepend=0)
-    return changes
+    changes, held = [0] * config.n, 0
+    for c, u, v in zip(cols, allocated, released):
+        changes[c - 1], held = u - v - held, u - v
+    return np.array(changes, dtype=np.int64)
 
 
 def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
@@ -173,7 +175,8 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     cost go to the row-major smallest allocations, then the smallest flags.
     That is the row-major allocation, de-allocation, flag order of the
     matrices unless the de-allocations alone would break a tie, which no
-    instance the tests compare against the full enumeration has shown.
+    instance the tests compare against the full enumeration has shown.  The
+    pass takes O(n^2) list steps and builds tie keys only among equal costs.
     """
     n, delta, theta = config.n, config.delta, config.theta
     total = int(arrivals.sum())
@@ -187,46 +190,50 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     arr_cohorts, dep_cohorts, due, freed = _prefixes(arrivals, departures, config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
-    # best[c] = (cost, columns) of the cheapest columns ending at c, where
-    # column 0 stands for the start and column n for the end of the horizon
-    best = [(0, ())] + [None] * n
+    # reach[p] = D(p) for p <= n - delta; cols[c] are the cheapest columns
+    # ending at c, cost[c] their cost (inf if none), 0 the start and n the end
+    reach = freed[delta:]
+    cost, cols = [0] + [math.inf] * n, [()] + [None] * n
 
-    def released(p, c):
-        # the cumulative releases at column p when column c comes next
-        return min(freed[min(p + delta, n)], due[c])
-
-    def tie_key(cols):
+    def tie_key(path):
         # with each cohort at the last column of its window, row-major
         # allocation order is the cohorts' columns, later first, and those
-        # of the cohorts whose window ends before cols[-1] are fixed by then;
+        # of the cohorts whose window ends before path[-1] are fixed by then;
         # the flags order the columns the same way
-        return ([-cols[bisect.bisect_right(cols, e) - 1] for e in ends if e < cols[-1]],
-                [-j for j in cols])
+        return ([-path[bisect.bisect_right(path, e) - 1] for e in ends if e < path[-1]],
+                [-j for j in path])
 
     for c in [*range(1, last + 1), n]:
-        # c may come first unless an arrival's window ends before it
-        first = not due[c]
-        options = [(0, 0)] if first else []
         # By parts the cost is the sum of (A(c) - V) * (c - p) over consecutive
         # columns p < c, with c = n - delta after the last column, so the
         # cumulative releases V at p take their caps, D(p) and A(c).  The EQ8
         # cap A(c) - load[t] over p's interval never binds: cohorts mandatory
         # at t sit at or before p, so it is >= the departures through t >= D(p).
-        options += [(best[p][0] + (due[c] - released(p, c)) * (min(c, last) - p), p)
-                    for p in range(1, min(c - delta, last) + 1) if best[p]]
-        if options:
-            low = min(options)[0]
-            tied = [best[p][1] + (c,) for cost, p in options if cost == low]
-            best[c] = (low, min(tied, key=tie_key))
+        need, span = due[c], c if c < n else last
+        if not need:    # c may come first, at no cost and with the smallest flags
+            cost[c], cols[c] = 0, (c,)
+            continue
+        low, tied = math.inf, []
+        for p in range(1, c - delta + 1):
+            here = cost[p]
+            if reach[p] < need:
+                here += (need - reach[p]) * (span - p)
+            if here < low:
+                low, tied = here, [p]
+            elif here == low:
+                tied.append(p)
+        if low < math.inf:  # tied lists p ascending
+            cost[c], cols[c] = low, (cols[tied[0]] + (c,) if len(tied) == 1 else
+                                     min([cols[p] + (c,) for p in tied], key=tie_key))
 
-    cols = list(best[n][1][:-1])
-    following = cols[1:] + [n]
-    reach = [released(c, c_next) for c, c_next in zip(cols, following)]
+    picked = list(cols[n][:-1])
+    following = picked[1:] + [n]
+    released = [min(reach[c], due[c_next]) for c, c_next in zip(picked, following)]
     # rows are zero before their last column and a last column at n - delta
     # (weight 0) releases nothing: the tie rule's pick
-    if cols and cols[-1] == last:
-        reach[-1] = reach[-2] if len(cols) > 1 else 0
-    return (cols, [due[c] for c in following], reach, arr_cohorts, dep_cohorts), int(best[n][0])
+    if picked and picked[-1] == last:
+        released[-1] = released[-2] if len(picked) > 1 else 0
+    return (picked, [due[c] for c in following], released, arr_cohorts, dep_cohorts), cost[n]
 
 
 def _prefixes(arrivals: np.ndarray, departures: np.ndarray, config: Config):

@@ -242,7 +242,10 @@ def _generate_rows(params: ScenarioParams, seeds, config: Config) -> Tuple[np.nd
     n = config.n
     growth, plateau, _ = segment_lengths(n, params.plateau_fraction)
     amp = int(params.amplitude)
-    arrivals, departures = np.zeros((2, len(seeds), n), dtype=np.int64)
+    try:
+        arrivals, departures = np.zeros((2, len(seeds), n), dtype=np.int64)
+    except ValueError as exc:   # past numpy's largest array: as unallocatable as any
+        raise MemoryError(str(exc)) from None
     if amp >= 2 ** 32 or amp * n > INT64_MAX:      # 64-bit draws, or sums that may pass int64
         for a, d, seed in zip(arrivals, departures, seeds):
             _check_seed(seed)

@@ -1,8 +1,10 @@
 """A reference copy of the exact oracle: the original enumeration of every
 request slot set, allocation vector and release vector, shared by the
 solver tests and the acceptance gate.  Unlike exact_oracle it can drop the
-EQ7 and EQ8 screens, which gives the relaxed optima those tests compare."""
+EQ7 and EQ8 screens, which gives the relaxed optima those tests compare.
+It also keeps the oracle's shortest path as it first priced the columns."""
 
+import bisect
 import itertools
 
 from capsched import OracleLimitError, mandatory_load
@@ -110,3 +112,63 @@ def _reference_exact_oracle(workload, config, skip_families=()):
     if "key" not in best:
         raise _NoAssignment("no feasible assignment exists for this workload")
     return best["matrices"], best["cost"]
+
+
+def _reference_oracle_path(arrivals, departures, config):
+    """solvers._oracle_path as it first priced the columns, kept verbatim but
+    for its module references: each candidate's releases through a closure,
+    a (cost, columns) tuple per column, every option listed, and tie_key
+    called on every option tied at the minimum.  The tests pin the
+    flat-list pass to it, ties and refusals included."""
+    n, delta, theta = config.n, config.delta, config.theta
+    total = int(arrivals.sum())
+    if n > solvers.ORACLE_MAX_N:
+        raise OracleLimitError(f"n={n} exceeds the search limit max_n={solvers.ORACLE_MAX_N}")
+    if total > solvers.ORACLE_MAX_PARTICIPANTS:
+        raise OracleLimitError(
+            f"{total} participants exceed the search limit "
+            f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
+
+    arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(arrivals, departures, config)
+    last = n - delta
+    ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
+    # best[c] = (cost, columns) of the cheapest columns ending at c, where
+    # column 0 stands for the start and column n for the end of the horizon
+    best = [(0, ())] + [None] * n
+
+    def released(p, c):
+        # the cumulative releases at column p when column c comes next
+        return min(freed[min(p + delta, n)], due[c])
+
+    def tie_key(cols):
+        # with each cohort at the last column of its window, row-major
+        # allocation order is the cohorts' columns, later first, and those
+        # of the cohorts whose window ends before cols[-1] are fixed by then;
+        # the flags order the columns the same way
+        return ([-cols[bisect.bisect_right(cols, e) - 1] for e in ends if e < cols[-1]],
+                [-j for j in cols])
+
+    for c in [*range(1, last + 1), n]:
+        # c may come first unless an arrival's window ends before it
+        first = not due[c]
+        options = [(0, 0)] if first else []
+        # By parts the cost is the sum of (A(c) - V) * (c - p) over consecutive
+        # columns p < c, with c = n - delta after the last column, so the
+        # cumulative releases V at p take their caps, D(p) and A(c).  The EQ8
+        # cap A(c) - load[t] over p's interval never binds: cohorts mandatory
+        # at t sit at or before p, so it is >= the departures through t >= D(p).
+        options += [(best[p][0] + (due[c] - released(p, c)) * (min(c, last) - p), p)
+                    for p in range(1, min(c - delta, last) + 1) if best[p]]
+        if options:
+            low = min(options)[0]
+            tied = [best[p][1] + (c,) for cost, p in options if cost == low]
+            best[c] = (low, min(tied, key=tie_key))
+
+    cols = list(best[n][1][:-1])
+    following = cols[1:] + [n]
+    reach = [released(c, c_next) for c, c_next in zip(cols, following)]
+    # rows are zero before their last column and a last column at n - delta
+    # (weight 0) releases nothing: the tie rule's pick
+    if cols and cols[-1] == last:
+        reach[-1] = reach[-2] if len(cols) > 1 else 0
+    return (cols, [due[c] for c in following], reach, arr_cohorts, dep_cohorts), int(best[n][0])

@@ -602,15 +602,22 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", [["generate"], ["compare", "--seeds", "0"]])
-    def test_unallocatable_horizon_is_a_usage_error(self, capsys, command):
+    @pytest.mark.parametrize("n, text", [
         # 8 PB per array lies beyond a 47-bit address space: refused before any page is touched
-        args = ["--n", str(10 ** 15), "--delta", "2", "--theta", "3", "--amplitude", "1"]
+        (10 ** 15, "Unable to allocate"),
+        # 16 n bytes pass the largest array numpy can describe, which numpy
+        # refuses with a ValueError of its own rather than a MemoryError
+        (2 ** 62, "array is too big"),
+        (INT64_MAX, "array is too big"),
+    ], ids=["1e15", "2^62", "int64_max"])
+    @pytest.mark.parametrize("command", [["generate"], ["compare", "--seeds", "0"]])
+    def test_unallocatable_horizon_is_a_usage_error(self, capsys, command, n, text):
+        args = ["--n", str(n), "--delta", "2", "--theta", "3", "--amplitude", "1"]
         assert main([*command, *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.startswith(f"error: {text}")
 
     def test_oversized_workload_dimension_is_a_usage_error(self, tmp_path, capsys):
         wl = tmp_path / "wl.json"

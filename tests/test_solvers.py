@@ -38,7 +38,8 @@ from capsched import (
 from capsched import ilp, solvers
 from capsched.cli import _plan
 from capsched.workload import INT64_MAX, occupancy
-from oracle_reference import _NoAssignment, _reference_exact_oracle, _request_slot_sets
+from oracle_reference import (_NoAssignment, _reference_exact_oracle, _reference_oracle_path,
+                              _request_slot_sets)
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
 
@@ -178,13 +179,28 @@ _OVER_RELEASE = (Workload(arrivals=np.array([1, 1, 2, 0, 2, 0, 0, 0]),
                  Config(n=8, delta=2, theta=3))
 
 
-def _preset_workload(name, n):
-    """The named preset's seed-0 workload over n slots."""
+def _preset_workload(name, n, seed=0):
+    """The named preset's workload over n slots."""
     values = SCENARIO_PRESETS[name]
     cfg = Config(n=n, delta=values["delta"], theta=values["theta"])
     params = ScenarioParams(name=name, amplitude=values["amplitude"],
-                            plateau_fraction=values["plateau_fraction"], seed=0)
+                            plateau_fraction=values["plateau_fraction"], seed=seed)
     return generate_workload(params, cfg), cfg
+
+
+def _tiny_oracle_instance(data, n):
+    """A drawn n-slot workload with at most two arrivals a slot and departures
+    anywhere, and its config: n=11 and more than eight participants are
+    refused by the oracle."""
+    delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
+    cfg = Config(n=n, delta=delta, theta=data.draw(st.integers(delta + 1, n), label="theta"))
+    arrivals = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="arrivals")
+    departures, present = [], 0
+    for joined in arrivals:
+        present += joined
+        departures.append(data.draw(st.integers(0, present)))
+        present -= departures[-1]
+    return Workload(arrivals=np.array(arrivals), departures=np.array(departures)), cfg
 
 
 def _column_hall_ok(demands, supplies):
@@ -498,7 +514,8 @@ class TestOracle:
         assert objective_value(matrices, cfg) == cost
 
     def test_long_horizon_is_solved_quickly(self, monkeypatch):
-        # the pass is quadratic in n: about 1 s at n=1000 on a 2-vCPU Xeon
+        # the pass is quadratic in n: about 0.15 s at n=1000 on a 2-vCPU Xeon,
+        # with _assign's two n x n matrices
         monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
         monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
         wl, cfg = _preset_workload("oppd", 1000)
@@ -573,17 +590,7 @@ class TestOracleSchedule:
     @given(data=st.data(), n=st.integers(3, 11))
     @settings(max_examples=200, deadline=None)
     def test_plan_is_the_collapsed_assignment(self, data, n):
-        # tiny shapes, with departures anywhere; n=11 and more than eight
-        # participants are refused
-        delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
-        cfg = Config(n=n, delta=delta, theta=data.draw(st.integers(delta + 1, n), label="theta"))
-        arrivals = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="arrivals")
-        departures, present = [], 0
-        for joined in arrivals:
-            present += joined
-            departures.append(data.draw(st.integers(0, present)))
-            present -= departures[-1]
-        wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
+        wl, cfg = _tiny_oracle_instance(data, n)
 
         def outcome(plan):
             try:
@@ -593,6 +600,63 @@ class TestOracleSchedule:
 
         assert outcome(lambda: _plan("oracle", wl, cfg)) == outcome(
             lambda: matrices_to_schedule(exact_oracle(wl, cfg)[0], cfg))
+
+
+class TestOraclePath:
+    """The flat-list pass against the reference copy of the pass that kept a
+    (cost, columns) tuple per column and keyed every tied option."""
+
+    @staticmethod
+    def outcome(path, wl, cfg):
+        try:
+            return path(wl.arrivals, wl.departures, cfg)
+        except OracleLimitError as exc:
+            return type(exc), str(exc)
+
+    @given(data=st.data(), n=st.integers(3, 11))
+    @settings(max_examples=400, deadline=None)
+    def test_tiny_shapes_match_the_reference_pass(self, data, n):
+        # the whole return value (columns, U, V, cohorts, cost), ties
+        # included, or the same refusal
+        wl, cfg = _tiny_oracle_instance(data, n)
+        assert self.outcome(solvers._oracle_path, wl, cfg) == self.outcome(
+            _reference_oracle_path, wl, cfg)
+
+    @pytest.mark.parametrize("arrivals, departures, cols", [
+        # the start and a column at slot 1 tie at no cost: no column is the
+        # smallest flags
+        ([0, 0, 0], [0, 0, 0], []),
+        # columns 1, 2 and 1, 3 all hold the arrival at no cost; it goes to
+        # the last column of its window, the row-major smallest allocation
+        ([1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [2]),
+    ])
+    def test_tied_costs_go_by_the_tie_rule(self, arrivals, departures, cols):
+        wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
+        cfg = Config(n=len(arrivals), delta=2, theta=3)
+        path = self.outcome(solvers._oracle_path, wl, cfg)
+        assert path == self.outcome(_reference_oracle_path, wl, cfg)
+        assert path[0][0] == cols
+
+    @pytest.mark.parametrize("name", ["oppd", "mmog"])
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_lifted_caps_match_the_reference_pass(self, monkeypatch, name, n):
+        monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
+        monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
+        for seed in range(3):
+            wl, cfg = _preset_workload(name, n, seed)
+            assert self.outcome(solvers._oracle_path, wl, cfg) == self.outcome(
+                _reference_oracle_path, wl, cfg)
+
+    def test_long_horizon_is_planned_quickly(self, monkeypatch):
+        # the schedule straight from the columns: about 0.14 s at n=1000 on
+        # a 2-vCPU Xeon, so the bound leaves some 7x headroom
+        monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
+        monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
+        wl, cfg = _preset_workload("oppd", 1000)
+        start = time.perf_counter()
+        schedule = _plan("oracle", wl, cfg)
+        assert time.perf_counter() - start < 1
+        assert resource_cost(schedule, cfg) == solvers._oracle_path(wl.arrivals, wl.departures, cfg)[1]
 
 
 class TestOracleSplit:
