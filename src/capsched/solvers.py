@@ -179,9 +179,10 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     pass takes O(n^2) list steps and builds tie keys only among equal costs.
     """
     n, delta, theta = config.n, config.delta, config.theta
-    total = int(arrivals.sum())
     if n > ORACLE_MAX_N:
         raise OracleLimitError(f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}")
+    arrivals, departures = arrivals.tolist(), departures.tolist()
+    total = sum(arrivals)
     if total > ORACLE_MAX_PARTICIPANTS:
         raise OracleLimitError(
             f"{total} participants exceed the search limit "
@@ -236,20 +237,20 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     return (picked, [due[c] for c in following], released, arr_cohorts, dep_cohorts), cost[n]
 
 
-def _prefixes(arrivals: np.ndarray, departures: np.ndarray, config: Config):
-    """Arrival and departure cohorts, (slot, amount) with amount > 0, and the
+def _prefixes(arrivals: list, departures: list, config: Config):
+    """Cohorts, (slot, amount) with amount > 0, of the per-slot lists, and the
     prefixes that price columns: due[c] = A(c), the arrival mass whose window
     end min(i + theta - delta, n - delta) is before slot c (due[n] is every
     arrival), and freed[t], the departures through slot t, so that D(c), the
     departures within reach of column c, is freed[min(c + delta, n)]."""
     n, delta, theta = config.n, config.delta, config.theta
-    arr_cohorts = [(i, v) for i, v in enumerate(arrivals.tolist(), 1) if v]
-    dep_cohorts = [(i, v) for i, v in enumerate(departures.tolist(), 1) if v]
+    arr_cohorts = [(i, v) for i, v in enumerate(arrivals, 1) if v]
+    dep_cohorts = [(i, v) for i, v in enumerate(departures, 1) if v]
     ending = [0] * n
     for i, amount in arr_cohorts:
         ending[min(i + theta - delta, n - delta)] += amount
     due = list(itertools.accumulate(ending, initial=0))
-    freed = list(itertools.accumulate(departures.tolist(), initial=0))
+    freed = list(itertools.accumulate(departures, initial=0))
     return arr_cohorts, dep_cohorts, due, freed
 
 
@@ -352,7 +353,8 @@ def lift_schedule(workload: Workload, schedule: Schedule, config: Config) -> Sol
         if s[j - 1] > n * max(total, 1):
             raise LiftError(f"request at slot {j} adds more than n entries of {max(total, 1)} hold")
 
-    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload.arrivals, workload.departures, config)
+    arr_cohorts, dep_cohorts, due, freed = _prefixes(workload.arrivals.tolist(),
+                                                     workload.departures.tolist(), config)
     running = list(itertools.accumulate(s, initial=0))
     # the most U column p may hold, releasing U - C_p; the start (p = 0) holds nothing
     room = [0] + [freed[min(p + delta, n)] + running[p] for p in range(1, last + 1)]

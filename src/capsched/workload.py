@@ -6,8 +6,10 @@ in every user-facing message and file format; the arrays themselves are
 0-indexed.
 """
 
+import functools
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Tuple
@@ -395,16 +397,27 @@ def _require_matching(workload: Workload, config: Config) -> None:
             f"workload has {workload.n} slots but config.n is {config.n}")
 
 
+# _write_json_object's layout: "{\n", the fields joined by ",\n", then "\n}\n"; a field
+# is _NAME and an integer, or _NAME, _OPEN, the entries joined by _SEP, and _CLOSE
+_NAME, _OPEN, _SEP, _CLOSE = '  "{}": ', "[\n    ", ",\n    ", "\n  ]"
+# json.loads reads shorter text faster: they cross at a workload of n = 160, a schedule of 300
+_ARRAY_PASS_MIN_CHARS = 2500
+
+
 def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...],
                       lists: Tuple[str, ...]) -> dict:
-    """Decode a JSON object whose fields are exactly scalars + lists, each
+    """Read a JSON object whose fields are exactly scalars + lists, each
     given once.
 
     Scalars must be integers and lists must hold int64 integers; each list
-    comes back as an int64 array.  Every defect, text nested too deeply or
-    integers too long to decode included, raises error with a one-line
-    message naming the noun, the field and the 1-based slot.
+    comes back as an int64 array.  _read_layout reads _write_json_object's
+    text of _ARRAY_PASS_MIN_CHARS or more, any other text goes to json.loads:
+    every defect, text nested too deeply or integers too long to decode
+    included, raises error with a one-line message naming the noun, the
+    field and the 1-based slot.
     """
+    if (doc := _read_layout(text, scalars, lists)) is not None:
+        return doc
     try:
         # every object decodes as a tuple of its (name, value) pairs, which
         # keeps a repeated name that a dict would drop
@@ -433,6 +446,51 @@ def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...
     return doc
 
 
+def _read_layout(text: str, scalars: Tuple[str, ...], lists: Tuple[str, ...]):
+    """text's fields, the decoder's, if it is _write_json_object's text for
+    scalars and lists, _ARRAY_PASS_MIN_CHARS long or more, with each entry a
+    canonical JSON integer of at most 18 digits; else None.  One array pass
+    checks the lists, joined by _SEP with _SEP before and after: every comma
+    starts a _SEP, and each entry is 1 to 18 digits, no leading zero, after a
+    "-" or none, and these digits are all the lists hold besides."""
+    if not isinstance(text, str) or len(text) < _ARRAY_PASS_MIN_CHARS or not text.isascii():
+        return None
+    # cut at each "]", a byte memchr finds, then check the rest of each _CLOSE
+    *parts, tail = text.encode("ascii").split(b"]")
+    heads, close = _layout_heads(scalars, lists), _CLOSE[:-1].encode()
+    found = [head.match(part) for head, part in zip(heads, parts)]
+    if (len(parts) != len(heads) or tail != b"\n}\n" or None in found
+            or not all(part.endswith(close) for part in parts)):
+        return None
+    bodies = [part[m.end():-len(close)] for m, part in zip(found, parts)]
+    sep = _SEP.encode()
+    joined = sep + sep.join(bodies) + sep + bytes(8 - len(sep))
+    raw = np.frombuffer(joined, np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    # each offset's eight bytes as one little-endian integer: a _SEP is the low six
+    words = np.ndarray(len(joined) - 7, "<u8", joined, strides=(1,))
+    start = commas[:-1] + len(sep)
+    minus = raw[start] == ord("-")
+    digits = commas[1:] - start - minus
+    if (digits.min() < 1 or digits.max() > 18
+            or np.any((words[commas] & 256 ** len(sep) - 1) != int.from_bytes(sep, "little"))
+            or np.count_nonzero((raw >= ord("0")) & (raw <= ord("9"))) != digits.sum()
+            or np.any((raw[start + minus] == ord("0")) & (digits > 1))):
+        return None
+    return {**{f: int(v) for f, v in zip(scalars, found[0].groups())},
+            **{f: np.fromstring(body, dtype=np.int64, sep=",") for f, body in zip(lists, bodies)}}
+
+
+@functools.lru_cache(maxsize=8)
+def _layout_heads(scalars: Tuple[str, ...], lists: Tuple[str, ...]) -> list:
+    """Bytes patterns for _write_json_object's text cut at each "]", each up to
+    its list's first entry; the first takes the scalars as groups."""
+    number = "(-?(?:0|[1-9][0-9]{0,17}))"     # canonical, and exact in int64
+    lead = re.escape("{\n") + "".join(re.escape(_NAME.format(f)) + number + ",\n" for f in scalars)
+    return [re.compile(((lead if k == 0 else ",\n") + re.escape(_NAME.format(f) + _OPEN)).encode())
+            for k, f in enumerate(lists)]
+
+
 def _int64_array(values: list, field: str, error: type) -> np.ndarray:
     """values as an int64 array, converted in one pass when every entry is an
     int; otherwise error naming the first entry that is not an int64 integer."""
@@ -452,8 +510,8 @@ def _write_json_object(scalars: dict, lists: dict) -> str:
     """The text json.dumps({**scalars, **lists}, indent=2) + "\n" gives for
     integer scalars and non-empty int64 arrays, with each array written by one
     str.join rather than json's pure-Python encoder."""
-    fields = [f'  "{f}": {v}' for f, v in scalars.items()]
-    fields += [f'  "{f}": [\n    ' + ",\n    ".join(map(str, v.tolist())) + "\n  ]"
+    fields = [_NAME.format(f) + str(v) for f, v in scalars.items()]
+    fields += [_NAME.format(f) + _OPEN + _SEP.join(map(str, v.tolist())) + _CLOSE
                for f, v in lists.items()]
     return "{\n" + ",\n".join(fields) + "\n}\n"
 

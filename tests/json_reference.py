@@ -2,11 +2,14 @@
 JSON object reader, shared by the workload and schedule file tests."""
 
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from capsched import workload
 from capsched.workload import INT64_MAX, INT64_MIN, _read_json_object
 
 INT64 = st.integers(INT64_MIN, INT64_MAX)
@@ -67,7 +70,14 @@ def _reference_read_json_object(text, noun, error, scalars, lists):
 
 def assert_reads_alike(text, noun, error, scalars, lists):
     """_read_json_object returns the reference's fields, each list as an
-    int64 array, or raises the reference's error with the same message."""
+    int64 array, or raises the reference's error with the same message, both
+    as it is and with its array pass taking text of any length."""
+    for least in (workload._ARRAY_PASS_MIN_CHARS, 0):
+        with mock.patch.object(workload, "_ARRAY_PASS_MIN_CHARS", least):
+            _assert_reads_alike(text, noun, error, scalars, lists)
+
+
+def _assert_reads_alike(text, noun, error, scalars, lists):
     try:
         expected = _reference_read_json_object(text, noun, error, scalars, lists)
     except error as exc:
@@ -76,6 +86,55 @@ def assert_reads_alike(text, noun, error, scalars, lists):
         assert str(info.value) == str(exc)
         return
     got = _read_json_object(text, noun, error, scalars, lists)
+    assert list(got) == list(expected)
     assert {f: got[f] for f in scalars} == {f: expected[f] for f in scalars}
     for f in lists:
         assert got[f].dtype == np.int64 and got[f].tolist() == expected[f]
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+# integers past the layout's edge (leading zeros, a sign, 19 digits within
+# int64 and beyond it) and at it (18 digits)
+_ODD_ENTRIES = ["00", "01", "-01", "-0", "+1", "-00", str(10 ** 18), str(-10 ** 18),
+                str(INT64_MIN), str(INT64_MAX), str(INT64_MAX + 1), "9" * 19, "9" * 18]
+
+
+@st.composite
+def edited(draw, text):
+    """text, _write_json_object's text, with one edit: a digit swapped for a
+    non-ASCII one, an integer rewritten (leading zero, "-0", "+1", 19
+    digits, the int64 bounds), a character other than a digit dropped, a
+    space added, CRLF line ends, no final newline, two fields swapped, a
+    field given twice, or a list emptied."""
+    numbers = list(_INTEGER.finditer(text))
+    # half the integer edits go to a scalar, the integers before the first list
+    scalars = [number for number in numbers if number.end() < text.index("[")]
+    number = draw(st.sampled_from(draw(st.sampled_from([scalars, numbers]))))
+    fields = re.split(r',\n(?=  ")', text[2:-3])
+    kind = draw(st.sampled_from(["digit", "integer", "drop", "space", "crlf", "final",
+                                 "swap", "repeat", "empty"]))
+    if kind == "digit":
+        at = draw(st.integers(number.start(), number.end() - 1).filter(lambda k: text[k] != "-"))
+        return text[:at] + draw(st.sampled_from(["\u0661", "\uff13"])) + text[at + 1:]
+    if kind == "integer":
+        return text[:number.start()] + draw(st.sampled_from(_ODD_ENTRIES)) + text[number.end():]
+    if kind == "drop":
+        at = draw(st.sampled_from([k for k, c in enumerate(text) if not c.isdigit()]))
+        return text[:at] + text[at + 1:]
+    if kind == "space":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + " " + text[at:]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "final":
+        return text[:-1]
+    if kind == "empty":
+        name = draw(st.sampled_from([f for f in fields if f.endswith("]")]))
+        fields[fields.index(name)] = name[:name.index("[")] + "[]"
+    else:
+        i, j = draw(st.permutations(range(len(fields))))[:2]
+        if kind == "swap":
+            fields[i], fields[j] = fields[j], fields[i]
+        else:
+            fields.insert(j, fields[i])
+    return "{\n" + ",\n".join(fields) + "\n}\n"

@@ -129,7 +129,7 @@ def _reference_oracle_path(arrivals, departures, config):
             f"{total} participants exceed the search limit "
             f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
 
-    arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(arrivals, departures, config)
+    arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(arrivals.tolist(), departures.tolist(), config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
     # best[c] = (cost, columns) of the cheapest columns ending at c, where

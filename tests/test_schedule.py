@@ -1,6 +1,7 @@
 import json
 from collections import deque
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from capsched import (
     simulate,
 )
 from capsched.workload import INT64_MAX, INT64_MIN
-from json_reference import _reference_read_json_object, assert_reads_alike, json_lists
+from json_reference import _reference_read_json_object, assert_reads_alike, edited, json_lists
 
 
 def sched(*changes):
@@ -83,6 +84,34 @@ def int64_schedules(draw):
         total += v
         changes.append(v)
     return Config(n=n, delta=2, theta=3), sched(*changes)
+
+
+@st.composite
+def planned_schedules(draw):
+    """An ads or greedy plan of a generated workload at 4 to 40 slots, whose
+    changes of either sign have up to 18 digits."""
+    config = Config(n=draw(st.integers(4, 40)), delta=2, theta=3)
+    workload = generate_workload(ScenarioParams(
+        name="t", amplitude=draw(st.sampled_from([9, 1500, 10 ** 16])),
+        seed=draw(st.integers(0, 2 ** 32))), config)
+    planner = draw(st.sampled_from([adaptive_schedule, greedy_schedule]))
+    return config, planner(workload, config)
+
+
+def assert_parses_alike(text):
+    """_read_json_object and parse_schedule read text as the references do,
+    returning equal values or raising the same message."""
+    assert_reads_alike(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
+    try:
+        n, delta, expected = _reference_parse_schedule(text)
+    except ScheduleFormatError as exc:
+        with pytest.raises(ScheduleFormatError) as info:
+            parse_schedule(text)
+        assert str(info.value) == str(exc)
+        return
+    got = parse_schedule(text)
+    assert got[:2] == (n, delta)
+    assert np.array_equal(got[2].changes, expected.changes)
 
 
 class TestContainer:
@@ -612,18 +641,34 @@ class TestSerialization:
     @given(schedule_docs())
     @settings(max_examples=500, deadline=None)
     def test_reader_and_parser_equal_the_entry_loop(self, doc):
-        text = json.dumps(doc)
-        assert_reads_alike(text, "schedule", ScheduleFormatError, ("n", "delta"), ("changes",))
-        try:
-            n, delta, expected = _reference_parse_schedule(text)
-        except ScheduleFormatError as exc:
-            with pytest.raises(ScheduleFormatError) as info:
-                parse_schedule(text)
-            assert str(info.value) == str(exc)
-            return
-        got = parse_schedule(text)
-        assert got[:2] == (n, delta)
-        assert np.array_equal(got[2].changes, expected.changes)
+        # compact text goes to the decoder, the writer's indented layout to the array pass
+        for text in (json.dumps(doc), json.dumps(doc, indent=2) + "\n"):
+            assert_parses_alike(text)
+
+    @given(st.one_of(int64_schedules(), planned_schedules()).flatmap(
+        lambda instance: edited(format_schedule(*instance))))
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "changes": [\n    -9223372036854775808,\n'
+             '    9223372036854775807,\n    0\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "changes": [\n    1,\n    -0,\n    -1\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "changes": [\n    1,\n    -01,\n    0\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "changes": [\n    0,\n    -9999999999999999999,\n'
+             '    0\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": \uff12,\n  "changes": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @example('{\n  "n": 1\uff13,\n  "delta": 2,\n  "changes": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @settings(max_examples=500, deadline=None)
+    def test_edited_layout_reads_as_the_decoder_reads_it(self, text):
+        assert_parses_alike(text)
+
+    def test_canonical_text_skips_the_decoder(self):
+        values = SCENARIO_PRESETS["mmog"]
+        config = Config(n=2000, delta=values["delta"], theta=values["theta"])
+        workload = generate_workload(
+            ScenarioParams(name="mmog", amplitude=values["amplitude"]), config)
+        schedule = adaptive_schedule(workload, config)
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads used")):
+            n, delta, parsed = parse_schedule(format_schedule(config, schedule))
+        assert (n, delta) == (config.n, config.delta)
+        assert np.array_equal(parsed.changes, schedule.changes)
 
     def test_writers_skip_the_pure_python_encoder(self, monkeypatch, ref_config, ref_workload):
         # json.dumps(..., indent=2) builds its encoder here, once per call

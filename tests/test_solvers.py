@@ -816,7 +816,7 @@ class TestOraclePrice:
         def within_reach(c):    # D(c): departures through slot c + delta
             return sum(departures[:c + delta])
 
-        arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(wl.arrivals, wl.departures, cfg)
+        arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(wl.arrivals.tolist(), wl.departures.tolist(), cfg)
         assert arr_cohorts == [(i, a) for i, a in enumerate(arrivals, 1) if a]
         assert dep_cohorts == [(i, d) for i, d in enumerate(departures, 1) if d]
         assert due == [window_mass(c) for c in range(n + 1)]

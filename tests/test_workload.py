@@ -24,8 +24,27 @@ from capsched import (
     segment_lengths,
 )
 from capsched.workload import INT64_MAX, INT64_MIN, _generate_rows, _Words, _write_json_object
-from json_reference import INT64, _reference_read_json_object, assert_reads_alike, json_lists
+from json_reference import (INT64, _reference_read_json_object, assert_reads_alike, edited,
+                            json_lists)
 from workload_reference import _reference_generate_workload
+
+
+def assert_parses_alike(text):
+    """_read_json_object and parse_workload read text as the references do,
+    returning equal values or raising the same message."""
+    assert_reads_alike(text, "workload", WorkloadFormatError,
+                       ("n", "delta", "theta"), ("arrivals", "departures"))
+    try:
+        config, expected = _reference_parse_workload(text)
+    except WorkloadFormatError as exc:
+        with pytest.raises(WorkloadFormatError) as info:
+            parse_workload(text)
+        assert str(info.value) == str(exc)
+        return
+    got_config, got = parse_workload(text)
+    assert got_config == config
+    assert np.array_equal(got.arrivals, expected.arrivals)
+    assert np.array_equal(got.departures, expected.departures)
 
 
 def _reference_parse_workload(text):
@@ -67,6 +86,17 @@ def valid_workloads(draw):
         arrivals.append(a)
         departures.append(d)
     return Config(n=n, delta=2, theta=3), Workload(np.array(arrivals), np.array(departures))
+
+
+@st.composite
+def drawn_workloads(draw):
+    """A generated workload at 3 to 40 slots whose counts have up to 18
+    digits, so that its text is in the writer's layout with every entry
+    canonical and exact at 18 digits."""
+    config = Config(n=draw(st.integers(3, 40)), delta=2, theta=3)
+    amplitude = draw(st.sampled_from([0, 9, 1500, 10 ** 17]))
+    return config, generate_workload(
+        ScenarioParams(name="t", amplitude=amplitude, seed=draw(st.integers(0, 2 ** 32))), config)
 
 
 class TestConfig:
@@ -396,20 +426,48 @@ class TestSerialization:
     @given(workload_docs())
     @settings(max_examples=500, deadline=None)
     def test_reader_and_parser_equal_the_entry_loop(self, doc):
-        text = json.dumps(doc)
-        assert_reads_alike(text, "workload", WorkloadFormatError,
-                           ("n", "delta", "theta"), ("arrivals", "departures"))
-        try:
-            config, expected = _reference_parse_workload(text)
-        except WorkloadFormatError as exc:
-            with pytest.raises(WorkloadFormatError) as info:
-                parse_workload(text)
-            assert str(info.value) == str(exc)
-            return
-        assert parse_workload(text)[0] == config
-        got = parse_workload(text)[1]
-        assert np.array_equal(got.arrivals, expected.arrivals)
-        assert np.array_equal(got.departures, expected.departures)
+        # compact text goes to the decoder, the writer's indented layout to the array pass
+        for text in (json.dumps(doc), json.dumps(doc, indent=2) + "\n"):
+            assert_parses_alike(text)
+
+    @given(st.one_of(valid_workloads(), drawn_workloads()).flatmap(
+        lambda instance: edited(format_workload(*instance))))
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "theta": 3,\n  "arrivals": [\n    1,\n    0,\n'
+             '    9223372036854775807\n  ],\n  "departures": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "theta": 3,\n  "arrivals": [\n    1,\n    01,\n'
+             '    0\n  ],\n  "departures": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "theta": 3,\n  "arrivals": [\n    1,\n    0,\n'
+             '    9999999999999999999\n  ],\n  "departures": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @example('{\n  "n": \u0663,\n  "delta": 2,\n  "theta": 3,\n  "arrivals": [\n    1,\n    0,\n'
+             '    0\n  ],\n  "departures": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @example('{\n  "n": 3,\n  "delta": 2,\n  "theta": 1\u0663,\n  "arrivals": [\n    1,\n    0,\n'
+             '    0\n  ],\n  "departures": [\n    0,\n    0,\n    0\n  ]\n}\n')
+    @settings(max_examples=500, deadline=None)
+    def test_edited_layout_reads_as_the_decoder_reads_it(self, text):
+        assert_parses_alike(text)
+
+    def test_canonical_text_skips_the_decoder(self):
+        preset = SCENARIO_PRESETS["mmog"]
+        config = Config(n=2000, delta=preset["delta"], theta=preset["theta"])
+        workload = generate_workload(ScenarioParams(name="mmog", amplitude=preset["amplitude"]),
+                                     config)
+        text = format_workload(config, workload)
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads used")):
+            got_config, got = parse_workload(text)
+        assert got_config == config
+        assert np.array_equal(got.arrivals, workload.arrivals)
+        assert np.array_equal(got.departures, workload.departures)
+
+    def test_guard_parse_at_n100000(self):
+        config = Config(n=100_000, delta=3, theta=4)
+        text = format_workload(config, generate_workload(
+            ScenarioParams(name="mmog", amplitude=1500), config))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_workload(text)
+            times.append(time.perf_counter() - start)
+        assert median(times) < 0.5
 
     def test_round_trip_at_ten_thousand_slots(self):
         cfg = Config(n=10_000, delta=3, theta=4)
