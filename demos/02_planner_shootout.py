@@ -1,8 +1,9 @@
 """Run all three planners on one tiny instance and compare their answers.
 
 The adaptive planner looks ahead to batch capacity requests, the greedy
-baseline reacts slot by slot, and the exact oracle finds the cheapest
-feasible assignment outright.  On a trace this small all three finish
+baseline reacts slot by slot, and the exact oracle finds the integer
+program's cheapest schedule outright; lifting that schedule gives an optimal
+assignment at the same cost.  On a trace this small all three finish
 instantly, so the gap between heuristic and optimal is easy to see.
 """
 
@@ -11,10 +12,12 @@ from capsched import (
     ScenarioParams,
     adaptive_schedule,
     evaluate,
-    exact_oracle,
+    exact_schedule,
     generate_workload,
     greedy_schedule,
-    matrices_to_schedule,
+    lift_schedule,
+    objective_value,
+    resource_cost,
     simulate,
 )
 
@@ -47,10 +50,11 @@ def main():
     greedy = describe("periodic greedy",
                       workload, greedy_schedule(workload, config), config)
 
-    matrices, cost = exact_oracle(workload, config)
-    oracle = describe("exact oracle",
-                      workload, matrices_to_schedule(matrices, config), config)
-    assert oracle.resource_cost == cost
+    schedule = exact_schedule(workload, config)
+    oracle = describe("exact oracle", workload, schedule, config)
+    # the lift is an optimal assignment of the integer program, at the schedule's cost
+    assignment = lift_schedule(workload, schedule, config)
+    assert objective_value(assignment, config) == resource_cost(schedule, config)
 
     best_heuristic = min(ads.resource_cost, greedy.resource_cost)
     print(f"oracle {oracle.resource_cost} <= best heuristic {best_heuristic}")

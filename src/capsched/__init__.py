@@ -43,7 +43,7 @@ from .solvers import (
     LiftError,
     OracleLimitError,
     adaptive_schedule,
-    exact_oracle,
+    exact_schedule,
     greedy_schedule,
     lift_schedule,
 )
@@ -88,7 +88,7 @@ __all__ = [
     "build_model",
     "check_feasibility",
     "evaluate",
-    "exact_oracle",
+    "exact_schedule",
     "export_lp",
     "format_schedule",
     "format_workload",

@@ -8,19 +8,18 @@ parameters they return a schedule of capacity changes.
   delay allows.
 * greedy_schedule: a fixed-period baseline that re-targets capacity to the
   occupancy peak of the next window.
-* exact_oracle: the integer program's optimum, by a shortest path over
+* exact_schedule: the integer program's optimum, by a shortest path over
   request placements priced in closed form; restricted to small instances.
 
-exact_oracle and lift_schedule turn their column picks into the integer
-program's matrices through one builder, _assign.  compare's oracle rows and
-solve --algorithm oracle take the oracle's schedule straight from its
-columns, without the matrices.  All planners are pure functions of their inputs.
+lift_schedule turns a schedule into the integer program's matrices through
+_assign, so an optimal assignment is lift_schedule of exact_schedule's
+schedule, and it costs that schedule's resource_cost.  All planners are pure
+functions of their inputs.
 """
 
 import bisect
 import itertools
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -128,37 +127,33 @@ def _greedy_rows(occ: np.ndarray, config: Config) -> np.ndarray:
     return changes
 
 
-# exact_oracle refuses instances beyond these; compare notes each refusal
+# exact_schedule refuses instances beyond these; compare notes each refusal
 ORACLE_MAX_N = 10
 ORACLE_MAX_PARTICIPANTS = 8
 
 
-def exact_oracle(workload: Workload, config: Config) -> Tuple[SolutionMatrices, int]:
-    """Minimum-cost assignment of the integer program, and its cost: _assign
-    on _oracle_path's columns.  Instances with n above ORACLE_MAX_N, or more
-    than ORACLE_MAX_PARTICIPANTS arrivals, raise OracleLimitError."""
+def exact_schedule(workload: Workload, config: Config) -> Schedule:
+    """The integer program's optimum as a schedule, by _oracle_changes: its
+    resource_cost is the optimal cost and its lift an optimal assignment.
+    Instances with n above ORACLE_MAX_N, or more than ORACLE_MAX_PARTICIPANTS
+    arrivals, raise OracleLimitError."""
     _require_matching(workload, config)
-    picks, cost = _oracle_path(workload.arrivals, workload.departures, config)
-    return _assign(*picks, config), cost
+    return Schedule(_oracle_changes(workload.arrivals, workload.departures, config))
 
 
 def _oracle_changes(arrivals: np.ndarray, departures: np.ndarray, config: Config) -> np.ndarray:
-    """matrices_to_schedule of exact_oracle's assignment, exactly, without it:
-    column c_k changes capacity by (U_k - U_{k-1}) - (V_k - V_{k-1}).  _assign's
-    x column k sums to its room U_k - U_{k-1}, as the pour and then the
-    extra-allocation loop use all of it; its y column k sums to its need
-    V_k - V_{k-1}, as V rises and stays within D(c_k) (Hall's condition)."""
-    (cols, allocated, released, _, _), _ = _oracle_path(arrivals, departures, config)
+    """exact_schedule's changes for one row of arrivals and departures: each of
+    _oracle_path's columns steps capacity from the level before it to its own."""
+    (cols, levels), _ = _oracle_path(arrivals, departures, config)
     changes, held = [0] * config.n, 0
-    for c, u, v in zip(cols, allocated, released):
-        changes[c - 1], held = u - v - held, u - v
+    for c, level in zip(cols, levels):
+        changes[c - 1], held = level - held, level
     return np.array(changes, dtype=np.int64)
 
 
 def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
-    """exact_oracle's shortest path, after its OracleLimitError checks: _assign's
-    arguments but config, (cols, allocated, released, arrival cohorts, departure
-    cohorts), with allocated[k] = U_k and released[k] = V_k, and the cost.
+    """exact_schedule's shortest path, after its OracleLimitError checks: the
+    columns, the capacity held from each on, and the cost.
 
     Request slots are columns at least delta apart, up to n - delta.  Every
     arrival cohort is allocated at the last column of its window, so the
@@ -177,6 +172,11 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     matrices unless the de-allocations alone would break a tie, which no
     instance the tests compare against the full enumeration has shown.  The
     pass takes O(n^2) list steps and builds tie keys only among equal costs.
+
+    The level after column c_k, its allocation less its releases, is
+    max(A(c_{k+1}) - D(c_k), 0); a last column at n - delta weighs nothing and
+    releases nothing itself (the tie rule's pick), so it holds
+    A(n) - min(D(c_{k-1}), A(n - delta)), or A(n) when it is the only column.
     """
     n, delta, theta = config.n, config.delta, config.theta
     if n > ORACLE_MAX_N:
@@ -188,7 +188,7 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
             f"{total} participants exceed the search limit "
             f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
 
-    arr_cohorts, dep_cohorts, due, freed = _prefixes(arrivals, departures, config)
+    arr_cohorts, _, due, freed = _prefixes(arrivals, departures, config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
     # reach[p] = D(p) for p <= n - delta; cols[c] are the cheapest columns
@@ -228,13 +228,10 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
                                      min([cols[p] + (c,) for p in tied], key=tie_key))
 
     picked = list(cols[n][:-1])
-    following = picked[1:] + [n]
-    released = [min(reach[c], due[c_next]) for c, c_next in zip(picked, following)]
-    # rows are zero before their last column and a last column at n - delta
-    # (weight 0) releases nothing: the tie rule's pick
+    levels = [max(due[c_next] - reach[c], 0) for c, c_next in zip(picked, picked[1:] + [n])]
     if picked and picked[-1] == last:
-        released[-1] = released[-2] if len(picked) > 1 else 0
-    return (picked, [due[c] for c in following], released, arr_cohorts, dep_cohorts), cost[n]
+        levels[-1] = due[n] - (min(reach[picked[-2]], due[last]) if len(picked) > 1 else 0)
+    return (picked, levels), cost[n]
 
 
 def _prefixes(arrivals: list, departures: list, config: Config):

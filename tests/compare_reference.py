@@ -1,19 +1,20 @@
 """A reference copy of the compare run: the original loop that generates,
 plans and evaluates one seed at a time, each plan by the slot-loop planners
-of planner_reference or the oracle, each evaluation by its own replay in
-closed form with Python-integer costs.  run_compare's block pass must give
-its CSV text byte for byte."""
+of planner_reference or the oracle's first, matrix route in
+oracle_reference, each evaluation by its own replay in closed form with
+Python-integer costs.  run_compare's block pass must give its CSV text byte
+for byte."""
 
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from capsched import (CostReport, SimulationReport, exact_oracle, generate_workload,
-                      matrices_to_schedule)
+from capsched import CostReport, SimulationReport, generate_workload
 from capsched.cli import CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text, _report_cells
 from capsched.schedule import _violations
 from capsched.solvers import OracleLimitError
+from oracle_reference import _reference_oracle_schedule
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
 
@@ -83,8 +84,7 @@ def _reference_plan(algorithm, workload, config):
         return _reference_adaptive_schedule(workload, config)
     if algorithm == "greedy":
         return _reference_greedy_schedule(workload, config)
-    matrices, _ = exact_oracle(workload, config)
-    return matrices_to_schedule(matrices, config)
+    return _reference_oracle_schedule(workload, config)
 
 
 def _reference_run_compare(spec) -> str:

@@ -1,13 +1,16 @@
 """A reference copy of the exact oracle: the original enumeration of every
 request slot set, allocation vector and release vector, shared by the
-solver tests and the acceptance gate.  Unlike exact_oracle it can drop the
-EQ7 and EQ8 screens, which gives the relaxed optima those tests compare.
-It also keeps the oracle's shortest path as it first priced the columns."""
+solver tests and the acceptance gate.  It returns the optimum's matrices,
+which exact_schedule's schedule must collapse from, and unlike
+exact_schedule it can drop the EQ7 and EQ8 screens, which gives the relaxed
+optima those tests compare.  It also keeps the oracle's shortest path as it
+first priced the columns, and the schedule the oracle took from that path's
+matrices."""
 
 import bisect
 import itertools
 
-from capsched import OracleLimitError, mandatory_load
+from capsched import OracleLimitError, mandatory_load, matrices_to_schedule
 from capsched import solvers
 
 
@@ -30,7 +33,7 @@ class _NoAssignment(RuntimeError):
     """Raised by the reference search when nothing meets its constraints."""
 
 
-def _reference_exact_oracle(workload, config, skip_families=()):
+def _reference_optimum(workload, config, skip_families=()):
     """Reference oracle: the original search, which enumerates every request
     slot set, every release vector within the caps under each allocation
     vector, and every allocation total for the last column too."""
@@ -172,3 +175,10 @@ def _reference_oracle_path(arrivals, departures, config):
     if cols and cols[-1] == last:
         reach[-1] = reach[-2] if len(cols) > 1 else 0
     return (cols, [due[c] for c in following], reach, arr_cohorts, dep_cohorts), int(best[n][0])
+
+
+def _reference_oracle_schedule(workload, config):
+    """The oracle's schedule as it was first taken: _assign's matrices on the
+    reference pass's columns, allocations and releases, collapsed."""
+    picks, _ = _reference_oracle_path(workload.arrivals, workload.departures, config)
+    return matrices_to_schedule(solvers._assign(*picks, config), config)

@@ -23,11 +23,12 @@ from capsched import (
     build_model,
     check_feasibility,
     evaluate,
-    exact_oracle,
+    exact_schedule,
     export_lp,
     format_workload,
     generate_workload,
     greedy_schedule,
+    lift_schedule,
     matrices_to_schedule,
     objective_value,
     parse_solution,
@@ -36,7 +37,7 @@ from capsched import (
     validate_solution,
 )
 
-from oracle_reference import _reference_exact_oracle
+from oracle_reference import _reference_optimum
 
 REF_CONFIG = Config(n=8, delta=2, theta=3)
 
@@ -73,15 +74,17 @@ def test_criterion_1_hand_traced_reference_values():
     ads_report = evaluate(wl, ads, REF_CONFIG)
     greedy = greedy_schedule(wl, REF_CONFIG)
     greedy_report = evaluate(wl, greedy, REF_CONFIG)
-    matrices, oracle_cost = exact_oracle(wl, REF_CONFIG)
+    oracle = exact_schedule(wl, REF_CONFIG)
+    matrices = lift_schedule(wl, oracle, REF_CONFIG)
     elapsed = time.perf_counter() - start
     ok = (
         ads.changes.tolist() == [0, 3, 0, 0, -2, 0, 0, 0]
         and ads_report.resource_cost == 10 and ads_report.qos_cost == 7
         and greedy.changes.tolist() == [3, 0, -2, 0, 0, 0, 0, 0]
         and greedy_report.resource_cost == 9 and greedy_report.qos_cost == 4
-        and oracle_cost == 6
+        and resource_cost(oracle, REF_CONFIG) == 6
         and validate_solution(matrices, wl, REF_CONFIG) == []
+        and objective_value(matrices, REF_CONFIG) == 6
         and elapsed < 1.0
     )
     _report(1, f"reference traces match exactly ({elapsed:.3f}s)", ok)
@@ -134,12 +137,14 @@ def test_criterion_4_oracle_dominates_heuristics():
     dominated = 0
     validated = 0
     for _, wl in instances:
-        matrices, cost = exact_oracle(wl, cfg)
+        oracle = exact_schedule(wl, cfg)
+        cost = resource_cost(oracle, cfg)
         ads_cost = resource_cost(adaptive_schedule(wl, cfg), cfg)
         greedy_cost = resource_cost(greedy_schedule(wl, cfg), cfg)
         if cost <= min(ads_cost, greedy_cost):
             dominated += 1
-        if validate_solution(matrices, wl, cfg) == []:
+        matrices = lift_schedule(wl, oracle, cfg)
+        if validate_solution(matrices, wl, cfg) == [] and objective_value(matrices, cfg) == cost:
             validated += 1
     elapsed = time.perf_counter() - start
     ok = dominated == 50 and validated == 50 and elapsed < 300.0
@@ -151,7 +156,7 @@ def test_criterion_5_load_bound_is_implied():
     cfg, instances = _tiny_suite(amplitude=2)
     clean = 0
     for _, wl in instances:
-        matrices, _ = _reference_exact_oracle(wl, cfg, skip_families=("EQ8",))
+        matrices, _ = _reference_optimum(wl, cfg, skip_families=("EQ8",))
         violations = validate_solution(matrices, wl, cfg)
         if not any(v.tag == "EQ8" for v in violations):
             clean += 1
@@ -181,8 +186,7 @@ def test_criterion_6_scale_orderings():
     ads_qos = []
     oracle_qos = []
     for _, wl in instances:
-        matrices, _ = exact_oracle(wl, cfg)
-        oracle_sched = matrices_to_schedule(matrices, cfg)
+        oracle_sched = exact_schedule(wl, cfg)
         ads_qos.append(evaluate(wl, adaptive_schedule(wl, cfg), cfg).qos_cost)
         oracle_qos.append(evaluate(wl, oracle_sched, cfg).qos_cost)
     ok = all(
@@ -203,7 +207,7 @@ def test_criterion_7_gap_grows_with_fluctuation():
         cfg, instances = _tiny_suite(amplitude=amplitude)
         rel = []
         for _, wl in instances:
-            _, oracle_cost = exact_oracle(wl, cfg)
+            oracle_cost = resource_cost(exact_schedule(wl, cfg), cfg)
             if oracle_cost == 0:
                 continue
             ads_cost = resource_cost(adaptive_schedule(wl, cfg), cfg)

@@ -1,12 +1,15 @@
 """Golden digests of planner output, compare CSVs, evaluate reports, LP
-text, workload files and the exact oracle's assignments.
+text, workload files and the exact oracle's schedules and their lifts.
 
 The digests were recorded from the original quadratic-scan planner,
-list-based simulator and term-tuple model builder, and the oracle's from
-its shortest-path pass, which reproduced the enumeration of request slot
-sets byte for byte.  Any change to one byte of a
-schedule, a compare CSV, an evaluate report, an exported model, a workload
-file or an oracle assignment fails here, without running the benchmark.  After an intended output change, re-record with
+list-based simulator and term-tuple model builder.  The oracle's were
+recorded from its column pass (_oracle_changes) and lift_schedule before
+exact_schedule replaced the matrix-returning oracle, whose shortest path
+had reproduced the enumeration of request slot sets byte for byte.  Any
+change to one byte of a schedule, a compare CSV, an evaluate report, an
+exported model, a workload file, an oracle schedule or its lift fails here,
+without running the benchmark.  After an intended output change, re-record
+with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; print(g.compare_digests()); \
@@ -14,6 +17,8 @@ print(g.long_horizon_digests()); print(g.lp_digests()); \
 print(g.lp40_digests()); print(g.lp101_digests()); \
 print(g.oracle_digests()); \
 print(g.workload_digests())"
+
+and paste each dictionary over its *_GOLDEN table.
 """
 
 import hashlib
@@ -26,12 +31,14 @@ from capsched import (
     adaptive_schedule,
     build_model,
     evaluate,
-    exact_oracle,
+    exact_schedule,
     export_lp,
     format_schedule,
     format_workload,
     generate_workload,
     greedy_schedule,
+    lift_schedule,
+    resource_cost,
     run_compare,
 )
 from capsched.solvers import OracleLimitError
@@ -137,7 +144,8 @@ def lp101_digests():
 
 def oracle_digests():
     """Digest per shape of the oracle's outcome on every seed and plateau
-    fraction: the cost and the three matrices, or the refusal message."""
+    fraction: the cost, the changes and the lift's three matrices, or the
+    refusal message."""
     out = {}
     for n, delta, theta, amplitude in ORACLE_SHAPES:
         config = Config(n=n, delta=delta, theta=theta)
@@ -148,11 +156,13 @@ def oracle_digests():
                                         plateau_fraction=plateau, seed=seed)
                 workload = generate_workload(params, config)
                 try:
-                    matrices, cost = exact_oracle(workload, config)
+                    schedule = exact_schedule(workload, config)
                 except OracleLimitError as exc:
                     outcome = f"refused {exc}"
                 else:
-                    outcome = repr((cost, matrices.allocations.tolist(),
+                    matrices = lift_schedule(workload, schedule, config)
+                    outcome = repr((resource_cost(schedule, config), schedule.changes.tolist(),
+                                    matrices.allocations.tolist(),
                                     matrices.deallocations.tolist(),
                                     matrices.requests.tolist()))
                 lines.append(f"{seed} {plateau} {outcome}\n")
@@ -323,25 +333,25 @@ LP101_GOLDEN = {
 
 ORACLE_GOLDEN = {
     "8/2/3/2":
-        "59de008ea3a9456bca1ba21c8289110949da3c4a3fadfcf9bac949238cc9d027",
+        "b20e86fa06864af5ee1fdc63092ec526fc8ab1e68feddb0c4da532e22d8db773",
     "10/2/3/2":
-        "ad1c56264ea551cf404ec68851dfc348876d2957e44699da018ebbdfa596df57",
+        "632784afbf9272bfea64dac4b387046f8e75da0fc74aff2947f475c827ba4cdb",
     "10/3/4/2":
-        "8094f8b7e7b52a19e5bbeb03f5c83835be9e50c29ace24914cf84b1bd3e6e2f1",
+        "49da3e8dd14f21b4b413443119598a4061370166c778d0f75a33c0d1c648d11a",
     "9/2/4/3":
-        "2216c823230010efb5efce2c57662be5a0c96dc67272c8a6d996c6f71a8425c7",
+        "a053e2f41f50db34999ea2a6eb6bfacfd8cf4b38cdae83eb9a2a038f8c02f16e",
     "10/2/5/1":
-        "4c448fb52ddfdbef982f89bbdc1e8a1e8c86380247b76d7532930f3240c5b642",
+        "af0d66d76fb65efefb866df6544bae2b3d3ab159c202878592dcd33ba7a39548",
     "10/3/5/2":
-        "84f855788c14bb29036871f735a190f21ce991e7d18ba08d1b47001489a11fd0",
+        "4dc51cf4b15ff412396288e512d21460d048613097e2444bc394e8672dc1fa80",
     "7/2/3/4":
-        "93d3f96a31ddc19a1aec984f7397b7d9c95b3f3951929e65f787d67c19f320a6",
+        "98ce74b0fcd9524c6735e897fed372af0b8588258df80e5dfc65d48e560f2281",
     "10/4/6/2":
-        "fb405593bc5e6fc2ba649db10addee1b2e14024473ab18b8d8f1c69316388d6c",
+        "75a875fd0e8b046f44cafe1e26fc8a738f2d191e26be2134e91e00ea6ecf34d8",
     "6/2/3/3":
-        "be1b76ac5f0483d4182e5809190d6d9e5d15c697440fa9653a70f0b347cfdb6c",
+        "99176e72d55627f38574b79227511aacbc1e8ca8b49152fe19be8ef1541cae29",
     "10/2/8/2":
-        "4141609ec5adc8bd87d37dc335ef35d66a13099e5132d87b701871be190552d3",
+        "107f5ba74fcb9c295681dc5ea2ef0a949d9e965ff666ffebaca080e97e976720",
 }
 
 

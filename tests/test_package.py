@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import capsched
 from capsched import Config, ScenarioParams, build_model, format_workload, generate_workload
-from capsched.cli import main
+from capsched.cli import ALGORITHMS, main
 
 SRC = Path(capsched.__file__).resolve().parent.parent
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -70,6 +71,54 @@ def test_python_dash_m_runs_the_command_line():
     assert done.returncode == 0
     assert done.stdout.startswith("usage: capsched ")
     assert done.stderr == ""
+
+
+# run in a child process that cannot import the test extra's packages; it
+# runs each command line in turn and checks its exit code
+_WITHOUT_TEST_EXTRA = """
+import json
+import sys
+
+REFUSED = {"scipy", "hypothesis", "pytest"}
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in REFUSED:
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+
+assert not REFUSED & set(sys.modules)
+sys.meta_path.insert(0, Refuse())
+from capsched.cli import main
+
+for argv, code in json.loads(sys.argv[1]):
+    assert main(argv) == code, argv
+assert not REFUSED & set(sys.modules)
+"""
+
+
+def test_every_command_runs_on_numpy_alone(tmp_path):
+    # README's only runtime dependency is numpy, while CI installs the test
+    # extra: a command that reached for scipy, hypothesis or pytest fails here
+    shape = ["--n", "8", "--delta", "2", "--theta", "3", "--amplitude", "2"]
+    runs = [(["generate", *shape, "--seed", "11", "--out", "wl.json"], 0)]
+    for name in ALGORITHMS:
+        runs += [(["solve", "wl.json", "--algorithm", name, "--out", f"{name}.json"], 0),
+                 (["evaluate", "wl.json", f"{name}.json"], 0),
+                 (["validate", "wl.json", "--schedule", f"{name}.json"], 0)]
+    runs += [(["validate", "wl.json", "--solution", "empty.sol"], 1),   # covers no arrival
+             (["export-lp", "wl.json", "--out", "model.lp"], 0),
+             (["compare", *shape, "--seeds", "0..9", "--algorithms", ",".join(ALGORITHMS)], 0)]
+    (tmp_path / "empty.sol").write_text("", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_TEST_EXTRA, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count(",oracle,") == 10
+    assert (tmp_path / "model.lp").stat().st_size > 0
 
 
 def test_importing_the_main_module_does_not_run_the_command_line():

@@ -24,7 +24,7 @@ from capsched import (
     build_model,
     check_feasibility,
     evaluate,
-    exact_oracle,
+    exact_schedule,
     generate_workload,
     greedy_schedule,
     lift_schedule,
@@ -36,9 +36,8 @@ from capsched import (
     validate_solution,
 )
 from capsched import ilp, solvers
-from capsched.cli import _plan
 from capsched.workload import INT64_MAX, occupancy
-from oracle_reference import (_NoAssignment, _reference_exact_oracle, _reference_oracle_path,
+from oracle_reference import (_NoAssignment, _reference_optimum, _reference_oracle_path,
                               _request_slot_sets)
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
@@ -292,14 +291,36 @@ def _reference_assign(cols, allocated, released, arr_cohorts, dep_cohorts, confi
     return SolutionMatrices(np.reshape(x, (n, n)), np.reshape(y, (n, n)), np.array(r))
 
 
-def _oracle_outcome(oracle, workload, config):
-    """Cost and the three matrices as lists, or the error type and message."""
+def _oracle_outcome(plan, workload, config):
+    """The planned schedule's changes, or the error type and message."""
     try:
-        matrices, cost = oracle(workload, config)
+        return plan(workload, config).changes.tolist()
     except (_NoAssignment, OracleLimitError) as exc:
         return type(exc), str(exc)
-    return (cost, matrices.allocations.tolist(), matrices.deallocations.tolist(),
-            matrices.requests.tolist())
+
+
+def _reference_oracle_plan(workload, config):
+    """matrices_to_schedule of the reference enumeration's optimum."""
+    return matrices_to_schedule(_reference_optimum(workload, config)[0], config)
+
+
+def _certify(workload, schedule, config):
+    """The lift of the oracle's schedule, after checking that it validates and
+    costs what the schedule and the shortest path cost."""
+    matrices = lift_schedule(workload, schedule, config)
+    assert validate_solution(matrices, workload, config) == []
+    path_cost = solvers._oracle_path(workload.arrivals, workload.departures, config)[1]
+    assert objective_value(matrices, config) == resource_cost(schedule, config) == path_cost
+    return matrices
+
+
+def _check_oracle(workload, config):
+    """exact_schedule is the collapsed optimum of the reference enumeration,
+    or gives its refusal, and its lift is certified."""
+    got = _oracle_outcome(exact_schedule, workload, config)
+    assert got == _oracle_outcome(_reference_oracle_plan, workload, config)
+    if isinstance(got, list):
+        _certify(workload, Schedule(np.array(got)), config)
 
 
 def _workload_from_levels(levels):
@@ -465,40 +486,40 @@ class TestGreedy:
 
 class TestOracle:
     def test_reference_witness(self, ref_config, ref_workload):
-        matrices, cost = exact_oracle(ref_workload, ref_config)
-        assert cost == 6
+        schedule = exact_schedule(ref_workload, ref_config)
+        assert schedule.changes.tolist() == [0, 2, 0, -1, 0, 0, 0, 0]
+        assert resource_cost(schedule, ref_config) == 6
+        matrices = _certify(ref_workload, schedule, ref_config)
         assert matrices.allocations[0, 1] == 2
         assert matrices.allocations[2, 3] == 1
         assert int(matrices.allocations.sum()) == 3
         assert matrices.deallocations[4, 3] == 2
         assert int(matrices.deallocations.sum()) == 2
         assert matrices.requests.tolist() == [0, 1, 0, 1, 0, 0, 0, 0]
-        assert validate_solution(matrices, ref_workload, ref_config) == []
-        assert objective_value(matrices, ref_config) == 6
 
     def test_empty_workload_costs_nothing(self, ref_config):
         wl = Workload(arrivals=np.zeros(8, dtype=int),
                       departures=np.zeros(8, dtype=int))
-        matrices, cost = exact_oracle(wl, ref_config)
-        assert cost == 0
-        assert not matrices.requests.any()
+        schedule = exact_schedule(wl, ref_config)
+        assert not schedule.changes.any()
+        assert not _certify(wl, schedule, ref_config).requests.any()
 
     def test_refuses_wide_horizon(self):
         cfg = Config(n=12, delta=2, theta=3)
         wl = Workload(arrivals=np.zeros(12, dtype=int),
                       departures=np.zeros(12, dtype=int))
         with pytest.raises(OracleLimitError, match="max_n"):
-            exact_oracle(wl, cfg)
+            exact_schedule(wl, cfg)
 
     def test_refuses_heavy_workload(self, ref_config):
         wl = Workload(arrivals=np.array([9, 0, 0, 0, 0, 0, 0, 0]),
                       departures=np.zeros(8, dtype=int))
         with pytest.raises(OracleLimitError, match="participants"):
-            exact_oracle(wl, ref_config)
+            exact_schedule(wl, ref_config)
 
     def test_dropping_both_screens_releases_before_allocating(self):
         wl, cfg = _OVER_RELEASE
-        matrices, cost = _reference_exact_oracle(wl, cfg, skip_families=("EQ7", "EQ8"))
+        matrices, cost = _reference_optimum(wl, cfg, skip_families=("EQ7", "EQ8"))
         assert cost == -2
         assert {v.tag for v in validate_solution(matrices, wl, cfg)} == {"EQ7", "EQ8"}
 
@@ -508,29 +529,26 @@ class TestOracle:
         monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
         monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
         wl, cfg = _preset_workload(name, 100)
-        matrices, cost = exact_oracle(wl, cfg)
-        assert cost == optimum
-        assert validate_solution(matrices, wl, cfg) == []
-        assert objective_value(matrices, cfg) == cost
+        schedule = exact_schedule(wl, cfg)
+        assert resource_cost(schedule, cfg) == optimum
+        _certify(wl, schedule, cfg)
 
     def test_long_horizon_is_solved_quickly(self, monkeypatch):
-        # the pass is quadratic in n: about 0.15 s at n=1000 on a 2-vCPU Xeon,
-        # with _assign's two n x n matrices
+        # the pass is quadratic in n: the schedule and its lift, with the
+        # lift's two n x n matrices, take about 0.15 s at n=1000 on a 2-vCPU Xeon
         monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
         monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
         wl, cfg = _preset_workload("oppd", 1000)
         start = time.perf_counter()
-        matrices, cost = exact_oracle(wl, cfg)
+        schedule = exact_schedule(wl, cfg)
+        matrices = lift_schedule(wl, schedule, cfg)
         assert time.perf_counter() - start < 5
-        assert objective_value(matrices, cfg) == cost
+        assert objective_value(matrices, cfg) == resource_cost(schedule, cfg)
 
     def test_deterministic(self, ref_config, ref_workload):
-        a, cost_a = exact_oracle(ref_workload, ref_config)
-        b, cost_b = exact_oracle(ref_workload, ref_config)
-        assert cost_a == cost_b
-        assert np.array_equal(a.allocations, b.allocations)
-        assert np.array_equal(a.deallocations, b.deallocations)
-        assert np.array_equal(a.requests, b.requests)
+        a = exact_schedule(ref_workload, ref_config)
+        b = exact_schedule(ref_workload, ref_config)
+        assert np.array_equal(a.changes, b.changes)
 
     def test_dominates_heuristics_on_small_instances(self):
         cfg = Config(n=8, delta=2, theta=3)
@@ -540,25 +558,25 @@ class TestOracle:
                                                   seed=seed), cfg)
             if not 1 <= int(wl.arrivals.sum()) <= 6:
                 continue
-            matrices, cost = exact_oracle(wl, cfg)
-            assert validate_solution(matrices, wl, cfg) == []
+            schedule = exact_schedule(wl, cfg)
+            _certify(wl, schedule, cfg)
+            cost = resource_cost(schedule, cfg)
             assert cost <= resource_cost(adaptive_schedule(wl, cfg), cfg)
             assert cost <= resource_cost(greedy_schedule(wl, cfg), cfg)
             checked += 1
         assert checked >= 10
 
     def test_relaxed_screen_can_only_lower_cost(self, ref_config, ref_workload):
-        _, full = exact_oracle(ref_workload, ref_config)
-        relaxed_matrices, relaxed = _reference_exact_oracle(ref_workload, ref_config,
-                                                            skip_families=("EQ8",))
+        full = resource_cost(exact_schedule(ref_workload, ref_config), ref_config)
+        relaxed_matrices, relaxed = _reference_optimum(ref_workload, ref_config,
+                                                       skip_families=("EQ8",))
         assert relaxed <= full
         held = [v for v in validate_solution(relaxed_matrices, ref_workload, ref_config)
                 if v.tag != "EQ8"]
         assert held == []
 
     def test_oracle_schedule_is_feasible(self, ref_config, ref_workload):
-        matrices, _ = exact_oracle(ref_workload, ref_config)
-        schedule = matrices_to_schedule(matrices, ref_config)
+        schedule = exact_schedule(ref_workload, ref_config)
         assert check_feasibility(ref_workload, schedule, ref_config) == []
 
     def test_ilp_admits_what_the_simulator_overcommits(self, ref_config):
@@ -569,13 +587,12 @@ class TestOracle:
         # slot 6 leaves it overcommitted; nobody departs while waiting
         wl = Workload(arrivals=np.array([2, 0, 0, 0, 2, 0, 0, 0]),
                       departures=np.array([0, 0, 0, 0, 2, 0, 0, 0]))
-        matrices, cost = exact_oracle(wl, ref_config)
-        assert cost == 4
-        assert validate_solution(matrices, wl, ref_config) == []
+        schedule = exact_schedule(wl, ref_config)
+        assert schedule.changes.tolist() == [0, 2, 0, -2, 0, 2, 0, 0]
+        assert resource_cost(schedule, ref_config) == 4
+        matrices = _certify(wl, schedule, ref_config)
         assert matrices.allocations[4, 5] == 2
         assert matrices.deallocations[4, 3] == 2
-        schedule = matrices_to_schedule(matrices, ref_config)
-        assert schedule.changes.tolist() == [0, 2, 0, -2, 0, 2, 0, 0]
         violations = check_feasibility(wl, schedule, ref_config)
         assert [(v.kind, v.slot) for v in violations] == [
             ("capacity_below_occupancy", 6), ("capacity_below_occupancy", 7)]
@@ -585,21 +602,22 @@ class TestOracle:
         assert (report.departed[1:] <= report.exited[:-1]).all()
         assert report.exited[4:6].tolist() == [2, 4]
 
+    def test_exact_schedule_builds_no_matrices(self):
+        # 55 request slot sets fit n=10, delta=2; the schedule comes from the
+        # winner's columns alone
+        cfg = Config(n=10, delta=2, theta=9)
+        wl = Workload(arrivals=np.array([1] * 8 + [0, 0]), departures=np.zeros(10, dtype=int))
+        with mock.patch.object(solvers, "_assign",
+                               side_effect=AssertionError("_assign called")):
+            schedule = exact_schedule(wl, cfg)
+        _certify(wl, schedule, cfg)
+
 
 class TestOracleSchedule:
     @given(data=st.data(), n=st.integers(3, 11))
     @settings(max_examples=200, deadline=None)
     def test_plan_is_the_collapsed_assignment(self, data, n):
-        wl, cfg = _tiny_oracle_instance(data, n)
-
-        def outcome(plan):
-            try:
-                return plan().changes.tolist()
-            except OracleLimitError as exc:
-                return type(exc), str(exc)
-
-        assert outcome(lambda: _plan("oracle", wl, cfg)) == outcome(
-            lambda: matrices_to_schedule(exact_oracle(wl, cfg)[0], cfg))
+        _check_oracle(*_tiny_oracle_instance(data, n))
 
 
 class TestOraclePath:
@@ -607,20 +625,31 @@ class TestOraclePath:
     (cost, columns) tuple per column and keyed every tied option."""
 
     @staticmethod
-    def outcome(path, wl, cfg):
+    def outcome(wl, cfg):
+        """(columns, levels, cost) of solvers._oracle_path, or the refusal,
+        after checking it against the reference pass's, whose levels are its
+        allocations less its releases."""
         try:
-            return path(wl.arrivals, wl.departures, cfg)
+            (cols, levels), cost = solvers._oracle_path(wl.arrivals, wl.departures, cfg)
         except OracleLimitError as exc:
-            return type(exc), str(exc)
+            got = type(exc), str(exc)
+        else:
+            got = cols, levels, cost
+        try:
+            (cols, allocated, released, _, _), cost = _reference_oracle_path(
+                wl.arrivals, wl.departures, cfg)
+        except OracleLimitError as exc:
+            want = type(exc), str(exc)
+        else:
+            want = cols, [u - v for u, v in zip(allocated, released)], cost
+        assert got == want
+        return got
 
     @given(data=st.data(), n=st.integers(3, 11))
     @settings(max_examples=400, deadline=None)
     def test_tiny_shapes_match_the_reference_pass(self, data, n):
-        # the whole return value (columns, U, V, cohorts, cost), ties
-        # included, or the same refusal
-        wl, cfg = _tiny_oracle_instance(data, n)
-        assert self.outcome(solvers._oracle_path, wl, cfg) == self.outcome(
-            _reference_oracle_path, wl, cfg)
+        # columns, levels and cost, ties included, or the same refusal
+        self.outcome(*_tiny_oracle_instance(data, n))
 
     @pytest.mark.parametrize("arrivals, departures, cols", [
         # the start and a column at slot 1 tie at no cost: no column is the
@@ -633,9 +662,7 @@ class TestOraclePath:
     def test_tied_costs_go_by_the_tie_rule(self, arrivals, departures, cols):
         wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
         cfg = Config(n=len(arrivals), delta=2, theta=3)
-        path = self.outcome(solvers._oracle_path, wl, cfg)
-        assert path == self.outcome(_reference_oracle_path, wl, cfg)
-        assert path[0][0] == cols
+        assert self.outcome(wl, cfg)[0] == cols
 
     @pytest.mark.parametrize("name", ["oppd", "mmog"])
     @pytest.mark.parametrize("n", [30, 100])
@@ -643,9 +670,7 @@ class TestOraclePath:
         monkeypatch.setattr(solvers, "ORACLE_MAX_N", 1000)
         monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
         for seed in range(3):
-            wl, cfg = _preset_workload(name, n, seed)
-            assert self.outcome(solvers._oracle_path, wl, cfg) == self.outcome(
-                _reference_oracle_path, wl, cfg)
+            self.outcome(*_preset_workload(name, n, seed))
 
     def test_long_horizon_is_planned_quickly(self, monkeypatch):
         # the schedule straight from the columns: about 0.14 s at n=1000 on
@@ -654,7 +679,7 @@ class TestOraclePath:
         monkeypatch.setattr(solvers, "ORACLE_MAX_PARTICIPANTS", 10 ** 9)
         wl, cfg = _preset_workload("oppd", 1000)
         start = time.perf_counter()
-        schedule = _plan("oracle", wl, cfg)
+        schedule = exact_schedule(wl, cfg)
         assert time.perf_counter() - start < 1
         assert resource_cost(schedule, cfg) == solvers._oracle_path(wl.arrivals, wl.departures, cfg)[1]
 
@@ -697,26 +722,6 @@ class TestOracleSplit:
         for name in ("allocations", "deallocations", "requests"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
-           delta=st.integers(2, 4), spread=st.integers(1, 3),
-           amplitude=st.integers(1, 4), plateau=st.sampled_from([0.0, 0.3, 0.6]))
-    @settings(max_examples=60, deadline=None)
-    def test_oracle_output_matches_the_transport_split(self, seed, n, delta,
-                                                       spread, amplitude, plateau):
-        assume(delta + spread <= n)
-        cfg = Config(n=n, delta=delta, theta=delta + spread)
-        wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude,
-                                              plateau_fraction=plateau,
-                                              seed=seed), cfg)
-        assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
-
-        got = exact_oracle(wl, cfg)
-        with mock.patch.object(solvers, "_assign", _reference_assign):
-            want = exact_oracle(wl, cfg)
-        assert got[1] == want[1]
-        for name in ("allocations", "deallocations", "requests"):
-            assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
-
 
 class TestOracleReleases:
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 10),
@@ -731,8 +736,7 @@ class TestOracleReleases:
                                               plateau_fraction=plateau,
                                               seed=seed), cfg)
         assume(int(wl.arrivals.sum()) <= solvers.ORACLE_MAX_PARTICIPANTS)
-        assert (_oracle_outcome(exact_oracle, wl, cfg)
-                == _oracle_outcome(_reference_exact_oracle, wl, cfg))
+        _check_oracle(wl, cfg)
 
     @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=120, deadline=None)
@@ -750,18 +754,17 @@ class TestOracleReleases:
             present -= departures[-1]
         cfg = Config(n=n, delta=delta, theta=theta)
         wl = Workload(arrivals=np.array(arrivals), departures=np.array(departures))
-        assert (_oracle_outcome(exact_oracle, wl, cfg)
-                == _oracle_outcome(_reference_exact_oracle, wl, cfg))
+        _check_oracle(wl, cfg)
 
     def test_zero_weight_last_column_releases_nothing(self):
         # the request at slot n - delta costs nothing either way; releasing
         # the departure there would tie on cost with a larger y
         cfg = Config(n=4, delta=2, theta=3)
         wl = Workload(arrivals=np.array([0, 0, 0, 1]), departures=np.array([0, 0, 0, 1]))
-        matrices, cost = exact_oracle(wl, cfg)
-        assert cost == 0
-        assert matrices_to_schedule(matrices, cfg).changes.tolist() == [0, 1, 0, 0]
-        assert not matrices.deallocations.any()
+        schedule = exact_schedule(wl, cfg)
+        assert schedule.changes.tolist() == [0, 1, 0, 0]
+        assert resource_cost(schedule, cfg) == 0
+        assert not _certify(wl, schedule, cfg).deallocations.any()
 
     def test_releases_are_priced_not_searched(self):
         # the release search visited 278 272 leaves here and took about 0.3 s
@@ -771,27 +774,12 @@ class TestOracleReleases:
         samples = []
         for _ in range(3):
             start = time.perf_counter()
-            exact_oracle(wl, cfg)
+            exact_schedule(wl, cfg)
             samples.append(time.perf_counter() - start)
         assert median(samples) < 0.15
 
 
 class TestOraclePrice:
-    def test_only_the_winner_is_windowed(self, monkeypatch):
-        # 55 request slot sets fit n=10, delta=2; only the optimum is split
-        cfg = Config(n=10, delta=2, theta=9)
-        wl = Workload(arrivals=np.array([1] * 8 + [0, 0]), departures=np.zeros(10, dtype=int))
-        assigned = []
-        assign = solvers._assign
-
-        def counted(cols, *rest):
-            assigned.append(list(cols))
-            return assign(cols, *rest)
-
-        monkeypatch.setattr(solvers, "_assign", counted)
-        matrices, _ = exact_oracle(wl, cfg)
-        assert assigned == [(np.flatnonzero(matrices.requests) + 1).tolist()]
-
     @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=150, deadline=None)
     def test_prefixes_give_the_oracle_its_path_cost(self, data, n):
@@ -836,7 +824,8 @@ class TestOraclePrice:
             needs = [window_mass(c) for c in slots[1:]] + [sum(arrivals)]
             costs.append(sum(max(need - within_reach(c), 0) * (c_next - c)
                              for c, c_next, need in zip(slots, [*slots[1:], n - delta], needs)))
-        assert exact_oracle(wl, cfg)[1] == min(costs)
+        assert solvers._oracle_path(wl.arrivals, wl.departures, cfg)[1] == min(costs)
+        assert resource_cost(exact_schedule(wl, cfg), cfg) == min(costs)
 
     @given(data=st.data(), n=st.integers(3, 10))
     @settings(max_examples=100, deadline=None)
