@@ -205,8 +205,8 @@ def generate_workload(params: ScenarioParams, config: Config) -> Workload:
     per growth slot, per drawing plateau slot and per decay slot, in slot
     order; a bound of 0 draws nothing.  Identical (params, config) pairs
     therefore reproduce bit-identical workloads on any platform.  This is
-    the one-row case of _generate_rows, which bounds PCG64's raw words
-    itself as that method does.
+    the one-row case of _generate_rows, which makes the same draws in
+    fewer calls.
     """
     arrivals, departures = _generate_rows(params, (params.seed,), config)
     return Workload(arrivals[0], departures[0])
@@ -220,26 +220,30 @@ def _generate_rows(params: ScenarioParams, seeds, config: Config) -> Tuple[np.nd
     """generate_workload's arrays for each of seeds in place of params.seed, as
     the rows of two (seeds x n) arrays, raising what it would at the first seed.
 
-    Each seed's PCG64 hands out one block of raw words, and every draw is
-    bounded from them as Generator.integers bounds it (see _Words).  Below
-    an amplitude of 2**32 a draw reads 32-bit halves of the words, low half
-    first, and each half u of the (seeds x halves) block is mapped for the
-    bound amplitude in one array pass: its value is u * (amplitude + 1) >> 32,
-    kept when u * (amplitude + 1) mod 2**32 is at least 2**32 mod (amplitude
-    + 1), Lemire's threshold.  The kept values, in order, are the draws of
-    the growth and drawing plateau slots and then of the decay slots for as
-    long as the occupancy before each keeps its bound at amplitude.  The
-    rest of the decay, a row that runs out of kept halves, and every draw
-    at an amplitude of 2**32 or more are made one at a time by _draw_rest
-    on the same words.  Once occupancy reaches zero every later draw is
-    zero and none is made.
+    At an amplitude of 2**32 or more, or one that lets a sum pass int64, each
+    row is drawn by _draw_rest from Generator(PCG64(seed)).integers itself.
+    Below it, every draw reads 32-bit halves of PCG64's raw words, low half
+    first, and no Generator is built: each seed's PCG64 hands out one block
+    of words, and each half u of the (seeds x halves) block is mapped for
+    the bound amplitude in one array pass: its value is u * (amplitude + 1)
+    >> 32, kept when u * (amplitude + 1) mod 2**32 is at least 2**32 mod
+    (amplitude + 1), Lemire's threshold.  The kept values, in order, are the
+    draws of the growth and drawing plateau slots and then of the decay
+    slots for as long as the occupancy before each keeps its bound at
+    amplitude.  The rest of the decay, and all of a row that runs out of
+    kept halves, are drawn by _draw_rest from the halves after the last
+    kept one, bounded the same way.  Once occupancy reaches zero every later
+    draw is zero and none is made.
 
-    This relies on two numpy behaviours, the same on every numpy the package
-    allows (1.24 on): PCG64 hands out a word's low 32-bit half before its
-    high half, and Generator.integers bounds int64 draws by Lemire's method
-    with the thresholds above.  tests/test_workload.py checks both, matching
+    The 32-bit path relies on two numpy behaviours, the same on every numpy
+    the package allows (1.24 on): PCG64 hands out a word's low 32-bit half
+    before its high half, and Generator.integers bounds a draw below 2**32
+    by Lemire's method with the threshold above.  The wide path relies on
+    one: a sized Generator.integers call makes the draws that as many
+    scalar calls would.  tests/test_workload.py checks all three, matching
     these rows against the per-slot Generator loop of
-    tests/workload_reference.py and _Words.integer against Generator.integers.
+    tests/workload_reference.py and each path's draws against
+    Generator.integers.
     """
     n = config.n
     growth, plateau, _ = segment_lengths(n, params.plateau_fraction)
@@ -251,9 +255,9 @@ def _generate_rows(params: ScenarioParams, seeds, config: Config) -> Tuple[np.nd
     if amp >= 2 ** 32 or amp * n > INT64_MAX:      # 64-bit draws, or sums that may pass int64
         for a, d, seed in zip(arrivals, departures, seeds):
             _check_seed(seed)
-            bitgen = np.random.PCG64(seed)
-            words = _Words(bitgen, bitgen.random_raw(n + _SPARE_WORDS).tolist())
-            _draw_rest(a, d, words, 0, 0, 0, amp, growth, plateau)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            _draw_rest(a, d, lambda b, k: rng.integers(0, b, k, endpoint=True).tolist(),
+                       0, 0, 0, amp, growth, plateau)
         return arrivals, departures
     for seed in seeds:      # no sum here can pass int64, so only a seed is refused
         _check_seed(seed)
@@ -285,80 +289,66 @@ def _generate_rows(params: ScenarioParams, seeds, config: Config) -> Tuple[np.nd
     left = total - departures.sum(axis=1)
     for i in np.flatnonzero((drawn < rise) | (drawn < draws) & (left > 0)):
         k = int(drawn[i])
-        stream = _Words(bitgens[i], words[i].tolist(), int(at[i, k - 1]) + 1 if k else 0)
-        _draw_rest(arrivals[i], departures[i], stream, k, int(left[i]), int(total[i]),
+        draw = _half_draws(halves[i, int(at[i, k - 1]) + 1 if k else 0:].tolist(), bitgens[i])
+        _draw_rest(arrivals[i], departures[i], draw, k, int(left[i]), int(total[i]),
                    amp, growth, plateau)
     return arrivals, departures
 
 
-def _draw_rest(a: np.ndarray, d: np.ndarray, words: "_Words", k: int, occ: int, total: int,
+def _draw_rest(a: np.ndarray, d: np.ndarray, draw, k: int, occ: int, total: int,
                amp: int, growth: int, plateau: int) -> None:
-    """Make the draws of the row a, d from its k-th on, one at a time from
-    words, its first k draws being written and leaving occ present and total
-    arrived; raise Workload's error if all its arrivals sum past int64."""
-    rise = growth + (plateau + 1) // 2
-    while k < rise:
-        value = words.integer(amp)
-        if k < growth:
-            a[k] = value
-            occ += value
-        else:
-            a[2 * k - growth] = d[2 * k - growth] = value
-        total += value
-        k += 1
+    """Make the draws of the row a, d from its k-th on, its first k draws
+    being written and leaving occ present and total arrived; raise
+    Workload's error if all its arrivals sum past int64.
+
+    draw(bound, count) returns the next count draws over [0, bound].  The
+    growth and drawing plateau draws left are one call.  The decay is made
+    in calls of occ // amp draws, which keep every bound at amp, and below
+    amp in calls of one draw."""
+    rise, end = growth + (plateau + 1) // 2, growth + plateau
+    if k < rise:
+        values = draw(amp, rise - k)
+        split = max(growth - k, 0)      # of values, the growth draws
+        start = 2 * (k + split) - growth
+        a[k:growth] = values[:split]
+        a[start:end:2] = d[start:end:2] = values[split:]
+        occ += sum(values[:split])
+        total += sum(values)
+        k = rise
     if total > INT64_MAX:
         Workload(a, d)      # raises, naming the slot the sum passes int64 at
-    t = k - rise + growth + plateau
-    while t < len(d) and occ:
-        d[t] = value = words.integer(min(amp, occ))
-        occ -= value
-        t += 1
+    t, fall = k - rise + end, []
+    while t + len(fall) < len(d) and occ:
+        values = draw(min(amp, occ), min(occ // amp or 1, len(d) - t - len(fall)))
+        fall += values
+        occ -= sum(values)
+    d[t:t + len(fall)] = fall
 
 
-class _Words:
-    """A PCG64's raw output words, read as numpy's Generator reads them.
+def _half_draws(halves: list, bitgen: "np.random.PCG64"):
+    """draw(bound, count) for bound < 2**32: the next count draws that
+    Generator.integers makes over [0, bound] from halves, the 32-bit halves
+    bitgen has handed out but not yet read, and then from its further
+    words, low half first.  Each half u gives u * (bound + 1) >> 32, kept
+    when u * (bound + 1) mod 2**32 is at least 2**32 mod (bound + 1)."""
+    at = 0
 
-    words are the words taken from bitgen so far, read up to the 32-bit half
-    numbered half, low halves first; more are taken as needed.  next64 reads
-    a whole word, as PCG64's next_uint64 does, leaving a pending half alone;
-    next32 reads the low half of a word and keeps its high half pending for
-    the next 32-bit read, as next_uint32 does.
-    """
-
-    __slots__ = ("bitgen", "words", "at", "pending")
-
-    def __init__(self, bitgen: "np.random.PCG64", words: list, half: int = 0):
-        self.bitgen, self.words, self.at = bitgen, words, (half + 1) // 2
-        self.pending = words[half // 2] >> 32 if half % 2 else None
-
-    def next64(self) -> int:
-        if self.at == len(self.words):
-            self.words += self.bitgen.random_raw(len(self.words)).tolist()
-        self.at += 1
-        return self.words[self.at - 1]
-
-    def next32(self) -> int:
-        half, self.pending = self.pending, None
-        if half is None:
-            word = self.next64()
-            half, self.pending = word & 0xFFFFFFFF, word >> 32
-        return half
-
-    def integer(self, bound: int) -> int:
-        """The draw Generator.integers makes over [0, bound], 0 <= bound <=
-        INT64_MAX: no read for a bound of 0, else Lemire's method on 32-bit
-        reads below 2**32 and on 64-bit reads from it, reading again while
-        the product's low bits fall below the threshold 2**bits mod (bound +
-        1)."""
-        if not bound:
-            return 0
-        span = bound + 1
-        bits, read = (32, self.next32) if bound < 2 ** 32 else (64, self.next64)
-        threshold = 2 ** bits % span
-        while True:
-            scaled = read() * span
-            if scaled % 2 ** bits >= threshold:
-                return scaled >> bits
+    def draw(bound: int, count: int) -> list:
+        nonlocal at
+        if not bound:       # Generator.integers reads nothing
+            return [0] * count
+        span, values = bound + 1, []
+        threshold = 2 ** 32 % span
+        while len(values) < count:
+            if at == len(halves):
+                for word in bitgen.random_raw(len(halves) // 2 + _SPARE_WORDS).tolist():
+                    halves.extend((word & 0xFFFFFFFF, word >> 32))
+            scaled = halves[at] * span
+            at += 1
+            if scaled & 0xFFFFFFFF >= threshold:
+                values.append(scaled >> 32)
+        return values
+    return draw
 
 
 def occupancy(workload: Workload) -> np.ndarray:

@@ -23,7 +23,8 @@ from capsched import (
     parse_workload,
     segment_lengths,
 )
-from capsched.workload import INT64_MAX, INT64_MIN, _generate_rows, _Words, _write_json_object
+from capsched.workload import (INT64_MAX, INT64_MIN, _generate_rows, _half_draws,
+                               _write_json_object)
 from json_reference import (INT64, _reference_read_json_object, assert_reads_alike, edited,
                             json_lists)
 from workload_reference import _reference_generate_workload
@@ -253,6 +254,9 @@ class TestGenerator:
     # seed 7's first half times 3 * 2**30 leaves low bits equal to the threshold: it is kept
     @example(case=(ScenarioParams(name="t", amplitude=3 * 2 ** 30 - 1, seed=7),
                    Config(n=20, delta=2, theta=3)))
+    # a wide decay in chunks of 74, 35, 17, 7, 3 and 2 draws, then 12 scalar draws
+    @example(case=(ScenarioParams(name="t", amplitude=2 ** 32, plateau_fraction=0.0, seed=3),
+                   Config(n=300, delta=2, theta=3)))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_slot_reference(self, case):
         assert _generated(generate_workload, *case) == _generated(
@@ -283,16 +287,52 @@ class TestGenerator:
             want = type(exc), str(exc)
         assert got == want
 
-    @given(seed=st.integers(0, 2 ** 32), bounds=st.lists(st.one_of(
-        st.integers(0, 2000), st.integers(0, 2 ** 32), st.integers(0, INT64_MAX),
-        st.sampled_from([0, 2 ** 31, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32, INT64_MAX])), max_size=40))
+    @given(seed=st.integers(0, 2 ** 32), start=st.integers(0, 8), calls=st.lists(st.tuples(
+        st.one_of(st.integers(0, 2000), st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from([0, 1, 2 ** 31, 3 * 2 ** 30, 2 ** 32 - 2, 2 ** 32 - 1])),
+        st.integers(0, 4)), max_size=20))
     @settings(max_examples=300, deadline=None)
-    def test_scalar_draw_matches_the_generator(self, seed, bounds):
-        # 32-bit and 64-bit bounds interleaved pin the order a pending half is read in
-        rng = np.random.Generator(np.random.PCG64(seed))
+    def test_scalar_draw_matches_the_generator(self, seed, start, calls):
         bitgen = np.random.PCG64(seed)
-        words = _Words(bitgen, bitgen.random_raw(1).tolist())     # more are taken as needed
-        assert [words.integer(b) for b in bounds] == [int(rng.integers(0, b + 1)) for b in bounds]
+        halves = [half for word in bitgen.random_raw(4).tolist()
+                  for half in (word & 0xFFFFFFFF, word >> 32)]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        # full-width 32-bit draws are the halves themselves, low half first
+        assert [int(rng.integers(0, 2 ** 32)) for _ in range(start)] == halves[:start]
+        # the halves left run out within a few draws, so more words are taken
+        draw = _half_draws(halves[start:], bitgen)
+        assert [draw(b, k) for b, k in calls] == [
+            [int(rng.integers(0, b + 1)) for _ in range(k)] for b, k in calls]
+
+    @pytest.mark.parametrize("bound", [1500, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 62])
+    @pytest.mark.parametrize("count", [1, 2, 7, 8])
+    def test_sized_draws_equal_scalar_draws(self, bound, count):
+        # the wide path draws a chunk in one call, then scalars below it; an
+        # odd count of 32-bit draws leaves a pending half for the next call
+        after = [bound, 1500, 2 ** 40, 2 ** 32 - 1, 7]
+        for seed in range(100):
+            sized = np.random.Generator(np.random.PCG64(seed))
+            scalar = np.random.Generator(np.random.PCG64(seed))
+            got = sized.integers(0, bound, size=count, endpoint=True).tolist()
+            got += [int(sized.integers(0, b + 1)) for b in after]
+            assert got == [int(scalar.integers(0, b + 1)) for b in [bound] * count + after]
+
+    def test_wide_row_draws_in_chunks(self):
+        # one slot at a time this row took 9.7 ms; chunks of occ // amp need a dozen calls
+        calls = []
+
+        class Counting(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                calls.append(args)
+                return super().integers(*args, **kwargs)
+        params = ScenarioParams(name="t", amplitude=2 ** 40, seed=0)
+        config = Config(n=10_000, delta=3, theta=4)
+        with mock.patch.object(np.random, "Generator", Counting):
+            got = generate_workload(params, config)
+        assert 1 <= len(calls) < 100
+        want = _reference_generate_workload(params, config)
+        assert got.arrivals.tolist() == want.arrivals.tolist()
+        assert got.departures.tolist() == want.departures.tolist()
 
     def test_block_draws_use_no_generator(self):
         preset = SCENARIO_PRESETS["mmog"]
