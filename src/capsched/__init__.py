@@ -41,7 +41,6 @@ from .schedule import (
 )
 from .solvers import (
     LiftError,
-    OracleLimitError,
     adaptive_schedule,
     exact_schedule,
     greedy_schedule,
@@ -73,7 +72,6 @@ __all__ = [
     "INTEGRALITY_TOLERANCE",
     "IlpModel",
     "LiftError",
-    "OracleLimitError",
     "SCENARIO_PRESETS",
     "ScenarioParams",
     "Schedule",

@@ -33,8 +33,6 @@ from .schedule import (
     parse_schedule,
 )
 from .solvers import (
-    ORACLE_MAX_N,
-    OracleLimitError,
     _adaptive_rows,
     _greedy_rows,
     _oracle_changes,
@@ -60,10 +58,36 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 
+# the oracle's caps: solve refuses beyond them and compare notes each refusal;
+# exact_schedule itself plans at any n
+ORACLE_MAX_N = 10
+ORACLE_MAX_PARTICIPANTS = 8
+
+
+def _oracle_refusal(n: int, participants: int) -> Optional[str]:
+    """Why the oracle is refused an instance of n slots and that many
+    arrivals, or None within its caps."""
+    if n > ORACLE_MAX_N:
+        return f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}"
+    if participants > ORACLE_MAX_PARTICIPANTS:
+        return (f"{participants} participants exceed the search limit "
+                f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
+    return None
+
+
+def _capped_exact_schedule(workload: Workload, config: Config) -> Schedule:
+    """exact_schedule within the oracle's caps, a ConfigurationError beyond them."""
+    refusal = _oracle_refusal(config.n, int(workload.arrivals.sum()))
+    if refusal:
+        raise ConfigurationError(refusal)
+    return exact_schedule(workload, config)
+
+
 def _planners() -> Dict[str, Callable[[Workload, Config], Schedule]]:
     """The planners by name, read from this module's names on each call, so
     that a wrapper set on one (as the benchmark's span recorder sets) sees it."""
-    return {"ads": adaptive_schedule, "greedy": greedy_schedule, "oracle": exact_schedule}
+    return {"ads": adaptive_schedule, "greedy": greedy_schedule,
+            "oracle": _capped_exact_schedule}
 
 
 ALGORITHMS = tuple(_planners())
@@ -226,12 +250,13 @@ def _compare_block(arrivals: np.ndarray, departures: np.ndarray, seeds: Sequence
             plans.extend(_BLOCK_PLANNERS[algorithm](occ, config))
             owners.extend((k, seed, algorithm) for k, seed in enumerate(seeds))
             continue
+        participants = arrivals.sum(axis=1).tolist()
         for k, seed in enumerate(seeds):  # the oracle, one row at a time
-            try:
-                plans.append(_oracle_changes(arrivals[k], departures[k], config))
-            except OracleLimitError as exc:
-                notes.append(f"{algorithm} skipped seed={seed}: {exc}")
+            refusal = _oracle_refusal(config.n, participants[k])
+            if refusal:
+                notes.append(f"{algorithm} skipped seed={seed}: {refusal}")
                 continue
+            plans.append(_oracle_changes(arrivals[k], departures[k], config))
             owners.append((k, seed, algorithm))
     if not plans:
         return [], notes
@@ -408,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, WorkloadFormatError, ScheduleFormatError,
-            SolutionFormatError, OracleLimitError, OSError, UnicodeDecodeError,
+            SolutionFormatError, OSError, UnicodeDecodeError,
             MemoryError) as exc:
         # a failed allocation may carry no text of its own
         text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")

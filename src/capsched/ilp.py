@@ -44,6 +44,9 @@ _SEP = "\x00"
 _LP_WIDTH = 72
 _INDENT = "   "
 _BREAK = "\n" + _INDENT
+# a continuation line of a wrapped body: the most pieces that fit beside the
+# indent, ending at the separator it breaks at or at the body's end
+_LINE = re.compile(f"(.{{1,{_LP_WIDTH - len(_INDENT)}}})(?:{_SEP}|\\Z)", re.S)
 
 
 class SolutionFormatError(ValueError):
@@ -269,19 +272,9 @@ def _wrap(body: str, head_width: int) -> Tuple[str, int]:
     Continuation lines are indented.  Every piece fits on a line: an int64
     coefficient and a variable name take well under the 69 columns left.
     """
-    find = body.rfind
-    cut = find(_SEP, 0, _LP_WIDTH - head_width + 1)
-    lines = [body[:cut]]
-    append = lines.append
-    start = cut + 1
-    span = _LP_WIDTH - len(_INDENT) + 1
-    last = len(body) - span + 1
-    while start < last:
-        cut = find(_SEP, start, start + span)
-        append(body[start:cut])
-        start = cut + 1
-    append(body[start:])
-    return _BREAK.join(lines).replace(_SEP, " "), len(_INDENT) + len(body) - start
+    cut = body.rfind(_SEP, 0, _LP_WIDTH - head_width + 1)
+    lines = [body[:cut], *_LINE.findall(body, cut + 1)]
+    return _BREAK.join(lines).replace(_SEP, " "), len(_INDENT) + len(lines[-1])
 
 
 def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,

@@ -9,7 +9,7 @@ parameters they return a schedule of capacity changes.
 * greedy_schedule: a fixed-period baseline that re-targets capacity to the
   occupancy peak of the next window.
 * exact_schedule: the integer program's optimum, by a shortest path over
-  request placements priced in closed form; restricted to small instances.
+  request placements priced in closed form, in O(n^2) list steps.
 
 lift_schedule turns a schedule into the integer program's matrices through
 _assign, so an optimal assignment is lift_schedule of exact_schedule's
@@ -26,10 +26,6 @@ import numpy as np
 from .ilp import SolutionMatrices
 from .schedule import Schedule, _screen, simulate
 from .workload import Config, Workload, occupancy, _require_matching
-
-
-class OracleLimitError(RuntimeError):
-    """Raised when an instance exceeds the oracle's size caps."""
 
 
 class LiftError(RuntimeError):
@@ -127,16 +123,9 @@ def _greedy_rows(occ: np.ndarray, config: Config) -> np.ndarray:
     return changes
 
 
-# exact_schedule refuses instances beyond these; compare notes each refusal
-ORACLE_MAX_N = 10
-ORACLE_MAX_PARTICIPANTS = 8
-
-
 def exact_schedule(workload: Workload, config: Config) -> Schedule:
     """The integer program's optimum as a schedule, by _oracle_changes: its
-    resource_cost is the optimal cost and its lift an optimal assignment.
-    Instances with n above ORACLE_MAX_N, or more than ORACLE_MAX_PARTICIPANTS
-    arrivals, raise OracleLimitError."""
+    resource_cost is the optimal cost and its lift an optimal assignment."""
     _require_matching(workload, config)
     return Schedule(_oracle_changes(workload.arrivals, workload.departures, config))
 
@@ -152,8 +141,8 @@ def _oracle_changes(arrivals: np.ndarray, departures: np.ndarray, config: Config
 
 
 def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
-    """exact_schedule's shortest path, after its OracleLimitError checks: the
-    columns, the capacity held from each on, and the cost.
+    """exact_schedule's shortest path: the columns, the capacity held from
+    each on, and the cost.
 
     Request slots are columns at least delta apart, up to n - delta.  Every
     arrival cohort is allocated at the last column of its window, so the
@@ -179,16 +168,7 @@ def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):
     A(n) - min(D(c_{k-1}), A(n - delta)), or A(n) when it is the only column.
     """
     n, delta, theta = config.n, config.delta, config.theta
-    if n > ORACLE_MAX_N:
-        raise OracleLimitError(f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}")
-    arrivals, departures = arrivals.tolist(), departures.tolist()
-    total = sum(arrivals)
-    if total > ORACLE_MAX_PARTICIPANTS:
-        raise OracleLimitError(
-            f"{total} participants exceed the search limit "
-            f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
-
-    arr_cohorts, _, due, freed = _prefixes(arrivals, departures, config)
+    arr_cohorts, _, due, freed = _prefixes(arrivals.tolist(), departures.tolist(), config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]
     # reach[p] = D(p) for p <= n - delta; cols[c] are the cheapest columns

@@ -11,9 +11,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from capsched import CostReport, SimulationReport, generate_workload
-from capsched.cli import CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text, _report_cells
+from capsched.cli import (CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text,
+                          _oracle_refusal, _report_cells)
 from capsched.schedule import _violations
-from capsched.solvers import OracleLimitError
 from oracle_reference import _reference_oracle_schedule
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
@@ -99,11 +99,12 @@ def _reference_run_compare(spec) -> str:
     for seed in spec.seeds:
         workload = generate_workload(replace(params, seed=seed), config)
         for algorithm in algorithms:
-            try:
-                schedule = _reference_plan(algorithm, workload, config)
-            except OracleLimitError as exc:
-                notes.append(f"{algorithm} skipped seed={seed}: {exc}")
+            refusal = (_oracle_refusal(config.n, int(workload.arrivals.sum()))
+                       if algorithm == "oracle" else None)
+            if refusal:
+                notes.append(f"{algorithm} skipped seed={seed}: {refusal}")
                 continue
+            schedule = _reference_plan(algorithm, workload, config)
             rows.append((seed, algorithm, _reference_evaluate(workload, schedule, config)))
     rows.sort(key=lambda row: row[:2])
     lines = [CSV_HEADER]

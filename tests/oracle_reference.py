@@ -10,8 +10,12 @@ matrices."""
 import bisect
 import itertools
 
-from capsched import OracleLimitError, mandatory_load, matrices_to_schedule
+from capsched import mandatory_load, matrices_to_schedule
 from capsched import solvers
+
+# the enumeration is exponential in both; it refuses larger instances
+ENUMERATION_MAX_N = 10
+ENUMERATION_MAX_PARTICIPANTS = 8
 
 
 def _request_slot_sets(last_slot, delta):
@@ -33,18 +37,19 @@ class _NoAssignment(RuntimeError):
     """Raised by the reference search when nothing meets its constraints."""
 
 
+class _TooLarge(RuntimeError):
+    """Raised by the reference search beyond its size guard."""
+
+
 def _reference_optimum(workload, config, skip_families=()):
     """Reference oracle: the original search, which enumerates every request
     slot set, every release vector within the caps under each allocation
-    vector, and every allocation total for the last column too."""
+    vector, and every allocation total for the last column too.  Instances
+    beyond its size guard raise _TooLarge."""
     n, delta, theta = config.n, config.delta, config.theta
     total = int(workload.arrivals.sum())
-    if n > solvers.ORACLE_MAX_N:
-        raise OracleLimitError(f"n={n} exceeds the search limit max_n={solvers.ORACLE_MAX_N}")
-    if total > solvers.ORACLE_MAX_PARTICIPANTS:
-        raise OracleLimitError(
-            f"{total} participants exceed the search limit "
-            f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
+    if n > ENUMERATION_MAX_N or total > ENUMERATION_MAX_PARTICIPANTS:
+        raise _TooLarge(f"n={n} with {total} participants is beyond the enumeration")
     check7 = "EQ7" not in set(skip_families)
     check8 = "EQ8" not in set(skip_families)
     a = [int(v) for v in workload.arrivals]
@@ -122,16 +127,8 @@ def _reference_oracle_path(arrivals, departures, config):
     for its module references: each candidate's releases through a closure,
     a (cost, columns) tuple per column, every option listed, and tie_key
     called on every option tied at the minimum.  The tests pin the
-    flat-list pass to it, ties and refusals included."""
+    flat-list pass to it, ties included, at any n."""
     n, delta, theta = config.n, config.delta, config.theta
-    total = int(arrivals.sum())
-    if n > solvers.ORACLE_MAX_N:
-        raise OracleLimitError(f"n={n} exceeds the search limit max_n={solvers.ORACLE_MAX_N}")
-    if total > solvers.ORACLE_MAX_PARTICIPANTS:
-        raise OracleLimitError(
-            f"{total} participants exceed the search limit "
-            f"max_total_participants={solvers.ORACLE_MAX_PARTICIPANTS}")
-
     arr_cohorts, dep_cohorts, due, freed = solvers._prefixes(arrivals.tolist(), departures.tolist(), config)
     last = n - delta
     ends = [min(i + theta - delta, last) for i, _ in arr_cohorts]

@@ -278,3 +278,29 @@ def test_criterion_9_planner_speed():
     _report(9, f"ads {timings['ads'] * 1000:.2f}ms, "
                f"greedy {timings['greedy'] * 1000:.2f}ms, "
                f"compare {compare_elapsed:.2f}s", ok)
+
+
+def test_criterion_10_paper_scale_ordering():
+    # the exact optimum at the paper's n=100 on 100 seeds of both presets,
+    # with its certificate on the first five of each
+    start = time.perf_counter()
+    cfg = Config(n=100, delta=3, theta=4)
+    ordered = certified = 0
+    for name, amplitude in (("mmog", 1500), ("oppd", 300)):
+        for seed in range(100):
+            wl = generate_workload(
+                ScenarioParams(name=name, amplitude=amplitude, seed=seed), cfg)
+            exact = exact_schedule(wl, cfg)
+            cost = resource_cost(exact, cfg)
+            if cost <= resource_cost(adaptive_schedule(wl, cfg), cfg) <= resource_cost(
+                    greedy_schedule(wl, cfg), cfg):
+                ordered += 1
+            if seed < 5:
+                matrices = lift_schedule(wl, exact, cfg)
+                if (validate_solution(matrices, wl, cfg) == []
+                        and objective_value(matrices, cfg) == cost):
+                    certified += 1
+    elapsed = time.perf_counter() - start
+    ok = ordered == 200 and certified == 10 and elapsed < 60.0
+    _report(10, f"exact <= ads <= greedy on {ordered}/200 at n=100, "
+                f"{certified}/10 certified ({elapsed:.1f}s)", ok)

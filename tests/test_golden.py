@@ -41,8 +41,7 @@ from capsched import (
     resource_cost,
     run_compare,
 )
-from capsched.solvers import OracleLimitError
-from capsched.cli import _report_lines
+from capsched.cli import _oracle_refusal, _report_lines
 
 COMPARE_SEEDS = range(20)
 WORKLOAD_N = 100
@@ -145,7 +144,7 @@ def lp101_digests():
 def oracle_digests():
     """Digest per shape of the oracle's outcome on every seed and plateau
     fraction: the cost, the changes and the lift's three matrices, or the
-    refusal message."""
+    refusal solve and compare give beyond the oracle's caps."""
     out = {}
     for n, delta, theta, amplitude in ORACLE_SHAPES:
         config = Config(n=n, delta=delta, theta=theta)
@@ -155,11 +154,11 @@ def oracle_digests():
                 params = ScenarioParams(name="grid", amplitude=amplitude,
                                         plateau_fraction=plateau, seed=seed)
                 workload = generate_workload(params, config)
-                try:
-                    schedule = exact_schedule(workload, config)
-                except OracleLimitError as exc:
-                    outcome = f"refused {exc}"
+                refusal = _oracle_refusal(n, int(workload.arrivals.sum()))
+                if refusal:
+                    outcome = f"refused {refusal}"
                 else:
+                    schedule = exact_schedule(workload, config)
                     matrices = lift_schedule(workload, schedule, config)
                     outcome = repr((resource_cost(schedule, config), schedule.changes.tolist(),
                                     matrices.allocations.tolist(),
