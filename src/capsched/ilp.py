@@ -45,8 +45,10 @@ _LP_WIDTH = 72
 _INDENT = "   "
 _BREAK = "\n" + _INDENT
 # a continuation line of a wrapped body: the most pieces that fit beside the
-# indent, ending at the separator it breaks at or at the body's end
-_LINE = re.compile(f"(.{{1,{_LP_WIDTH - len(_INDENT)}}})(?:{_SEP}|\\Z)", re.S)
+# indent, up to the separator it breaks at.  The body to wrap ends with a
+# separator, so every line ends at one, and a match that runs to a literal
+# backs up by scanning for that character instead of trying an alternation
+_LINE = re.compile(f"(.{{1,{_LP_WIDTH - len(_INDENT)}}}){_SEP}", re.S)
 
 
 class SolutionFormatError(ValueError):
@@ -67,9 +69,9 @@ class LinearConstraint:
 def variable_names(n: int) -> Tuple[str, ...]:
     """Names of the model variables in index order: x_i_j at (i-1)*n + j-1,
     y_i_j at n*n + (i-1)*n + j-1, r_j at 2*n*n + j-1."""
-    pairs = [f"{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    return tuple(["x_" + p for p in pairs] + ["y_" + p for p in pairs]
-                 + [f"r_{j}" for j in range(1, n + 1)])
+    slots = [str(slot) for slot in range(1, n + 1)]
+    return tuple([f"{v}_{i}_{j}" for v in "xy" for i in slots for j in slots]
+                 + ["r_" + j for j in slots])
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -88,8 +90,10 @@ class IlpModel:
     run_ptr[k+1] - 1: run p adds run_coefs[p] times each of the
     run_lengths[p] consecutive variables from index run_starts[p], in the
     variable order of variable_names.  The objective is a list of runs held
-    the same way.  The arrays are read-only; row_names and constraints are
-    views derived from them on access, and constraints stays for the traced
+    the same way.  The arrays are read-only.  Two views are derived from
+    them on access: row_names from row_tags, row_i and row_j, by the same
+    formatter that gives export_lp its row heads, and constraints from every
+    row array and variable_names; constraints stays for the traced
     benchmark's row and term counts.
     """
 
@@ -107,12 +111,17 @@ class IlpModel:
     objective_lengths: np.ndarray
     objective_coefs: np.ndarray
 
+    def _row_labels(self, before: str, after: str) -> List[str]:
+        """Each row's name, the family tag and its indices, between before
+        and after.  Every family has an i index, a j index or both."""
+        return [f"{before}{tag}_i{i}_j{j}{after}" if i and j else
+                f"{before}{tag}_i{i}{after}" if i else f"{before}{tag}_j{j}{after}"
+                for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
+                                     self.row_j.tolist())]
+
     @property
     def row_names(self) -> Tuple[str, ...]:
-        return tuple([f"{tag}_i{i}_j{j}" if i and j else f"{tag}_i{i}" if i else
-                      f"{tag}_j{j}" if j else tag
-                      for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
-                                           self.row_j.tolist())])
+        return tuple(self._row_labels("", ""))
 
     # bench/spans.py counts each built model's rows and terms through this view, so a
     # traced run fails without it until the benchmark reads rhs and run_lengths instead
@@ -266,8 +275,9 @@ def build_model(workload: Workload, config: Config) -> IlpModel:
 def _wrap(body: str, head_width: int) -> Tuple[str, int]:
     """Break a row body that follows a head head_width columns wide before
     the pieces that would pass the line width; return the body's text and
-    the width of its last line.  The body must be too wide to sit beside the
-    head, as the first break is not tested for.
+    the width of its last line.  The body is its pieces, each after a
+    separator, and one more separator that ends the last; it must be too
+    wide to sit beside the head, as the first break is not tested for.
 
     Continuation lines are indented.  Every piece fits on a line: an int64
     coefficient and a variable name take well under the 69 columns left.
@@ -277,11 +287,13 @@ def _wrap(body: str, head_width: int) -> Tuple[str, int]:
     return _BREAK.join(lines).replace(_SEP, " "), len(_INDENT) + len(lines[-1])
 
 
-def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
-                 lengths: np.ndarray, coefs: np.ndarray, heads: Sequence[str],
-                 tails: Sequence[str]) -> List[str]:
+def _render_rows(names: Sequence[str], name_chars: np.ndarray, run_ptr: np.ndarray,
+                 starts: np.ndarray, lengths: np.ndarray, coefs: np.ndarray,
+                 heads: Sequence[str], tails: Sequence[str]) -> List[str]:
     """The LP text of the rows as fragments to join: each row's head, body
     and tail, where a tail (" sense rhs", or nothing) ends its row's line.
+    name_chars[v] is the number of characters in the names before names[v],
+    and its last entry that of all names.
 
     The body is the terms of the row's runs.  A body that fits beside its
     head is a lead (" + 3 ", or " 3 " for a leading positive term) and a
@@ -290,10 +302,11 @@ def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
 
     A longer body is wrapped.  Every coefficient that has a run longer than
     one term is rendered once as a piece table over all variable names, and
-    its runs are cut out of that table as single slices.  The wrap breaks
-    before the last piece that fits, so its breaks before the tail depend
-    only on the head and body; the tail, one piece, then goes on the last
-    line if it fits there and on a line of its own otherwise.  So a long
+    its runs are cut out of that table as single slices; one separator
+    after the last piece joins with them, so the body ends at one.  The wrap
+    breaks before the last piece that fits, so its breaks before the tail
+    depend only on the head and body; the tail, one piece, then goes on the
+    last line if it fits there and on a line of its own otherwise.  So a long
     body is wrapped once per head width and sequence of runs, and every row
     with both shares that text: EQ8 row j has the runs of EQ7 row j - delta,
     and their heads differ in width only where the two indices have a
@@ -304,7 +317,6 @@ def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
     firsts = [" " + lead[3:] if lead[1] == "+" else lead for lead in spaced]
     leads = [_SEP + lead[1:] for lead in spaced]
     # offset of variable v's piece in a table whose lead has width w: v * w + name chars before v
-    name_chars = np.concatenate([[0], np.cumsum([len(name) for name in names])])
     lead_width = np.array([len(lead) for lead in leads])[which]
     ends = starts + lengths
     slice_lo = starts * lead_width + name_chars[starts]
@@ -313,7 +325,7 @@ def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
     # positive term drops (no row is without runs)
     piece_ends = np.concatenate([[0], np.cumsum(slice_hi - slice_lo)])
     positive = coefs >= 0
-    head_width = np.array([len(head) for head in heads])
+    head_width = np.array(list(map(len, heads)))
     row_width = head_width + np.diff(piece_ends[run_ptr]) - 2 * positive[run_ptr[:-1]]
     short = row_width <= _LP_WIDTH
 
@@ -333,10 +345,11 @@ def _render_rows(names: Sequence[str], run_ptr: np.ndarray, starts: np.ndarray,
                                              slice_hi[begin:end].tolist())]
             if positive[begin]:
                 parts[0] = _SEP + parts[0][3:]      # the first term has no "+ "
+            parts.append(_SEP)
             body = shared[key] = _wrap("".join(parts), head_size)
         bodies.append(body)
     row_width[wrapped] = [width for _, width in bodies]
-    broken = np.flatnonzero(row_width + [len(tail) for tail in tails] > _LP_WIDTH + 1)
+    broken = np.flatnonzero(row_width + list(map(len, tails)) > _LP_WIDTH + 1)
 
     # fragments per row: head, then a lead and a name per term or one wrapped text, then tail
     terms = np.diff(np.concatenate([[0], np.cumsum(lengths)])[run_ptr])
@@ -368,6 +381,7 @@ def export_lp(model: IlpModel) -> str:
     The text is joined once from one list of fragments.
     """
     names = variable_names(model.config.n)
+    name_chars = np.cumsum([0, *map(len, names)])
     objective = (model.objective_starts, model.objective_lengths, model.objective_coefs)
     if not len(objective[0]):
         objective = (np.array([0]), np.array([1]), np.array([0]))
@@ -375,11 +389,12 @@ def export_lp(model: IlpModel) -> str:
     binaries = names[2 * model.config.n ** 2:]
     return "".join([
         "Minimize\n",
-        *_render_rows(names, np.array([0, len(objective[0])]), *objective, [" obj:"], ["\n"]),
+        *_render_rows(names, name_chars, np.array([0, len(objective[0])]), *objective,
+                      [" obj:"], ["\n"]),
         "Subject To\n",
         *_render_rows(
-            names, model.run_ptr, model.run_starts, model.run_lengths, model.run_coefs,
-            [f" {name}:" for name in model.row_names],
+            names, name_chars, model.run_ptr, model.run_starts, model.run_lengths,
+            model.run_coefs, model._row_labels(" ", ":"),
             [f" {sense} {rhs}\n" for sense, rhs in zip(model.senses.tolist(), model.rhs.tolist())]),
         "Bounds\n 0 <= ", "\n 0 <= ".join(integers),
         "\nGeneral\n ", "\n ".join(integers),

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from capsched import (
@@ -299,20 +299,42 @@ def _run_tables(draw):
                           min_size=1, max_size=30))
     coef = st.one_of(st.integers(-3, 3), st.integers(-2 ** 62, 2 ** 62),
                      st.sampled_from([-2 ** 62, 2 ** 62]))
-    heads, tails, run_ptr, runs = [], [], [0], []
+    rows = []
     for _ in range(draw(st.integers(1, 6))):
         width = draw(st.integers(1, 63))
-        heads.append(" " + draw(st.text("EQ_ij0123456789", min_size=width, max_size=width)) + ":")
-        tails.append(draw(st.one_of(
+        head = " " + draw(st.text("EQ_ij0123456789", min_size=width, max_size=width)) + ":"
+        tail = draw(st.one_of(
             st.just("\n"),
             st.builds(" {} {}\n".format, st.sampled_from([">=", "<=", "="]),
-                      st.integers(-2 ** 63, 2 ** 63 - 1)))))
+                      st.integers(-2 ** 63, 2 ** 63 - 1))))
+        runs = []
         for _ in range(draw(st.integers(1, 4))):
             start = draw(st.integers(0, len(names) - 1))
             length = draw(st.one_of(st.just(1), st.integers(1, len(names) - start)))
             runs.append((start, length, draw(coef)))
+        rows.append((head, tail, runs))
+    return _run_table(names, rows)
+
+
+def _run_table(names, rows):
+    """The _render_rows arguments for rows of (head, tail, [(start, length, coef), ...])."""
+    heads, tails, run_ptr, runs = [], [], [0], []
+    for head, tail, row_runs in rows:
+        heads.append(head)
+        tails.append(tail)
+        runs += row_runs
         run_ptr.append(len(runs))
     return names, np.array(run_ptr), *np.array(runs, dtype=np.int64).T, heads, tails
+
+
+# Wrapped rows at the edges of the line width.  After a 20-column head, a
+# first term of 2^62 x_10_10 (27 columns) leaves no room for a second, and
+# the next three terms fill a continuation line to exactly 72 columns.
+# Every example fails a wrap whose continuation lines hold at most 68
+# columns after the indent, and one whose body does not end with a separator
+_EDGE_NAMES = ["x_1_1", "x_10_10", "y_10_10"]
+_HEAD_20 = " EQ8_j" + "1" * 13 + ":"
+_FULL_LINE = [(1, 1, 2 ** 62), (1, 2, 2 ** 62), (0, 1, 1)]
 
 
 def _oppd(n):
@@ -431,6 +453,17 @@ class TestExportLp:
         assert peak <= 1.8 * len(text)
 
     @given(table=_run_tables())
+    # the last continuation line is exactly 72 columns wide
+    @example(table=_run_table(_EDGE_NAMES, [(_HEAD_20, "\n", _FULL_LINE)]))
+    # a 69-column first term cannot sit beside a 65-column head, and fills a line alone
+    @example(table=_run_table(_EDGE_NAMES + ["x_" + "1" * 47],
+                              [(" EQ10_i" + "1" * 57 + ":", "\n", [(3, 1, 2 ** 62)])]))
+    # a tail that ends exactly at column 72 after a 62-column last line, then
+    # one a column wider, which goes on a line of its own
+    @example(table=_run_table(_EDGE_NAMES, [(_HEAD_20, " >= 123456\n",
+                                             _FULL_LINE + [(1, 2, 2 ** 62)])]))
+    @example(table=_run_table(_EDGE_NAMES, [(_HEAD_20, " >= 1234567\n",
+                                             _FULL_LINE + [(1, 2, 2 ** 62)])]))
     @settings(max_examples=300, deadline=None)
     def test_rendered_rows_equal_the_reference_wrap(self, table):
         names, run_ptr, starts, lengths, coefs, heads, tails = table
@@ -441,7 +474,9 @@ class TestExportLp:
                            for part in (starts, lengths, coefs)))
                      for v in range(start, start + length)]
             expected += [line + "\n" for line in _reference_expr_lines(head, terms, tail[:-1])]
-        text = "".join(_render_rows(names, run_ptr, starts, lengths, coefs, heads, tails))
+        name_chars = np.cumsum([0, *map(len, names)])
+        text = "".join(_render_rows(names, name_chars, run_ptr, starts, lengths, coefs,
+                                    heads, tails))
         assert text.splitlines(keepends=True) == expected
 
     def test_zero_weight_columns_are_skipped_in_objective(self, ref_model):
