@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,19 +32,11 @@ from .schedule import (
     format_schedule,
     parse_schedule,
 )
-from .solvers import (
-    _adaptive_rows,
-    _greedy_rows,
-    _oracle_changes,
-    adaptive_schedule,
-    exact_schedule,
-    greedy_schedule,
-)
+from .solvers import _PLANNERS, _one_row
 from .workload import (
     Config,
     ConfigurationError,
     ScenarioParams,
-    Workload,
     WorkloadFormatError,
     _ascii_number,
     _generate_rows,
@@ -64,9 +56,11 @@ ORACLE_MAX_N = 10
 ORACLE_MAX_PARTICIPANTS = 8
 
 
-def _oracle_refusal(n: int, participants: int) -> Optional[str]:
-    """Why the oracle is refused an instance of n slots and that many
-    arrivals, or None within its caps."""
+def _refusal(algorithm: str, n: int, participants: int) -> Optional[str]:
+    """Why the caps refuse algorithm a row of n slots and that many arrivals,
+    or None: only the oracle has caps."""
+    if algorithm != "oracle":
+        return None
     if n > ORACLE_MAX_N:
         return f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}"
     if participants > ORACLE_MAX_PARTICIPANTS:
@@ -75,22 +69,7 @@ def _oracle_refusal(n: int, participants: int) -> Optional[str]:
     return None
 
 
-def _capped_exact_schedule(workload: Workload, config: Config) -> Schedule:
-    """exact_schedule within the oracle's caps, a ConfigurationError beyond them."""
-    refusal = _oracle_refusal(config.n, int(workload.arrivals.sum()))
-    if refusal:
-        raise ConfigurationError(refusal)
-    return exact_schedule(workload, config)
-
-
-def _planners() -> Dict[str, Callable[[Workload, Config], Schedule]]:
-    """The planners by name, read from this module's names on each call, so
-    that a wrapper set on one (as the benchmark's span recorder sets) sees it."""
-    return {"ads": adaptive_schedule, "greedy": greedy_schedule,
-            "oracle": _capped_exact_schedule}
-
-
-ALGORITHMS = tuple(_planners())
+ALGORITHMS = tuple(_PLANNERS)
 
 SCENARIO_PRESETS: Dict[str, Dict[str, object]] = {
     "mmog": {"n": 100, "delta": 3, "theta": 4, "amplitude": 1500,
@@ -176,7 +155,10 @@ def _report_lines(report: CostReport) -> List[str]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config, workload = parse_workload(_read_text(args.workload))
-    schedule = _planners()[args.algorithm](workload, config)
+    refusal = _refusal(args.algorithm, config.n, int(workload.arrivals.sum()))
+    if refusal:
+        raise ConfigurationError(refusal)
+    schedule = _one_row(_PLANNERS[args.algorithm], workload, config)
     _write_text(args.out, format_schedule(config, schedule))
     report = evaluate(workload, schedule, config)
     for line in _report_lines(report):
@@ -230,39 +212,35 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
 
 CSV_HEADER = ",".join(("seed", "algorithm", *_REPORT_FIELDS))
 
-# the planners that plan a whole block of workloads at once
-_BLOCK_PLANNERS = {"ads": _adaptive_rows, "greedy": _greedy_rows}
-
 
 def _compare_block(arrivals: np.ndarray, departures: np.ndarray, seeds: Sequence[int],
                    config: Config, algorithms: Sequence[str]
                    ) -> Tuple[List[Tuple[int, str, CostReport]], List[str]]:
     """Plan and evaluate every seed of a block in one array pass over its
-    (seeds x n) arrivals and departures, with no per-seed Workload: ads and
-    greedy plan every row at once, the oracle one row at a time from its
-    columns without matrices, then every plan is evaluated in one pass.
+    (seeds x n) arrivals and departures, with no per-seed Workload: each
+    algorithm's row function in the planner table plans, in one call, every
+    row that _refusal admits, then every plan is evaluated in one pass.
     Rows are (seed, algorithm, report), per algorithm in the order given,
     then per seed; run_compare sorts them.  Notes name the refused seeds."""
-    occ = np.cumsum(arrivals - departures, axis=1)
-    plans, owners, notes = [], [], []
+    participants = arrivals.sum(axis=1).tolist()
+    plans, index, owners, notes = [], [], [], []
     for algorithm in algorithms:
-        if algorithm in _BLOCK_PLANNERS:
-            plans.extend(_BLOCK_PLANNERS[algorithm](occ, config))
-            owners.extend((k, seed, algorithm) for k, seed in enumerate(seeds))
-            continue
-        participants = arrivals.sum(axis=1).tolist()
-        for k, seed in enumerate(seeds):  # the oracle, one row at a time
-            refusal = _oracle_refusal(config.n, participants[k])
+        kept = []
+        for k, seed in enumerate(seeds):
+            refusal = _refusal(algorithm, config.n, participants[k])
             if refusal:
                 notes.append(f"{algorithm} skipped seed={seed}: {refusal}")
-                continue
-            plans.append(_oracle_changes(arrivals[k], departures[k], config))
-            owners.append((k, seed, algorithm))
-    if not plans:
+            else:
+                kept.append(k)
+        # fancy indexing copies the block, so only a refusal takes it
+        rows = slice(None) if len(kept) == len(seeds) else kept
+        plans.append(_PLANNERS[algorithm](arrivals[rows], departures[rows], config))
+        index.extend(kept)
+        owners.extend((seeds[k], algorithm) for k in kept)
+    if not owners:
         return [], notes
-    index = [k for k, _, _ in owners]
-    reports = _evaluate_rows(arrivals[index], departures[index], np.stack(plans), config)
-    return [(seed, algorithm, report) for (_, seed, algorithm), report in zip(owners, reports)], notes
+    reports = _evaluate_rows(arrivals[index], departures[index], np.concatenate(plans), config)
+    return [(seed, algorithm, report) for (seed, algorithm), report in zip(owners, reports)], notes
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Capacity planning strategies.
 
-Three planners share the same contract: given a workload and horizon
-parameters they return a schedule of capacity changes.
+Every planner is a row function in _PLANNERS: it maps (rows x n) int64
+arrivals and departures to the (rows x n) int64 changes it plans for each
+row, and the CLI's solve and compare plan through that table.  Each public
+planner is the one-row case of its row function:
 
-* adaptive_schedule: a look-ahead heuristic that provisions the smallest
-  conference size visible inside each scan window, as late as the join
-  delay allows.
-* greedy_schedule: a fixed-period baseline that re-targets capacity to the
-  occupancy peak of the next window.
-* exact_schedule: the integer program's optimum, by a shortest path over
-  request placements priced in closed form, in O(n^2) list steps.
+* adaptive_schedule (_adaptive_rows): a look-ahead heuristic that provisions
+  the smallest conference size visible inside each scan window, as late as
+  the join delay allows.
+* greedy_schedule (_greedy_rows): a fixed-period baseline that re-targets
+  capacity to the occupancy peak of the next window.
+* exact_schedule (_exact_rows): the integer program's optimum, by a
+  shortest path over request placements priced in closed form, in O(n^2)
+  list steps per row.
 
 lift_schedule turns a schedule into the integer program's matrices through
 _assign, so an optimal assignment is lift_schedule of exact_schedule's
@@ -25,11 +28,17 @@ import numpy as np
 
 from .ilp import SolutionMatrices
 from .schedule import Schedule, _screen, simulate
-from .workload import Config, Workload, occupancy, _require_matching
+from .workload import Config, Workload, _require_matching
 
 
 class LiftError(RuntimeError):
     """Raised when no assignment of the integer program nets to a schedule."""
+
+
+def _one_row(rows, workload: Workload, config: Config) -> Schedule:
+    """The schedule the row function rows plans for one workload."""
+    _require_matching(workload, config)
+    return Schedule(rows(workload.arrivals[None], workload.departures[None], config)[0])
 
 
 def adaptive_schedule(workload: Workload, config: Config) -> Schedule:
@@ -50,19 +59,19 @@ def adaptive_schedule(workload: Workload, config: Config) -> Schedule:
     O(n * (theta - delta + 1)) array work after one O(n) occupancy pass, plus
     one Python step per restart, of which there are at most n / delta.
     """
-    _require_matching(workload, config)
-    return Schedule(_adaptive_rows(occupancy(workload)[None], config)[0])
+    return _one_row(_adaptive_rows, workload, config)
 
 
-def _adaptive_rows(occ: np.ndarray, config: Config) -> np.ndarray:
-    """adaptive_schedule's changes for every row of a (rows x n) occupancy block.
+def _adaptive_rows(arrivals: np.ndarray, departures: np.ndarray, config: Config) -> np.ndarray:
+    """adaptive_schedule's changes for every row of a (rows x n) block.
 
-    Scanning from slot p + 1 (0-based p) picks the latest argmin q of the
-    occupancy over [p + delta, min(p + theta, n - 1)]; the plan restarts from
-    slot q + 1, so the restarts of a row form a chain through that table,
-    from p = 0 while p < n - delta.  Each link q sets capacity to occ[q] by a
-    change at q - delta.
+    With occ the rows' occupancy, scanning from slot p + 1 (0-based p) picks
+    the latest argmin q of occ over [p + delta, min(p + theta, n - 1)]; the
+    plan restarts from slot q + 1, so the restarts of a row form a chain
+    through that table, from p = 0 while p < n - delta.  Each link q sets
+    capacity to occ[q] by a change at q - delta.
     """
+    occ = np.cumsum(arrivals - departures, axis=1)
     rows, n = occ.shape
     delta, theta = config.delta, config.theta
     low = occ[:, delta:].copy()
@@ -90,7 +99,7 @@ def _adaptive_rows(occ: np.ndarray, config: Config) -> np.ndarray:
     change[1:] -= level[:-1]
     change[firsts] = level[firsts]
     changes = np.zeros(rows * n, dtype=np.int64)
-    changes[np.array(chain) - delta] = change
+    changes[np.array(chain, dtype=np.int64) - delta] = change
     return changes.reshape(rows, n)
 
 
@@ -103,15 +112,15 @@ def greedy_schedule(workload: Workload, config: Config) -> Schedule:
     to the horizon, emitting the difference from the current level when it
     is nonzero.  This is the one-row case of _greedy_rows.
     """
-    _require_matching(workload, config)
-    return Schedule(_greedy_rows(occupancy(workload)[None], config)[0])
+    return _one_row(_greedy_rows, workload, config)
 
 
-def _greedy_rows(occ: np.ndarray, config: Config) -> np.ndarray:
-    """greedy_schedule's changes for every row of a (rows x n) occupancy block:
-    the window peaks of all ticks (0-based k * delta) from delta + 1 shifted
-    slices, each clipped to the ticks whose window reaches it, then their
-    differences at the ticks."""
+def _greedy_rows(arrivals: np.ndarray, departures: np.ndarray, config: Config) -> np.ndarray:
+    """greedy_schedule's changes for every row of a (rows x n) block: the
+    occupancy's window peaks of all ticks (0-based k * delta) from delta + 1
+    shifted slices, each clipped to the ticks whose window reaches it, then
+    their differences at the ticks."""
+    occ = np.cumsum(arrivals - departures, axis=1)
     rows, n = occ.shape
     delta = config.delta
     target = occ[:, delta::delta].copy()
@@ -124,20 +133,30 @@ def _greedy_rows(occ: np.ndarray, config: Config) -> np.ndarray:
 
 
 def exact_schedule(workload: Workload, config: Config) -> Schedule:
-    """The integer program's optimum as a schedule, by _oracle_changes: its
-    resource_cost is the optimal cost and its lift an optimal assignment."""
-    _require_matching(workload, config)
-    return Schedule(_oracle_changes(workload.arrivals, workload.departures, config))
+    """The integer program's optimum as a schedule: its resource_cost is the
+    optimal cost and its lift an optimal assignment.  This is the one-row
+    case of _exact_rows."""
+    return _one_row(_exact_rows, workload, config)
 
 
-def _oracle_changes(arrivals: np.ndarray, departures: np.ndarray, config: Config) -> np.ndarray:
-    """exact_schedule's changes for one row of arrivals and departures: each of
-    _oracle_path's columns steps capacity from the level before it to its own."""
-    (cols, levels), _ = _oracle_path(arrivals, departures, config)
-    changes, held = [0] * config.n, 0
-    for c, level in zip(cols, levels):
-        changes[c - 1], held = level - held, level
-    return np.array(changes, dtype=np.int64)
+def _exact_rows(arrivals: np.ndarray, departures: np.ndarray, config: Config) -> np.ndarray:
+    """exact_schedule's changes for every row of a (rows x n) block, one
+    _oracle_path per row: each of a path's columns steps capacity from the
+    level before it to its own.  The changes gather in one list, made an
+    array once."""
+    n = config.n
+    changes = [0] * (len(arrivals) * n)
+    for r, row_arrivals in enumerate(arrivals):
+        (cols, levels), _ = _oracle_path(row_arrivals, departures[r], config)
+        held = 0
+        for c, level in zip(cols, levels):
+            changes[r * n + c - 1], held = level - held, level
+    return np.array(changes, dtype=np.int64).reshape(len(arrivals), n)
+
+
+# the planners by name, each a row function; the CLI's solve and compare
+# plan through this table, and its order is the CLI's ALGORITHMS
+_PLANNERS = {"ads": _adaptive_rows, "greedy": _greedy_rows, "oracle": _exact_rows}
 
 
 def _oracle_path(arrivals: np.ndarray, departures: np.ndarray, config: Config):

@@ -12,7 +12,7 @@ import numpy as np
 
 from capsched import CostReport, SimulationReport, generate_workload
 from capsched.cli import (CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text,
-                          _oracle_refusal, _report_cells)
+                          _refusal, _report_cells)
 from capsched.schedule import _violations
 from oracle_reference import _reference_oracle_schedule
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
@@ -99,8 +99,7 @@ def _reference_run_compare(spec) -> str:
     for seed in spec.seeds:
         workload = generate_workload(replace(params, seed=seed), config)
         for algorithm in algorithms:
-            refusal = (_oracle_refusal(config.n, int(workload.arrivals.sum()))
-                       if algorithm == "oracle" else None)
+            refusal = _refusal(algorithm, config.n, int(workload.arrivals.sum()))
             if refusal:
                 notes.append(f"{algorithm} skipped seed={seed}: {refusal}")
                 continue

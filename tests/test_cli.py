@@ -5,6 +5,7 @@ import json
 import statistics
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -641,13 +642,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert "unrecognized arguments: --time-budget 60" in captured.err
 
-    def test_oracle_refusal_is_a_usage_error(self, tmp_path):
-        cfg = Config(n=12, delta=2, theta=3)
-        wl_obj = Workload(arrivals=np.array([1] + [0] * 11),
-                          departures=np.zeros(12, dtype=int))
+    @pytest.mark.parametrize("n, arrivals, error", [
+        (12, [1] + [0] * 11, "error: n=12 exceeds the search limit max_n=10\n"),
+        (10, [11] + [0] * 9,
+         "error: 11 participants exceed the search limit max_total_participants=8\n")])
+    def test_oracle_refusal_is_a_usage_error(self, tmp_path, capsys, n, arrivals, error):
+        cfg = Config(n=n, delta=2, theta=3)
+        wl_obj = Workload(arrivals=np.array(arrivals), departures=np.zeros(n, dtype=int))
         wl = tmp_path / "wl.json"
         wl.write_text(format_workload(cfg, wl_obj), encoding="utf-8")
         assert main(["solve", str(wl), "--algorithm", "oracle"]) == 2
+        assert capsys.readouterr() == ("", error)
 
     def test_missing_scenario_parameters(self):
         assert main(["generate", "--n", "8", "--delta", "2"]) == 2
@@ -978,19 +983,19 @@ class TestComparePass:
             post_init(workload)
 
         def counted(name, plan):
-            def planned(occ, config):
+            def planned(arrivals, departures, config):
                 calls[name] += 1
-                return plan(occ, config)
+                return plan(arrivals, departures, config)
             return planned
 
-        planners = {name: counted(name, plan) for name, plan in capsched.cli._BLOCK_PLANNERS.items()}
+        planners = {name: counted(name, plan) for name, plan in capsched.solvers._PLANNERS.items()}
         with mock.patch.object(capsched.workload, "generate_workload", generated), \
                 mock.patch.object(capsched.cli, "generate_workload", generated), \
                 mock.patch.object(Workload, "__post_init__", constructed), \
-                mock.patch.dict(capsched.cli._BLOCK_PLANNERS, planners):
+                mock.patch.dict(capsched.solvers._PLANNERS, planners):
             text = run_compare(spec)
         assert len(text.splitlines()) == 1 + 20 + 2
-        # one block of ten seeds, each block planner called once on all of it
+        # one block of ten seeds, each row function called once on all of it
         assert calls == {"generate_workload": 0, "Workload": 0, "ads": 1, "greedy": 1}
 
     def test_oracle_rows_build_no_matrices(self):
@@ -1001,6 +1006,22 @@ class TestComparePass:
             text = run_compare(spec)
         assert text == _reference_run_compare(spec)
         assert sum(line.split(",")[1:2] == ["oracle"] for line in text.splitlines()) == 8
+
+    def test_every_seed_refused_leaves_the_oracle_no_rows(self):
+        # each seed draws more than the oracle's eight participants
+        spec = CompareSpec(Config(8, 2, 3), ScenarioParams("t", 40, 1.0), (3, 1, 2),
+                           ("ads", "oracle"))
+        workloads = [generate_workload(replace(spec.scenario, seed=seed), spec.config)
+                     for seed in spec.seeds]
+        assert min(int(workload.arrivals.sum()) for workload in workloads) > 8
+        rows, notes = _compare_block(np.stack([w.arrivals for w in workloads]),
+                                     np.stack([w.departures for w in workloads]),
+                                     spec.seeds, spec.config, spec.algorithms)
+        assert [(seed, algorithm) for seed, algorithm, _ in rows] == [
+            (3, "ads"), (1, "ads"), (2, "ads")]
+        assert [note.split(":")[0] for note in notes] == [
+            "oracle skipped seed=3", "oracle skipped seed=1", "oracle skipped seed=2"]
+        assert run_compare(spec) == _reference_run_compare(spec)
 
     def test_costs_past_int64_are_exact(self):
         spec = CompareSpec(Config(6, 2, 3), ScenarioParams("t", 2 ** 61, 0.0), (4,), ("ads",))

@@ -3,7 +3,7 @@ text, workload files and the exact oracle's schedules and their lifts.
 
 The digests were recorded from the original quadratic-scan planner,
 list-based simulator and term-tuple model builder.  The oracle's were
-recorded from its column pass (_oracle_changes) and lift_schedule before
+recorded from its column pass (now _exact_rows) and lift_schedule before
 exact_schedule replaced the matrix-returning oracle, whose shortest path
 had reproduced the enumeration of request slot sets byte for byte.  Any
 change to one byte of a schedule, a compare CSV, an evaluate report, an
@@ -41,7 +41,7 @@ from capsched import (
     resource_cost,
     run_compare,
 )
-from capsched.cli import _oracle_refusal, _report_lines
+from capsched.cli import _refusal, _report_lines
 
 COMPARE_SEEDS = range(20)
 WORKLOAD_N = 100
@@ -154,7 +154,7 @@ def oracle_digests():
                 params = ScenarioParams(name="grid", amplitude=amplitude,
                                         plateau_fraction=plateau, seed=seed)
                 workload = generate_workload(params, config)
-                refusal = _oracle_refusal(n, int(workload.arrivals.sum()))
+                refusal = _refusal("oracle", n, int(workload.arrivals.sum()))
                 if refusal:
                     outcome = f"refused {refusal}"
                 else:

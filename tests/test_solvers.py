@@ -35,11 +35,12 @@ from capsched import (
     validate_solution,
 )
 from capsched import ilp, solvers
-from capsched.workload import INT64_MAX, occupancy
-from oracle_reference import (ENUMERATION_MAX_PARTICIPANTS, _NoAssignment, _TooLarge,
+from capsched.workload import INT64_MAX
+from compare_reference import _reference_plan
+from oracle_reference import (ENUMERATION_MAX_N, ENUMERATION_MAX_PARTICIPANTS,
+                              _NoAssignment, _TooLarge,
                               _reference_optimum, _reference_oracle_path,
                               _reference_oracle_schedule, _request_slot_sets)
-from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
 
 def _quadratic_adaptive_changes(workload, config):
@@ -436,6 +437,37 @@ def _occupancy_blocks(draw):
                                      for _ in range(draw(st.integers(1, 5)))]
 
 
+# the public planner of each row function in the planner table
+_PUBLIC_PLANNERS = {"ads": adaptive_schedule, "greedy": greedy_schedule, "oracle": exact_schedule}
+
+
+def _reference_reaches(name, workload, config):
+    """Whether _reference_plan is checked for the planner name on workload:
+    the oracle's only within the reference enumeration's guard."""
+    return name != "oracle" or (config.n <= ENUMERATION_MAX_N and
+                                int(workload.arrivals.sum()) <= ENUMERATION_MAX_PARTICIPANTS)
+
+
+def _assert_table_plans(config, workloads):
+    """Every row function in the planner table plans each row of the block of
+    workloads as its public planner and _reference_plan do, on the rows the
+    reference reaches; a planner whose reference reaches no row is skipped."""
+    assert list(solvers._PLANNERS) == list(_PUBLIC_PLANNERS)
+    arrivals = np.stack([workload.arrivals for workload in workloads])
+    departures = np.stack([workload.departures for workload in workloads])
+    for name, rows in solvers._PLANNERS.items():
+        reached = [_reference_reaches(name, workload, config) for workload in workloads]
+        if not any(reached):
+            continue
+        planned = rows(arrivals, departures, config)
+        assert planned.shape == arrivals.shape and planned.dtype == np.int64
+        for row, workload, reaches in zip(planned, workloads, reached):
+            if reaches:
+                want = _reference_plan(name, workload, config).changes.tolist()
+                assert row.tolist() == want, name
+                assert _PUBLIC_PLANNERS[name](workload, config).changes.tolist() == want, name
+
+
 class TestBlockPlanners:
     @given(block=_occupancy_blocks())
     @example(block=(Config(8, 2, 3), [_workload_from_levels([0] * 8)] * 2))
@@ -443,28 +475,20 @@ class TestBlockPlanners:
                                       _workload_from_levels([1, 1, 0, 0, 2, 2, 2, 1, 1])]))
     @settings(max_examples=300, deadline=None)
     def test_rows_equal_the_slot_loops(self, block):
-        config, workloads = block
-        occ = np.stack([occupancy(workload) for workload in workloads])
-        for rows, one_row, reference in (
-                (solvers._adaptive_rows, adaptive_schedule, _reference_adaptive_schedule),
-                (solvers._greedy_rows, greedy_schedule, _reference_greedy_schedule)):
-            planned = rows(occ, config)
-            for r, workload in enumerate(workloads):
-                want = reference(workload, config).changes.tolist()
-                assert planned[r].tolist() == want
-                assert one_row(workload, config).changes.tolist() == want
+        _assert_table_plans(*block)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_rows_equal_the_slot_loops(self, seed):
         config = Config(n=1000, delta=3, theta=7)
-        workloads = [generate_workload(ScenarioParams("t", 40, 0.3, 10 * seed + k), config)
-                     for k in range(5)]
-        occ = np.stack([occupancy(workload) for workload in workloads])
-        for rows, reference in ((solvers._adaptive_rows, _reference_adaptive_schedule),
-                                (solvers._greedy_rows, _reference_greedy_schedule)):
-            planned = rows(occ, config)
-            assert [row.tolist() for row in planned] == [
-                reference(workload, config).changes.tolist() for workload in workloads]
+        _assert_table_plans(config, [
+            generate_workload(ScenarioParams("t", 40, 0.3, 10 * seed + k), config)
+            for k in range(5)])
+
+    @pytest.mark.parametrize("name", list(solvers._PLANNERS))
+    def test_an_empty_block_plans_no_rows(self, name):
+        empty = np.zeros((0, 8), dtype=np.int64)
+        planned = solvers._PLANNERS[name](empty, empty, Config(8, 2, 3))
+        assert (planned.shape, planned.dtype) == ((0, 8), np.int64)
 
 
 class TestGreedy:
