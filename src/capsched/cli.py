@@ -8,6 +8,7 @@ oracle runs, and horizons too large to allocate.
 """
 
 import argparse
+import contextlib
 import functools
 import sys
 from dataclasses import dataclass
@@ -86,12 +87,18 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+# characters per write: a write holds its slice and the slice's encoded bytes,
+# not an encoded copy of the whole text, so export-lp's long text costs at
+# most 2^23 bytes more to write; a text of at most 2^22 characters is written
+# in one call
+_WRITE_SLICE = 1 << 22
+
+
 def _write_text(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with (contextlib.nullcontext(sys.stdout) if path is None or path == "-"
+          else open(path, "w", encoding="utf-8")) as handle:
+        for at in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[at:at + _WRITE_SLICE])
 
 
 def _ascii(parse):

@@ -312,7 +312,13 @@ def _render_rows(names: Sequence[str], name_chars: np.ndarray, run_ptr: np.ndarr
     and their heads differ in width only where the two indices have a
     different number of digits.
     """
-    distinct, which = np.unique(coefs, return_inverse=True)
+    # sorted and searched, not np.unique: on numpy 2.4 its first call imports
+    # numpy.ma, about 10 ms and 1.3 MB in a fresh process that no other command pays
+    ordered = np.sort(coefs)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[keep]
+    which = np.searchsorted(distinct, coefs)
     spaced = [f" + {c} " if c >= 0 else f" - {-c} " for c in distinct.tolist()]
     firsts = [" " + lead[3:] if lead[1] == "+" else lead for lead in spaced]
     leads = [_SEP + lead[1:] for lead in spaced]
@@ -324,30 +330,39 @@ def _render_rows(names: Sequence[str], name_chars: np.ndarray, run_ptr: np.ndarr
     # each row's width up to its tail: head and pieces, less the "+ " a leading
     # positive term drops (no row is without runs)
     piece_ends = np.concatenate([[0], np.cumsum(slice_hi - slice_lo)])
+    body_width = np.diff(piece_ends[run_ptr])
     positive = coefs >= 0
     head_width = np.array(list(map(len, heads)))
-    row_width = head_width + np.diff(piece_ends[run_ptr]) - 2 * positive[run_ptr[:-1]]
+    row_width = head_width + body_width - 2 * positive[run_ptr[:-1]]
     short = row_width <= _LP_WIDTH
 
-    tables = {k: leads[k] + leads[k].join(names) for k in np.unique(which[lengths > 1]).tolist()}
+    tables = {k: leads[k] + leads[k].join(names) for k in set(which[lengths > 1].tolist())}
     runs = np.stack([starts, lengths, coefs], 1).astype(np.int64)
     bounds = run_ptr.tolist()
-    bodies, shared = [], {}
     wrapped = np.flatnonzero(~short)
+    # each wrapped row's number among the distinct bodies, and the first row of each
+    number, body_of, body_rows = {}, [], []
     for row, head_size in zip(wrapped.tolist(), head_width[wrapped].tolist()):
+        key = (head_size, runs[bounds[row]:bounds[row + 1]].tobytes())
+        if key not in number:
+            number[key] = len(body_rows)
+            body_rows.append(row)
+        body_of.append(number[key])
+    # widest first, so that each body's temporaries fit in heap blocks a wider
+    # body freed; in row order, each would need blocks larger than any freed yet
+    wraps = [None] * len(body_rows)
+    widths = body_width[body_rows].tolist()
+    for k in sorted(range(len(body_rows)), key=widths.__getitem__, reverse=True):
+        row = body_rows[k]
         begin, end = bounds[row], bounds[row + 1]
-        key = (head_size, runs[begin:end].tobytes())
-        body = shared.get(key)
-        if body is None:
-            parts = [tables[k][lo:hi] if k in tables else leads[k] + names[v]
-                     for k, v, lo, hi in zip(which[begin:end].tolist(), starts[begin:end].tolist(),
-                                             slice_lo[begin:end].tolist(),
-                                             slice_hi[begin:end].tolist())]
-            if positive[begin]:
-                parts[0] = _SEP + parts[0][3:]      # the first term has no "+ "
-            parts.append(_SEP)
-            body = shared[key] = _wrap("".join(parts), head_size)
-        bodies.append(body)
+        parts = [tables[c][lo:hi] if c in tables else leads[c] + names[v]
+                 for c, v, lo, hi in zip(which[begin:end].tolist(), starts[begin:end].tolist(),
+                                         slice_lo[begin:end].tolist(), slice_hi[begin:end].tolist())]
+        if positive[begin]:
+            parts[0] = _SEP + parts[0][3:]      # the first term has no "+ "
+        parts.append(_SEP)
+        wraps[k] = _wrap("".join(parts), int(head_width[row]))
+    bodies = [wraps[k] for k in body_of]
     row_width[wrapped] = [width for _, width in bodies]
     broken = np.flatnonzero(row_width + list(map(len, tails)) > _LP_WIDTH + 1)
 

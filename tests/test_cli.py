@@ -127,6 +127,18 @@ class TestRoundTrip:
         assert main(["export-lp", wl, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    # a slice of 2 or 3 characters ends at or starts with each multi-byte character
+    @pytest.mark.parametrize("text", ["", "x", "ab€d x𝄞é"])
+    @pytest.mark.parametrize("chars", [1, 2, 3])
+    def test_sliced_writes_equal_the_whole_text(self, tmp_path, capsysbinary, monkeypatch,
+                                                text, chars):
+        monkeypatch.setattr(capsched.cli, "_WRITE_SLICE", chars)
+        out = tmp_path / "out.txt"
+        capsched.cli._write_text(str(out), text)
+        capsched.cli._write_text("-", text)
+        assert out.read_bytes() == text.encode("utf-8")
+        assert capsysbinary.readouterr().out == text.encode("utf-8")
+
     def test_generate_is_deterministic_per_seed(self, tmp_path):
         base = ["--n", "8", "--delta", "2", "--theta", "3", "--amplitude", "3"]
         paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]

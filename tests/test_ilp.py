@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
+from pathlib import Path
 from statistics import median
 from types import SimpleNamespace
 
@@ -346,6 +350,24 @@ def _oppd(n):
     return workload, config
 
 
+# prints the rise of the peak RSS over building the oppd n=100 seed-0 model,
+# per character of its LP text; ru_maxrss counts KiB on Linux
+_EXPORT_RSS_RISE = """
+import resource
+from capsched import SCENARIO_PRESETS, Config, ScenarioParams, build_model, export_lp, generate_workload
+
+values = SCENARIO_PRESETS["oppd"]
+config = Config(n=100, delta=values["delta"], theta=values["theta"])
+workload = generate_workload(ScenarioParams(name="oppd", amplitude=values["amplitude"],
+                                            plateau_fraction=values["plateau_fraction"],
+                                            seed=0), config)
+model = build_model(workload, config)
+built = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+text = export_lp(model)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - built) / len(text))
+"""
+
+
 def _oppd_lifted(n):
     workload, config = _oppd(n)
     return lift_schedule(workload, adaptive_schedule(workload, config), config), workload, config
@@ -451,6 +473,19 @@ class TestExportLp:
         finally:
             tracemalloc.stop()
         assert peak <= 1.8 * len(text)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+    def test_guard_export_peak_rss_at_n100(self):
+        # the peak RSS also counts freed heap that the allocator keeps, which
+        # tracemalloc does not, so it runs in a fresh process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", _EXPORT_RSS_RISE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 2.2
 
     @given(table=_run_tables())
     # the last continuation line is exactly 72 columns wide
