@@ -3,8 +3,8 @@
 Subcommands cover the full workflow: generate a workload, plan a schedule,
 evaluate or validate it, export the integer program, and compare planners
 over a seed range.  Exit codes: 0 on success, 1 when a schedule or
-assignment is infeasible, 2 for usage errors, malformed inputs, refused
-oracle runs, and horizons too large to allocate.
+assignment is infeasible, 2 for usage errors, malformed inputs and
+horizons too large to allocate.
 """
 
 import argparse
@@ -51,23 +51,11 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 
-# the oracle's caps: solve refuses beyond them and compare notes each refusal;
-# exact_schedule itself plans at any n
+# compare's caps on the oracle: it drops the oracle beyond max_n and skips,
+# with a note, each seed beyond max participants; solve and exact_schedule
+# plan at any n
 ORACLE_MAX_N = 10
 ORACLE_MAX_PARTICIPANTS = 8
-
-
-def _refusal(algorithm: str, n: int, participants: int) -> Optional[str]:
-    """Why the caps refuse algorithm a row of n slots and that many arrivals,
-    or None: only the oracle has caps."""
-    if algorithm != "oracle":
-        return None
-    if n > ORACLE_MAX_N:
-        return f"n={n} exceeds the search limit max_n={ORACLE_MAX_N}"
-    if participants > ORACLE_MAX_PARTICIPANTS:
-        return (f"{participants} participants exceed the search limit "
-                f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
-    return None
 
 
 ALGORITHMS = tuple(_PLANNERS)
@@ -162,9 +150,6 @@ def _report_lines(report: CostReport) -> List[str]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config, workload = parse_workload(_read_text(args.workload))
-    refusal = _refusal(args.algorithm, config.n, int(workload.arrivals.sum()))
-    if refusal:
-        raise ConfigurationError(refusal)
     schedule = _one_row(_PLANNERS[args.algorithm], workload, config)
     _write_text(args.out, format_schedule(config, schedule))
     report = evaluate(workload, schedule, config)
@@ -226,20 +211,23 @@ def _compare_block(arrivals: np.ndarray, departures: np.ndarray, seeds: Sequence
     """Plan and evaluate every seed of a block in one array pass over its
     (seeds x n) arrivals and departures, with no per-seed Workload: each
     algorithm's row function in the planner table plans, in one call, every
-    row that _refusal admits, then every plan is evaluated in one pass.
-    Rows are (seed, algorithm, report), per algorithm in the order given,
-    then per seed; run_compare sorts them.  Notes name the refused seeds."""
+    row but the seeds the oracle skips (those of more than
+    ORACLE_MAX_PARTICIPANTS arrivals), then every plan is evaluated in one
+    pass.  Rows are (seed, algorithm, report), per algorithm in the order
+    given, then per seed; run_compare sorts them.  Notes name the skipped
+    seeds."""
     participants = arrivals.sum(axis=1).tolist()
     plans, index, owners, notes = [], [], [], []
     for algorithm in algorithms:
         kept = []
         for k, seed in enumerate(seeds):
-            refusal = _refusal(algorithm, config.n, participants[k])
-            if refusal:
-                notes.append(f"{algorithm} skipped seed={seed}: {refusal}")
+            if algorithm == "oracle" and participants[k] > ORACLE_MAX_PARTICIPANTS:
+                notes.append(f"oracle skipped seed={seed}: {participants[k]} participants "
+                             f"exceed the search limit "
+                             f"max_total_participants={ORACLE_MAX_PARTICIPANTS}")
             else:
                 kept.append(k)
-        # fancy indexing copies the block, so only a refusal takes it
+        # fancy indexing copies the block, so only a skip takes it
         rows = slice(None) if len(kept) == len(seeds) else kept
         plans.append(_PLANNERS[algorithm](arrivals[rows], departures[rows], config))
         index.extend(kept)

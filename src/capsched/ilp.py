@@ -90,11 +90,10 @@ class IlpModel:
     run_ptr[k+1] - 1: run p adds run_coefs[p] times each of the
     run_lengths[p] consecutive variables from index run_starts[p], in the
     variable order of variable_names.  The objective is a list of runs held
-    the same way.  The arrays are read-only.  Two views are derived from
-    them on access: row_names from row_tags, row_i and row_j, by the same
-    formatter that gives export_lp its row heads, and constraints from every
-    row array and variable_names; constraints stays for the traced
-    benchmark's row and term counts.
+    the same way.  The arrays are read-only.  One view is derived from them
+    on access: constraints, from every row array and variable_names, each
+    row named by the same formatter that gives export_lp its row heads;
+    it stays for the traced benchmark's row and term counts.
     """
 
     config: Config
@@ -119,10 +118,6 @@ class IlpModel:
                 for tag, i, j in zip(self.row_tags.tolist(), self.row_i.tolist(),
                                      self.row_j.tolist())]
 
-    @property
-    def row_names(self) -> Tuple[str, ...]:
-        return tuple(self._row_labels("", ""))
-
     # bench/spans.py counts each built model's rows and terms through this view, so a
     # traced run fails without it until the benchmark reads rhs and run_lengths instead
     @property
@@ -134,7 +129,7 @@ class IlpModel:
         return tuple(
             LinearConstraint(name, tag, tuple(terms[lo:hi]), sense, rhs)
             for name, tag, sense, rhs, lo, hi in zip(
-                self.row_names, self.row_tags.tolist(), self.senses.tolist(),
+                self._row_labels("", ""), self.row_tags.tolist(), self.senses.tolist(),
                 self.rhs.tolist(), bounds, bounds[1:]))
 
 

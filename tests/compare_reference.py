@@ -11,11 +11,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from capsched import CostReport, SimulationReport, generate_workload
-from capsched.cli import (CSV_HEADER, ORACLE_MAX_N, _REPORT_FIELDS, _median_text,
-                          _refusal, _report_cells)
+from capsched.cli import CSV_HEADER, _REPORT_FIELDS, _median_text, _report_cells
 from capsched.schedule import _violations
 from oracle_reference import _reference_oracle_schedule
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
+
+# compare's caps on the oracle, spelled out here rather than read from the CLI:
+# beyond max_n it is dropped, beyond max participants a seed is skipped
+REFERENCE_ORACLE_MAX_N = 10
+REFERENCE_ORACLE_MAX_PARTICIPANTS = 8
 
 
 def _reference_simulate(workload, schedule, config) -> SimulationReport:
@@ -91,17 +95,19 @@ def _reference_run_compare(spec) -> str:
     config, params = spec.config, spec.scenario
     notes: List[str] = []
     algorithms = list(spec.algorithms)
-    if "oracle" in algorithms and config.n > ORACLE_MAX_N:
+    if "oracle" in algorithms and config.n > REFERENCE_ORACLE_MAX_N:
         algorithms.remove("oracle")
         notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
-                     f"limit max_n={ORACLE_MAX_N}")
+                     f"limit max_n={REFERENCE_ORACLE_MAX_N}")
     rows: List[Tuple[int, str, CostReport]] = []
     for seed in spec.seeds:
         workload = generate_workload(replace(params, seed=seed), config)
+        participants = int(workload.arrivals.sum())
         for algorithm in algorithms:
-            refusal = _refusal(algorithm, config.n, int(workload.arrivals.sum()))
-            if refusal:
-                notes.append(f"{algorithm} skipped seed={seed}: {refusal}")
+            if algorithm == "oracle" and participants > REFERENCE_ORACLE_MAX_PARTICIPANTS:
+                notes.append(f"oracle skipped seed={seed}: {participants} participants "
+                             f"exceed the search limit "
+                             f"max_total_participants={REFERENCE_ORACLE_MAX_PARTICIPANTS}")
                 continue
             schedule = _reference_plan(algorithm, workload, config)
             rows.append((seed, algorithm, _reference_evaluate(workload, schedule, config)))

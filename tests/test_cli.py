@@ -29,6 +29,8 @@ from capsched import (
     SolutionFormatError,
     Workload,
     WorkloadFormatError,
+    evaluate,
+    exact_schedule,
     format_schedule,
     format_workload,
     generate_workload,
@@ -654,17 +656,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert "unrecognized arguments: --time-budget 60" in captured.err
 
-    @pytest.mark.parametrize("n, arrivals, error", [
-        (12, [1] + [0] * 11, "error: n=12 exceeds the search limit max_n=10\n"),
-        (10, [11] + [0] * 9,
-         "error: 11 participants exceed the search limit max_total_participants=8\n")])
-    def test_oracle_refusal_is_a_usage_error(self, tmp_path, capsys, n, arrivals, error):
+    # past compare's caps: n=12, and n=10 with 11 participants
+    @pytest.mark.parametrize("n, arrivals", [(12, [1] + [0] * 11), (10, [11] + [0] * 9)])
+    def test_solve_plans_the_oracle_beyond_compare_caps(self, tmp_path, capsys, n, arrivals):
         cfg = Config(n=n, delta=2, theta=3)
         wl_obj = Workload(arrivals=np.array(arrivals), departures=np.zeros(n, dtype=int))
         wl = tmp_path / "wl.json"
         wl.write_text(format_workload(cfg, wl_obj), encoding="utf-8")
-        assert main(["solve", str(wl), "--algorithm", "oracle"]) == 2
-        assert capsys.readouterr() == ("", error)
+        code = main(["solve", str(wl), "--algorithm", "oracle"])
+        schedule = exact_schedule(wl_obj, cfg)
+        assert code == (0 if evaluate(wl_obj, schedule, cfg).feasible else 1)
+        assert capsys.readouterr().out == format_schedule(cfg, schedule)
+
+    # the n=100 program optima HiGHS proved; the simulator rejects both
+    # through overcommit at four slots
+    @pytest.mark.parametrize("scenario, cost", [("mmog", 1554643), ("oppd", 310657)])
+    def test_solve_plans_the_oracle_at_paper_scale(self, tmp_path, capsys, scenario, cost):
+        wl = tmp_path / "wl.json"
+        assert main(["generate", "--scenario", scenario, "--seed", "0",
+                     "--out", str(wl)]) == 0
+        assert main(["solve", str(wl), "--algorithm", "oracle"]) == 1
+        captured = capsys.readouterr()
+        config, workload = parse_workload(wl.read_text(encoding="utf-8"))
+        assert captured.out == format_schedule(config, exact_schedule(workload, config))
+        err = captured.err.splitlines()
+        assert err[0] == f"resource_cost={cost}"
+        assert sum(line.startswith("VIOLATION capacity_below_occupancy ")
+                   for line in err) == 4
 
     def test_missing_scenario_parameters(self):
         assert main(["generate", "--n", "8", "--delta", "2"]) == 2
