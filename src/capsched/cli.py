@@ -51,10 +51,9 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 
-# compare's caps on the oracle: it drops the oracle beyond max_n and skips,
-# with a note, each seed beyond max participants; solve and exact_schedule
-# plan at any n
-ORACLE_MAX_N = 10
+# compare's one cap on the oracle: at any n it skips, with a note, each seed
+# beyond max participants.  Only the exact-tiny benchmark golden, which hashes
+# those notes, keeps it; solve and exact_schedule plan every seed
 ORACLE_MAX_PARTICIPANTS = 8
 
 
@@ -283,18 +282,14 @@ def run_compare(spec: CompareSpec) -> str:
 
     Rows come first, sorted by seed then algorithm name; planner medians
     and any skip or infeasibility notes follow as comment lines so the
-    file stays loadable by any CSV reader that skips '#'.  The oracle is
-    dropped up front, with a note, when the dimensions exceed its limits.
-    The seeds are taken in blocks of at most _BLOCK_ENTRIES // n, each drawn
-    by _generate_rows, then planned and evaluated by one _compare_block pass.
+    file stays loadable by any CSV reader that skips '#'.  Every planner
+    plans every seed at any n, but for the seeds the oracle's participant
+    cap skips in _compare_block.  The seeds are taken in blocks of at most
+    _BLOCK_ENTRIES // n, each drawn by _generate_rows, then planned and
+    evaluated by one _compare_block pass.
     """
-    config, params = spec.config, spec.scenario
+    config, params, algorithms = spec.config, spec.scenario, spec.algorithms
     notes: List[str] = []
-    algorithms = list(spec.algorithms)
-    if "oracle" in algorithms and config.n > ORACLE_MAX_N:
-        algorithms.remove("oracle")
-        notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
-                     f"limit max_n={ORACLE_MAX_N}")
     rows: List[Tuple[int, str, CostReport]] = []
     per_block = max(1, _BLOCK_ENTRIES // config.n)
     for first in range(0, len(spec.seeds), per_block):
@@ -307,7 +302,7 @@ def run_compare(spec: CompareSpec) -> str:
     lines = [CSV_HEADER]
     lines.extend(",".join([str(seed), algorithm, *_report_cells(report)])
                  for seed, algorithm, report in rows)
-    for algorithm in sorted(set(algorithms)):
+    for algorithm in sorted(algorithms):
         reports = [report for _, name, report in rows if name == algorithm]
         if reports:
             # the medians of the two costs, the report's first two fields

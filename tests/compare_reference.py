@@ -16,9 +16,8 @@ from capsched.schedule import _violations
 from oracle_reference import _reference_oracle_schedule
 from planner_reference import _reference_adaptive_schedule, _reference_greedy_schedule
 
-# compare's caps on the oracle, spelled out here rather than read from the CLI:
-# beyond max_n it is dropped, beyond max participants a seed is skipped
-REFERENCE_ORACLE_MAX_N = 10
+# compare's one cap on the oracle, spelled out here rather than read from the
+# CLI: at any n, a seed of more than max participants is skipped
 REFERENCE_ORACLE_MAX_PARTICIPANTS = 8
 
 
@@ -94,16 +93,11 @@ def _reference_plan(algorithm, workload, config):
 def _reference_run_compare(spec) -> str:
     config, params = spec.config, spec.scenario
     notes: List[str] = []
-    algorithms = list(spec.algorithms)
-    if "oracle" in algorithms and config.n > REFERENCE_ORACLE_MAX_N:
-        algorithms.remove("oracle")
-        notes.append(f"oracle excluded: n={config.n} exceeds the oracle "
-                     f"limit max_n={REFERENCE_ORACLE_MAX_N}")
     rows: List[Tuple[int, str, CostReport]] = []
     for seed in spec.seeds:
         workload = generate_workload(replace(params, seed=seed), config)
         participants = int(workload.arrivals.sum())
-        for algorithm in algorithms:
+        for algorithm in spec.algorithms:
             if algorithm == "oracle" and participants > REFERENCE_ORACLE_MAX_PARTICIPANTS:
                 notes.append(f"oracle skipped seed={seed}: {participants} participants "
                              f"exceed the search limit "
@@ -115,7 +109,7 @@ def _reference_run_compare(spec) -> str:
     lines = [CSV_HEADER]
     lines.extend(",".join([str(seed), algorithm, *_report_cells(report)])
                  for seed, algorithm, report in rows)
-    for algorithm in sorted(set(algorithms)):
+    for algorithm in sorted(spec.algorithms):
         reports = [report for _, name, report in rows if name == algorithm]
         if reports:
             medians = " ".join(f"{field}={_median_text([getattr(r, field) for r in reports])}"

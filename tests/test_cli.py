@@ -39,7 +39,7 @@ from capsched import (
     parse_workload,
     run_compare,
 )
-from capsched.cli import ALGORITHMS, _compare_block, build_parser, main
+from capsched.cli import ALGORITHMS, _compare_block, _report_cells, build_parser, main
 from capsched.workload import INT64_MAX
 from compare_reference import _reference_evaluate, _reference_plan, _reference_run_compare
 
@@ -872,14 +872,30 @@ class TestCompare:
             seed, name, rc, qos = line.split(",")[:4]
             assert (rc, qos) == ("0", "0")
 
-    def test_oracle_dropped_from_large_instances(self):
-        spec = CompareSpec(
-            config=Config(n=100, delta=3, theta=4),
-            scenario=ScenarioParams(name="t", amplitude=1),
-            seeds=(0,), algorithms=("ads", "greedy", "oracle"))
-        text = run_compare(spec)
-        assert "# oracle excluded: n=100 exceeds the oracle limit max_n=10" in text
-        assert ",oracle," not in text
+    def test_oracle_planned_beyond_n_10(self, capsys):
+        assert main(["compare", "--n", "12", "--delta", "2", "--theta", "3", "--amplitude", "1",
+                     "--seeds", "0..9", "--algorithms", "ads,greedy,oracle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        oracle_rows = [line for line in lines if line.split(",")[1:2] == ["oracle"]]
+        config = Config(n=12, delta=2, theta=3)
+        want = []
+        for seed in range(10):
+            workload = generate_workload(ScenarioParams("custom", 1, seed=seed), config)
+            report = evaluate(workload, exact_schedule(workload, config), config)
+            want.append(",".join([str(seed), "oracle", *_report_cells(report)]))
+        assert oracle_rows == want
+        assert "# median algorithm=oracle resource_cost=14.0 qos_cost=8.5" in lines
+        assert "# infeasible algorithm=oracle rows=2" in lines
+
+    def test_oracle_skips_heavy_preset_seeds(self, capsys):
+        assert main(["compare", "--scenario", "oppd", "--seeds", "0..2",
+                     "--algorithms", "ads,greedy,oracle"]) == 0
+        text = capsys.readouterr().out
+        assert [line for line in text.splitlines() if "oracle" in line] == [
+            f"# oracle skipped seed={seed}: {participants} participants exceed the search "
+            f"limit max_total_participants=8"
+            for seed, participants in ((0, 6880), (1, 7393), (2, 7904))]
+        assert "excluded" not in text
 
     def test_cli_writes_csv(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -944,7 +960,7 @@ def _outcome(run, spec):
 @st.composite
 def _compare_specs(draw):
     """A compare run small enough for the per-seed reference: n up to 12, so
-    the oracle runs, refuses heavy seeds or is excluded; amplitudes up to
+    the oracle plans light seeds and refuses heavy ones; amplitudes up to
     2^61, whose costs pass int64 (or whose arrivals do, which both refuse);
     seeds in any order; and a block budget of one seed, a few, or all."""
     n = draw(st.integers(3, 12))
@@ -972,9 +988,13 @@ class TestComparePass:
                                ("oracle", "ads", "greedy")), 8))
     @example(case=(CompareSpec(Config(10, 2, 3), ScenarioParams("t", 2), tuple(range(10)),
                                ALGORITHMS), 1 << 14))
-    # the oracle excluded
-    @example(case=(CompareSpec(Config(12, 3, 4), ScenarioParams("t", 3), (2, 1),
+    # oracle rows past n=10: seeds 25 and 34 planned, seed 2 skipped
+    @example(case=(CompareSpec(Config(12, 3, 4), ScenarioParams("t", 3), (25, 2, 34),
                                ("oracle", "ads")), 1 << 14))
+    # n=30, where the oracle plans about half the seeds (1 and 3 here) and
+    # skips the rest, two seeds a block
+    @example(case=(CompareSpec(Config(30, 3, 4), ScenarioParams("t", 1), (4, 1, 0, 3),
+                               ALGORITHMS), 60))
     # qos_cost and resource_cost past int64
     @example(case=(CompareSpec(Config(6, 2, 3), ScenarioParams("t", 2 ** 61, 0.0), (4, 3, 0),
                                ("ads", "greedy")), 1 << 14))

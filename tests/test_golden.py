@@ -145,8 +145,7 @@ def oracle_digests():
     """Digest per shape of the oracle's outcome on every seed and plateau
     fraction: the cost, the changes and the lift's three matrices, or, for a
     seed of more than 8 participants, the refusal text compare notes when it
-    skips that seed.  No shape has n above 10, the n beyond which compare
-    drops the oracle, so the participants cap is the only one that refuses."""
+    skips that seed."""
     out = {}
     for n, delta, theta, amplitude in ORACLE_SHAPES:
         config = Config(n=n, delta=delta, theta=theta)
