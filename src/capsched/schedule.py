@@ -225,8 +225,7 @@ def _report(replay: _Replay, r: int, config: Config) -> SimulationReport:
         theta_violations=(late + 1).tolist(),
         capacity=cap,
         unadmitted=dict(zip((late[stuck] + 1).tolist(), counts[stuck].tolist())),
-        overcommit=list(zip((over + 1).tolist(), kept[over].tolist(), cap[over].tolist()))
-        if over.size else [],
+        overcommit=list(zip((over + 1).tolist(), kept[over].tolist(), cap[over].tolist())),
         arrived=arrived,
         departed=replay.departed[r],
         exited=exited,

@@ -390,8 +390,6 @@ def _require_matching(workload: Workload, config: Config) -> None:
 # _write_json_object's layout: "{\n", the fields joined by ",\n", then "\n}\n"; a field
 # is _NAME and an integer, or _NAME, _OPEN, the entries joined by _SEP, and _CLOSE
 _NAME, _OPEN, _SEP, _CLOSE = '  "{}": ', "[\n    ", ",\n    ", "\n  ]"
-# json.loads reads shorter text faster: they cross at a workload of n = 160, a schedule of 300
-_ARRAY_PASS_MIN_CHARS = 2500
 
 
 def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...],
@@ -401,10 +399,9 @@ def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...
 
     Scalars must be integers and lists must hold int64 integers; each list
     comes back as an int64 array.  _read_layout reads _write_json_object's
-    text of _ARRAY_PASS_MIN_CHARS or more, any other text goes to json.loads:
-    every defect, text nested too deeply or integers too long to decode
-    included, raises error with a one-line message naming the noun, the
-    field and the 1-based slot.
+    text, any other text goes to json.loads: every defect, text nested too
+    deeply or integers too long to decode included, raises error with a
+    one-line message naming the noun, the field and the 1-based slot.
     """
     if (doc := _read_layout(text, scalars, lists)) is not None:
         return doc
@@ -438,12 +435,12 @@ def _read_json_object(text: str, noun: str, error: type, scalars: Tuple[str, ...
 
 def _read_layout(text: str, scalars: Tuple[str, ...], lists: Tuple[str, ...]):
     """text's fields, the decoder's, if it is _write_json_object's text for
-    scalars and lists, _ARRAY_PASS_MIN_CHARS long or more, with each entry a
-    canonical JSON integer of at most 18 digits; else None.  One array pass
-    checks the lists, joined by _SEP with _SEP before and after: every comma
-    starts a _SEP, and each entry is 1 to 18 digits, no leading zero, after a
-    "-" or none, and these digits are all the lists hold besides."""
-    if not isinstance(text, str) or len(text) < _ARRAY_PASS_MIN_CHARS or not text.isascii():
+    scalars and lists with each entry a canonical JSON integer of at most 18
+    digits; else None.  One array pass checks the lists, joined by _SEP with
+    _SEP before and after: every comma starts a _SEP, and each entry is 1 to
+    18 digits, no leading zero, after a "-" or none, and these digits are all
+    the lists hold besides."""
+    if not isinstance(text, str) or not text.isascii():
         return None
     # cut at each "]", a byte memchr finds, then check the rest of each _CLOSE
     *parts, tail = text.encode("ascii").split(b"]")
@@ -482,18 +479,14 @@ def _layout_heads(scalars: Tuple[str, ...], lists: Tuple[str, ...]) -> list:
 
 
 def _int64_array(values: list, field: str, error: type) -> np.ndarray:
-    """values as an int64 array, converted in one pass when every entry is an
-    int; otherwise error naming the first entry that is not an int64 integer."""
-    if set(map(type, values)) <= {int}:
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    k, v = next((k, v) for k, v in enumerate(values)
-                if type(v) is not int or not INT64_MIN <= v <= INT64_MAX)
-    if type(v) is not int:
-        raise error(f"{field} has a non-integer entry at slot {k + 1}")
-    raise error(f"{field} has an entry outside the int64 range at slot {k + 1}")
+    """values as an int64 array, or error naming the first entry that is not
+    an int64 integer."""
+    for k, v in enumerate(values):
+        if type(v) is not int:
+            raise error(f"{field} has a non-integer entry at slot {k + 1}")
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise error(f"{field} has an entry outside the int64 range at slot {k + 1}")
+    return np.array(values, dtype=np.int64)
 
 
 def _write_json_object(scalars: dict, lists: dict) -> str:

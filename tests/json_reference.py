@@ -3,13 +3,11 @@ JSON object reader, shared by the workload and schedule file tests."""
 
 import json
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from capsched import workload
 from capsched.workload import INT64_MAX, INT64_MIN, _read_json_object
 
 INT64 = st.integers(INT64_MIN, INT64_MAX)
@@ -70,14 +68,7 @@ def _reference_read_json_object(text, noun, error, scalars, lists):
 
 def assert_reads_alike(text, noun, error, scalars, lists):
     """_read_json_object returns the reference's fields, each list as an
-    int64 array, or raises the reference's error with the same message, both
-    as it is and with its array pass taking text of any length."""
-    for least in (workload._ARRAY_PASS_MIN_CHARS, 0):
-        with mock.patch.object(workload, "_ARRAY_PASS_MIN_CHARS", least):
-            _assert_reads_alike(text, noun, error, scalars, lists)
-
-
-def _assert_reads_alike(text, noun, error, scalars, lists):
+    int64 array, or raises the reference's error with the same message."""
     try:
         expected = _reference_read_json_object(text, noun, error, scalars, lists)
     except error as exc:

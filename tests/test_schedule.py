@@ -659,15 +659,16 @@ class TestSerialization:
     def test_edited_layout_reads_as_the_decoder_reads_it(self, text):
         assert_parses_alike(text)
 
-    def test_canonical_text_skips_the_decoder(self):
-        values = SCENARIO_PRESETS["mmog"]
-        config = Config(n=2000, delta=values["delta"], theta=values["theta"])
+    # the smallest horizon any Config holds, lp-roundtrip's and long-horizon's
+    @pytest.mark.parametrize("n, delta, theta", [(3, 2, 3), (40, 3, 4), (2000, 3, 4)])
+    def test_canonical_text_skips_the_decoder(self, n, delta, theta):
+        config = Config(n=n, delta=delta, theta=theta)
         workload = generate_workload(
-            ScenarioParams(name="mmog", amplitude=values["amplitude"]), config)
+            ScenarioParams(name="mmog", amplitude=SCENARIO_PRESETS["mmog"]["amplitude"]), config)
         schedule = adaptive_schedule(workload, config)
         with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads used")):
-            n, delta, parsed = parse_schedule(format_schedule(config, schedule))
-        assert (n, delta) == (config.n, config.delta)
+            got_n, got_delta, parsed = parse_schedule(format_schedule(config, schedule))
+        assert (got_n, got_delta) == (n, delta)
         assert np.array_equal(parsed.changes, schedule.changes)
 
     def test_writers_skip_the_pure_python_encoder(self, monkeypatch, ref_config, ref_workload):

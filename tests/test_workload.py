@@ -486,11 +486,12 @@ class TestSerialization:
     def test_edited_layout_reads_as_the_decoder_reads_it(self, text):
         assert_parses_alike(text)
 
-    def test_canonical_text_skips_the_decoder(self):
-        preset = SCENARIO_PRESETS["mmog"]
-        config = Config(n=2000, delta=preset["delta"], theta=preset["theta"])
-        workload = generate_workload(ScenarioParams(name="mmog", amplitude=preset["amplitude"]),
-                                     config)
+    # the smallest horizon any Config holds, lp-roundtrip's and long-horizon's
+    @pytest.mark.parametrize("n, delta, theta", [(3, 2, 3), (40, 3, 4), (2000, 3, 4)])
+    def test_canonical_text_skips_the_decoder(self, n, delta, theta):
+        config = Config(n=n, delta=delta, theta=theta)
+        workload = generate_workload(
+            ScenarioParams(name="mmog", amplitude=SCENARIO_PRESETS["mmog"]["amplitude"]), config)
         text = format_workload(config, workload)
         with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads used")):
             got_config, got = parse_workload(text)
