@@ -89,11 +89,12 @@ class IlpModel:
     lhs senses[k] rhs[k].  Its left-hand side is the runs run_ptr[k] to
     run_ptr[k+1] - 1: run p adds run_coefs[p] times each of the
     run_lengths[p] consecutive variables from index run_starts[p], in the
-    variable order of variable_names.  The objective is a list of runs held
-    the same way.  The arrays are read-only.  One view is derived from them
-    on access: constraints, from every row array and variable_names, each
-    row named by the same formatter that gives export_lp its row heads;
-    it stays for the traced benchmark's row and term counts.
+    variable order of variable_names.  objective holds one coefficient per
+    variable in that order.  The arrays are read-only.  One view is derived
+    from them on access: constraints, from every row array and
+    variable_names, each row named by the same formatter that gives
+    export_lp its row heads; it stays for the traced benchmark's row and
+    term counts.
     """
 
     config: Config
@@ -106,9 +107,7 @@ class IlpModel:
     run_starts: np.ndarray
     run_lengths: np.ndarray
     run_coefs: np.ndarray
-    objective_starts: np.ndarray
-    objective_lengths: np.ndarray
-    objective_coefs: np.ndarray
+    objective: np.ndarray
 
     def _row_labels(self, before: str, after: str) -> List[str]:
         """Each row's name, the family tag and its indices, between before
@@ -254,14 +253,10 @@ def build_model(workload: Workload, config: Config) -> IlpModel:
     _require_matching(workload, config)
     n, delta = config.n, config.delta
     fields = _row_table(workload, config)
-    # objective: weight n - j - delta on x_i_j and its negative on y_i_j, one
-    # run per term, leaving out the zero weights from j = n - delta on
-    cols = np.arange(n - delta - 1)
-    weights = np.tile(n - delta - 1 - cols, n)
-    x_terms = (np.arange(0, n * n, n)[:, None] + cols).ravel()
-    fields["objective_starts"] = np.concatenate([x_terms, n * n + x_terms])
-    fields["objective_lengths"] = np.ones_like(fields["objective_starts"])
-    fields["objective_coefs"] = np.concatenate([weights, -weights])
+    # objective: weight n - j - delta on x_i_j, 0 from j = n - delta on, its
+    # negative on y_i_j, and 0 on every r_j
+    weights = np.tile(np.maximum(n - delta - np.arange(1, n + 1), 0), n)
+    fields["objective"] = np.concatenate([weights, -weights, np.zeros(n, dtype=np.int64)])
     for array in fields.values():
         array.setflags(write=False)
     return IlpModel(config=config, **fields)
@@ -387,14 +382,13 @@ def export_lp(model: IlpModel) -> str:
 
     Output is a pure function of the model: same model, same bytes.
     Variables with a zero objective weight are declared but left out of the
-    objective expression; an objective without terms is written as 0 x_1_1.
+    objective expression; an all-zero objective is written as 0 x_1_1.
     The text is joined once from one list of fragments.
     """
     names = variable_names(model.config.n)
     name_chars = np.cumsum([0, *map(len, names)])
-    objective = (model.objective_starts, model.objective_lengths, model.objective_coefs)
-    if not len(objective[0]):
-        objective = (np.array([0]), np.array([1]), np.array([0]))
+    terms = np.flatnonzero(model.objective) if model.objective.any() else np.array([0])
+    objective = (terms, np.ones_like(terms), model.objective[terms])
     integers = names[: 2 * model.config.n ** 2]
     binaries = names[2 * model.config.n ** 2:]
     return "".join([

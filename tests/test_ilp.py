@@ -37,7 +37,7 @@ from capsched import (
     resource_cost,
     validate_solution,
 )
-from capsched.ilp import LinearConstraint, _ranges, _render_rows, variable_names
+from capsched.ilp import LinearConstraint, _render_rows, variable_names
 
 WITNESS = "\n".join([
     "# optimal assignment for the reference instance",
@@ -51,11 +51,9 @@ WITNESS = "\n".join([
 
 
 def _objective(model):
-    """The model's objective spelled out as (coefficient, name) terms."""
-    names = variable_names(model.config.n)
-    columns = _ranges(model.objective_starts, model.objective_lengths).tolist()
-    return tuple(zip(np.repeat(model.objective_coefs, model.objective_lengths).tolist(),
-                     [names[v] for v in columns]))
+    """The model's nonzero objective coefficients as (coefficient, name) terms."""
+    return tuple((coef, name) for coef, name in zip(model.objective.tolist(),
+                                                    variable_names(model.config.n)) if coef)
 
 
 def _reference_model(workload, config):

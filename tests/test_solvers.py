@@ -69,13 +69,12 @@ def _quadratic_adaptive_changes(workload, config):
     return changes
 
 
-def _milp_finds_assignment(workload, schedule, config):
-    """Whether scipy's MILP finds an assignment of the integer program whose
-    columns net to the schedule's changes (x_.j - y_.j = s_j for every j)."""
+def _milp(model, objective, *extra):
+    """scipy's MILP result for the model's rows, bounds and integrality,
+    minimising the objective vector, under each extra (rows, lo, hi) too."""
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
-    model = build_model(workload, config)
-    n = config.n
+    n = model.config.n
     size = 2 * n * n + n
     run_rows = np.repeat(np.arange(len(model.rhs)), np.diff(model.run_ptr))
     rows = sparse.csr_matrix((np.repeat(model.run_coefs, model.run_lengths),
@@ -84,20 +83,28 @@ def _milp_finds_assignment(workload, schedule, config):
                              shape=(len(model.rhs), size))
     lo = np.where(model.senses == "<=", -np.inf, model.rhs)
     hi = np.where(model.senses == ">=", np.inf, model.rhs)
+    # HiGHS's presolve (scipy 1.17) wrongly declares some of these models
+    # infeasible, e.g. n=10, delta=3, theta=4, arrivals [2,0,0,0,2,3,3,3,3,3],
+    # departures [1,0,1,0,0,4,4,1,0,0] and changes 8 at slot 7
+    return optimize.milp(
+        objective, integrality=np.ones(size),
+        bounds=optimize.Bounds(0, np.r_[np.full(2 * n * n, np.inf), np.ones(n)]),
+        constraints=[optimize.LinearConstraint(rows, lo, hi),
+                     *(optimize.LinearConstraint(*row) for row in extra)],
+        options={"presolve": False})
+
+
+def _milp_finds_assignment(workload, schedule, config):
+    """Whether scipy's MILP finds an assignment of the integer program whose
+    columns net to the schedule's changes (x_.j - y_.j = s_j for every j)."""
+    n = config.n
+    size = 2 * n * n + n
     net = np.zeros((n, size))
     for j in range(n):
         net[j, j:n * n:n] = 1
         net[j, n * n + j:2 * n * n:n] = -1
     changes = schedule.changes.astype(float)
-    # HiGHS's presolve (scipy 1.17) wrongly declares some of these models
-    # infeasible, e.g. n=10, delta=3, theta=4, arrivals [2,0,0,0,2,3,3,3,3,3],
-    # departures [1,0,1,0,0,4,4,1,0,0] and changes 8 at slot 7
-    result = optimize.milp(
-        np.zeros(size), integrality=np.ones(size),
-        bounds=optimize.Bounds(0, np.r_[np.full(2 * n * n, np.inf), np.ones(n)]),
-        constraints=[optimize.LinearConstraint(rows, lo, hi),
-                     optimize.LinearConstraint(net, changes, changes)],
-        options={"presolve": False})
+    result = _milp(build_model(workload, config), np.zeros(size), (net, changes, changes))
     assert result.status in (0, 2), result.message     # solved, or proven infeasible
     return result.status == 0
 
@@ -312,11 +319,15 @@ def _reference_oracle_plan(workload, config):
 
 def _certify(workload, schedule, config):
     """The lift of the oracle's schedule, after checking that it validates and
-    costs what the schedule and the shortest path cost."""
+    costs what the schedule, the shortest path and the model's objective cost."""
     matrices = lift_schedule(workload, schedule, config)
     assert validate_solution(matrices, workload, config) == []
     path_cost = solvers._oracle_path(workload.arrivals, workload.departures, config)[1]
     assert objective_value(matrices, config) == resource_cost(schedule, config) == path_cost
+    values = np.concatenate([matrices.allocations.ravel(), matrices.deallocations.ravel(),
+                             matrices.requests]).tolist()
+    priced = sum(c * v for c, v in zip(build_model(workload, config).objective.tolist(), values))
+    assert priced == path_cost
     return matrices
 
 
@@ -578,6 +589,20 @@ class TestOracle:
             assert cost <= resource_cost(greedy_schedule(wl, cfg), cfg)
             checked += 1
         assert checked >= 10
+
+    @given(data=st.data(), n=st.integers(3, 10), seed=st.integers(0, 10 ** 6),
+           amplitude=st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_highs_solves_the_model_to_the_oracle_cost(self, data, n, seed, amplitude):
+        # the program export-lp writes: its rows and its own objective
+        delta = data.draw(st.integers(2, min(4, n - 1)), label="delta")
+        theta = data.draw(st.integers(delta + 1, min(n, delta + 4)), label="theta")
+        cfg = Config(n=n, delta=delta, theta=theta)
+        wl = generate_workload(ScenarioParams(name="t", amplitude=amplitude, seed=seed), cfg)
+        model = build_model(wl, cfg)
+        result = _milp(model, model.objective)
+        assert result.status == 0, result.message
+        assert round(result.fun) == resource_cost(exact_schedule(wl, cfg), cfg)
 
     def test_relaxed_screen_can_only_lower_cost(self, ref_config, ref_workload):
         full = resource_cost(exact_schedule(ref_workload, ref_config), ref_config)
